@@ -102,8 +102,11 @@ def run_jump_sweep(args) -> int:
         lam = float(sc.get("lambda", "0.2"))
         gname = sc.get("gprofile", "constant")
         npoints = int(sc.get("npoints", "16"))
+        if npoints < 1:
+            raise ValueError(f"npoints must be >= 1, got {npoints}")
         tol = float(sc.get("tol", "1e-3"))
         model = oc.linear_self_energy(lam, g_profile(gname))
+        model.validate(disp)
     except (ValueError, KeyError, OSError) as exc:
         _diag("jump-sweep", "config", str(exc))
         return EXIT_CONFIG

@@ -7,7 +7,7 @@ dispersion model; sections hold scenario-specific options for the CLI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 # Keys recognized at top level of a config file.
 PARAM_KEYS = ("M", "aleph", "alephPrime", "j0", "Jmax", "lambda0", "upsilon")
@@ -129,20 +129,3 @@ def load_config(path) -> tuple[ScaleParams, str, dict[str, dict]]:
     model = top.get(MODEL_KEY, "quadratic")
     return params, model, sections
 
-
-def dump_params(params: ScaleParams, model: str = "quadratic") -> str:
-    lines = [
-        f"M = {params.M!r}",
-        f"aleph = {params.aleph!r}",
-        f"alephPrime = {params.aleph_prime!r}",
-        f"j0 = {params.j0}",
-        f"Jmax = {params.jmax}",
-        f"lambda0 = {params.lambda0!r}",
-        f"upsilon = {params.upsilon!r}",
-        f"model = {model}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def with_overrides(params: ScaleParams, **kw) -> ScaleParams:
-    return replace(params, **kw)

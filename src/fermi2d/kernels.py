@@ -280,13 +280,6 @@ def reduce_ph(kern: Kernel4, und: Optional[KernelSpace] = None) -> Kernel4:
     return Kernel4(und, kern.values[np.ix_(i0, i1, i1, i0)])
 
 
-def bubble_reduce_ph(kern: Kernel4, und: Optional[KernelSpace] = None) -> Kernel4:
-    """Bubble-propagator ph reduction: bar pattern (1, 0, 0, 1)."""
-    und = und or kern.space.undirected()
-    i0, i1 = _iotas(kern, und)
-    return Kernel4(und, kern.values[np.ix_(i1, i0, i0, i1)])
-
-
 def value_pp(undk: Kernel4, directed: KernelSpace) -> Kernel4:
     """Particle-particle value: re-embed over the two pp bar patterns."""
     i0, i1 = directed.iota(0, undk.space), directed.iota(1, undk.space)
@@ -421,18 +414,20 @@ def extract_component(kern: Kernel4, ivec: Sequence[int]) -> Kernel4:
 
     S_kappa f is a polynomial of degree <= 1 - min(field) in each kappa_p,
     so a discrete Fourier average over enough unit-circle nodes per leg
-    isolates the coefficient of prod kappa_p^(1-i_p) exactly.
+    isolates the coefficient of prod kappa_p^(1-i_p) exactly.  S_kappa is a
+    product of per-leg diagonal scalings, so the average over all node
+    combinations factorizes into one filter per axis,
+    (1/nn) sum_c node_c^((1-field) - (1-i_p)).
     """
     sp = kern.space
-    deg = 1 - min(sp.fields)
-    nn = deg + 1
+    nn = 2 - min(sp.fields)
     nodes = np.exp(2j * np.pi * np.arange(nn) / nn)
-    out = np.zeros_like(kern.values)
-    for combo in itertools.product(range(nn), repeat=4):
-        kap = [nodes[c] for c in combo]
-        w = np.prod([nodes[c] ** (-(1 - ivec[p])) for p, c in enumerate(combo)])
-        out += w * s_kappa(kern, kap).values
-    out /= nn ** 4
+    out = kern.values
+    for ax, ip in enumerate(ivec):
+        filt = (nodes[:, None] ** ((1 - sp.leg_field) - (1 - ip))).mean(axis=0)
+        shape = [1, 1, 1, 1]
+        shape[ax] = sp.n
+        out = out * filt.reshape(shape)
     keep = np.zeros_like(out, dtype=bool)
     keep[np.ix_(*component_mask(sp, ivec))] = True
     return Kernel4(sp, np.where(keep, out, 0.0))

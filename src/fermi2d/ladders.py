@@ -266,23 +266,19 @@ class LadderFamily:
 
 @dataclass
 class RecursionTrace:
-    """Per-scale record of one recursion run."""
+    """Per-scale rung kernel w_j and ladder step of one recursion run."""
 
     w: Dict[int, Kernel4] = field(default_factory=dict)
-    delta: Dict[int, Kernel4] = field(default_factory=dict)
-    ell_norms: Dict[int, List[float]] = field(default_factory=dict)
+    step: Dict[int, Kernel4] = field(default_factory=dict)
 
 
 def _ladder_sum_ph(scheme: LadderScheme, j: int, w: Kernel4, bub: BubbleProp,
-                   lmax: int, ltol: float,
-                   bub_alt: Optional[BubbleProp] = None,
-                   norms_out: Optional[List[float]] = None):
-    """2 sum_l (-1)^l 12^(l+1) L_l(w; .)^ph, optionally minus the same sum
-    with an alternate bubble (used for the telescoping difference)."""
+                   lmax: int, ltol: float) -> Kernel4:
+    """2 sum_l (-1)^l 12^(l+1) L_l(w; bub)^ph over the scale-j undirected
+    space."""
     und = scheme.space(j, directed=False)
     acc = zero_kernel(und)
     vals = w.values
-    vals_alt = w.values if bub_alt is not None else None
     total = 0.0
     prev_tnorm = None
     grow = 0
@@ -290,12 +286,7 @@ def _ladder_sum_ph(scheme: LadderScheme, j: int, w: Kernel4, bub: BubbleProp,
         vals = compose(vals, bub, w.values)
         coef = 2.0 * ((-1) ** ell) * 12.0 ** (ell + 1)
         term = coef * reduce_ph(Kernel4(w.space, vals), und).values
-        if bub_alt is not None:
-            vals_alt = compose(vals_alt, bub_alt, w.values)
-            term = term - coef * reduce_ph(Kernel4(w.space, vals_alt), und).values
         tnorm = float(np.abs(term).max())
-        if norms_out is not None:
-            norms_out.append(tnorm)
         acc.values += term
         total = max(total, tnorm)
         if prev_tnorm is not None and tnorm >= prev_tnorm > 0.0:
@@ -334,56 +325,45 @@ def _check_small(scheme: LadderScheme, v: Optional[Callable]):
                 f"|v(k)| > |i k0 - e|/2 at grid point {i}")
 
 
-def iterated_ladder(scheme: LadderScheme, jtop: int, family: LadderFamily,
-                    lmax: int = 12, ltol: float = 1e-10,
-                    trace: Optional[RecursionTrace] = None,
-                    v_alt: Optional[Callable] = "unset") -> Kernel4:
-    """Iterated particle-hole ladder up to scale jtop (covariances built
-    from the running counterterm sum u_j).  When v_alt is given, the trace
-    also records the per-scale covariance-swap differences delta L^(j)."""
+def _ladder_recursion(scheme: LadderScheme, jtop: int,
+                      family_F: Dict[int, Kernel4],
+                      counterterm: Callable[[int], Optional[Callable]],
+                      lmax: int, ltol: float,
+                      trace: Optional[RecursionTrace] = None) -> Kernel4:
+    """Particle-hole ladder recursion over the scales j0 <= j < jtop; the
+    scale-j covariances carry the momentum function counterterm(j)."""
     j0 = scheme.scales.params.j0
     L = zero_kernel(scheme.space(j0, directed=False))
     lscale = j0
-    want_delta = v_alt != "unset"
     for j in range(j0, jtop):
+        u = counterterm(j)
+        _check_small(scheme, u)
         Lj = scheme.resectorize(L, lscale, j)
-        w = _assemble_w(scheme, j, family.F, L, lscale)
-        uj = family.u_below(j)
-        _check_small(scheme, uj)
-        norms: List[float] = []
-        bub = scheme.scale_bubble(j, uj)
-        step = _ladder_sum_ph(scheme, j, w, bub, lmax, ltol, norms_out=norms)
+        w = _assemble_w(scheme, j, family_F, L, lscale)
+        step = _ladder_sum_ph(scheme, j, w, scheme.scale_bubble(j, u),
+                              lmax, ltol)
         if trace is not None:
             trace.w[j] = w
-            trace.ell_norms[j] = norms
-            if want_delta:
-                bub_v = scheme.scale_bubble(j, v_alt)
-                trace.delta[j] = _ladder_sum_ph(scheme, j, w, bub, lmax, ltol,
-                                                bub_alt=bub_v)
+            trace.step[j] = step
         L = Kernel4(Lj.space, Lj.values + step.values)
         lscale = j
     return L
+
+
+def iterated_ladder(scheme: LadderScheme, jtop: int, family: LadderFamily,
+                    lmax: int = 12, ltol: float = 1e-10,
+                    trace: Optional[RecursionTrace] = None) -> Kernel4:
+    """Iterated particle-hole ladder up to scale jtop (covariances built
+    from the running counterterm sum u_j)."""
+    return _ladder_recursion(scheme, jtop, family.F, family.u_below,
+                             lmax, ltol, trace)
 
 
 def compound_ladder(scheme: LadderScheme, jtop: int, v: Optional[Callable],
                     family_F: Dict[int, Kernel4], lmax: int = 12,
-                    ltol: float = 1e-10,
-                    trace: Optional[RecursionTrace] = None) -> Kernel4:
+                    ltol: float = 1e-10) -> Kernel4:
     """Compound particle-hole ladder: one fixed v in both covariances."""
-    _check_small(scheme, v)
-    j0 = scheme.scales.params.j0
-    L = zero_kernel(scheme.space(j0, directed=False))
-    lscale = j0
-    for j in range(j0, jtop):
-        Lj = scheme.resectorize(L, lscale, j)
-        w = _assemble_w(scheme, j, family_F, L, lscale)
-        bub = scheme.scale_bubble(j, v)
-        step = _ladder_sum_ph(scheme, j, w, bub, lmax, ltol)
-        if trace is not None:
-            trace.w[j] = w
-        L = Kernel4(Lj.space, Lj.values + step.values)
-        lscale = j
-    return L
+    return _ladder_recursion(scheme, jtop, family_F, lambda j: v, lmax, ltol)
 
 
 def ladder_closed_form(scheme: LadderScheme, jtop: int, v: Optional[Callable],
@@ -438,38 +418,36 @@ def delta_ladder_telescope(scheme: LadderScheme, jtop: int,
     """
     v = family.v_total()
     trace = RecursionTrace()
-    it = iterated_ladder(scheme, jtop, family, lmax, ltol, trace=trace,
-                         v_alt=v)
-    # corrected rung family F' (scale by scale, from the recorded w_j)
-    fam_prime: Dict[int, Kernel4] = {}
-    j0 = scheme.scales.params.j0
-    for i in sorted(family.F):
-        fam_prime[i] = family.F[i].copy()
-    for j in range(j0, jtop - 1):
-        w = trace.w[j]
-        und = scheme.space(j, directed=False)
-        bub_v = scheme.scale_bubble(j, v)
-        bub_u = scheme.scale_bubble(j, family.u_below(j))
-        diff = _ladder_sum_ph(scheme, j, w, bub_v, lmax, ltol, bub_alt=bub_u)
-        # diff = 2 sum (-1)^l 12^(l+1) [L_l(v) - L_l(u_j)]^ph ; the rung
-        # correction carries 1/4 of the embedded difference
-        corr = antisymmetrize(value_ph(diff, scheme.space(j, directed=True)))
-        corr = scheme.resectorize(corr, j, j + 1)
+    it = iterated_ladder(scheme, jtop, family, lmax, ltol, trace=trace)
+    # delta_j = step(u_j) - step(v), both ladder sums over the recorded w_j
+    delta = {}
+    for j, step in trace.step.items():
+        step_v = _ladder_sum_ph(scheme, j, trace.w[j],
+                                scheme.scale_bubble(j, v), lmax, ltol)
+        delta[j] = Kernel4(step.space, step.values - step_v.values)
+    # corrected rung family F': the scale-(j+1) rung carries 1/8 of the
+    # embedded delta_j
+    fam_prime = {i: f.copy() for i, f in family.F.items()}
+    for j, d in delta.items():
         tgt = j + 1
+        if tgt >= jtop:
+            continue
+        corr = antisymmetrize(value_ph(d, scheme.space(j, directed=True)))
+        corr = scheme.resectorize(corr, j, tgt)
         if tgt not in fam_prime:
             fam_prime[tgt] = zero_kernel(scheme.space(tgt, directed=True))
         fam_prime[tgt] = Kernel4(fam_prime[tgt].space,
-                                 fam_prime[tgt].values - corr.values / 8.0)
+                                 fam_prime[tgt].values + corr.values / 8.0)
     comp = compound_ladder(scheme, jtop, v, fam_prime, lmax, ltol)
     # sum of per-scale corrections at the final sectorization
     total = zero_kernel(scheme.space(jtop - 1, directed=False))
-    norms = {}
-    for j, d in trace.delta.items():
-        norms[j] = d.max_abs()
+    for j, d in delta.items():
         total.values += scheme.resectorize(d, j, jtop - 1).values
     residual = float(np.abs(it.values - comp.values - total.values).max())
-    return TelescopeReport(residual=residual, per_scale_delta_norms=norms,
-                           iterated=it, compound=comp)
+    return TelescopeReport(
+        residual=residual,
+        per_scale_delta_norms={j: d.max_abs() for j, d in delta.items()},
+        iterated=it, compound=comp)
 
 
 # ---------------------------------------------------------------------------

@@ -77,12 +77,6 @@ class DispersionModel:
     name: str
     fermi_radius: Callable
 
-    def grad_e(self, kx, ky, h: float = 1e-6):
-        """Central-difference gradient of the dispersion."""
-        gx = (self.e(kx + h, ky) - self.e(kx - h, ky)) / (2 * h)
-        gy = (self.e(kx, ky + h) - self.e(kx, ky - h)) / (2 * h)
-        return gx, gy
-
 
 def quadratic_model(anisotropy: float = 1.0) -> DispersionModel:
     """e(k) = (kx^2 + a ky^2)/2 - 1, UV cutoff supported in |e| <= 1.

@@ -166,6 +166,9 @@ def hat_weights(sectorization: Sectorization) -> List[Callable]:
     L = sectorization.curve.length
     centers = np.array([s.center() for s in sectorization])
     n = len(centers)
+    if n == 1:
+        # a lone sector is its own neighbor: its hat covers the whole curve
+        return [lambda s: np.ones(np.shape(s))]
 
     def make(i):
         c = centers[i]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 INF = float("inf")
+_TINY = math.ulp(0.0)  # smallest positive float
 
 MultiIndex = Tuple[int, int, int]
 
@@ -34,10 +35,11 @@ def finite_region(r0: int, r: int):
 
 
 def _xmul(a: float, b: float) -> float:
-    # extended [0, inf] product with 0 * inf = 0
+    # extended [0, inf] product with 0 * inf = 0; a product of positive
+    # coefficients never underflows to 0, which a later inf would absorb
     if a == 0.0 or b == 0.0:
         return 0.0
-    return a * b
+    return max(a * b, _TINY)
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,24 @@ def test_jump_sweep_bad_config(tmp_path):
     assert rc == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("scenario", [
+    # |dS/dk0(0)| = 0.9 breaks the 1/2 bound (the jump would read 10)
+    "npoints = 4\nlambda = 0.9\ngprofile = constant\n",
+    # 1 - lambda g = 0: the linearized piece has no finite limit
+    "npoints = 4\nlambda = 1.0\ngprofile = constant\n",
+    "npoints = 0\nlambda = 0.2\ngprofile = cosine\n",
+], ids=["lambda-0.9", "lambda-1.0", "npoints-0"])
+def test_jump_sweep_rejects_bad_scenario(tmp_path, capsys, scenario):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[scenario]\n" + scenario)
+    rc = cli.main(["jump-sweep", "--config", str(cfg),
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == cli.EXIT_CONFIG
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["scenario"] == "jump-sweep"
+    assert diag["error"] == "config"
+
+
 def test_ladder_demo_cli(tmp_path):
     out = tmp_path / "ladder.csv"
     rc = cli.main(["ladder-demo", "--scales", "2", "--grid", "1",

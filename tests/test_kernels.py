@@ -244,6 +244,27 @@ def test_s_kappa_extraction_all_components():
         assert np.abs(comp.values - direct).max() <= 1e-12
 
 
+def test_extract_component_matches_fourier_loop():
+    # reference: the explicit average of S_kappa over all node combinations
+    rng = np.random.default_rng(16)
+    sp = dspace(nspin=1, nsec=2)
+    fp = shear_prime(random_kernel(sp, rng, antisym=True),
+                     _table_fn(GRID, np.random.default_rng(26)))
+    nodes = np.exp(2j * np.pi * np.arange(3) / 3)
+    for ivec in ((-1, 0, 1, 1), (1, -1, -1, 0), (0, 0, 1, -1)):
+        avg = np.zeros_like(fp.values)
+        for combo in itertools.product(range(3), repeat=4):
+            w = np.prod([nodes[c] ** (ip - 1) for ip, c in zip(ivec, combo)])
+            avg += w * s_kappa(fp, [nodes[c] for c in combo]).values
+        avg /= 3 ** 4
+        keep = np.zeros(avg.shape, dtype=bool)
+        keep[np.ix_(*component_mask(fp.space, ivec))] = True
+        ref = np.where(keep, avg, 0.0)
+        got = extract_component(fp, ivec).values
+        assert np.abs(got - ref).max() <= 64 * np.finfo(float).eps \
+            * max(1.0, fp.max_abs())
+
+
 def test_norm_sandwich():
     rng = np.random.default_rng(14)
     sp = dspace(nspin=1, nsec=2)

@@ -302,3 +302,18 @@ def test_resectorize_preserves_totals(scheme):
         return out
 
     assert np.abs(sector_summed(f) - sector_summed(fine)).max() <= 1e-12
+
+
+def test_telescope_builds_each_chain_once(scheme, family, monkeypatch):
+    # per scale: the iterated chain, the v-swap chain on the recorded w_j
+    # and the compound chain, lmax compositions each
+    calls = []
+    compose = ld.compose
+
+    def counting(*args):
+        calls.append(1)
+        return compose(*args)
+
+    monkeypatch.setattr(ld, "compose", counting)
+    ld.delta_ladder_telescope(scheme, 4, family, lmax=4, ltol=0.0)
+    assert len(calls) == 2 * 3 * 4

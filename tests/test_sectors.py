@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermi2d.sectors import (build_fermi_curve, build_sectorization,
                              hat_weights, refine_weights, sector_of,
@@ -79,6 +81,21 @@ def test_hat_weights_partition(params, curve):
     hats = hat_weights(secz)
     ss = np.linspace(0, curve.length, 257)
     total = sum(np.asarray(h(ss), dtype=float) for h in hats)
+    assert np.abs(total - 1.0).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.floats(0.05, 0.95),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_hat_weights_partition_any_count(params, curve, count, short, fracs):
+    # arc length L / (count - short) tiles the curve with exactly count
+    # sectors, the last one shorter; count 1 is a single sector
+    L = curve.length
+    secz = build_sectorization(params, curve, 4,
+                               length_override=L / (count - short))
+    assert len(secz) == count
+    ss = np.array(fracs) * L
+    total = sum(np.asarray(h(ss), dtype=float) for h in hat_weights(secz))
     assert np.abs(total - 1.0).max() <= 1e-12
 
 

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermi2d.config import ScaleParams
@@ -88,6 +88,8 @@ def test_e_series_monotone(Xa, Xb):
 
 @settings(max_examples=60, deadline=None)
 @given(series_strategy, series_strategy, series_strategy)
+@example(small_series({(0, 0, 0): 1e-200}), small_series({(0, 0, 0): 1e-200}),
+         small_series({(0, 0, 0): INF}))  # a * b underflows
 def test_ring_laws(a, b, c):
     # commutativity is bit-exact; associativity/distributivity hold exactly
     # in the extended (inf-absorbing) structure and to machine precision in
