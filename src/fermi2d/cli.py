@@ -3,9 +3,8 @@
 Exit codes: 0 success, 1 config/validation error, 2 budget or identity
 violation, 3 numerical-tolerance failure.  Every failure also prints a
 machine-readable JSON diagnostic to stderr.  Output formatting is fixed
-(17 significant digits, stable column order) and all parallelism is an
-ordered map, so identical configs produce byte-identical files for any
-worker count.
+(17 significant digits, stable column order) and every scenario runs in
+one thread, so identical configs produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -106,11 +105,14 @@ def run_jump_sweep(args) -> int:
             raise ValueError(f"npoints must be >= 1, got {npoints}")
         tol = float(sc.get("tol", "1e-3"))
         model = oc.linear_self_energy(lam, g_profile(gname))
-        model.validate(disp)
     except (ValueError, KeyError, OSError) as exc:
         _diag("jump-sweep", "config", str(exc))
         return EXIT_CONFIG
-    rows = oc.fermi_sweep(disp, model, npoints=npoints)
+    try:
+        rows = oc.fermi_sweep(disp, model, npoints=npoints)
+    except oc.ModelHypothesisError as exc:
+        _diag("jump-sweep", "config", str(exc))
+        return EXIT_CONFIG
     table = [{"theta": r.theta, "n_in": r.n_in, "n_out": r.n_out,
               "jump_measured": r.jump_measured,
               "jump_predicted": r.jump_predicted,

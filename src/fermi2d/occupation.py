@@ -16,8 +16,7 @@ jumps by 1 / (1 - (1/i) dS/dk0(0, kbar)).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -103,39 +102,37 @@ def default_eta(disp, model, kx, ky) -> float:
     return max(0.5 * min(1.0, 10.0 * abs(E)), 1e-5)
 
 
-def _quad_complex(f, a, b, tol, **kw):
-    re, ere = integrate.quad(lambda x: f(x).real, a, b, epsabs=tol,
-                             epsrel=tol, limit=300, **kw)
-    im, eim = integrate.quad(lambda x: f(x).imag, a, b, epsabs=tol,
-                             epsrel=tol, limit=300, **kw)
-    if max(ere, eim) > 50 * tol + 1e-12:
-        raise QuadratureError(f"estimated error {max(ere, eim):.2e}")
+def _quad(f, a, b, tol, **quad_kwargs) -> float:
+    """integrate.quad of a real f at epsabs = tol, checked: raises
+    QuadratureError when scipy warns or the error estimate exceeds 50 times
+    the requested accuracy, max(tol, epsrel |value|) when epsrel is given."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        try:
+            val, err = integrate.quad(f, a, b, epsabs=tol, **quad_kwargs)
+        except integrate.IntegrationWarning as exc:
+            raise QuadratureError(str(exc)) from exc
+    goal = max(tol, quad_kwargs.get("epsrel", 0.0) * abs(val))
+    if err > 50 * goal + 1e-12:
+        raise QuadratureError(f"estimated error {err:.2e}")
+    return val
+
+
+def _quad_complex(f, a, b, tol, **quad_kwargs) -> complex:
+    re = _quad(lambda x: f(x).real, a, b, tol, **quad_kwargs)
+    im = _quad(lambda x: f(x).imag, a, b, tol, **quad_kwargs)
     return re + 1j * im
 
 
 def _fourier_tail_quad(g, a: float, tau: float, tol: float) -> complex:
     """int_{|k0| >= a} e^(i k0 tau) g(k0) dk0 for decaying g, through
     Fourier-weight panels of the symmetric and antisymmetric parts."""
-
-    def gp_re(x):
-        return (g(x) + g(-x)).real
-
-    def gp_im(x):
-        return (g(x) + g(-x)).imag
-
-    def gm_re(x):
-        return (g(x) - g(-x)).real
-
-    def gm_im(x):
-        return (g(x) - g(-x)).imag
-
-    kw = dict(wvar=tau, epsabs=tol, limit=400)
-    c_pr, _ = integrate.quad(gp_re, a, np.inf, weight="cos", **kw)
-    c_pi, _ = integrate.quad(gp_im, a, np.inf, weight="cos", **kw)
-    s_mr, _ = integrate.quad(gm_re, a, np.inf, weight="sin", **kw)
-    s_mi, _ = integrate.quad(gm_im, a, np.inf, weight="sin", **kw)
+    c = _quad_complex(lambda x: g(x) + g(-x), a, np.inf, tol,
+                      weight="cos", wvar=tau, limit=400)
+    s = _quad_complex(lambda x: g(x) - g(-x), a, np.inf, tol,
+                      weight="sin", wvar=tau, limit=400)
     # e^(i k0 tau) g + e^(-i k0 tau) g(-k0) = cos * (g+g(-)) + i sin * (g-g(-))
-    return (c_pr - s_mi) + 1j * (c_pi + s_mr)
+    return (c.real - s.imag) + 1j * (c.imag + s.real)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +146,7 @@ def i1_quad(disp, model, kx, ky, eta: float, tau: float = 0.0,
     def f(k0):
         return np.exp(1j * k0 * tau) / (1j * A * k0 - E) / (2 * math.pi)
 
-    return _quad_complex(f, -eta, eta, tol)
+    return _quad_complex(f, -eta, eta, tol, epsrel=tol, limit=300)
 
 
 def i1_closed_limit(disp, model, kx, ky, eta: float) -> float:
@@ -176,7 +173,8 @@ def i2_quad(disp, model, kx, ky, eta: float, tau: float = 0.0,
         lin = 1j * A * k0 - E
         return np.exp(1j * k0 * tau) * R / (lin * (lin - R)) / (2 * math.pi)
 
-    return _quad_complex(f, -eta, eta, tol, points=[0.0])
+    return _quad_complex(f, -eta, eta, tol, epsrel=tol, limit=300,
+                         points=[0.0])
 
 
 def i3_closed(disp, kx, ky, tau: float) -> float:
@@ -194,21 +192,13 @@ def i3_cutoff_quad(disp, kx, ky, tau: float, cutoff: float,
     """The free integral truncated to |k0| <= cutoff (oscillatory)."""
     e = float(disp.e(kx, ky))
 
-    def fr(k0):
-        return (1.0 / (1j * k0 - e)).real / (2 * math.pi)
+    def f(k0):
+        return 1.0 / (1j * k0 - e) / (2 * math.pi)
 
-    def fi(k0):
-        return (1.0 / (1j * k0 - e)).imag / (2 * math.pi)
-
-    re_c, _ = integrate.quad(fr, -cutoff, cutoff, weight="cos", wvar=tau,
-                             epsabs=tol, epsrel=tol, limit=3000)
-    re_s, _ = integrate.quad(fi, -cutoff, cutoff, weight="sin", wvar=tau,
-                             epsabs=tol, epsrel=tol, limit=3000)
-    im_c, _ = integrate.quad(fi, -cutoff, cutoff, weight="cos", wvar=tau,
-                             epsabs=tol, epsrel=tol, limit=3000)
-    im_s, _ = integrate.quad(fr, -cutoff, cutoff, weight="sin", wvar=tau,
-                             epsabs=tol, epsrel=tol, limit=3000)
-    return (re_c - re_s) + 1j * (im_c + im_s)
+    kw = dict(wvar=tau, epsrel=tol, limit=3000)
+    c = _quad_complex(f, -cutoff, cutoff, tol, weight="cos", **kw)
+    s = _quad_complex(f, -cutoff, cutoff, tol, weight="sin", **kw)
+    return (c.real - s.imag) + 1j * (c.imag + s.real)
 
 
 def i3_cutoff_extrapolated(disp, kx, ky, tau: float, base_cutoff: float = 60.0,
@@ -245,7 +235,8 @@ def i4_quad(disp, model, kx, ky, eta: float, tau: float = 0.0,
         return S / (free * (free - S)) / (2 * math.pi)
 
     if tau == 0.0:
-        return _quad_complex(lambda k0: g(k0) + g(-k0), eta, np.inf, tol)
+        return _quad_complex(lambda k0: g(k0) + g(-k0), eta, np.inf, tol,
+                             epsrel=tol, limit=300)
     return _fourier_tail_quad(g, eta, tau, tol)
 
 
@@ -263,7 +254,8 @@ def nq_term(disp, Q: Callable, kx, ky, tau: float = 0.0,
         return complex(Q(k0, kx, ky)) / (1j * k0 - e) ** 2 / (2 * math.pi)
 
     if tau == 0.0:
-        return _quad_complex(lambda k0: g(k0) + g(-k0), 0.0, np.inf, tol)
+        return _quad_complex(lambda k0: g(k0) + g(-k0), 0.0, np.inf, tol,
+                             epsrel=tol, limit=300)
     return _fourier_tail_quad(g, 0.0, tau, tol)
 
 
@@ -319,16 +311,15 @@ def jump_predicted(model, kx, ky) -> float:
 
 
 def jump_at(disp, model, theta: float, deltas=(4e-3, 2e-3, 1e-3),
-            quad_tol: float = 1e-9, Q: Optional[Callable] = None):
+            quad_tol: float = 1e-9, Q: Optional[Callable] = None) -> SweepRow:
     """Measure the jump at the Fermi point with angle theta.
 
     N is evaluated at radial offsets straddling the curve and extrapolated
     to the curve by polynomial (Richardson-style) extrapolation in the
-    offset.  Returns (measured, predicted).
+    offset.  The row's n_in/n_out are N at -/+ deltas[-1].
     """
     rad = float(disp.fermi_radius(theta))
     nx, ny = math.cos(theta), math.sin(theta)
-    kbx, kby = rad * nx, rad * ny
 
     def n_at(offset):
         val, _ = occupation_limit(disp, model, (rad + offset) * nx,
@@ -338,9 +329,11 @@ def jump_at(disp, model, theta: float, deltas=(4e-3, 2e-3, 1e-3),
     ds = np.asarray(deltas, dtype=float)
     inside = [n_at(-d) for d in ds]    # e < 0 side
     outside = [n_at(+d) for d in ds]
-    n_in = _extrapolate_to_zero(ds, inside)
-    n_out = _extrapolate_to_zero(ds, outside)
-    return (n_in - n_out), jump_predicted(model, kbx, kby)
+    measured = _extrapolate_to_zero(ds, inside) - _extrapolate_to_zero(ds, outside)
+    predicted = jump_predicted(model, rad * nx, rad * ny)
+    return SweepRow(theta=theta, n_in=inside[-1], n_out=outside[-1],
+                    jump_measured=measured, jump_predicted=predicted,
+                    abs_err=abs(measured - predicted))
 
 
 def _extrapolate_to_zero(xs, ys) -> float:
@@ -368,43 +361,26 @@ class SweepRow:
 
 
 def fermi_sweep(disp, model, npoints: int = 16, deltas=(4e-3, 2e-3, 1e-3),
-                quad_tol: float = 1e-9, Q: Optional[Callable] = None,
-                workers: Optional[int] = None) -> List[SweepRow]:
+                quad_tol: float = 1e-9,
+                Q: Optional[Callable] = None) -> List[SweepRow]:
     """Jump measurement at npoints equally spaced Fermi-curve angles.
 
-    Rows are deterministic and ordered by angle; per-point failures are
-    recorded in the row flag rather than raised.  Worker-count only chunks
-    the evaluation (ordered map), so results never depend on it.
+    Raises ModelHypothesisError when the model fails its hypotheses.  Rows
+    are ordered by angle and computed in one thread, so the output is the
+    same on every run; per-point failures are recorded in the row flag
+    rather than raised.
     """
-    thetas = [2 * math.pi * t / npoints for t in range(npoints)]
-    if workers is None:
-        workers = int(os.environ.get("FERMI2D_WORKERS", "1"))
-
-    def one(theta):
-        rad = float(disp.fermi_radius(theta))
-        nx, ny = math.cos(theta), math.sin(theta)
+    model.validate(disp)
+    rows = []
+    for t in range(npoints):
+        theta = 2 * math.pi * t / npoints
         try:
-            measured, predicted = jump_at(disp, model, theta, deltas,
-                                          quad_tol, Q)
-            n_in, _ = occupation_limit(disp, model, (rad - deltas[-1]) * nx,
-                                       (rad - deltas[-1]) * ny,
-                                       quad_tol=quad_tol, Q=Q)
-            n_out, _ = occupation_limit(disp, model, (rad + deltas[-1]) * nx,
-                                        (rad + deltas[-1]) * ny,
-                                        quad_tol=quad_tol, Q=Q)
-            return SweepRow(theta=theta, n_in=n_in, n_out=n_out,
-                            jump_measured=measured, jump_predicted=predicted,
-                            abs_err=abs(measured - predicted))
-        except (QuadratureError, SingularPointError, ModelHypothesisError) as exc:
-            return SweepRow(theta=theta, n_in=math.nan, n_out=math.nan,
-                            jump_measured=math.nan, jump_predicted=math.nan,
-                            abs_err=math.nan, flag=type(exc).__name__)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, thetas))
-    else:
-        rows = [one(t) for t in thetas]
+            rows.append(jump_at(disp, model, theta, deltas, quad_tol, Q))
+        except (QuadratureError, SingularPointError) as exc:
+            rows.append(SweepRow(theta=theta, n_in=math.nan, n_out=math.nan,
+                                 jump_measured=math.nan,
+                                 jump_predicted=math.nan, abs_err=math.nan,
+                                 flag=type(exc).__name__))
     return rows
 
 
@@ -449,12 +425,9 @@ def time_domain_free_ft(disp, kx, ky, k0: float, w: float,
         return time_domain_free(disp, kx, ky, t if e < 0 else -t, w)
 
     if k0 == 0.0:
-        val, _ = integrate.quad(envelope, 0.0, np.inf, epsabs=tol, epsrel=tol)
-        return complex(val)
-    cosi, _ = integrate.quad(envelope, 0.0, np.inf, weight="cos", wvar=k0,
-                             epsabs=tol, limit=300)
-    sini, _ = integrate.quad(envelope, 0.0, np.inf, weight="sin", wvar=k0,
-                             epsabs=tol, limit=300)
+        return complex(_quad(envelope, 0.0, np.inf, tol, epsrel=tol))
+    cosi = _quad(envelope, 0.0, np.inf, tol, weight="cos", wvar=k0, limit=300)
+    sini = _quad(envelope, 0.0, np.inf, tol, weight="sin", wvar=k0, limit=300)
     if e < 0:
         # int_0^inf env(t) e^(-i k0 t) dt
         return cosi - 1j * sini

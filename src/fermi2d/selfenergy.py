@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .kernels import sup_derivatives
 from .scales import ScaleModel, ramp_down
 
 
@@ -62,7 +63,6 @@ class ScaleFamily:
     p: Dict[int, Callable] = field(default_factory=dict)
     dp_dk0: Dict[int, Callable] = field(default_factory=dict)
     q: Dict[Tuple[int, int], Callable] = field(default_factory=dict)
-    dq_dk0: Dict[Tuple[int, int], Callable] = field(default_factory=dict)
     q_desc: Dict[Tuple[int, int], QDescriptor] = field(default_factory=dict)
     p_amp: Dict[int, float] = field(default_factory=dict)
     lambda0: float = 0.0
@@ -84,37 +84,6 @@ def resum_Q(family: ScaleFamily, k0, kx, ky, jcut: Optional[int] = None) -> comp
         if jcut is not None and (i > jcut or l > jcut):
             continue
         total += family.q[(i, l)](k0, kx, ky)
-    return total
-
-
-def dP_dk0(family: ScaleFamily, k0, kx, ky, scales: Optional[ScaleModel] = None) -> complex:
-    """k0-derivative of P: analytic members when given, else central
-    differences at a scale-adapted step per member."""
-    total = 0.0 + 0.0j
-    M = scales.params.M if scales is not None else 2.0
-    for i in sorted(family.p):
-        if i in family.dp_dk0:
-            total += family.dp_dk0[i](k0, kx, ky)
-        else:
-            h = 1e-4 * M ** (-i)
-            total += (family.p[i](k0 + h, kx, ky)
-                      - family.p[i](k0 - h, kx, ky)) / (2 * h)
-    return total
-
-
-def dQ_dk0(family: ScaleFamily, k0, kx, ky, jcut: Optional[int] = None,
-           scales: Optional[ScaleModel] = None) -> complex:
-    total = 0.0 + 0.0j
-    M = scales.params.M if scales is not None else 2.0
-    for (i, l) in sorted(family.q):
-        if jcut is not None and (i > jcut or l > jcut):
-            continue
-        if (i, l) in family.dq_dk0:
-            total += family.dq_dk0[(i, l)](k0, kx, ky)
-        else:
-            h = 1e-4 * M ** (-l)
-            total += (family.q[(i, l)](k0 + h, kx, ky)
-                      - family.q[(i, l)](k0 - h, kx, ky)) / (2 * h)
     return total
 
 
@@ -288,13 +257,6 @@ class BudgetReport:
         return out
 
 
-def _deltas_up_to(order: int):
-    return [(d0, d1, d2)
-            for d0 in range(order + 1)
-            for d1 in range(order + 1 - d0)
-            for d2 in range(order + 1 - d0 - d1)]
-
-
 def _windows(desc: QDescriptor, M: float):
     """Per-axis sampling windows adapted to the member's oscillation."""
     wi, wl = M ** desc.i, M ** desc.l
@@ -330,17 +292,11 @@ def check_q_budget(family: ScaleFamily, params,
             Q = Q.real
         base = 2.0 * la ** (1 - 2 * up) * params.sector_length(l) / M ** l \
             * M ** (ap * (l - i))
-        for delta in _deltas_up_to(2):
-            D = Q
-            for ax, times in enumerate(delta):
-                for _ in range(times):
-                    D = np.gradient(D, steps[ax], axis=ax)
-            tot = sum(delta)
-            sl = tuple(slice(tot, -tot) if tot else slice(None) for _ in range(3))
-            measured = float(np.abs(D[sl]).max())
+        sups = sup_derivatives(Q, steps, 2)
+        for delta in sorted(sups):
             allowed = base * M ** (delta[0] * i) * M ** ((delta[1] + delta[2]) * l)
             rows.append(BudgetRow(i=i, l=l, delta=delta,
-                                  measured=measured, allowed=allowed))
+                                  measured=sups[delta], allowed=allowed))
         # reflection reality on paired samples
         sample = (K0[::13, ::13, ::13], KX[::13, ::13, ::13], KY[::13, ::13, ::13])
         res = np.abs(np.asarray(qf(-sample[0], sample[1], sample[2]))

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermi2d import occupation as oc
 
@@ -117,13 +120,15 @@ def test_occupation_continuity_off_curve(disp, model):
 
 def test_jump_free_model(disp):
     free = oc.linear_self_energy(0.0, lambda kx, ky: 1.0)
-    measured, predicted = oc.jump_at(disp, free, 0.3)
+    row = oc.jump_at(disp, free, 0.3)
+    measured, predicted = row.jump_measured, row.jump_predicted
     assert predicted == 1.0
     assert abs(measured - 1.0) <= 1e-6
 
 
 def test_jump_constant_g(disp, model):
-    measured, predicted = oc.jump_at(disp, model, 0.3)
+    row = oc.jump_at(disp, model, 0.3)
+    measured, predicted = row.jump_measured, row.jump_predicted
     assert abs(predicted - 1.25) <= 1e-14
     assert abs(measured - predicted) <= 1e-3
 
@@ -133,8 +138,10 @@ def test_jump_unaffected_by_compliant_q(disp, model):
         r = abs(1j * k0 - (0.5 * (kx ** 2 + ky ** 2) - 1.0))
         return 0.05 * min(r ** 1.5, 1.0) * math.exp(-0.3 * (kx * kx + ky * ky))
 
-    m0, p0 = oc.jump_at(disp, model, 0.7)
-    mq, pq = oc.jump_at(disp, model, 0.7, Q=Qc)
+    r0 = oc.jump_at(disp, model, 0.7)
+    rq = oc.jump_at(disp, model, 0.7, Q=Qc)
+    m0, p0 = r0.jump_measured, r0.jump_predicted
+    mq, pq = rq.jump_measured, rq.jump_predicted
     assert p0 == pq
     assert abs(m0 - p0) <= 1e-3
     assert abs(mq - pq) <= 1e-3
@@ -148,6 +155,15 @@ def test_occupation_n_converges_to_limit(disp, model):
              for tau in (0.04, 0.02, 0.01)]
     assert drift[0] > drift[1] > drift[2]
     assert drift[2] <= 0.01
+
+
+def test_time_domain_free_ft_zero_frequency_near_curve(disp):
+    # |e| = 0.007: the value -U/e is ~143, so quad meets its relative goal
+    # with an absolute error estimate above 50 tol
+    rad = math.sqrt(2 * (1 - 0.007))
+    ft = oc.time_domain_free_ft(disp, rad, 0.0, 0.0, 0.1)
+    want = -float(disp.U(rad, 0.0)) / float(disp.e(rad, 0.0))
+    assert abs(ft - want) <= 1e-9 * abs(want)
 
 
 def test_time_domain_free_cases(disp):
@@ -205,3 +221,62 @@ def test_fermi_sweep_free_and_angular(disp):
 def test_occupation_limit_on_curve_raises(disp, model):
     with pytest.raises(oc.SingularPointError):
         oc.occupation_limit(disp, model, 1.0, 1.0)
+
+
+def _quad_huge_error(f, a, b, **kwargs):
+    return 0.0, 1.0
+
+
+def _quad_warns(f, a, b, **kwargs):
+    warnings.warn("roundoff error is detected", oc.integrate.IntegrationWarning)
+    return 0.0, 0.0
+
+
+@pytest.mark.parametrize("fake", [_quad_huge_error, _quad_warns],
+                         ids=["error-estimate", "warning"])
+@pytest.mark.parametrize("evaluate", [
+    lambda disp, model: oc.occupation_N(disp, model, 1.45, 0.0, 0.02),
+    lambda disp, model: oc.i3_cutoff_quad(disp, 1.2, 0.0, 0.5, 60.0),
+    lambda disp, model: oc.time_domain_free_ft(disp, 1.2, 0.0, 0.0, 0.1),
+    lambda disp, model: oc.time_domain_free_ft(disp, 1.2, 0.0, 0.7, 0.1),
+], ids=["occupation_N", "i3_cutoff_quad", "ft-k0-zero", "ft-k0-nonzero"])
+def test_quadrature_failure_raises(disp, model, monkeypatch, fake, evaluate):
+    monkeypatch.setattr(oc.integrate, "quad", fake)
+    with pytest.raises(oc.QuadratureError):
+        evaluate(disp, model)
+
+
+def test_fermi_sweep_evaluates_each_point_once(disp, model, monkeypatch):
+    occupation_limit = oc.occupation_limit
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2:4])
+        return occupation_limit(*args, **kwargs)
+
+    monkeypatch.setattr(oc, "occupation_limit", counted)
+    rows = oc.fermi_sweep(disp, model, npoints=4)
+    assert len(calls) == 24
+    d = 1e-3  # deltas[-1]
+    for r in rows:
+        rad = float(disp.fermi_radius(r.theta))
+        nx, ny = math.cos(r.theta), math.sin(r.theta)
+        n_in, _ = occupation_limit(disp, model, (rad - d) * nx, (rad - d) * ny)
+        n_out, _ = occupation_limit(disp, model, (rad + d) * nx, (rad + d) * ny)
+        assert r.n_in == n_in
+        assert r.n_out == n_out
+
+
+def test_fermi_sweep_validates_model(disp):
+    with pytest.raises(oc.ModelHypothesisError):
+        oc.fermi_sweep(disp, oc.linear_self_energy(0.9, lambda kx, ky: 1.0),
+                       npoints=2)
+
+
+@settings(max_examples=10, deadline=None)
+@given(g=st.floats(0.1, 1.0), lam_g=st.floats(0.0, 0.45),
+       theta=st.floats(0.0, 2 * math.pi))
+def test_jump_matches_prediction_for_constant_g(disp, g, lam_g, theta):
+    lam = lam_g / g
+    row = oc.jump_at(disp, oc.linear_self_energy(lam, lambda kx, ky: g), theta)
+    assert abs(row.jump_measured - 1.0 / (1.0 - lam * g)) <= 1e-3
