@@ -214,9 +214,6 @@ def random_kernel(space: KernelSpace, rng, amp: float = 1.0,
 # ordering and antisymmetrization
 
 
-_PERMS4 = list(itertools.permutations(range(4)))
-
-
 def permutation_sign(perm: Sequence[int]) -> int:
     sign = 1
     for i in range(len(perm)):
@@ -244,10 +241,16 @@ def ord_component(arr: np.ndarray, ivec: Sequence[int]) -> Tuple[np.ndarray, Tup
 
 
 def antisymmetrize(kern: Kernel4) -> Kernel4:
-    """Signed average over all 4! leg permutations (projection)."""
-    out = np.zeros_like(kern.values)
-    for perm in _PERMS4:
-        out += permutation_sign(perm) * kern.values.transpose(perm)
+    """Signed average over all 4! leg permutations (projection), built over
+    the cosets of S_k in S_(k+1): A_k = (1 - sum_(i<k) tau_ik) A_(k-1) / (k+1)
+    for k = 1, 2, 3, six axis transposes in all; the factors 1/(k+1) are
+    applied once, as 1/4!, at the end."""
+    out = kern.values
+    for k in range(1, 4):
+        acc = out.copy()
+        for i in range(k):
+            acc -= out.swapaxes(i, k)
+        out = acc
     return Kernel4(kern.space, out / 24.0)
 
 
@@ -262,44 +265,48 @@ def is_antisymmetric(kern: Kernel4, tol: float = 1e-12) -> bool:
 # particle-particle / particle-hole reductions and values
 
 
-def _iotas(kern: Kernel4, und: KernelSpace):
-    return kern.space.iota(0, und), kern.space.iota(1, und)
+# signed embeddings, one (bar pattern, transpose of the undirected kernel,
+# sign) per term
+_PP_TERMS = (((0, 0, 1, 1), (0, 1, 2, 3), 1), ((1, 1, 0, 0), (2, 3, 0, 1), 1))
+_PH_TERMS = (((0, 1, 1, 0), (0, 1, 2, 3), 1), ((1, 0, 0, 1), (1, 0, 3, 2), 1),
+             ((1, 0, 1, 0), (1, 0, 2, 3), -1), ((0, 1, 0, 1), (0, 1, 3, 2), -1))
+
+
+def _bar_block(directed: KernelSpace, und: KernelSpace, bars) -> tuple:
+    """np.ix_ block of the directed legs carrying the undirected legs at
+    bar pattern bars."""
+    iotas = (directed.iota(0, und), directed.iota(1, und))
+    return np.ix_(*(iotas[b] for b in bars))
+
+
+def _embed(undk: Kernel4, directed: KernelSpace, terms) -> Kernel4:
+    D = np.zeros((directed.n,) * 4, dtype=complex)
+    for bars, perm, sign in terms:
+        D[_bar_block(directed, undk.space, bars)] += \
+            sign * undk.values.transpose(perm)
+    return Kernel4(directed, D)
 
 
 def reduce_pp(kern: Kernel4, und: Optional[KernelSpace] = None) -> Kernel4:
     """Rung pp reduction: bars fixed to the pattern (0, 0, 1, 1)."""
     und = und or kern.space.undirected()
-    i0, i1 = _iotas(kern, und)
-    return Kernel4(und, kern.values[np.ix_(i0, i0, i1, i1)])
+    return Kernel4(und, kern.values[_bar_block(kern.space, und, (0, 0, 1, 1))])
 
 
 def reduce_ph(kern: Kernel4, und: Optional[KernelSpace] = None) -> Kernel4:
     """Rung ph reduction: bars fixed to the pattern (0, 1, 1, 0)."""
     und = und or kern.space.undirected()
-    i0, i1 = _iotas(kern, und)
-    return Kernel4(und, kern.values[np.ix_(i0, i1, i1, i0)])
+    return Kernel4(und, kern.values[_bar_block(kern.space, und, (0, 1, 1, 0))])
 
 
 def value_pp(undk: Kernel4, directed: KernelSpace) -> Kernel4:
     """Particle-particle value: re-embed over the two pp bar patterns."""
-    i0, i1 = directed.iota(0, undk.space), directed.iota(1, undk.space)
-    U = undk.values
-    D = np.zeros((directed.n,) * 4, dtype=complex)
-    D[np.ix_(i0, i0, i1, i1)] += U
-    D[np.ix_(i1, i1, i0, i0)] += U.transpose(2, 3, 0, 1)
-    return Kernel4(directed, D)
+    return _embed(undk, directed, _PP_TERMS)
 
 
 def value_ph(undk: Kernel4, directed: KernelSpace) -> Kernel4:
     """Particle-hole value: the signed four-pattern embedding."""
-    i0, i1 = directed.iota(0, undk.space), directed.iota(1, undk.space)
-    U = undk.values
-    D = np.zeros((directed.n,) * 4, dtype=complex)
-    D[np.ix_(i0, i1, i1, i0)] += U
-    D[np.ix_(i1, i0, i0, i1)] += U.transpose(1, 0, 3, 2)
-    D[np.ix_(i1, i0, i1, i0)] -= U.transpose(1, 0, 2, 3)
-    D[np.ix_(i0, i1, i0, i1)] -= U.transpose(0, 1, 3, 2)
-    return Kernel4(directed, D)
+    return _embed(undk, directed, _PH_TERMS)
 
 
 def flip(kern: Kernel4) -> Kernel4:
@@ -355,28 +362,25 @@ def shear_prime(kern: Kernel4, B: Callable) -> Kernel4:
     return Kernel4(spp, _apply_per_axis(kern.values, [T] * 4))
 
 
-def sct_prime(kern: Kernel4, B: Callable) -> Kernel4:
-    """Multiply every primed external leg by B(k)."""
+def _scale_field(kern: Kernel4, B: Callable, field: int) -> Kernel4:
+    """Multiply every leg of the given field by B(k)."""
     sp = kern.space
     d = np.ones(sp.n, dtype=complex)
-    for i, g in enumerate(sp.legs):
-        if g.field == EXTP:
-            d[i] = B(*sp.grid.values(g.k))
+    for i in np.flatnonzero(sp.leg_field == field):
+        d[i] = B(*sp.grid.values(sp.leg_k[i]))
     v = kern.values * d[:, None, None, None] * d[None, :, None, None] \
         * d[None, None, :, None] * d[None, None, None, :]
     return Kernel4(sp, v)
+
+
+def sct_prime(kern: Kernel4, B: Callable) -> Kernel4:
+    """Multiply every primed external leg by B(k)."""
+    return _scale_field(kern, B, EXTP)
 
 
 def sct(kern: Kernel4, B: Callable) -> Kernel4:
     """Multiply every (unprimed) external leg by B(k)."""
-    sp = kern.space
-    d = np.ones(sp.n, dtype=complex)
-    for i, g in enumerate(sp.legs):
-        if g.field == EXT:
-            d[i] = B(*sp.grid.values(g.k))
-    v = kern.values * d[:, None, None, None] * d[None, :, None, None] \
-        * d[None, None, :, None] * d[None, None, None, :]
-    return Kernel4(sp, v)
+    return _scale_field(kern, B, EXT)
 
 
 def pi_collapse(kern: Kernel4, dst: Optional[KernelSpace] = None) -> Kernel4:

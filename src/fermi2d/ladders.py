@@ -6,6 +6,12 @@ line is diagonal in (momentum, spin), flips the creation/annihilation
 index, and leaves the sector sums free.  Ladders compose rungs through
 bubbles by contracting the adjoining internal legs only.
 
+Read as n^2 x n^2 matrices over ordered leg pairs, a composition is one
+matrix product, left[:, P] @ B @ rung[P, :], with P the internal pairs and
+B = la (x) lb + lb (x) la the Kronecker form of the two bubble lines; a
+ladder with ell bubbles is the chain L_ell = L_(ell-1) B rung, and every
+ladder sum below is one power series in that chain.
+
 Three recursions are provided: the scale-dependent iterated particle-hole
 ladder (counterterm sum u_j grows with the scale), the compound ladder
 with one fixed momentum function v in both covariance lines, and the
@@ -15,14 +21,16 @@ and compound telescopes over scales.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .kernels import (EXT, INT, Kernel4, KernelSpace, Leg, MomentumGrid,
-                      antisymmetrize, flip, reduce_ph, sector_norm_p,
-                      value_ph, zero_kernel)
+                      _apply_per_axis, antisymmetrize, flip, reduce_ph,
+                      sector_norm_p, value_ph, zero_kernel)
 from .scales import HypothesisViolationError, ScaleInterval, ScaleModel
 from .sectors import Sectorization, build_fermi_curve, build_sectorization, \
     hat_weights
@@ -50,16 +58,12 @@ def line_matrix(space: KernelSpace, vals_per_k: np.ndarray) -> np.ndarray:
     """Propagator line between internal legs: diagonal in (momentum, spin),
     bar-flipping on directed spaces, sector sums left free."""
     ii = space.field_indices(INT)
-    legs = [space.legs[i] for i in ii]
-    M = np.zeros((len(ii), len(ii)), dtype=complex)
-    for a, ga in enumerate(legs):
-        for b, gb in enumerate(legs):
-            if ga.k != gb.k or ga.spin != gb.spin:
-                continue
-            if space.directed and ga.bar == gb.bar:
-                continue
-            M[a, b] = vals_per_k[ga.k]
-    return M
+    k, spin, bar = space.leg_k[ii], space.leg_spin[ii], space.leg_bar[ii]
+    mask = (k[:, None] == k) & (spin[:, None] == spin)
+    if space.directed:
+        mask &= bar[:, None] != bar
+    vals = np.asarray(vals_per_k, dtype=complex)[k]
+    return np.where(mask, vals[:, None], 0.0)
 
 
 def propagator_line_values(space: KernelSpace, prop: Callable) -> np.ndarray:
@@ -78,22 +82,53 @@ def bubble(space: KernelSpace, A: Callable, B: Callable,
 
 
 def compose(left: np.ndarray, bub: BubbleProp, rung: np.ndarray) -> np.ndarray:
-    """left . C(A,B) . rung, contracting the adjoining internal legs."""
+    """left . C(A,B) . rung, contracting the adjoining internal legs: the
+    pair-matrix product L[:, P] @ B @ R[P, :] over the internal pairs P,
+    kept to the rows and columns where B has a nonzero entry."""
+    n = left.shape[0]
     ii = bub.space.field_indices(INT)
-    lv = left[:, :, ii, :][:, :, :, ii]
-    rv = rung[ii][:, ii]
-    t = np.einsum("abwx,wp,xq->abpq", lv, bub.line_a, bub.line_b, optimize=True) \
-        + np.einsum("abwx,wp,xq->abpq", lv, bub.line_b, bub.line_a, optimize=True)
-    return np.einsum("abpq,pqcd->abcd", t, rv, optimize=True)
+    pairs = (ii[:, None] * n + ii).ravel()
+    B = np.kron(bub.line_a, bub.line_b) + np.kron(bub.line_b, bub.line_a)
+    rows = np.flatnonzero(B.any(axis=1))
+    cols = np.flatnonzero(B.any(axis=0))
+    L = left.reshape(n * n, n * n)[:, pairs[rows]]
+    R = rung.reshape(n * n, n * n)[pairs[cols]]
+    return (L @ B[np.ix_(rows, cols)] @ R).reshape(left.shape)
+
+
+def _ladder_series(rung: np.ndarray, bub: BubbleProp, lmax: int, ltol: float,
+                   term: Callable[[int, np.ndarray], np.ndarray]):
+    """Sum of term(ell, L_ell) over the chain L_0 = rung,
+    L_ell = L_(ell-1) . C . rung for ell = 1..lmax; returns the sum and the
+    last L_ell.
+
+    Stops after the first term whose max |.| is at most ltol times the
+    largest so far (ltol > 0); three growing terms in a row raise
+    LadderDivergenceError.
+    """
+    if lmax < 1:
+        raise ValueError("ladders need at least one bubble")
+    acc, vals = 0.0, rung
+    largest, prev, grow = 0.0, 0.0, 0
+    for ell in range(1, lmax + 1):
+        vals = compose(vals, bub, rung)
+        t = term(ell, vals)
+        acc = acc + t
+        tnorm = float(np.abs(t).max())
+        largest = max(largest, tnorm)
+        grow = grow + 1 if tnorm >= prev > 0.0 else 0
+        if grow >= 3:
+            raise LadderDivergenceError(
+                f"ladder terms not decaying at ell={ell} ({bub.label})")
+        prev = tnorm
+        if ltol > 0.0 and tnorm <= ltol * max(largest, 1e-300):
+            break
+    return acc, vals
 
 
 def ladder_L(ell: int, rung: Kernel4, bub: BubbleProp) -> Kernel4:
     """The ladder with ell+1 identical rungs and ell bubbles."""
-    if ell < 1:
-        raise ValueError("ladders need at least one bubble")
-    vals = rung.values
-    for _ in range(ell):
-        vals = compose(vals, bub, rung.values)
+    _, vals = _ladder_series(rung.values, bub, ell, 0.0, lambda _, v: v)
     return Kernel4(rung.space, vals)
 
 
@@ -102,13 +137,9 @@ def bubble_ph_kernel(und_space: KernelSpace, a_vals_per_k: np.ndarray,
     """The ph-reduced bubble as a four-legged kernel over undirected
     internal legs (diagonal pairing), for symmetry checks."""
     ii = und_space.field_indices(INT)
-    legs = [und_space.legs[i] for i in ii]
+    a, b = a_vals_per_k[und_space.leg_k[ii]], b_vals_per_k[und_space.leg_k[ii]]
     vals = np.zeros((und_space.n,) * 4, dtype=complex)
-    for a, ga in enumerate(legs):
-        for b, gb in enumerate(legs):
-            v = a_vals_per_k[ga.k] * b_vals_per_k[gb.k] \
-                + b_vals_per_k[ga.k] * a_vals_per_k[gb.k]
-            vals[ii[a], ii[b], ii[a], ii[b]] = v
+    vals[ii[:, None], ii, ii[:, None], ii] = np.outer(a, b) + np.outer(b, a)
     return Kernel4(und_space, vals)
 
 
@@ -174,26 +205,17 @@ class LadderScheme:
             raise ValueError("resectorization must go to a finer scale")
         directed = kern.space.directed
         R = self._resect_matrix(i, j, directed)
-        from .kernels import _apply_per_axis
         return Kernel4(self.space(j, directed),
                        _apply_per_axis(kern.values, [R] * 4))
-
-    def covariance_values(self, interval: ScaleInterval,
-                          u: Optional[Callable]) -> np.ndarray:
-        g = self.grid
-        return np.array([self.scales.covariance(interval, u, g.k0[i],
-                                                g.kx[i], g.ky[i])
-                         for i in range(len(g))], dtype=complex)
 
     def scale_bubble(self, j: int, u: Optional[Callable],
                      directed: bool = True) -> BubbleProp:
         """C(C^(j)_u, C^(>=j+1)_u) over the scale-j space."""
-        sp = self.space(j, directed)
-        va = self.covariance_values(ScaleInterval.at(j), u)
-        vb = self.covariance_values(ScaleInterval.ge(j + 1), u)
-        return BubbleProp(space=sp, line_a=line_matrix(sp, va),
-                          line_b=line_matrix(sp, vb),
-                          label=f"C(C^({j}), C^(>= {j + 1}))")
+        cov = self.scales.covariance
+        return bubble(self.space(j, directed),
+                      partial(cov, ScaleInterval.at(j), u),
+                      partial(cov, ScaleInterval.ge(j + 1), u),
+                      label=f"C(C^({j}), C^(>= {j + 1}))")
 
 
 def build_scheme(params, disp, grid: MomentumGrid, scales_needed,
@@ -254,14 +276,8 @@ class LadderFamily:
         return u
 
     def v_total(self) -> Optional[Callable]:
-        funcs = [f for _, f in sorted(self.p.items())]
-        if not funcs:
-            return None
-
-        def v(k0, kx, ky):
-            return sum(f(k0, kx, ky) for f in funcs)
-
-        return v
+        """v = sum_i p^(i) over every scale."""
+        return self.u_below(math.inf)
 
 
 @dataclass
@@ -277,29 +293,13 @@ def _ladder_sum_ph(scheme: LadderScheme, j: int, w: Kernel4, bub: BubbleProp,
     """2 sum_l (-1)^l 12^(l+1) L_l(w; bub)^ph over the scale-j undirected
     space."""
     und = scheme.space(j, directed=False)
-    acc = zero_kernel(und)
-    vals = w.values
-    total = 0.0
-    prev_tnorm = None
-    grow = 0
-    for ell in range(1, lmax + 1):
-        vals = compose(vals, bub, w.values)
+
+    def term(ell, vals):
         coef = 2.0 * ((-1) ** ell) * 12.0 ** (ell + 1)
-        term = coef * reduce_ph(Kernel4(w.space, vals), und).values
-        tnorm = float(np.abs(term).max())
-        acc.values += term
-        total = max(total, tnorm)
-        if prev_tnorm is not None and tnorm >= prev_tnorm > 0.0:
-            grow += 1
-            if grow >= 3:
-                raise LadderDivergenceError(
-                    f"ladder terms not decaying at scale {j} (ell={ell})")
-        else:
-            grow = 0
-        prev_tnorm = tnorm
-        if ltol > 0.0 and tnorm <= ltol * max(total, 1e-300):
-            break
-    return acc
+        return coef * reduce_ph(Kernel4(w.space, vals), und).values
+
+    acc, _ = _ladder_series(w.values, bub, lmax, ltol, term)
+    return Kernel4(und, acc)
 
 
 def _assemble_w(scheme: LadderScheme, j: int, family_F: Dict[int, Kernel4],
@@ -385,14 +385,8 @@ def ladder_closed_form(scheme: LadderScheme, jtop: int, v: Optional[Callable],
                 F.values += reduce_ph(scheme.resectorize(family_F[i], i, j)).values
         big = Kernel4(und, 24.0 * F.values + Lj.values + flip(Lj).values)
         bub = scheme.scale_bubble(j, v, directed=False)
-        acc = np.zeros_like(big.values)
-        vals = big.values
-        for ell in range(1, lmax + 1):
-            vals = compose(vals, bub, big.values)
-            term = ((-1.0) ** ell) * vals
-            acc += term
-            if ltol > 0.0 and np.abs(term).max() <= ltol * max(np.abs(acc).max(), 1e-300):
-                break
+        acc, _ = _ladder_series(big.values, bub, lmax, ltol,
+                                lambda ell, vals: ((-1.0) ** ell) * vals)
         L = Kernel4(und, Lj.values + acc)
         lscale = j
     return L
@@ -463,15 +457,14 @@ class DecayReport:
 def ladder_decay_report(rung: Kernel4, bub: BubbleProp, lmax: int) -> DecayReport:
     """Per-ell sector norms of L_ell and the fitted log-linear slope."""
     entries: List[Tuple[int, float]] = []
-    vals = rung.values
-    for ell in range(1, lmax + 1):
-        vals = compose(vals, bub, rung.values)
+
+    def record(ell, vals):
         entries.append((ell, sector_norm_p(Kernel4(rung.space, vals), 3)))
-    pos = [(ell, n) for ell, n in entries if n > 0.0]
-    if len(pos) >= 2:
-        xs = np.array([e for e, _ in pos], dtype=float)
-        ys = np.log([n for _, n in pos])
-        slope = float(np.polyfit(xs, ys, 1)[0])
-    else:
-        slope = float("-inf")
+        return vals
+
+    _ladder_series(rung.values, bub, lmax, 0.0, record)
+    ells, norms = np.array(entries, dtype=float).T
+    pos = norms > 0.0
+    slope = float(np.polyfit(ells[pos], np.log(norms[pos]), 1)[0]) \
+        if pos.sum() >= 2 else float("-inf")
     return DecayReport(entries=entries, slope=slope)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermi2d.config import ScaleParams
 from fermi2d.kernels import (EXT, INT, Kernel4, KernelSpace, ResolutionError,
@@ -91,6 +93,49 @@ def test_antisymmetrize_kills_symmetric_part():
     f = random_kernel(sp, rng)
     sym = Kernel4(sp, f.values + f.values.transpose(1, 0, 2, 3))
     assert antisymmetrize(sym).max_abs() <= 1e-13 * sym.max_abs()
+
+
+def signed_permutation_sum(v):
+    # reference antisymmetrizer: the explicit signed average over all 4!
+    # axis permutations
+    return sum(brute_force_sign(p) * v.transpose(p)
+               for p in itertools.permutations(range(4))) / 24.0
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_antisymmetrize_matches_permutation_sum(small_spaces, data, seed):
+    sp = data.draw(small_spaces())
+    f = random_kernel(sp, np.random.default_rng(seed), conserving=False,
+                      number_conserving=False)
+    # relative to the input: the projection can be far smaller than f (zero
+    # when fewer than four legs exist), while the rounding of both sums
+    # scales with f
+    scale = f.max_abs()
+    af = antisymmetrize(f)
+    ref = signed_permutation_sum(f.values)
+    assert np.abs(af.values - ref).max() <= 1e-15 * scale
+    again = antisymmetrize(af)
+    assert np.abs(again.values - af.values).max() <= 1e-15 * scale
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_reconstruction_and_flip_identity_on_random_spaces(small_spaces, data,
+                                                          seed):
+    # the identities of test_reduction_value_reconstruction and
+    # test_flip_average_normalization on random small spaces
+    sp = data.draw(small_spaces())
+    und = sp.undirected()
+    rng = np.random.default_rng(seed)
+    f = random_kernel(sp, rng, antisym=True)
+    rec = value_pp(reduce_pp(f), sp).values + value_ph(reduce_ph(f), sp).values
+    assert np.abs(rec - f.values).max() <= 1e-13
+    L = random_kernel(und, rng, conserving=False, number_conserving=False)
+    L = Kernel4(und, 0.5 * (L.values + L.values.transpose(3, 2, 1, 0)))
+    lhs = reduce_ph(antisymmetrize(value_ph(L, sp)), und).values
+    rhs = (L.values + flip(L).values) / 3.0
+    assert np.abs(lhs - rhs).max() <= 1e-13 * max(1.0, np.abs(rhs).max())
 
 
 def test_reduction_value_reconstruction():

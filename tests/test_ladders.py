@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermi2d import ladders as ld
 from fermi2d import selfenergy as se
@@ -92,6 +94,30 @@ def test_bubble_equal_lines_doubles(scheme):
     assert np.abs(got - manual).max() <= 1e-18
 
 
+def compose_oracle(sp, left, right, av, bv):
+    """left . C(A,B) . right by brute force over explicit leg loops; a line
+    joins internal legs of equal momentum and spin, of opposite bars on
+    directed spaces."""
+    def joined(g, h):
+        return g.k == h.k and g.spin == h.spin \
+            and (not sp.directed or g.bar != h.bar)
+
+    ii = list(sp.field_indices(INT))
+    legs = sp.legs
+    oracle = np.zeros(left.shape, dtype=complex)
+    for w, x in itertools.product(ii, repeat=2):
+        gw, gx = legs[w], legs[x]
+        for p, q in itertools.product(ii, repeat=2):
+            gp, gq = legs[p], legs[q]
+            line = 0.0
+            if joined(gw, gp) and joined(gx, gq):
+                line = av[gw.k] * bv[gx.k] + bv[gw.k] * av[gx.k]
+            if line != 0.0:
+                oracle += line * np.multiply.outer(
+                    left[:, :, w, x], right[p, q, :, :])
+    return oracle
+
+
 def test_compose_matches_bruteforce():
     # dedicated small space so the explicit-loop oracle stays cheap
     from fermi2d.kernels import KernelSpace
@@ -106,22 +132,28 @@ def test_compose_matches_bruteforce():
     bub = ld.BubbleProp(space=sp, line_a=ld.line_matrix(sp, av),
                         line_b=ld.line_matrix(sp, bv))
     got = ld.compose(r1.values, bub, r2.values)
-    # independent brute force over explicit leg loops
-    ii = list(sp.field_indices(INT))
-    legs = sp.legs
-    oracle = np.zeros_like(got)
-    for w, x in itertools.product(ii, repeat=2):
-        gw, gx = legs[w], legs[x]
-        for p, q in itertools.product(ii, repeat=2):
-            gp, gq = legs[p], legs[q]
-            line = 0.0
-            if gw.k == gp.k and gw.spin == gp.spin and gw.bar != gp.bar \
-                    and gx.k == gq.k and gx.spin == gq.spin and gx.bar != gq.bar:
-                line = av[gw.k] * bv[gx.k] + bv[gw.k] * av[gx.k]
-            if line != 0.0:
-                oracle += line * np.multiply.outer(
-                    r1.values[:, :, w, x], r2.values[p, q, :, :])
+    oracle = compose_oracle(sp, r1.values, r2.values, av, bv)
     assert np.abs(got - oracle).max() <= 1e-16
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), directed=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_compose_matches_bruteforce_on_random_spaces(small_spaces, data,
+                                                    directed, seed):
+    sp = data.draw(small_spaces(directed))
+    rng = np.random.default_rng(seed)
+    r1, r2 = (random_kernel(sp, rng, conserving=False, number_conserving=False)
+              for _ in range(2))
+    # line values per grid point; a zero value empties rows of the bubble
+    n = len(sp.grid)
+    av, bv = ((rng.standard_normal(n) + 1j * rng.standard_normal(n))
+              * rng.integers(0, 2, n) for _ in range(2))
+    bub = ld.BubbleProp(space=sp, line_a=ld.line_matrix(sp, av),
+                        line_b=ld.line_matrix(sp, bv))
+    got = ld.compose(r1.values, bub, r2.values)
+    oracle = compose_oracle(sp, r1.values, r2.values, av, bv)
+    assert np.abs(got - oracle).max() <= 1e-13 * max(1.0, np.abs(oracle).max())
 
 
 def test_ladder_zero_rung(scheme):
@@ -244,14 +276,22 @@ def test_delta_norms_decay_for_decaying_family(scheme, params):
     assert rep.per_scale_delta_norms[2] > 0.0
 
 
-def test_divergence_guard(scheme, params):
+@pytest.fixture(scope="module")
+def diverging_F(scheme):
     rng = np.random.default_rng(8)
-    fam = ld.LadderFamily(
-        F={i: random_kernel(scheme.space(i), rng, amp=0.5, antisym=True)
-           for i in (2, 3)},
-        p={})
+    return {i: random_kernel(scheme.space(i), rng, amp=0.5, antisym=True)
+            for i in (2, 3)}
+
+
+def test_divergence_guard(scheme, diverging_F):
     with pytest.raises(ld.LadderDivergenceError):
-        ld.compound_ladder(scheme, 4, None, fam.F, lmax=8, ltol=0.0)
+        ld.compound_ladder(scheme, 4, None, diverging_F, lmax=8, ltol=0.0)
+
+
+def test_closed_form_divergence_guard(scheme, diverging_F):
+    # the closed form runs the same series loop, guard included
+    with pytest.raises(ld.LadderDivergenceError):
+        ld.ladder_closed_form(scheme, 4, None, diverging_F, lmax=8, ltol=0.0)
 
 
 def test_compound_small_v_check(scheme, family):
