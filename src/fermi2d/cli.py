@@ -212,18 +212,30 @@ def _budget_table(report: se.BudgetReport) -> List[dict]:
              "ratio": r.ratio, "pass": int(r.passed)} for r in report.rows]
 
 
-def run_norm_budget(args) -> int:
+def _load_family(args, kind: str):
+    """(params, family) from --lambda0/--upsilon/--jmax and the --family
+    file, or None after a config diagnostic."""
     try:
         params = cfg.ScaleParams(lambda0=float(args.lambda0),
                                  upsilon=float(args.upsilon),
                                  jmax=int(args.jmax))
         with open(args.family, "r", encoding="utf-8") as fh:
-            fam = se.family_from_text(fh.read(), params)
+            return params, se.family_from_text(fh.read(), params)
     except (ValueError, OSError) as exc:
-        _diag("norm-budget", "config", str(exc))
+        _diag(kind, "config", str(exc))
+        return None
+
+
+def _budget_report(params, fam) -> se.BudgetReport:
+    return se.check_q_budget(fam, params,
+                             scales=ScaleModel(params, make_model("quadratic")))
+
+
+def run_norm_budget(args) -> int:
+    loaded = _load_family(args, "norm-budget")
+    if loaded is None:
         return EXIT_CONFIG
-    scales = ScaleModel(params, make_model("quadratic"))
-    report = se.check_q_budget(fam, params, scales=scales)
+    report = _budget_report(*loaded)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(emit(_budget_table(report), BUDGET_COLUMNS, args.format))
@@ -237,15 +249,10 @@ def run_norm_budget(args) -> int:
 
 
 def run_resum(args) -> int:
-    try:
-        params = cfg.ScaleParams(lambda0=float(args.lambda0),
-                                 upsilon=float(args.upsilon),
-                                 jmax=int(args.jmax))
-        with open(args.family, "r", encoding="utf-8") as fh:
-            fam = se.family_from_text(fh.read(), params)
-    except (ValueError, OSError) as exc:
-        _diag("resum", "config", str(exc))
+    loaded = _load_family(args, "resum")
+    if loaded is None:
         return EXIT_CONFIG
+    params, fam = loaded
     rng = np.random.default_rng(int(args.seed))
     rows = []
     for _ in range(int(args.nsamples)):
@@ -260,12 +267,9 @@ def run_resum(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(emit(rows, RESUM_COLUMNS, args.format))
-    if args.check_budget:
-        scales = ScaleModel(params, make_model("quadratic"))
-        report = se.check_q_budget(fam, params, scales=scales)
-        if not report.all_pass:
-            _diag("resum", "budget", "family violates the derivative budget")
-            return EXIT_VIOLATION
+    if args.check_budget and not _budget_report(params, fam).all_pass:
+        _diag("resum", "budget", "family violates the derivative budget")
+        return EXIT_VIOLATION
     return EXIT_OK
 
 
@@ -307,6 +311,16 @@ def run_hoelder_check(args) -> int:
 # entry point
 
 
+def _family_options(sp):
+    """Options shared by the family commands (norm-budget, resum)."""
+    sp.add_argument("--family", required=True)
+    sp.add_argument("--out", default="")
+    sp.add_argument("--format", default="csv", choices=("csv", "json"))
+    sp.add_argument("--lambda0", default="1e-3")
+    sp.add_argument("--upsilon", default="0.2")
+    sp.add_argument("--jmax", default="8")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="fermi2d",
                                  description="2d Fermi liquid RG toolkit")
@@ -327,13 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=run_ladder_demo)
 
     sp = sub.add_parser("resum", help="resum a counterterm/two-point family")
-    sp.add_argument("--family", required=True)
+    _family_options(sp)
     sp.add_argument("--check-budget", action="store_true")
-    sp.add_argument("--out", default="")
-    sp.add_argument("--format", default="csv", choices=("csv", "json"))
-    sp.add_argument("--lambda0", default="1e-3")
-    sp.add_argument("--upsilon", default="0.2")
-    sp.add_argument("--jmax", default="8")
     sp.add_argument("--nsamples", default="50")
     sp.add_argument("--seed", default="0")
     sp.set_defaults(func=run_resum)
@@ -348,12 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=run_hoelder_check)
 
     sp = sub.add_parser("norm-budget", help="derivative-budget checker")
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--out", default="")
-    sp.add_argument("--format", default="csv", choices=("csv", "json"))
-    sp.add_argument("--lambda0", default="1e-3")
-    sp.add_argument("--upsilon", default="0.2")
-    sp.add_argument("--jmax", default="8")
+    _family_options(sp)
     sp.set_defaults(func=run_norm_budget)
 
     return ap

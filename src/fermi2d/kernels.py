@@ -453,16 +453,11 @@ def momentum_norm_tilde(h: Callable, box, shape, max_order: int,
 
     if max_order > min(params.r0, params.r):
         raise ValueError("max_order exceeds the truncation orders")
-    axes = []
-    for (lo, hi), npts in zip(box, shape):
+    for npts in shape:
         if npts < 2 * max_order + 3:
             raise ResolutionError(
                 f"axis with {npts} points cannot support order {max_order}")
-        axes.append(np.linspace(lo, hi, npts))
-    steps = [ax[1] - ax[0] for ax in axes]
-    K0, KX, KY = np.meshgrid(*axes, indexing="ij")
-    H = np.asarray(h(K0, KX, KY), dtype=complex)
-    sups = sup_derivatives(H, steps, max_order)
+    sups, _ = grid_sup_derivatives(h, box, shape, max_order, complex)
     coeff = {}
     for d in finite_region(params.r0, params.r):
         if sum(d) > max_order:
@@ -471,6 +466,24 @@ def momentum_norm_tilde(h: Callable, box, shape, max_order: int,
         fact = math.factorial(d[0]) * math.factorial(d[1]) * math.factorial(d[2])
         coeff[d] = sups[d] / fact
     return FormalSeries(params.r0, params.r, coeff)
+
+
+def grid_sup_derivatives(f: Callable, box, shape, max_order: int,
+                         dtype=None):
+    """sup |D^delta f| (see sup_derivatives) on the regular grid of shape[a]
+    points spanning box[a] = (lo, hi) on each axis a.
+
+    f is called once, on the open mesh (one 1d axis array per argument,
+    shaped to broadcast), so a product of per-axis factors costs sum(shape)
+    factor evaluations instead of prod(shape).  Its result, as dtype, is
+    broadcast to the full grid: a member that ignores an axis or returns a
+    scalar is still measured on the whole grid.  Returns the sups and the
+    open mesh.
+    """
+    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(box, shape)]
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    F = np.broadcast_to(np.asarray(f(*mesh), dtype=dtype), tuple(shape))
+    return sup_derivatives(F, [ax[1] - ax[0] for ax in axes], max_order), mesh
 
 
 def sup_derivatives(F: np.ndarray, steps, max_order: int) -> dict:

@@ -413,15 +413,15 @@ def delta_ladder_telescope(scheme: LadderScheme, jtop: int,
     v = family.v_total()
     trace = RecursionTrace()
     it = iterated_ladder(scheme, jtop, family, lmax, ltol, trace=trace)
-    # delta_j = step(u_j) - step(v), both ladder sums over the recorded w_j
-    delta = {}
-    for j, step in trace.step.items():
-        step_v = _ladder_sum_ph(scheme, j, trace.w[j],
-                                scheme.scale_bubble(j, v), lmax, ltol)
-        delta[j] = Kernel4(step.space, step.values - step_v.values)
+    # delta_j = step(u_j) - step(v), both ladder sums over the recorded w_j;
+    # no w_j or step outlives this, so none is alive in the compound ladder
+    delta = {j: Kernel4(step.space, step.values - _ladder_sum_ph(
+        scheme, j, trace.w[j], scheme.scale_bubble(j, v), lmax, ltol).values)
+        for j, step in trace.step.items()}
+    del trace
     # corrected rung family F': the scale-(j+1) rung carries 1/8 of the
-    # embedded delta_j
-    fam_prime = {i: f.copy() for i, f in family.F.items()}
+    # embedded delta_j; the other rungs are shared, none is written in place
+    fam_prime = dict(family.F)
     for j, d in delta.items():
         tgt = j + 1
         if tgt >= jtop:

@@ -196,52 +196,41 @@ class ScaleModel:
 
     def nu(self, j: int, k0, kx, ky):
         """nu^(j)(k).  The first scale absorbs the ultraviolet remainder."""
-        self._check_scale(j)
-        p = self.params
-        r = self.radius(k0, kx, ky)
-        U = self.disp.U(kx, ky)
-        if j == p.j0:
-            return U * (1.0 - self._phi(j + 1, r))
-        return U * (self._phi(j, r) - self._phi(j + 1, r))
+        return self.nu_interval(ScaleInterval.at(j), k0, kx, ky)
 
     def nu_le(self, j: int, k0, kx, ky):
         """nu^(<=j) = sum_{m=j0..j} nu^(m)."""
-        self._check_scale(j)
-        U = self.disp.U(kx, ky)
-        return U * (1.0 - self._phi(j + 1, self.radius(k0, kx, ky)))
+        return self.nu_interval(ScaleInterval.le(j), k0, kx, ky)
 
     def nu_ge(self, j: int, k0, kx, ky):
         """nu^(>=j) = sum_{m>=j} nu^(m), including the deep tail."""
-        self._check_scale(j, hi_slack=1)
-        p = self.params
-        U = self.disp.U(kx, ky)
-        if j == p.j0:
-            return U * np.ones_like(np.asarray(k0, dtype=float))
-        return U * self._phi(j, self.radius(k0, kx, ky))
+        return self.nu_interval(ScaleInterval.ge(j), k0, kx, ky)
 
     def nu_gt(self, j: int, k0, kx, ky):
         return self.nu_ge(j + 1, k0, kx, ky)
 
     def nu_interval(self, interval: ScaleInterval, k0, kx, ky):
+        """nu^I = U (phi_lo - phi_hi): phi_lo is the profile of scales
+        >= lo (1 from j0 up, so j0 absorbs the ultraviolet remainder) and
+        phi_hi that of scales > hi (0 for the half-line).  A half-line
+        may start one scale below the deepest shell, at Jmax + 1."""
         lo, hi = interval.lo, interval.hi
-        if lo is None and hi is None:
-            return self.disp.U(kx, ky) * np.ones_like(np.asarray(k0, dtype=float))
-        if lo is None:
-            return self.nu_le(hi, k0, kx, ky)
-        if hi is None:
-            return self.nu_ge(lo, k0, kx, ky)
-        if lo == hi:
-            return self.nu(lo, k0, kx, ky)
-        self._check_scale(lo)
-        self._check_scale(hi)
-        if lo > hi:
-            raise ScaleRangeError(f"empty interval [{lo}, {hi}]")
-        p = self.params
-        r = self.radius(k0, kx, ky)
+        if lo is not None:
+            self._check_scale(lo, hi_slack=int(hi is None))
+        if hi is not None:
+            self._check_scale(hi)
+            if lo is not None and lo > hi:
+                raise ScaleRangeError(f"empty interval [{lo}, {hi}]")
         U = self.disp.U(kx, ky)
-        if lo == p.j0:
-            return U * (1.0 - self._phi(hi + 1, r))
-        return U * (self._phi(lo, r) - self._phi(hi + 1, r))
+        if lo == self.params.j0:
+            lo = None
+        if lo is None and hi is None:
+            return U * np.ones_like(np.asarray(k0, dtype=float))
+        r = self.radius(k0, kx, ky)
+        top = 1.0 if lo is None else self._phi(lo, r)
+        if hi is None:
+            return U * top
+        return U * (top - self._phi(hi + 1, r))
 
     def scale_of(self, k0, kx, ky) -> int:
         """Smallest m with nu^(m)(k) > 0; deep points go to Jmax."""

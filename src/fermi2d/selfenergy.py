@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .kernels import sup_derivatives
+from .kernels import grid_sup_derivatives
 from .scales import ScaleModel, ramp_down
 
 
@@ -111,20 +111,6 @@ def _gx(t, w):
     return env * np.cos(w * t)
 
 
-def _sup_derivs_1d(f, lo, hi, npts, orders=(0, 1, 2)):
-    xs = np.linspace(lo, hi, npts)
-    h = xs[1] - xs[0]
-    vals = np.asarray(f(xs), dtype=float)
-    out = {}
-    d = vals
-    for order in range(max(orders) + 1):
-        if order in orders:
-            trim = slice(order, -order) if order else slice(None)
-            out[order] = float(np.abs(d[trim]).max())
-        d = np.gradient(d, h)
-    return out
-
-
 def saturating_q_family(params, imin: Optional[int] = None,
                         lmax_scale: Optional[int] = None,
                         scale: float = 1.0,
@@ -140,14 +126,19 @@ def saturating_q_family(params, imin: Optional[int] = None,
     imin = params.j0 if imin is None else imin
     lmax_scale = params.jmax if lmax_scale is None else lmax_scale
     M, la, up = params.M, params.lambda0, params.upsilon
-    u_sup = _sup_derivs_1d(_f0, 1.0, _K0_CENTER + _K0_EDGE, 60000)
+
+    def sups_1d(f, lo, hi, npts):
+        sups, _ = grid_sup_derivatives(f, [(lo, hi)], (npts,), 2, float)
+        return [sups[(d,)] for d in range(3)]
+
+    u_sup = sups_1d(_f0, 1.0, _K0_CENTER + _K0_EDGE, 60000)
     fam = ScaleFamily(lambda0=la, upsilon=up)
-    v_sup_cache: Dict[int, Dict[int, float]] = {}
+    v_sup_cache: Dict[int, List[float]] = {}
     for l in range(imin, lmax_scale + 1):
         w = M ** l
         npts = int(max(8000, 40 * _KX_EDGE * 2 * w))
-        raw = _sup_derivs_1d(lambda t: _gx(t, w), -_KX_EDGE, _KX_EDGE, npts)
-        v_sup_cache[l] = {d: raw[d] / w ** d for d in raw}
+        raw = sups_1d(lambda t: _gx(t, w), -_KX_EDGE, _KX_EDGE, npts)
+        v_sup_cache[l] = [raw[d] / w ** d for d in range(3)]
     for i in range(imin, lmax_scale + 1):
         for l in range(i, lmax_scale + 1):
             v = v_sup_cache[l]
@@ -283,29 +274,28 @@ def check_q_budget(family: ScaleFamily, params,
         desc = family.q_desc.get((i, l))
         if desc is None:
             raise ValueError(f"member ({i},{l}) has no sampling descriptor")
-        wins = _windows(desc, M)
-        axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(wins, npts)]
-        steps = [ax[1] - ax[0] for ax in axes]
-        K0, KX, KY = np.meshgrid(*axes, indexing="ij")
-        Q = np.asarray(qf(K0, KX, KY))
-        if np.iscomplexobj(Q) and not np.abs(Q.imag).any():
-            Q = Q.real
+        sups, mesh = grid_sup_derivatives(
+            lambda *k: _real_if_zero_imag(qf(*k)), _windows(desc, M), npts, 2)
         base = 2.0 * la ** (1 - 2 * up) * params.sector_length(l) / M ** l \
             * M ** (ap * (l - i))
-        sups = sup_derivatives(Q, steps, 2)
         for delta in sorted(sups):
             allowed = base * M ** (delta[0] * i) * M ** ((delta[1] + delta[2]) * l)
             rows.append(BudgetRow(i=i, l=l, delta=delta,
                                   measured=sups[delta], allowed=allowed))
         # reflection reality on paired samples
-        sample = (K0[::13, ::13, ::13], KX[::13, ::13, ::13], KY[::13, ::13, ::13])
-        res = np.abs(np.asarray(qf(-sample[0], sample[1], sample[2]))
-                     - np.conj(np.asarray(qf(*sample))))
+        k0, kx, ky = (m[::13, ::13, ::13] for m in mesh)
+        res = np.abs(np.asarray(qf(-k0, kx, ky))
+                     - np.conj(np.asarray(qf(k0, kx, ky))))
         reality = max(reality, float(res.max()))
         if scales is not None:
             support = max(support, _support_violation(scales, qf, i))
     return BudgetReport(rows=rows, reality_residual=reality,
                         support_violation=support)
+
+
+def _real_if_zero_imag(q):
+    q = np.asarray(q)
+    return q.real if np.iscomplexobj(q) and not np.abs(q.imag).any() else q
 
 
 def _support_violation(scales: ScaleModel, qf, i: int) -> float:

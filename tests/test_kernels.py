@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,14 +10,16 @@ from fermi2d.config import ScaleParams
 from fermi2d.kernels import (EXT, INT, Kernel4, KernelSpace, ResolutionError,
                              antisymmetrize, component_mask,
                              conservation_mask, extract_component, flip,
-                             is_antisymmetric, is_inversion_symmetric,
-                             kernel_from_text, kernel_to_text, make_grid,
+                             grid_sup_derivatives, is_antisymmetric,
+                             is_inversion_symmetric, kernel_from_text,
+                             kernel_to_text, make_grid,
                              momentum_norm_tilde, number_conserving_mask,
                              ord_component, ord_permutation,
                              permutation_sign, pi_collapse, random_kernel,
                              reduce_ph, reduce_pp, s_kappa, sct, sct_prime,
-                             sector_norm_p, shear, shear_prime, value_ph,
-                             value_pp, zero_kernel)
+                             sector_norm_p, shear, shear_prime,
+                             sup_derivatives, value_ph, value_pp,
+                             zero_kernel)
 
 GRID = make_grid([(0.25, 1.2, 0.55)])
 
@@ -388,6 +391,55 @@ def test_momentum_norm_tilde_resolution_error():
     box = ((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0))
     with pytest.raises(ResolutionError):
         momentum_norm_tilde(lambda k0, kx, ky: k0, box, (4, 9, 9), 2, params)
+
+
+BOX = ((-1.0, 0.5), (-0.7, 1.2), (0.0, 2.0))
+SHAPE = (13, 11, 9)
+
+
+def _dense_sups(f, box, shape, max_order, dtype=None):
+    # oracle: f evaluated on every point of the dense meshgrid
+    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(box, shape)]
+    F = np.asarray(f(*np.meshgrid(*axes, indexing="ij")), dtype=dtype)
+    return sup_derivatives(F, [ax[1] - ax[0] for ax in axes], max_order)
+
+
+@pytest.mark.parametrize("f", [
+    lambda k0, kx, ky: np.cos(3 * k0) * np.exp(-kx ** 2) * np.sin(2 * ky),
+    lambda k0, kx, ky: np.exp(-(k0 ** 2 + kx * ky)),
+    lambda k0, kx, ky: k0 ** 3,
+    lambda k0, kx, ky: np.exp(1j * kx),
+], ids=["factorized", "coupled", "k0-only", "complex-kx-only"])
+def test_grid_sup_derivatives_matches_dense_mesh(f):
+    sups, mesh = grid_sup_derivatives(f, BOX, SHAPE, 2)
+    assert sups == _dense_sups(f, BOX, SHAPE, 2)
+    assert [m.shape for m in mesh] == [(13, 1, 1), (1, 11, 1), (1, 1, 9)]
+    assert len(sups) == 10
+
+
+def test_grid_sup_derivatives_scalar_member():
+    sups, _ = grid_sup_derivatives(lambda k0, kx, ky: 2.5, BOX, SHAPE, 2)
+    assert len(sups) == 10
+    assert sups.pop((0, 0, 0)) == 2.5
+    assert set(sups.values()) == {0.0}
+
+
+def test_momentum_norm_tilde_open_grid():
+    params = ScaleParams()
+
+    def h(k0, kx, ky):
+        return np.cos(2 * k0) * np.sin(kx + ky)
+
+    norm = momentum_norm_tilde(h, BOX, SHAPE, 2, params)
+    dense = _dense_sups(h, BOX, SHAPE, 2, complex)
+    for d, s in dense.items():
+        fact = math.factorial(d[0]) * math.factorial(d[1]) * math.factorial(d[2])
+        assert norm.get(d) == s / fact
+    # a scalar member is measured on the whole grid, like its array twin
+    assert momentum_norm_tilde(lambda k0, kx, ky: 2.5, BOX, SHAPE, 2,
+                               params).to_text() \
+        == momentum_norm_tilde(lambda k0, kx, ky: 2.5 + 0 * k0, BOX, SHAPE, 2,
+                               params).to_text()
 
 
 def test_kernel_serialization_roundtrip():

@@ -3,6 +3,7 @@ import pytest
 
 from fermi2d import selfenergy as se
 from fermi2d.config import ScaleParams
+from fermi2d.kernels import sup_derivatives
 from fermi2d.scales import ScaleModel, quadratic_model
 
 
@@ -133,6 +134,112 @@ def test_budget_reality_residual(budget_params):
                                         kx_plateau=0.6)
     rep = se.check_q_budget(fam, budget_params)
     assert rep.reality_residual > 0.0
+
+
+def _one_member_family(qf):
+    fam = se.ScaleFamily(lambda0=1e-3, upsilon=0.2)
+    fam.q[(2, 2)] = qf
+    fam.q_desc[(2, 2)] = se.QDescriptor(i=2, l=2, amp=1e-6, k0_center=11.0,
+                                        k0_width=10.0, kx_width=1.4,
+                                        kx_plateau=0.6)
+    return fam
+
+
+def dense_budget_oracle(family, params, npts):
+    """Measured sups and reality residual with every member evaluated on
+    the dense meshgrid, each of its npts[0] npts[1] npts[2] points."""
+    measured, reality = {}, 0.0
+    for (i, l), qf in sorted(family.q.items()):
+        wins = se._windows(family.q_desc[(i, l)], params.M)
+        axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(wins, npts)]
+        K0, KX, KY = np.meshgrid(*axes, indexing="ij")
+        Q = np.asarray(qf(K0, KX, KY))
+        if np.iscomplexobj(Q) and not np.abs(Q.imag).any():
+            Q = Q.real
+        sups = sup_derivatives(Q, [ax[1] - ax[0] for ax in axes], 2)
+        measured.update({(i, l, d): s for d, s in sups.items()})
+        S0, SX, SY = (K[::13, ::13, ::13] for K in (K0, KX, KY))
+        res = np.abs(qf(-S0, SX, SY) - np.conj(qf(S0, SX, SY)))
+        reality = max(reality, float(res.max()))
+    return measured, reality
+
+
+OPEN_GRID_MEMBERS = {
+    "zero": lambda k0, kx, ky: 0.0 * np.asarray(k0),
+    "k0-only": lambda k0, kx, ky: 1e-9 * np.asarray(k0),
+    "constant": lambda k0, kx, ky: 1e-6 * np.ones_like(np.asarray(k0, dtype=float)),
+    "kx-only": lambda k0, kx, ky: 1e-8 * np.cos(3.0 * kx),
+    "complex": lambda k0, kx, ky: 1e-9 * (1j * np.sin(k0) + np.cos(kx) * np.cos(ky)),
+    "complex-real": lambda k0, kx, ky: (1e-9 + 0j) * np.cos(7.0 * k0) * np.cos(kx),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPEN_GRID_MEMBERS))
+def test_budget_open_grid_matches_dense_mesh(budget_params, name):
+    fam = _one_member_family(OPEN_GRID_MEMBERS[name])
+    npts = (40, 36, 44)
+    rep = se.check_q_budget(fam, budget_params, npts=npts)
+    measured, reality = dense_budget_oracle(fam, budget_params, npts)
+    assert {(r.i, r.l, r.delta): r.measured for r in rep.rows} == measured
+    assert rep.reality_residual == reality
+
+
+def test_budget_open_grid_matches_dense_mesh_saturating(budget_params, qfam):
+    subset = se.ScaleFamily(lambda0=qfam.lambda0, upsilon=qfam.upsilon)
+    for key in ((2, 2), (2, 4), (4, 5)):
+        subset.q[key] = qfam.q[key]
+        subset.q_desc[key] = qfam.q_desc[key]
+    npts = (40, 36, 44)
+    rep = se.check_q_budget(subset, budget_params, npts=npts)
+    measured, reality = dense_budget_oracle(subset, budget_params, npts)
+    assert {(r.i, r.l, r.delta): r.measured for r in rep.rows} == measured
+    assert rep.reality_residual == reality
+
+
+def test_budget_scalar_member_measured_on_whole_grid(budget_params):
+    # a member returning a bare scalar is broadcast to the grid like the
+    # same constant returned as an array
+    scalar = se.check_q_budget(_one_member_family(lambda k0, kx, ky: 1e-7),
+                               budget_params, npts=(20, 20, 20))
+
+    def full(k0, kx, ky):
+        return np.full(np.broadcast(k0, kx, ky).shape, 1e-7)
+
+    array = se.check_q_budget(_one_member_family(full), budget_params,
+                              npts=(20, 20, 20))
+    assert [(r.delta, r.measured, r.allowed) for r in scalar.rows] \
+        == [(r.delta, r.measured, r.allowed) for r in array.rows]
+    assert len(scalar.rows) == 10
+    assert {r.delta: r.measured for r in scalar.rows}[(0, 0, 0)] == 1e-7
+    assert scalar.reality_residual == 0.0
+
+
+def _sup_derivs_1d_reference(f, lo, hi, npts):
+    xs = np.linspace(lo, hi, npts)
+    d = np.asarray(f(xs), dtype=float)
+    out = []
+    for order in range(3):
+        trim = slice(order, -order) if order else slice(None)
+        out.append(float(np.abs(d[trim]).max()))
+        d = np.gradient(d, xs[1] - xs[0])
+    return out
+
+
+def test_saturating_amplitudes_match_reference_loop(budget_params, qfam):
+    p = budget_params
+    M, la, up = p.M, p.lambda0, p.upsilon
+    u = _sup_derivs_1d_reference(se._f0, 1.0, se._K0_CENTER + se._K0_EDGE, 60000)
+    for (i, l), desc in sorted(qfam.q_desc.items()):
+        w = M ** l
+        npts = int(max(8000, 40 * se._KX_EDGE * 2 * w))
+        raw = _sup_derivs_1d_reference(lambda t: se._gx(t, w),
+                                       -se._KX_EDGE, se._KX_EDGE, npts)
+        v = [raw[d] / w ** d for d in range(3)]
+        cmax = max(u[d0] * v[d1] * v[d2] for d0 in range(3)
+                   for d1 in range(3 - d0) for d2 in range(3 - d0 - d1))
+        allowed0 = 2.0 * la ** (1 - 2 * up) * p.sector_length(l) / M ** l \
+            * M ** (p.aleph_prime * (l - i))
+        assert desc.amp == 0.9 / cmax * allowed0
 
 
 # ---------------------------------------------------------------------------
