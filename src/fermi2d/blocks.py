@@ -1,0 +1,245 @@
+"""Four-legged kernels on their conservation support, in pair blocks.
+
+The ladder path keeps its kernels here instead of in dense n^4 arrays:
+PairBlocks (built once per KernelSpace, as KernelSpace.pair_blocks) groups
+the support into dense blocks, and BlockKernel holds a kernel as its
+support vector, with the dense operations of the ladder path as gathers.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+from typing import List, Tuple
+
+import numpy as np
+
+from .kernels import _PH_TERMS, Kernel4, KernelSpace, zero_kernel
+
+
+class PairBlocks:
+    """The momentum- and number-conservation support of a leg space,
+    grouped into pair blocks.
+
+    Read as an n^2 x n^2 matrix over ordered leg pairs, a kernel on the
+    support joins the row pair (a, b) only to column pairs (c, d) of
+    opposite signed pair momentum and complementary bar count, with the
+    signs of conservation_mask ((-1)^bar on directed spaces, (+, -, -, +)
+    on undirected ones).  A row pair has the key (class of
+    s_a k_a + s_b k_b, bar count), a column pair the key
+    (class of -(s_c k_c + s_d k_d), 2 - bar count) (bar counts are 0 on
+    undirected spaces), and the support is the set of (row, column) of
+    equal keys: one dense block per key.  A support vector holds the
+    blocks one after another, each row-major over its ascending row and
+    column pairs; flat is the dense flat index of every entry.
+    """
+
+    def __init__(self, space: KernelSpace):
+        self.space = space
+        n = self.n = space.n
+        # class of every signed sum s k_i + t k_j of two grid momenta: the
+        # first such sum within conservation_mask's tolerance on every axis
+        K = np.stack([space.grid.k0, space.grid.kx, space.grid.ky], axis=1)
+        SK = np.stack([K, -K], axis=1)
+        P = (SK[:, :, None, None, :] + SK[None, None, :, :, :]).reshape(-1, 3)
+        close = np.ones((len(P), len(P)), dtype=bool)
+        for ax in range(3):
+            close &= np.abs(P[:, None, ax] - P[None, :, ax]) < 1e-9
+        cls = close.argmax(axis=1)
+        if not np.array_equal(close, cls[:, None] == cls[None, :]):
+            raise ValueError("grid momentum sums within the conservation "
+                             "tolerance of each other do not form classes")
+        cls = cls.reshape(len(K), 2, len(K), 2)
+        k, bar = space.leg_k, space.leg_bar
+        if space.directed:
+            s, nbar = [bar] * 4, 2
+        else:
+            zero, one = np.zeros_like(bar), np.ones_like(bar)
+            s, nbar = [zero, one, one, zero], 0
+        row_key = 3 * cls[k[:, None], s[0][:, None], k, s[1]] \
+            + bar[:, None] + bar
+        col_key = 3 * cls[k[:, None], 1 - s[2][:, None], k, 1 - s[3]] \
+            + nbar - bar[:, None] - bar
+        row_key, col_key = row_key.ravel(), col_key.ravel()
+        self.keys = np.intersect1d(row_key, col_key)
+        self.rows = [np.flatnonzero(row_key == key) for key in self.keys]
+        self.cols = [np.flatnonzero(col_key == key) for key in self.keys]
+        self.offsets = np.cumsum([0] + [len(r) * len(c) for r, c
+                                        in zip(self.rows, self.cols)])
+        self.size = int(self.offsets[-1])
+        self.flat = np.concatenate([(r[:, None] * n * n + c).ravel()
+                                    for r, c in zip(self.rows, self.cols)])
+
+    def __len__(self):
+        return len(self.keys)
+
+    def span(self, t: int) -> slice:
+        return slice(self.offsets[t], self.offsets[t + 1])
+
+    @cached_property
+    def legs4(self) -> Tuple[np.ndarray, ...]:
+        """The four leg indices of every support entry."""
+        rows, cols = np.divmod(self.flat, self.n * self.n)
+        return (*np.divmod(rows, self.n), *np.divmod(cols, self.n))
+
+    @cached_property
+    def _sorted(self):
+        order = np.argsort(self.flat)
+        return order, self.flat[order]
+
+    def positions(self, a, b, c, d) -> np.ndarray:
+        """Support-vector position of each leg tuple, -1 off the support."""
+        order, flat = self._sorted
+        f = ((a * self.n + b) * self.n + c) * self.n + d
+        j = np.minimum(np.searchsorted(flat, f), len(flat) - 1)
+        return np.where(flat[j] == f, order[j], -1)
+
+    def permuted(self, perm) -> np.ndarray:
+        """Gather index of values.transpose(perm) on the support."""
+        src = [None] * 4
+        for ax, p in enumerate(perm):
+            src[p] = self.legs4[ax]
+        idx = self.positions(*src)
+        if (idx < 0).any():
+            raise ValueError(f"support not closed under the leg permutation {perm}")
+        return idx
+
+    @cached_property
+    def swaps(self) -> dict:
+        """Gather index of each axis swap (i, k), i < k (directed spaces)."""
+        out = {}
+        for k in range(1, 4):
+            for i in range(k):
+                perm = [0, 1, 2, 3]
+                perm[i], perm[k] = k, i
+                out[i, k] = self.permuted(perm)
+        return out
+
+    @cached_property
+    def flip_gather(self) -> np.ndarray:
+        return self.permuted((0, 2, 1, 3))
+
+    @cached_property
+    def ph(self) -> List[Tuple[int, np.ndarray, np.ndarray]]:
+        """Per pair block of the undirected partner (directed spaces): the
+        block t holding it here, and its row and column positions in block
+        t, the row pairs of bars (0, 1) and the column pairs of bars
+        (1, 0) that reduce_ph reads."""
+        und = self.space.undirected()
+        ub = und.pair_blocks
+        i0, i1 = self.space.iota(0, und), self.space.iota(1, und)
+        where = {key: t for t, key in enumerate(self.keys)}
+        out = []
+        for key, r, c in zip(ub.keys, ub.rows, ub.cols):
+            t = where[key + 1]   # same momentum class, bar count 1
+            a, b = np.divmod(r, und.n)
+            cc, d = np.divmod(c, und.n)
+            out.append((t, np.searchsorted(self.rows[t], i0[a] * self.n + i1[b]),
+                        np.searchsorted(self.cols[t], i1[cc] * self.n + i0[d])))
+        return out
+
+    @cached_property
+    def ph_gather(self) -> np.ndarray:
+        """Gather index of reduce_ph on the support."""
+        return np.concatenate([
+            (self.offsets[t] + r[:, None] * len(self.cols[t]) + c).ravel()
+            for t, r, c in self.ph])
+
+    @cached_property
+    def ph_embedding(self) -> Tuple[np.ndarray, np.ndarray]:
+        """value_ph onto this directed space as (position in the undirected
+        partner's support vector, -1 for none; sign) per support entry."""
+        und = self.space.undirected()
+        u_of = np.empty(self.n, dtype=int)
+        u_of[self.space.iota(0, und)] = np.arange(und.n)
+        u_of[self.space.iota(1, und)] = np.arange(und.n)
+        bars = np.stack([self.space.leg_bar[x] for x in self.legs4], axis=1)
+        idx = np.full(self.size, -1)
+        sign = np.zeros(self.size)
+        for pattern, perm, sgn in _PH_TERMS:
+            hit = (bars == pattern).all(axis=1)
+            src = [None] * 4
+            for ax, p in enumerate(perm):
+                src[p] = u_of[self.legs4[ax][hit]]
+            idx[hit] = und.pair_blocks.positions(*src)
+            sign[hit] = sgn
+        return idx, sign
+
+
+@dataclass
+class BlockKernel:
+    """A four-legged kernel on its conservation support: values is the
+    support vector of space.pair_blocks (see PairBlocks).  The methods are
+    the dense kernel operations of the same names, as gathers."""
+
+    space: KernelSpace
+    values: np.ndarray
+
+    @classmethod
+    def zeros(cls, space: KernelSpace) -> "BlockKernel":
+        return cls(space, np.zeros(space.pair_blocks.size, dtype=complex))
+
+    @classmethod
+    def from_dense(cls, kern: Kernel4) -> "BlockKernel":
+        """The support entries of a dense kernel; ValueError, naming the
+        largest such |entry|, when it has entries off the support."""
+        flat = kern.space.pair_blocks.flat
+        dense = kern.values.reshape(-1)
+        vals = dense[flat]
+        if np.count_nonzero(dense) != np.count_nonzero(vals):
+            off = dense.copy()
+            off[flat] = 0.0
+            raise ValueError(
+                "kernel has entries off the momentum- and number-conservation "
+                f"support (largest |entry| {np.abs(off).max():.3e})")
+        return cls(kern.space, vals)
+
+    def dense(self) -> Kernel4:
+        out = zero_kernel(self.space)
+        out.values.reshape(-1)[self.space.pair_blocks.flat] = self.values
+        return out
+
+    def blocks(self) -> List[np.ndarray]:
+        """The pair blocks, as views of values."""
+        pb = self.space.pair_blocks
+        return [self.values[pb.span(t)].reshape(len(r), len(c))
+                for t, (r, c) in enumerate(zip(pb.rows, pb.cols))]
+
+    def max_abs(self) -> float:
+        return float(np.abs(self.values).max(initial=0.0))
+
+    def __add__(self, other: "BlockKernel") -> "BlockKernel":
+        return BlockKernel(self.space, self.values + other.values)
+
+    def __sub__(self, other: "BlockKernel") -> "BlockKernel":
+        return BlockKernel(self.space, self.values - other.values)
+
+    def __rmul__(self, c) -> "BlockKernel":
+        return BlockKernel(self.space, c * self.values)
+
+    def __truediv__(self, c) -> "BlockKernel":
+        return BlockKernel(self.space, self.values / c)
+
+    def antisymmetrize(self) -> "BlockKernel":
+        """The coset product of antisymmetrize, each axis swap a gather."""
+        swaps = self.space.pair_blocks.swaps
+        out = self.values
+        for k in range(1, 4):
+            acc = out.copy()
+            for i in range(k):
+                acc -= out[swaps[i, k]]
+            out = acc
+        return BlockKernel(self.space, out / 24.0)
+
+    def flip(self) -> "BlockKernel":
+        gather = self.space.pair_blocks.flip_gather
+        return BlockKernel(self.space, -self.values[gather])
+
+    def reduce_ph(self) -> "BlockKernel":
+        """Onto the undirected partner space."""
+        return BlockKernel(self.space.undirected(),
+                           self.values[self.space.pair_blocks.ph_gather])
+
+    def value_ph(self, directed: KernelSpace) -> "BlockKernel":
+        """From the undirected partner of directed onto directed."""
+        idx, sign = directed.pair_blocks.ph_embedding
+        return BlockKernel(directed, sign * np.append(self.values, 0.0)[idx])

@@ -2,6 +2,8 @@
 
 Kernels are stored densely over a small shared momentum sample set; every
 in-scope identity is pointwise algebraic, so tiny grids give exact tests.
+The ladder path stores them on their conservation support instead
+(fermi2d.blocks).
 Legs carry a field tag (0 = external phi leg in momentum space, 1 =
 internal sectorized psi leg, -1 = auxiliary primed phi leg), a grid
 momentum, a spin, a creation/annihilation (bar) index on directed spaces,
@@ -14,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -114,14 +117,27 @@ class KernelSpace:
         self.leg_spin = np.array([g.spin for g in legs])
         self.leg_bar = np.array([g.bar for g in legs])
         self.leg_sector = np.array([g.sector for g in legs])
+        self._undirected = None
+
+    @cached_property
+    def pair_blocks(self) -> "PairBlocks":
+        """The conservation support grouped into pair blocks
+        (blocks.PairBlocks), built on first use."""
+        from .blocks import PairBlocks
+
+        return PairBlocks(self)
 
     # -- partner spaces -------------------------------------------------
 
     def undirected(self) -> "KernelSpace":
+        """The undirected partner space (one shared instance per space)."""
         if not self.directed:
             return self
-        return KernelSpace(self.grid, self.nspin, self.nsec, self.sec_ok,
-                           self.fields, directed=False)
+        if self._undirected is None:
+            self._undirected = KernelSpace(self.grid, self.nspin, self.nsec,
+                                           self.sec_ok, self.fields,
+                                           directed=False)
+        return self._undirected
 
     def primed(self) -> "KernelSpace":
         fields = tuple(sorted(set(self.fields) | {EXTP}))

@@ -10,7 +10,11 @@ Read as n^2 x n^2 matrices over ordered leg pairs, a composition is one
 matrix product, left[:, P] @ B @ rung[P, :], with P the internal pairs and
 B = la (x) lb + lb (x) la the Kronecker form of the two bubble lines; a
 ladder with ell bubbles is the chain L_ell = L_(ell-1) B rung, and every
-ladder sum below is one power series in that chain.
+ladder sum below is one power series in that chain.  The dense compose is
+exact on any kernel; the ladder sums run on the conservation support
+(blocks.BlockKernel), where the bubble maps each pair block onto itself,
+so a chain step is one small product per pair block (compose_blocks), and
+reject rungs with entries off that support.
 
 Three recursions are provided: the scale-dependent iterated particle-hole
 ladder (counterterm sum u_j grows with the scale), the compound ladder
@@ -24,13 +28,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .blocks import BlockKernel
 from .kernels import (EXT, INT, Kernel4, KernelSpace, Leg, MomentumGrid,
-                      _apply_per_axis, antisymmetrize, flip, reduce_ph,
-                      sector_norm_p, value_ph, zero_kernel)
+                      sector_norm_p)
 from .scales import HypothesisViolationError, ScaleInterval, ScaleModel
 from .sectors import Sectorization, build_fermi_curve, build_sectorization, \
     hat_weights
@@ -96,25 +100,75 @@ def compose(left: np.ndarray, bub: BubbleProp, rung: np.ndarray) -> np.ndarray:
     return (L @ B[np.ix_(rows, cols)] @ R).reshape(left.shape)
 
 
-def _ladder_series(rung: np.ndarray, bub: BubbleProp, lmax: int, ltol: float,
-                   term: Callable[[int, np.ndarray], np.ndarray]):
-    """Sum of term(ell, L_ell) over the chain L_0 = rung,
-    L_ell = L_(ell-1) . C . rung for ell = 1..lmax; returns the sum and the
-    last L_ell.
+def bubble_joins(rung: BlockKernel, bub: BubbleProp, blocks: Sequence[int]
+                 ) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per pair block t of the rung's space in blocks: the chain columns the
+    bubble joins and M_t = B_t rung_t[joined rows].
 
-    Stops after the first term whose max |.| is at most ltol times the
-    largest so far (ltol > 0); three growing terms in a row raise
+    B_t is block t of the pair-matrix bubble la (x) lb + lb (x) la, which
+    maps the column pairs of block t onto its row pairs; as in compose, only
+    the internal pairs where it has a nonzero entry are kept.
+    """
+    sp, pb = rung.space, rung.space.pair_blocks
+    pos = np.full(sp.n, -1)  # index among the internal legs
+    ii = sp.field_indices(INT)
+    pos[ii] = np.arange(len(ii))
+    la, lb = bub.line_a, bub.line_b
+    rung_blocks = rung.blocks()
+    joins = []
+    for t in blocks:
+        w, x = (pos[a] for a in np.divmod(pb.cols[t], sp.n))
+        p, q = (pos[a] for a in np.divmod(pb.rows[t], sp.n))
+        ci = np.flatnonzero((w >= 0) & (x >= 0))
+        ri = np.flatnonzero((p >= 0) & (q >= 0))
+        wp, xq = np.ix_(w[ci], p[ri]), np.ix_(x[ci], q[ri])
+        B = la[wp] * lb[xq] + lb[wp] * la[xq]
+        cols, rows = B.any(axis=1), B.any(axis=0)
+        joins.append((ci[cols],
+                      B[np.ix_(cols, rows)] @ rung_blocks[t][ri[rows]]))
+    return joins
+
+
+def compose_blocks(chain: List[np.ndarray],
+                   joins: List[Tuple[np.ndarray, np.ndarray]]) -> List[np.ndarray]:
+    """One ladder step on each pair block: chain_t[:, cols_t] @ M_t (see
+    bubble_joins); the blocked form of compose(chain, bub, rung)."""
+    return [C[:, cols] @ M for C, (cols, M) in zip(chain, joins)]
+
+
+def _ladder_series(rung: BlockKernel, bub: BubbleProp, lmax: int, ltol: float,
+                   term: Callable[[int, np.ndarray], np.ndarray],
+                   ph: bool = False):
+    """Sum of term(ell, L_ell) over the chain L_0 = rung,
+    L_ell = L_(ell-1) . C . rung for ell = 1..lmax, one compose_blocks call
+    per step; returns the sum and the last L_ell.
+
+    L_ell is passed as its support vector or, with ph, as the support vector
+    of its ph reduction: the chain then carries only the row pairs that
+    reduce_ph reads, since row (a, b) of L_ell depends only on row (a, b) of
+    L_(ell-1).  Stops after the first term whose max |.| is at most ltol
+    times the largest so far (ltol > 0); three growing terms in a row raise
     LadderDivergenceError.
     """
     if lmax < 1:
         raise ValueError("ladders need at least one bubble")
-    acc, vals = 0.0, rung
+    pb = rung.space.pair_blocks
+    sel = pb.ph if ph else [(t, slice(None), slice(None)) for t in range(len(pb))]
+    blocks = rung.blocks()
+    chain = [blocks[t][rows] for t, rows, _ in sel]
+    joins = bubble_joins(rung, bub, [t for t, _, _ in sel])
+
+    def flat(chain):
+        return np.concatenate([C[:, cols].ravel()
+                               for C, (_, _, cols) in zip(chain, sel)])
+
+    acc = 0.0
     largest, prev, grow = 0.0, 0.0, 0
     for ell in range(1, lmax + 1):
-        vals = compose(vals, bub, rung)
-        t = term(ell, vals)
+        chain = compose_blocks(chain, joins)
+        t = term(ell, flat(chain))
         acc = acc + t
-        tnorm = float(np.abs(t).max())
+        tnorm = float(np.abs(t).max(initial=0.0))
         largest = max(largest, tnorm)
         grow = grow + 1 if tnorm >= prev > 0.0 else 0
         if grow >= 3:
@@ -123,13 +177,14 @@ def _ladder_series(rung: np.ndarray, bub: BubbleProp, lmax: int, ltol: float,
         prev = tnorm
         if ltol > 0.0 and tnorm <= ltol * max(largest, 1e-300):
             break
-    return acc, vals
+    return acc, flat(chain)
 
 
 def ladder_L(ell: int, rung: Kernel4, bub: BubbleProp) -> Kernel4:
     """The ladder with ell+1 identical rungs and ell bubbles."""
-    _, vals = _ladder_series(rung.values, bub, ell, 0.0, lambda _, v: v)
-    return Kernel4(rung.space, vals)
+    _, vals = _ladder_series(BlockKernel.from_dense(rung), bub, ell, 0.0,
+                             lambda _, v: v)
+    return BlockKernel(rung.space, vals).dense()
 
 
 def bubble_ph_kernel(und_space: KernelSpace, a_vals_per_k: np.ndarray,
@@ -159,15 +214,15 @@ class LadderScheme:
     sec_ids: Dict[int, List[int]]
     dir_spaces: Dict[int, KernelSpace]
     und_spaces: Dict[int, KernelSpace]
-    _resect_cache: Dict[Tuple[int, int, bool], np.ndarray] = field(default_factory=dict)
+    _resect_cache: Dict[Tuple[int, int, bool], list] = field(default_factory=dict)
 
     def space(self, j: int, directed: bool = True) -> KernelSpace:
         return self.dir_spaces[j] if directed else self.und_spaces[j]
 
     def _resect_matrix(self, i: int, j: int, directed: bool) -> np.ndarray:
-        key = (i, j, directed)
-        if key in self._resect_cache:
-            return self._resect_cache[key]
+        """Leg refinement matrix (scale-j legs x scale-i legs): identity on
+        external legs, hat weights over the scale-j sectors on internal
+        ones."""
         src = self.space(i, directed)
         dst = self.space(j, directed)
         secz = self.sectorizations[j]
@@ -194,19 +249,49 @@ class LadderScheme:
             if abs(placed - 1.0) > 1e-12:
                 raise RuntimeError(
                     f"refinement weights sum to {placed}, expected 1")
-        self._resect_cache[key] = R
         return R
 
-    def resectorize(self, kern: Kernel4, i: int, j: int) -> Kernel4:
-        """Distribute a scale-i kernel over the scale-j sectorization."""
+    def _resect_blocks(self, i: int, j: int, directed: bool) -> list:
+        """Per scale-j pair block: (its index, the scale-i block of the same
+        key, R (x) R on its rows, R (x) R on its columns), with R the leg
+        refinement matrix; R keeps (momentum, spin, bar) and so every pair
+        block key.  A leg refines into a few sectors, so R (x) R is sparse."""
+        from scipy import sparse
+
+        key = (i, j, directed)
+        if key in self._resect_cache:
+            return self._resect_cache[key]
+        R = self._resect_matrix(i, j, directed)
+        src = self.space(i, directed).pair_blocks
+        dst = self.space(j, directed).pair_blocks
+
+        def rr(dst_pairs, src_pairs):
+            a, b = np.divmod(dst_pairs, dst.n)
+            c, d = np.divmod(src_pairs, src.n)
+            return sparse.csr_matrix(R[np.ix_(a, c)] * R[np.ix_(b, d)])
+
+        where = {k: u for u, k in enumerate(src.keys)}
+        self._resect_cache[key] = [
+            (t, where[k], rr(dst.rows[t], src.rows[where[k]]),
+             rr(dst.cols[t], src.cols[where[k]]))
+            for t, k in enumerate(dst.keys) if k in where]
+        return self._resect_cache[key]
+
+    def resectorize(self, kern: BlockKernel, i: int, j: int) -> BlockKernel:
+        """Distribute a scale-i kernel over the scale-j sectorization: one
+        (R (x) R) V (R (x) R)^T per pair block V."""
         if i == j:
             return kern
         if j < i:
             raise ValueError("resectorization must go to a finer scale")
         directed = kern.space.directed
-        R = self._resect_matrix(i, j, directed)
-        return Kernel4(self.space(j, directed),
-                       _apply_per_axis(kern.values, [R] * 4))
+        out = BlockKernel.zeros(self.space(j, directed))
+        src = kern.blocks()
+        span = out.space.pair_blocks.span
+        for t, u, rows, cols in self._resect_blocks(i, j, directed):
+            # sparse factors on the left: rows @ V @ cols^T
+            out.values[span(t)] = (cols @ (rows @ src[u]).T).T.ravel()
+        return out
 
     def scale_bubble(self, j: int, u: Optional[Callable],
                      directed: bool = True) -> BubbleProp:
@@ -280,38 +365,26 @@ class LadderFamily:
         return self.u_below(math.inf)
 
 
-@dataclass
-class RecursionTrace:
-    """Per-scale rung kernel w_j and ladder step of one recursion run."""
-
-    w: Dict[int, Kernel4] = field(default_factory=dict)
-    step: Dict[int, Kernel4] = field(default_factory=dict)
-
-
-def _ladder_sum_ph(scheme: LadderScheme, j: int, w: Kernel4, bub: BubbleProp,
-                   lmax: int, ltol: float) -> Kernel4:
-    """2 sum_l (-1)^l 12^(l+1) L_l(w; bub)^ph over the scale-j undirected
-    space."""
-    und = scheme.space(j, directed=False)
-
+def _ladder_sum_ph(w: BlockKernel, bub: BubbleProp, lmax: int,
+                   ltol: float) -> BlockKernel:
+    """2 sum_l (-1)^l 12^(l+1) L_l(w; bub)^ph over the undirected partner of
+    w's space."""
     def term(ell, vals):
-        coef = 2.0 * ((-1) ** ell) * 12.0 ** (ell + 1)
-        return coef * reduce_ph(Kernel4(w.space, vals), und).values
+        return 2.0 * ((-1) ** ell) * 12.0 ** (ell + 1) * vals
 
-    acc, _ = _ladder_series(w.values, bub, lmax, ltol, term)
-    return Kernel4(und, acc)
+    acc, _ = _ladder_series(w, bub, lmax, ltol, term, ph=True)
+    return BlockKernel(w.space.undirected(), acc)
 
 
-def _assemble_w(scheme: LadderScheme, j: int, family_F: Dict[int, Kernel4],
-                Lprev: Kernel4, lscale: int) -> Kernel4:
-    dsp = scheme.space(j, directed=True)
-    w = zero_kernel(dsp)
+def _assemble_w(scheme: LadderScheme, j: int,
+                family_F: Dict[int, BlockKernel], Lprev: BlockKernel,
+                lscale: int) -> BlockKernel:
+    w = BlockKernel.zeros(scheme.space(j, directed=True))
     for i in sorted(family_F):
         if i <= j:
-            w.values += scheme.resectorize(family_F[i], i, j).values
-    emb = antisymmetrize(value_ph(Lprev, scheme.space(lscale, directed=True)))
-    w.values += scheme.resectorize(emb, lscale, j).values / 8.0
-    return w
+            w = w + scheme.resectorize(family_F[i], i, j)
+    emb = Lprev.value_ph(scheme.space(lscale, directed=True)).antisymmetrize()
+    return w + scheme.resectorize(emb, lscale, j) / 8.0
 
 
 def _check_small(scheme: LadderScheme, v: Optional[Callable]):
@@ -325,45 +398,50 @@ def _check_small(scheme: LadderScheme, v: Optional[Callable]):
                 f"|v(k)| > |i k0 - e|/2 at grid point {i}")
 
 
+def _on_support(family_F: Dict[int, Kernel4]) -> Dict[int, BlockKernel]:
+    """The rung family on its support; ValueError for a rung with entries
+    off it."""
+    return {i: BlockKernel.from_dense(f) for i, f in family_F.items()}
+
+
 def _ladder_recursion(scheme: LadderScheme, jtop: int,
-                      family_F: Dict[int, Kernel4],
+                      family_F: Dict[int, BlockKernel],
                       counterterm: Callable[[int], Optional[Callable]],
                       lmax: int, ltol: float,
-                      trace: Optional[RecursionTrace] = None) -> Kernel4:
+                      record: Optional[dict] = None) -> BlockKernel:
     """Particle-hole ladder recursion over the scales j0 <= j < jtop; the
-    scale-j covariances carry the momentum function counterterm(j)."""
+    scale-j covariances carry the momentum function counterterm(j).
+    record, if given, receives (w_j, step_j) per scale."""
     j0 = scheme.scales.params.j0
-    L = zero_kernel(scheme.space(j0, directed=False))
+    L = BlockKernel.zeros(scheme.space(j0, directed=False))
     lscale = j0
     for j in range(j0, jtop):
         u = counterterm(j)
         _check_small(scheme, u)
         Lj = scheme.resectorize(L, lscale, j)
         w = _assemble_w(scheme, j, family_F, L, lscale)
-        step = _ladder_sum_ph(scheme, j, w, scheme.scale_bubble(j, u),
-                              lmax, ltol)
-        if trace is not None:
-            trace.w[j] = w
-            trace.step[j] = step
-        L = Kernel4(Lj.space, Lj.values + step.values)
+        step = _ladder_sum_ph(w, scheme.scale_bubble(j, u), lmax, ltol)
+        if record is not None:
+            record[j] = (w, step)
+        L = Lj + step
         lscale = j
     return L
 
 
 def iterated_ladder(scheme: LadderScheme, jtop: int, family: LadderFamily,
-                    lmax: int = 12, ltol: float = 1e-10,
-                    trace: Optional[RecursionTrace] = None) -> Kernel4:
+                    lmax: int = 12, ltol: float = 1e-10) -> Kernel4:
     """Iterated particle-hole ladder up to scale jtop (covariances built
     from the running counterterm sum u_j)."""
-    return _ladder_recursion(scheme, jtop, family.F, family.u_below,
-                             lmax, ltol, trace)
+    return _ladder_recursion(scheme, jtop, _on_support(family.F),
+                             family.u_below, lmax, ltol).dense()
 
 
 def compound_ladder(scheme: LadderScheme, jtop: int, v: Optional[Callable],
                     family_F: Dict[int, Kernel4], lmax: int = 12,
                     ltol: float = 1e-10) -> Kernel4:
     """Compound particle-hole ladder: one fixed v in both covariances."""
-    return _ladder_recursion(scheme, jtop, family_F, lambda j: v, lmax, ltol)
+    return _ladder_recursion(scheme, jtop, _on_support(family_F),
+                             lambda j: v, lmax, ltol).dense()
 
 
 def ladder_closed_form(scheme: LadderScheme, jtop: int, v: Optional[Callable],
@@ -373,23 +451,24 @@ def ladder_closed_form(scheme: LadderScheme, jtop: int, v: Optional[Callable],
     chains of (24 F + L + L^f) joined by ph-reduced bubbles; agrees with
     compound_ladder identically."""
     _check_small(scheme, v)
+    family_F = _on_support(family_F)
     j0 = scheme.scales.params.j0
-    L = zero_kernel(scheme.space(j0, directed=False))
+    L = BlockKernel.zeros(scheme.space(j0, directed=False))
     lscale = j0
     for j in range(j0, jtop):
         und = scheme.space(j, directed=False)
         Lj = scheme.resectorize(L, lscale, j)
-        F = zero_kernel(und)
+        F = BlockKernel.zeros(und)
         for i in sorted(family_F):
             if i <= j:
-                F.values += reduce_ph(scheme.resectorize(family_F[i], i, j)).values
-        big = Kernel4(und, 24.0 * F.values + Lj.values + flip(Lj).values)
+                F = F + scheme.resectorize(family_F[i], i, j).reduce_ph()
+        big = 24.0 * F + Lj + Lj.flip()
         bub = scheme.scale_bubble(j, v, directed=False)
-        acc, _ = _ladder_series(big.values, bub, lmax, ltol,
+        acc, _ = _ladder_series(big, bub, lmax, ltol,
                                 lambda ell, vals: ((-1.0) ** ell) * vals)
-        L = Kernel4(und, Lj.values + acc)
+        L = Lj + BlockKernel(und, acc)
         lscale = j
-    return L
+    return L.dense()
 
 
 @dataclass
@@ -411,37 +490,35 @@ def delta_ladder_telescope(scheme: LadderScheme, jtop: int,
     covariance-swap corrections, resectorized to the final scale.
     """
     v = family.v_total()
-    trace = RecursionTrace()
-    it = iterated_ladder(scheme, jtop, family, lmax, ltol, trace=trace)
+    family_F = _on_support(family.F)
+    record = {}
+    it = _ladder_recursion(scheme, jtop, family_F, family.u_below, lmax, ltol,
+                           record)
     # delta_j = step(u_j) - step(v), both ladder sums over the recorded w_j;
     # no w_j or step outlives this, so none is alive in the compound ladder
-    delta = {j: Kernel4(step.space, step.values - _ladder_sum_ph(
-        scheme, j, trace.w[j], scheme.scale_bubble(j, v), lmax, ltol).values)
-        for j, step in trace.step.items()}
-    del trace
+    delta = {j: step - _ladder_sum_ph(w, scheme.scale_bubble(j, v), lmax, ltol)
+             for j, (w, step) in record.items()}
+    del record
     # corrected rung family F': the scale-(j+1) rung carries 1/8 of the
-    # embedded delta_j; the other rungs are shared, none is written in place
-    fam_prime = dict(family.F)
+    # embedded delta_j
+    fam_prime = dict(family_F)
     for j, d in delta.items():
         tgt = j + 1
         if tgt >= jtop:
             continue
-        corr = antisymmetrize(value_ph(d, scheme.space(j, directed=True)))
-        corr = scheme.resectorize(corr, j, tgt)
-        if tgt not in fam_prime:
-            fam_prime[tgt] = zero_kernel(scheme.space(tgt, directed=True))
-        fam_prime[tgt] = Kernel4(fam_prime[tgt].space,
-                                 fam_prime[tgt].values + corr.values / 8.0)
-    comp = compound_ladder(scheme, jtop, v, fam_prime, lmax, ltol)
+        corr = d.value_ph(scheme.space(j, directed=True)).antisymmetrize()
+        corr = scheme.resectorize(corr, j, tgt) / 8.0
+        fam_prime[tgt] = fam_prime[tgt] + corr if tgt in fam_prime else corr
+    comp = _ladder_recursion(scheme, jtop, fam_prime, lambda j: v, lmax, ltol)
     # sum of per-scale corrections at the final sectorization
-    total = zero_kernel(scheme.space(jtop - 1, directed=False))
+    total = BlockKernel.zeros(scheme.space(jtop - 1, directed=False))
     for j, d in delta.items():
-        total.values += scheme.resectorize(d, j, jtop - 1).values
+        total = total + scheme.resectorize(d, j, jtop - 1)
     residual = float(np.abs(it.values - comp.values - total.values).max())
     return TelescopeReport(
         residual=residual,
         per_scale_delta_norms={j: d.max_abs() for j, d in delta.items()},
-        iterated=it, compound=comp)
+        iterated=it.dense(), compound=comp.dense())
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +536,10 @@ def ladder_decay_report(rung: Kernel4, bub: BubbleProp, lmax: int) -> DecayRepor
     entries: List[Tuple[int, float]] = []
 
     def record(ell, vals):
-        entries.append((ell, sector_norm_p(Kernel4(rung.space, vals), 3)))
+        entries.append((ell, sector_norm_p(BlockKernel(rung.space, vals).dense(), 3)))
         return vals
 
-    _ladder_series(rung.values, bub, lmax, 0.0, record)
+    _ladder_series(BlockKernel.from_dense(rung), bub, lmax, 0.0, record)
     ells, norms = np.array(entries, dtype=float).T
     pos = norms > 0.0
     slope = float(np.polyfit(ells[pos], np.log(norms[pos]), 1)[0]) \

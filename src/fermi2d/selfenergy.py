@@ -270,6 +270,7 @@ def check_q_budget(family: ScaleFamily, params,
     rows: List[BudgetRow] = []
     reality = 0.0
     support = 0.0
+    points = {}  # support sample points per i, shared by the members of i
     for (i, l), qf in sorted(family.q.items()):
         desc = family.q_desc.get((i, l))
         if desc is None:
@@ -288,7 +289,11 @@ def check_q_budget(family: ScaleFamily, params,
                      - np.conj(np.asarray(qf(k0, kx, ky))))
         reality = max(reality, float(res.max()))
         if scales is not None:
-            support = max(support, _support_violation(scales, qf, i))
+            if i not in points:
+                points[i] = _support_points(scales, i)
+            k0 = points[i][0]
+            vals = np.broadcast_to(np.asarray(qf(*points[i])), k0.shape)
+            support = max(support, float(np.abs(vals).max(initial=0.0)))
     return BudgetReport(rows=rows, reality_residual=reality,
                         support_violation=support)
 
@@ -298,10 +303,12 @@ def _real_if_zero_imag(q):
     return q.real if np.iscomplexobj(q) and not np.abs(q.imag).any() else q
 
 
-def _support_violation(scales: ScaleModel, qf, i: int) -> float:
-    """Largest |q| sampled inside the (i+2)-nd neighbourhood or off supp U."""
+def _support_points(scales: ScaleModel, i: int):
+    """(k0, kx, ky) arrays of the points where a member of first index i
+    must vanish: inside the (i+2)-nd neighbourhood of the Fermi curve and
+    off supp U.  The draws depend only on i (seed 1234 + i)."""
     p = scales.params
-    worst = 0.0
+    pts = []
     rng = np.random.default_rng(1234 + i)
     # points near the Fermi curve with |i k0 - e| below the neighbourhood edge
     edge = p.shell_hi(i + 2)
@@ -311,15 +318,15 @@ def _support_violation(scales: ScaleModel, qf, i: int) -> float:
         kx, ky = rad * math.cos(th), rad * math.sin(th)
         k0 = rng.uniform(-edge, edge)
         if abs(scales.radius(k0, kx, ky)) <= edge:
-            worst = max(worst, abs(complex(qf(k0, kx, ky))))
+            pts.append((k0, kx, ky))
     # points outside the ultraviolet cutoff
     for _ in range(200):
         th = rng.uniform(0, 2 * np.pi)
         rad = rng.uniform(2.05, 4.0)
         kx, ky = rad * math.cos(th), rad * math.sin(th)
         if scales.disp.U(kx, ky) == 0.0:
-            worst = max(worst, abs(complex(qf(rng.uniform(-2, 2), kx, ky))))
-    return worst
+            pts.append((rng.uniform(-2, 2), kx, ky))
+    return tuple(np.array(pts, dtype=float).reshape(-1, 3).T)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,62 @@
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fermi2d.blocks import BlockKernel
+from fermi2d.kernels import (KernelSpace, antisymmetrize, conservation_mask,
+                             flip, make_grid, number_conserving_mask,
+                             random_kernel, reduce_ph, value_ph)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), directed=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pair_blocks_hold_the_support(small_spaces, data, directed, seed):
+    # the pair blocks cover exactly the conservation support, and
+    # dense -> blocks -> dense is exact on support kernels
+    sp = data.draw(small_spaces(directed))
+    mask = conservation_mask(sp) & number_conserving_mask(sp)
+    ones = BlockKernel(sp, np.ones(sp.pair_blocks.size, dtype=complex)).dense()
+    assert np.array_equal(ones.values != 0, mask)
+    f = random_kernel(sp, np.random.default_rng(seed))
+    assert np.array_equal(BlockKernel.from_dense(f).dense().values, f.values)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_block_operations_match_dense(small_spaces, data, seed):
+    # on support kernels each gather equals its dense operation bit for
+    # bit, and every dense result lies on the support (from_dense raises
+    # on an entry off it)
+    sp = data.draw(small_spaces())
+    und = sp.undirected()
+    rng = np.random.default_rng(seed)
+    f, L = random_kernel(sp, rng), random_kernel(und, rng)
+    bf, bL = BlockKernel.from_dense(f), BlockKernel.from_dense(L)
+    for block, dense in ((bf.antisymmetrize(), antisymmetrize(f)),
+                         (bf.reduce_ph(), reduce_ph(f, und)),
+                         (bL.value_ph(sp), value_ph(L, sp)),
+                         (bL.flip(), flip(L))):
+        assert block.space is dense.space
+        assert np.array_equal(block.dense().values, dense.values)
+        BlockKernel.from_dense(dense)
+
+
+def test_off_support_kernel_rejected():
+    rng = np.random.default_rng(19)
+    sp = KernelSpace(make_grid([(0.25, 1.2, 0.55)]), nspin=1, nsec=1)
+    f = random_kernel(sp, rng, conserving=False)
+    off = np.where(conservation_mask(sp), 0.0, np.abs(f.values))
+    with pytest.raises(ValueError, match=re.escape(f"{off.max():.3e}")):
+        BlockKernel.from_dense(f)
+
+
+def test_unresolvable_momentum_sums_rejected():
+    # k1 - k2 lies within the conservation tolerance of both 0 and k2 - k1,
+    # which do not lie within it of each other: no pair-block classes exist
+    grid = make_grid([(0.1, 0.2, 0.3), (0.1 + 6e-10, 0.2, 0.3)])
+    with pytest.raises(ValueError, match="do not form classes"):
+        KernelSpace(grid, nspin=1, nsec=1).pair_blocks

@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ from hypothesis import strategies as st
 
 from fermi2d import ladders as ld
 from fermi2d import selfenergy as se
-from fermi2d.kernels import (INT, is_inversion_symmetric, make_grid,
-                             random_kernel, reduce_ph, zero_kernel)
+from fermi2d.blocks import BlockKernel
+from fermi2d.kernels import (INT, Kernel4, _apply_per_axis,
+                             conservation_mask, is_inversion_symmetric,
+                             make_grid, random_kernel, reduce_ph, zero_kernel)
 from fermi2d.scales import HypothesisViolationError
 from fermi2d.sectors import build_fermi_curve
 
@@ -156,6 +160,44 @@ def test_compose_matches_bruteforce_on_random_spaces(small_spaces, data,
     assert np.abs(got - oracle).max() <= 1e-13 * max(1.0, np.abs(oracle).max())
 
 
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), directed=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_block_step_matches_compose_on_random_spaces(small_spaces, data,
+                                                     directed, seed):
+    # one block step equals the dense compose on support kernels, whose
+    # result lies on the support
+    sp = data.draw(small_spaces(directed))
+    rng = np.random.default_rng(seed)
+    left, rung = random_kernel(sp, rng), random_kernel(sp, rng)
+    n = len(sp.grid)
+    av, bv = ((rng.standard_normal(n) + 1j * rng.standard_normal(n))
+              * rng.integers(0, 2, n) for _ in range(2))
+    bub = ld.BubbleProp(space=sp, line_a=ld.line_matrix(sp, av),
+                        line_b=ld.line_matrix(sp, bv))
+    joins = ld.bubble_joins(BlockKernel.from_dense(rung), bub,
+                            range(len(sp.pair_blocks)))
+    step = ld.compose_blocks(BlockKernel.from_dense(left).blocks(), joins)
+    got = BlockKernel(sp, np.concatenate([b.ravel() for b in step])).dense()
+    want = ld.compose(left.values, bub, rung.values)
+    assert np.abs(got.values - want).max() \
+        <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+@settings(max_examples=6, deadline=None)
+@given(directed=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_resectorize_blocks_match_dense(scheme, directed, seed):
+    # the per-block R (x) R products equal R applied on each leg axis, and
+    # the dense result lies on the scale-3 support
+    f = random_kernel(scheme.space(2, directed), np.random.default_rng(seed))
+    R = scheme._resect_matrix(2, 3, directed)
+    want = Kernel4(scheme.space(3, directed), _apply_per_axis(f.values, [R] * 4))
+    got = scheme.resectorize(BlockKernel.from_dense(f), 2, 3)
+    BlockKernel.from_dense(want)
+    assert np.abs(got.dense().values - want.values).max() \
+        <= 1e-14 * want.max_abs()
+
+
 def test_ladder_zero_rung(scheme):
     sp = scheme.space(2)
     bub = ld.bubble(sp, lambda *k: 1.0, lambda *k: 1.0)
@@ -276,6 +318,51 @@ def test_delta_norms_decay_for_decaying_family(scheme, params):
     assert rep.per_scale_delta_norms[2] > 0.0
 
 
+@pytest.mark.parametrize("entry", ["iterated", "compound", "closed_form",
+                                   "telescope", "ladder_L", "decay_report"])
+def test_off_support_rung_rejected(scheme, family, entry):
+    # the ladder sums run on the conservation support, so a rung with
+    # entries off it is an error that names the largest such entry
+    sp = scheme.space(2)
+    bad = random_kernel(sp, np.random.default_rng(13), amp=1e-5,
+                        conserving=False)
+    largest = np.abs(np.where(conservation_mask(sp), 0.0, bad.values)).max()
+    F = {**family.F, 2: bad}
+    bub = scheme.scale_bubble(2, None)
+    calls = {
+        "iterated": lambda: ld.iterated_ladder(
+            scheme, 4, ld.LadderFamily(F=F, p=family.p), lmax=2),
+        "compound": lambda: ld.compound_ladder(scheme, 4, None, F, lmax=2),
+        "closed_form": lambda: ld.ladder_closed_form(scheme, 4, None, F,
+                                                     lmax=2),
+        "telescope": lambda: ld.delta_ladder_telescope(
+            scheme, 4, ld.LadderFamily(F=F, p=family.p), lmax=2),
+        "ladder_L": lambda: ld.ladder_L(2, bad, bub),
+        "decay_report": lambda: ld.ladder_decay_report(bad, bub, 2),
+    }
+    with pytest.raises(ValueError, match=re.escape(f"{largest:.3e}")):
+        calls[entry]()
+
+
+def test_ladder_sum_allocates_no_dense_kernel(scheme, family):
+    # one ladder sum on the blocks peaks below one dense kernel, so no
+    # n^2 x n^2 pair matrix is built along the chain
+    w = BlockKernel.from_dense(family.F[3])
+    n = w.space.n
+
+    def ladder_sum():
+        return ld._ladder_sum_ph(w, scheme.scale_bubble(3, None), 4, 0.0)
+
+    ladder_sum()  # builds the cached block tables
+    tracemalloc.start()
+    try:
+        ladder_sum()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n ** 4 * 16
+
+
 @pytest.fixture(scope="module")
 def diverging_F(scheme):
     rng = np.random.default_rng(8)
@@ -322,7 +409,7 @@ def test_resectorize_preserves_totals(scheme):
     # summing over fine sectors undoes the refinement of internal legs
     rng = np.random.default_rng(10)
     f = random_kernel(scheme.space(2), rng, amp=1.0, antisym=True)
-    fine = scheme.resectorize(f, 2, 3)
+    fine = scheme.resectorize(BlockKernel.from_dense(f), 2, 3).dense()
     # compare sector-summed internal blocks: contract each internal axis
     # over sectors at fixed (k, spin, bar)
     def sector_summed(kern):
@@ -346,14 +433,14 @@ def test_resectorize_preserves_totals(scheme):
 
 def test_telescope_builds_each_chain_once(scheme, family, monkeypatch):
     # per scale: the iterated chain, the v-swap chain on the recorded w_j
-    # and the compound chain, lmax compositions each
+    # and the compound chain, lmax block steps each
     calls = []
-    compose = ld.compose
+    compose_blocks = ld.compose_blocks
 
     def counting(*args):
         calls.append(1)
-        return compose(*args)
+        return compose_blocks(*args)
 
-    monkeypatch.setattr(ld, "compose", counting)
+    monkeypatch.setattr(ld, "compose_blocks", counting)
     ld.delta_ladder_telescope(scheme, 4, family, lmax=4, ltol=0.0)
     assert len(calls) == 2 * 3 * 4

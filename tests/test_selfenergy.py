@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,61 @@ def test_budget_detects_support_violation(budget_params, budget_scales):
     rep = se.check_q_budget(fam, budget_params, scales=budget_scales)
     assert rep.support_violation > 0.0
     assert not rep.all_pass
+
+
+def _support_violation_loop(scales, qf, i):
+    # reference: the scalar sampling loop, one member call per point
+    p = scales.params
+    worst = 0.0
+    rng = np.random.default_rng(1234 + i)
+    edge = p.shell_hi(i + 2)
+    for _ in range(200):
+        th = rng.uniform(0, 2 * np.pi)
+        rad = float(scales.disp.fermi_radius(th))
+        kx, ky = rad * math.cos(th), rad * math.sin(th)
+        k0 = rng.uniform(-edge, edge)
+        if abs(scales.radius(k0, kx, ky)) <= edge:
+            worst = max(worst, abs(complex(qf(k0, kx, ky))))
+    for _ in range(200):
+        th = rng.uniform(0, 2 * np.pi)
+        rad = rng.uniform(2.05, 4.0)
+        kx, ky = rad * math.cos(th), rad * math.sin(th)
+        if scales.disp.U(kx, ky) == 0.0:
+            worst = max(worst, abs(complex(qf(rng.uniform(-2, 2), kx, ky))))
+    return worst
+
+
+def _single(q, amp):
+    fam = se.ScaleFamily(lambda0=1e-3, upsilon=0.2)
+    fam.q[(2, 2)] = q
+    fam.q_desc[(2, 2)] = se.QDescriptor(i=2, l=2, amp=amp, k0_center=11.0,
+                                        k0_width=10.0, kx_width=1.4,
+                                        kx_plateau=0.6)
+    return fam
+
+
+@pytest.mark.parametrize("which", ["saturating", "scaled", "zero",
+                                   "constant", "scalar", "oscillating"])
+def test_support_points_match_scalar_loop(budget_params, budget_scales, qfam,
+                                          which):
+    # each support point is drawn once per i and every member is evaluated
+    # once on the point arrays; the scalar loop gives the same violation
+    fam = {"saturating": lambda: qfam,
+           "scaled": lambda: se.saturating_q_family(budget_params, scale=3.0),
+           "zero": lambda: _single(lambda k0, kx, ky: 0.0 * np.asarray(k0), 0.0),
+           "constant": lambda: _single(
+               lambda k0, kx, ky: 1e-6 * np.ones_like(np.asarray(k0, dtype=float)),
+               1e-6),
+           "scalar": lambda: _single(lambda k0, kx, ky: 1e-7, 1e-7),
+           "oscillating": lambda: _single(
+               lambda k0, kx, ky: 1e-6 * np.cos(3 * k0) * np.exp(1j * kx * ky),
+               1e-6)}[which]()
+    rep = se.check_q_budget(fam, budget_params, npts=(9, 9, 9),
+                            scales=budget_scales)
+    ref = max(_support_violation_loop(budget_scales, qf, i)
+              for (i, _), qf in fam.q.items())
+    assert abs(rep.support_violation - ref) <= 1e-15 * ref
+    assert (rep.support_violation <= 1e-12) == (ref <= 1e-12)
 
 
 def test_budget_reality_residual(budget_params):
