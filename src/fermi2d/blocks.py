@@ -193,6 +193,19 @@ class BlockKernel:
                 f"support (largest |entry| {np.abs(off).max():.3e})")
         return cls(kern.space, vals)
 
+    @classmethod
+    def random(cls, space: KernelSpace, rng) -> "BlockKernel":
+        """The support entries of kernels.random_kernel(space, rng), from
+        the same n^4 real and n^4 imaginary normal draws, taken one n^3
+        slab at a time so that no dense kernel is built."""
+        n, flat = space.n, space.pair_blocks.flat
+        slab, at = np.divmod(flat, n ** 3)
+        re, im = np.empty(len(flat)), np.empty(len(flat))
+        for part in re, im:
+            for a in range(n):
+                part[slab == a] = rng.standard_normal(n ** 3)[at[slab == a]]
+        return cls(space, re + 1j * im)
+
     def dense(self) -> Kernel4:
         out = zero_kernel(self.space)
         out.values.reshape(-1)[self.space.pair_blocks.flat] = self.values

@@ -21,7 +21,8 @@ from . import hoelder as hl
 from . import ladders as ld
 from . import occupation as oc
 from . import selfenergy as se
-from .kernels import is_inversion_symmetric, make_grid, random_kernel
+from .blocks import BlockKernel
+from .kernels import is_inversion_symmetric, make_grid
 from .scales import ScaleModel, make_model
 
 EXIT_OK = 0
@@ -152,7 +153,8 @@ def _demo_scheme_and_family(params, disp, gridn: int, seed: int, scales_list):
                              sector_lengths=lengths)
     fam = ld.LadderFamily(F={}, p={})
     for i in scales_list:
-        fam.F[i] = random_kernel(scheme.space(i), rng, amp=1e-5, antisym=True)
+        sp = scheme.space(i)
+        fam.F[i] = (1e-5 * BlockKernel.random(sp, rng)).antisymmetrize()
     pfam = se.linear_p_family(params, imin=params.j0,
                               imax=scales_list[-1] + 1, amp0=5e-3)
     fam.p = pfam.p

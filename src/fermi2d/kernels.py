@@ -177,20 +177,17 @@ def zero_kernel(space: KernelSpace) -> Kernel4:
 # structural masks and generators
 
 
-def conservation_mask(space: KernelSpace,
-                      signs: Optional[Sequence[int]] = None,
-                      tol: float = 1e-9) -> np.ndarray:
-    """Tuples whose signed momenta sum to zero.
+def conservation_mask(space: KernelSpace) -> np.ndarray:
+    """Tuples whose signed momenta sum to zero (within 1e-9 per axis).
 
     Directed spaces weight leg momenta by (-1)^bar; undirected spaces use
-    the particle-hole pattern signs (+, -, -, +) unless overridden.
+    the particle-hole pattern signs (+, -, -, +).
     """
     if space.directed:
         sgn = np.where(space.leg_bar == 0, 1.0, -1.0)
         per_axis = [sgn] * 4
     else:
-        signs = (1, -1, -1, 1) if signs is None else signs
-        per_axis = [np.full(space.n, float(s)) for s in signs]
+        per_axis = [np.full(space.n, float(s)) for s in (1, -1, -1, 1)]
     comps = []
     for vals in (space.grid.k0, space.grid.kx, space.grid.ky):
         v = vals[space.leg_k]
@@ -198,7 +195,7 @@ def conservation_mask(space: KernelSpace,
             + (per_axis[1] * v)[None, :, None, None] \
             + (per_axis[2] * v)[None, None, :, None] \
             + (per_axis[3] * v)[None, None, None, :]
-        comps.append(np.abs(total) < tol)
+        comps.append(np.abs(total) < 1e-9)
     return comps[0] & comps[1] & comps[2]
 
 
@@ -214,12 +211,11 @@ def number_conserving_mask(space: KernelSpace) -> np.ndarray:
 
 def random_kernel(space: KernelSpace, rng, amp: float = 1.0,
                   conserving: bool = True, number_conserving: bool = True,
-                  antisym: bool = False,
-                  signs: Optional[Sequence[int]] = None) -> Kernel4:
+                  antisym: bool = False) -> Kernel4:
     v = amp * (rng.standard_normal((space.n,) * 4)
                + 1j * rng.standard_normal((space.n,) * 4))
     if conserving:
-        v = v * conservation_mask(space, signs=signs)
+        v = v * conservation_mask(space)
     if number_conserving and space.directed:
         v = v * number_conserving_mask(space)
     k = Kernel4(space, v)

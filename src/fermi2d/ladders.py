@@ -35,7 +35,7 @@ import numpy as np
 from .blocks import BlockKernel
 from .kernels import (EXT, INT, Kernel4, KernelSpace, Leg, MomentumGrid,
                       sector_norm_p)
-from .scales import HypothesisViolationError, ScaleInterval, ScaleModel
+from .scales import ScaleInterval, ScaleModel
 from .sectors import Sectorization, build_fermi_curve, build_sectorization, \
     hat_weights
 
@@ -209,15 +209,14 @@ class LadderScheme:
 
     scales: ScaleModel
     grid: MomentumGrid
-    nspin: int
     sectorizations: Dict[int, Sectorization]
     sec_ids: Dict[int, List[int]]
     dir_spaces: Dict[int, KernelSpace]
-    und_spaces: Dict[int, KernelSpace]
     _resect_cache: Dict[Tuple[int, int, bool], list] = field(default_factory=dict)
 
     def space(self, j: int, directed: bool = True) -> KernelSpace:
-        return self.dir_spaces[j] if directed else self.und_spaces[j]
+        sp = self.dir_spaces[j]
+        return sp if directed else sp.undirected()
 
     def _resect_matrix(self, i: int, j: int, directed: bool) -> np.ndarray:
         """Leg refinement matrix (scale-j legs x scale-i legs): identity on
@@ -311,7 +310,7 @@ def build_scheme(params, disp, grid: MomentumGrid, scales_needed,
     model = ScaleModel(params, disp)
     curve = build_fermi_curve(disp)
     sector_lengths = sector_lengths or {}
-    sectorizations, sec_ids, dir_spaces, und_spaces = {}, {}, {}, {}
+    sectorizations, sec_ids, dir_spaces = {}, {}, {}
     for j in scales_needed:
         secz = build_sectorization(params, curve, j,
                                    length_override=sector_lengths.get(j))
@@ -331,10 +330,8 @@ def build_scheme(params, disp, grid: MomentumGrid, scales_needed,
         dir_spaces[j] = KernelSpace(grid, nspin=nspin, nsec=len(ids),
                                     sec_ok=sec_ok, fields=(EXT, INT),
                                     directed=True)
-        und_spaces[j] = dir_spaces[j].undirected()
-    return LadderScheme(scales=model, grid=grid, nspin=nspin,
-                        sectorizations=sectorizations, sec_ids=sec_ids,
-                        dir_spaces=dir_spaces, und_spaces=und_spaces)
+    return LadderScheme(scales=model, grid=grid, sectorizations=sectorizations,
+                        sec_ids=sec_ids, dir_spaces=dir_spaces)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +340,8 @@ def build_scheme(params, disp, grid: MomentumGrid, scales_needed,
 
 @dataclass
 class LadderFamily:
-    """Rung family F^(i) (directed kernels at their native scales) and
-    counterterm momentum functions p^(i)."""
+    """Rung family F^(i) (directed kernels at their native scales, dense or
+    BlockKernel) and counterterm momentum functions p^(i)."""
 
     F: Dict[int, Kernel4]
     p: Dict[int, Callable]
@@ -376,54 +373,47 @@ def _ladder_sum_ph(w: BlockKernel, bub: BubbleProp, lmax: int,
     return BlockKernel(w.space.undirected(), acc)
 
 
-def _assemble_w(scheme: LadderScheme, j: int,
-                family_F: Dict[int, BlockKernel], Lprev: BlockKernel,
-                lscale: int) -> BlockKernel:
-    w = BlockKernel.zeros(scheme.space(j, directed=True))
-    for i in sorted(family_F):
-        if i <= j:
-            w = w + scheme.resectorize(family_F[i], i, j)
-    emb = Lprev.value_ph(scheme.space(lscale, directed=True)).antisymmetrize()
-    return w + scheme.resectorize(emb, lscale, j) / 8.0
+def _rungs_at(scheme: LadderScheme, j: int,
+              family_F: Dict[int, BlockKernel]) -> BlockKernel:
+    """sum_{i <= j} F^(i), each rung resectorized to scale j."""
+    return sum((scheme.resectorize(family_F[i], i, j)
+                for i in sorted(family_F) if i <= j),
+               BlockKernel.zeros(scheme.space(j)))
 
 
-def _check_small(scheme: LadderScheme, v: Optional[Callable]):
-    if v is None:
-        return
-    g = scheme.grid
-    for i in range(len(g)):
-        A = scheme.scales.amputation(g.k0[i], g.kx[i], g.ky[i])
-        if abs(v(g.k0[i], g.kx[i], g.ky[i])) > 0.5 * abs(A):
-            raise HypothesisViolationError(
-                f"|v(k)| > |i k0 - e|/2 at grid point {i}")
+def _ph_rung(scheme: LadderScheme, d: BlockKernel, i: int,
+             j: int) -> BlockKernel:
+    """The rung that a scale-i ph kernel d adds at scale j: 1/8 of its
+    antisymmetrized ph value, resectorized to scale j."""
+    emb = d.value_ph(scheme.space(i)).antisymmetrize()
+    return scheme.resectorize(emb, i, j) / 8.0
 
 
 def _on_support(family_F: Dict[int, Kernel4]) -> Dict[int, BlockKernel]:
-    """The rung family on its support; ValueError for a rung with entries
-    off it."""
-    return {i: BlockKernel.from_dense(f) for i, f in family_F.items()}
+    """The rung family on its support: BlockKernel rungs as they are, dense
+    ones through BlockKernel.from_dense (ValueError for entries off it)."""
+    return {i: f if isinstance(f, BlockKernel) else BlockKernel.from_dense(f)
+            for i, f in family_F.items()}
 
 
 def _ladder_recursion(scheme: LadderScheme, jtop: int,
                       family_F: Dict[int, BlockKernel],
-                      counterterm: Callable[[int], Optional[Callable]],
+                      bubble_at: Callable[[int], BubbleProp],
                       lmax: int, ltol: float,
                       record: Optional[dict] = None) -> BlockKernel:
-    """Particle-hole ladder recursion over the scales j0 <= j < jtop; the
-    scale-j covariances carry the momentum function counterterm(j).
+    """Particle-hole ladder recursion over the scales j0 <= j < jtop: scale
+    j sums the ladders of its rung w_j through the bubble bubble_at(j).
     record, if given, receives (w_j, step_j) per scale."""
     j0 = scheme.scales.params.j0
     L = BlockKernel.zeros(scheme.space(j0, directed=False))
     lscale = j0
     for j in range(j0, jtop):
-        u = counterterm(j)
-        _check_small(scheme, u)
-        Lj = scheme.resectorize(L, lscale, j)
-        w = _assemble_w(scheme, j, family_F, L, lscale)
-        step = _ladder_sum_ph(w, scheme.scale_bubble(j, u), lmax, ltol)
+        bub = bubble_at(j)
+        w = _rungs_at(scheme, j, family_F) + _ph_rung(scheme, L, lscale, j)
+        step = _ladder_sum_ph(w, bub, lmax, ltol)
         if record is not None:
             record[j] = (w, step)
-        L = Lj + step
+        L = scheme.resectorize(L, lscale, j) + step
         lscale = j
     return L
 
@@ -432,8 +422,9 @@ def iterated_ladder(scheme: LadderScheme, jtop: int, family: LadderFamily,
                     lmax: int = 12, ltol: float = 1e-10) -> Kernel4:
     """Iterated particle-hole ladder up to scale jtop (covariances built
     from the running counterterm sum u_j)."""
-    return _ladder_recursion(scheme, jtop, _on_support(family.F),
-                             family.u_below, lmax, ltol).dense()
+    return _ladder_recursion(
+        scheme, jtop, _on_support(family.F),
+        lambda j: scheme.scale_bubble(j, family.u_below(j)), lmax, ltol).dense()
 
 
 def compound_ladder(scheme: LadderScheme, jtop: int, v: Optional[Callable],
@@ -441,7 +432,8 @@ def compound_ladder(scheme: LadderScheme, jtop: int, v: Optional[Callable],
                     ltol: float = 1e-10) -> Kernel4:
     """Compound particle-hole ladder: one fixed v in both covariances."""
     return _ladder_recursion(scheme, jtop, _on_support(family_F),
-                             lambda j: v, lmax, ltol).dense()
+                             lambda j: scheme.scale_bubble(j, v), lmax,
+                             ltol).dense()
 
 
 def ladder_closed_form(scheme: LadderScheme, jtop: int, v: Optional[Callable],
@@ -450,23 +442,17 @@ def ladder_closed_form(scheme: LadderScheme, jtop: int, v: Optional[Callable],
     """Compound ladder through the flipped-kernel closed form:
     chains of (24 F + L + L^f) joined by ph-reduced bubbles; agrees with
     compound_ladder identically."""
-    _check_small(scheme, v)
     family_F = _on_support(family_F)
     j0 = scheme.scales.params.j0
     L = BlockKernel.zeros(scheme.space(j0, directed=False))
     lscale = j0
     for j in range(j0, jtop):
-        und = scheme.space(j, directed=False)
-        Lj = scheme.resectorize(L, lscale, j)
-        F = BlockKernel.zeros(und)
-        for i in sorted(family_F):
-            if i <= j:
-                F = F + scheme.resectorize(family_F[i], i, j).reduce_ph()
-        big = 24.0 * F + Lj + Lj.flip()
         bub = scheme.scale_bubble(j, v, directed=False)
+        Lj = scheme.resectorize(L, lscale, j)
+        big = 24.0 * _rungs_at(scheme, j, family_F).reduce_ph() + Lj + Lj.flip()
         acc, _ = _ladder_series(big, bub, lmax, ltol,
                                 lambda ell, vals: ((-1.0) ** ell) * vals)
-        L = Lj + BlockKernel(und, acc)
+        L = Lj + BlockKernel(Lj.space, acc)
         lscale = j
     return L.dense()
 
@@ -491,25 +477,27 @@ def delta_ladder_telescope(scheme: LadderScheme, jtop: int,
     """
     v = family.v_total()
     family_F = _on_support(family.F)
+    j0 = scheme.scales.params.j0
+    v_bubbles = {j: scheme.scale_bubble(j, v) for j in range(j0, jtop)}
     record = {}
-    it = _ladder_recursion(scheme, jtop, family_F, family.u_below, lmax, ltol,
-                           record)
+    it = _ladder_recursion(scheme, jtop, family_F,
+                           lambda j: scheme.scale_bubble(j, family.u_below(j)),
+                           lmax, ltol, record)
     # delta_j = step(u_j) - step(v), both ladder sums over the recorded w_j;
     # no w_j or step outlives this, so none is alive in the compound ladder
-    delta = {j: step - _ladder_sum_ph(w, scheme.scale_bubble(j, v), lmax, ltol)
+    delta = {j: step - _ladder_sum_ph(w, v_bubbles[j], lmax, ltol)
              for j, (w, step) in record.items()}
     del record
-    # corrected rung family F': the scale-(j+1) rung carries 1/8 of the
-    # embedded delta_j
+    # corrected rung family F': the scale-(j+1) rung carries the ph rung
+    # of delta_j
     fam_prime = dict(family_F)
     for j, d in delta.items():
         tgt = j + 1
-        if tgt >= jtop:
-            continue
-        corr = d.value_ph(scheme.space(j, directed=True)).antisymmetrize()
-        corr = scheme.resectorize(corr, j, tgt) / 8.0
-        fam_prime[tgt] = fam_prime[tgt] + corr if tgt in fam_prime else corr
-    comp = _ladder_recursion(scheme, jtop, fam_prime, lambda j: v, lmax, ltol)
+        if tgt < jtop:
+            corr = _ph_rung(scheme, d, j, tgt)
+            fam_prime[tgt] = fam_prime[tgt] + corr if tgt in fam_prime else corr
+    comp = _ladder_recursion(scheme, jtop, fam_prime, v_bubbles.__getitem__,
+                             lmax, ltol)
     # sum of per-scale corrections at the final sectorization
     total = BlockKernel.zeros(scheme.space(jtop - 1, directed=False))
     for j, d in delta.items():

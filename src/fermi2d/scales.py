@@ -248,22 +248,19 @@ class ScaleModel:
                    k0, kx, ky):
         """C^I_u(k) = nu^I(k) / (i k0 - e(k) - u(k)).
 
-        Raises HypothesisViolationError when the denominator drops below
-        half the free amputation factor on the support of nu^I.
+        Raises HypothesisViolationError unless |u| <= |i k0 - e|/2 on the
+        support of nu^I, which keeps the denominator at least half the free
+        amputation factor there.
         """
         nu = self.nu_interval(interval, k0, kx, ky)
         A = self.amputation(k0, kx, ky)
-        if u is None:
-            uval = 0.0
-        else:
-            uval = u(k0, kx, ky)
-        den = A - uval
+        uval = 0.0 if u is None else u(k0, kx, ky)
         nu_arr = np.asarray(nu)
-        bad = (nu_arr > 0) & (np.abs(den) < 0.5 * np.abs(A))
-        if np.any(bad):
+        on = nu_arr > 0
+        if np.any(on & (np.abs(uval) > 0.5 * np.abs(A))):
             raise HypothesisViolationError(
-                f"|i k0 - e - u| < |i k0 - e|/2 on the support of nu^{interval}")
-        out = np.where(nu_arr > 0, nu_arr / np.where(nu_arr > 0, den, 1.0), 0.0)
+                f"|u| > |i k0 - e|/2 on the support of nu^{interval}")
+        out = np.where(on, nu_arr / np.where(on, A - uval, 1.0), 0.0)
         if np.ndim(nu) == 0:
             return complex(out)
         return out

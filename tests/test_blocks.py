@@ -60,3 +60,22 @@ def test_unresolvable_momentum_sums_rejected():
     grid = make_grid([(0.1, 0.2, 0.3), (0.1 + 6e-10, 0.2, 0.3)])
     with pytest.raises(ValueError, match="do not form classes"):
         KernelSpace(grid, nspin=1, nsec=1).pair_blocks
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), directed=st.booleans(), antisym=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_random_draws_the_dense_stream_on_the_support(small_spaces, data,
+                                                      directed, antisym, seed):
+    # the support entries of random_kernel, bit for bit, with the rng left
+    # where random_kernel leaves it; antisymmetrize keeps the support only
+    # on directed spaces
+    sp = data.draw(small_spaces(directed))
+    antisym = antisym and directed
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = BlockKernel.random(sp, rng)
+    if antisym:
+        got = got.antisymmetrize()
+    ref = BlockKernel.from_dense(random_kernel(sp, ref_rng, antisym=antisym))
+    assert np.array_equal(got.values, ref.values)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import pytest
 
 from fermi2d import cli
 from fermi2d import selfenergy as se
 from fermi2d.config import ScaleParams
+from fermi2d.scales import make_model
 
 SWEEP_CFG = """\
 M = 2.0
@@ -117,6 +119,24 @@ def test_ladder_demo_cli(tmp_path):
     resid_col = cli.LADDER_COLUMNS.index("telescope_residual")
     for line in lines[1:]:
         assert float(line.split(",")[resid_col]) <= 1e-12
+
+
+def test_demo_family_allocates_no_dense_kernel():
+    # the ladder-demo rungs are drawn on the support: building the scheme
+    # and the family of --scales 3 peaks below one dense kernel of its
+    # largest space (at --scales 2 the cached gather tables of the spaces
+    # alone come close to that bound, n being only 32)
+    params, disp = ScaleParams(), make_model("quadratic")
+    tracemalloc.start()
+    try:
+        scheme, fam = cli._demo_scheme_and_family(params, disp, 1, 0,
+                                                  [2, 3, 4])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(fam.F) == [2, 3, 4]
+    n = scheme.space(4).n
+    assert peak < n ** 4 * 16
 
 
 def test_norm_budget_cli(tmp_path, family_files):

@@ -381,6 +381,25 @@ def test_closed_form_divergence_guard(scheme, diverging_F):
         ld.ladder_closed_form(scheme, 4, None, diverging_F, lmax=8, ltol=0.0)
 
 
+@pytest.mark.parametrize("entry", ["iterated", "closed_form", "telescope"])
+def test_every_entry_point_checks_small_u(scheme, family, entry):
+    # as test_compound_small_v_check: the scale bubbles are built through
+    # the covariance, which raises when |u| > |i k0 - e|/2 on a shell
+    # support; p^(2) = 10 makes u_3 and v that large everywhere
+    def big(k0, kx, ky):
+        return 10.0
+
+    fam = ld.LadderFamily(F=family.F, p={2: big})
+    calls = {
+        "iterated": lambda: ld.iterated_ladder(scheme, 4, fam, lmax=2),
+        "closed_form": lambda: ld.ladder_closed_form(scheme, 4, big, family.F,
+                                                     lmax=2),
+        "telescope": lambda: ld.delta_ladder_telescope(scheme, 4, fam, lmax=2),
+    }
+    with pytest.raises(HypothesisViolationError, match="support of nu"):
+        calls[entry]()
+
+
 def test_compound_small_v_check(scheme, family):
     def v_big(k0, kx, ky):
         return 10.0
@@ -444,3 +463,18 @@ def test_telescope_builds_each_chain_once(scheme, family, monkeypatch):
     monkeypatch.setattr(ld, "compose_blocks", counting)
     ld.delta_ladder_telescope(scheme, 4, family, lmax=4, ltol=0.0)
     assert len(calls) == 2 * 3 * 4
+
+
+def test_telescope_builds_each_bubble_once(scheme, family, monkeypatch):
+    # per scale: the bubble of the running u_j and the bubble of v, which
+    # the v-swap chain and the compound ladder share
+    calls = []
+    scale_bubble = ld.LadderScheme.scale_bubble
+
+    def counting(self, j, *args, **kwargs):
+        calls.append(j)
+        return scale_bubble(self, j, *args, **kwargs)
+
+    monkeypatch.setattr(ld.LadderScheme, "scale_bubble", counting)
+    ld.delta_ladder_telescope(scheme, 4, family, lmax=4, ltol=0.0)
+    assert sorted(calls) == [2, 2, 3, 3]

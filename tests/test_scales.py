@@ -174,6 +174,18 @@ def test_covariance_hypothesis_violation(scales, fermi_point):
         scales.covariance(ScaleInterval.at(4), u_big, 0.05, kx, ky)
 
 
+def test_covariance_rejects_large_u_with_large_denominator(scales, fermi_point):
+    # |u| <= |i k0 - e|/2 is the hypothesis, not only a lower bound on the
+    # denominator: u = -0.9 (i k0 - e) leaves |i k0 - e - u| = 1.9 |i k0 - e|
+    _, kx, ky = fermi_point
+
+    def u_big(k0, kx_, ky_):
+        return -0.9 * complex(scales.amputation(k0, kx_, ky_))
+
+    with pytest.raises(HypothesisViolationError, match="support of nu"):
+        scales.covariance(ScaleInterval.at(4), u_big, 0.05, kx, ky)
+
+
 def test_propagator_wrapper(scales):
     prop = scales.propagator(ScaleInterval.ge(3))
     val = prop(0.09, 1.38, 0.2)
