@@ -19,7 +19,6 @@ import numpy as np
 from . import config as cfg
 from . import hoelder as hl
 from . import ladders as ld
-from . import occupation as oc
 from . import selfenergy as se
 from .blocks import BlockKernel
 from .kernels import is_inversion_symmetric, make_grid
@@ -95,6 +94,9 @@ def g_profile(name: str):
 
 
 def run_jump_sweep(args) -> int:
+    # occupation loads scipy.integrate; only this scenario needs it
+    from . import occupation as oc
+
     try:
         params, model_name, sections = cfg.load_config(args.config)
         sc = sections.get("scenario", {})

@@ -10,8 +10,9 @@ with I1 the linearized propagator on |k0| < eta, I2 the remainder there
 the whole line (known by residues), I3' its |k0| < eta part, and I4 the
 interacting-minus-free tail.  The tau -> 0+ limit is evaluated through the
 closed forms for I1, I3, I3' plus direct quadrature of I2 and I4, whose
-integrands stay dominated at tau = 0.  Across the Fermi curve the limit
-jumps by 1 / (1 - (1/i) dS/dk0(0, kbar)).
+integrands stay dominated at tau = 0; occupation_limits integrates them
+for many points at once, as one vector on shared intervals.  Across the
+Fermi curve the limit jumps by 1 / (1 - (1/i) dS/dk0(0, kbar)).
 """
 from __future__ import annotations
 
@@ -32,6 +33,10 @@ class ModelHypothesisError(ValueError):
 
 class QuadratureError(ArithmeticError):
     """Quadrature failed to reach the requested tolerance."""
+
+
+class SingularPointError(ZeroDivisionError):
+    """A point sits on the Fermi curve, where N(k) jumps."""
 
 
 @dataclass
@@ -90,16 +95,25 @@ def linear_self_energy(lam: float, g: Callable, k_sat: float = 1.0) -> SelfEnerg
 
 
 def _aer(disp, model, kx, ky):
-    """A(k) = 1 - (1/i) dS/dk0(0,k), E(k) = e(k) + S(0,k), both real."""
-    A = 1.0 - (complex(model.dS_dk0(0.0, kx, ky)) / 1j).real
-    E = float(disp.e(kx, ky)) + complex(model.S(0.0, kx, ky)).real
-    return A, E
+    """A(k) = 1 - (1/i) dS/dk0(0,k), E(k) = e(k) + S(0,k), both real, in the
+    broadcast shape of kx, ky (numpy scalars for scalar input)."""
+    A, E = np.broadcast_arrays(1.0 - np.imag(model.dS_dk0(0.0, kx, ky)),
+                               disp.e(kx, ky) + np.real(model.S(0.0, kx, ky)))
+    return A[()], E[()]
 
 
-def default_eta(disp, model, kx, ky) -> float:
+def _off_curve_e(disp, kx, ky):
+    """e(k), raising SingularPointError when a point sits on the curve."""
+    e = disp.e(kx, ky)
+    if np.any(e == 0.0):
+        raise SingularPointError("on the Fermi curve")
+    return e
+
+
+def default_eta(disp, model, kx, ky):
     """0.5 min(1, 10 |E(k)|), floored away from zero."""
     _, E = _aer(disp, model, kx, ky)
-    return max(0.5 * min(1.0, 10.0 * abs(E)), 1e-5)
+    return np.maximum(0.5 * np.minimum(1.0, 10.0 * np.abs(E)), 1e-5)
 
 
 def _quad(f, a, b, tol, **quad_kwargs) -> float:
@@ -122,6 +136,19 @@ def _quad_complex(f, a, b, tol, **quad_kwargs) -> complex:
     re = _quad(lambda x: f(x).real, a, b, tol, **quad_kwargs)
     im = _quad(lambda x: f(x).imag, a, b, tol, **quad_kwargs)
     return re + 1j * im
+
+
+def _quad_vec(f, a, b, tol) -> np.ndarray:
+    """integrate.quad_vec of a vector-valued f in the max norm at
+    epsabs = epsrel = tol, checked like _quad: raises QuadratureError when it
+    does not converge or its error estimate exceeds 50 max(tol, tol |value|)."""
+    val, err, info = integrate.quad_vec(f, a, b, epsabs=tol, epsrel=tol,
+                                        norm="max", full_output=True)
+    if info.status != 0:
+        raise QuadratureError(info.message)
+    if err > 50 * max(tol, tol * np.max(np.abs(val))):
+        raise QuadratureError(f"estimated error {err:.2e}")
+    return val
 
 
 def _fourier_tail_quad(g, a: float, tau: float, tol: float) -> complex:
@@ -149,17 +176,11 @@ def i1_quad(disp, model, kx, ky, eta: float, tau: float = 0.0,
     return _quad_complex(f, -eta, eta, tol, epsrel=tol, limit=300)
 
 
-def i1_closed_limit(disp, model, kx, ky, eta: float) -> float:
+def i1_closed_limit(disp, model, kx, ky, eta):
     """lim_{tau->0} I1 = -(sgn e / (pi A)) arctan(eta |A/E|)."""
     A, E = _aer(disp, model, kx, ky)
-    e = float(disp.e(kx, ky))
-    if e == 0.0:
-        raise SingularPointError("on the Fermi curve")
-    return -math.copysign(1.0, e) / (math.pi * A) * math.atan(eta * abs(A / E))
-
-
-class SingularPointError(ZeroDivisionError):
-    pass
+    e = _off_curve_e(disp, kx, ky)
+    return -np.sign(e) / (math.pi * A) * np.arctan(eta * np.abs(A / E))
 
 
 def i2_quad(disp, model, kx, ky, eta: float, tau: float = 0.0,
@@ -181,9 +202,7 @@ def i3_closed(disp, kx, ky, tau: float) -> float:
     """By residues: e^(e tau) for e < 0, zero for e > 0 (tau > 0)."""
     if tau <= 0:
         raise ValueError("closed form needs tau > 0")
-    e = float(disp.e(kx, ky))
-    if e == 0.0:
-        raise SingularPointError("on the Fermi curve")
+    e = float(_off_curve_e(disp, kx, ky))
     return math.exp(e * tau) if e < 0 else 0.0
 
 
@@ -215,12 +234,10 @@ def i3_cutoff_extrapolated(disp, kx, ky, tau: float, base_cutoff: float = 60.0,
     return (8 * b[1] - b[0]) / 7.0
 
 
-def i3p_closed_limit(disp, kx, ky, eta: float) -> float:
+def i3p_closed_limit(disp, kx, ky, eta):
     """tau -> 0 limit of the |k0| < eta free piece (I1 form at A=1, E=e)."""
-    e = float(disp.e(kx, ky))
-    if e == 0.0:
-        raise SingularPointError("on the Fermi curve")
-    return -math.copysign(1.0, e) / math.pi * math.atan(eta / abs(e))
+    e = _off_curve_e(disp, kx, ky)
+    return -np.sign(e) / math.pi * np.arctan(eta / np.abs(e))
 
 
 def i4_quad(disp, model, kx, ky, eta: float, tau: float = 0.0,
@@ -259,27 +276,66 @@ def nq_term(disp, Q: Callable, kx, ky, tau: float = 0.0,
     return _fourier_tail_quad(g, 0.0, tau, tol)
 
 
+def occupation_limits(disp, model, kx, ky, eta=None, quad_tol: float = 1e-9,
+                      Q: Optional[Callable] = None):
+    """occupation_limit at every point of the arrays kx, ky at once.
+
+    I1, I3 and I3' are the closed forms.  I2 (k0 = +-eta t) and the I4 tail
+    (k0 = +-eta/t, dk0 = eta/t^2 dt) are mapped onto t in (0, 1] and folded,
+    so the I2 + I4 integrands of all points form one complex vector,
+    integrated by a single checked quad_vec call.  Near the curve eta is
+    proportional to |E|, so the near-pole structure of every point has the
+    same width in t and one adaptive subdivision serves all points.
+    Returns arrays (values, imaginary residuals) in the broadcast shape of
+    kx, ky; eta, when given, broadcasts against them.
+    """
+    kx, ky = np.broadcast_arrays(np.asarray(kx, dtype=float),
+                                 np.asarray(ky, dtype=float))
+    e = _off_curve_e(disp, kx, ky)
+    if e.size == 0:
+        return np.zeros(e.shape), np.zeros(e.shape)
+    A, E = _aer(disp, model, kx, ky)
+    eta = default_eta(disp, model, kx, ky) if eta is None \
+        else np.asarray(eta, dtype=float)
+    S0 = model.S(0.0, kx, ky)
+    dS0 = model.dS_dk0(0.0, kx, ky)
+
+    def i2(k0):
+        R = model.S(k0, kx, ky) - S0 - dS0 * k0
+        lin = 1j * A * k0 - E
+        return R / (lin * (lin - R))
+
+    def i4(k0):
+        S = model.S(k0, kx, ky)
+        free = 1j * k0 - e
+        return S / (free * (free - S))
+
+    def integrand(t):
+        near, far = eta * t, eta / t
+        return (eta * (i2(near) + i2(-near))
+                + far / t * (i4(far) + i4(-far))) / (2 * math.pi)
+
+    total = _quad_vec(integrand, 0.0, 1.0, quad_tol)
+    total += i1_closed_limit(disp, model, kx, ky, eta)
+    total += np.where(e < 0, 1.0, 0.0)
+    total -= i3p_closed_limit(disp, kx, ky, eta)
+    if Q is not None:
+        total += np.reshape([nq_term(disp, Q, x, y, 0.0, quad_tol)
+                             for x, y in zip(kx.flat, ky.flat)], e.shape)
+    return total.real, np.abs(total.imag)
+
+
 def occupation_limit(disp, model, kx, ky, eta: Optional[float] = None,
                      quad_tol: float = 1e-9, Q: Optional[Callable] = None):
     """N(k) = lim_{tau->0+} N(k, tau) via the closed forms for I1, I3, I3'
-    and direct quadrature of I2, I4 at tau = 0.
+    and direct quadrature of I2, I4 at tau = 0 (occupation_limits at one
+    point).
 
     Returns (value, imaginary residual); the residual must stay within the
     quadrature tolerance for reality-symmetric models.
     """
-    e = float(disp.e(kx, ky))
-    if e == 0.0:
-        raise SingularPointError("N(k) jumps across the Fermi curve")
-    if eta is None:
-        eta = default_eta(disp, model, kx, ky)
-    total = complex(i1_closed_limit(disp, model, kx, ky, eta))
-    total += i2_quad(disp, model, kx, ky, eta, 0.0, quad_tol)
-    total += 1.0 if e < 0 else 0.0
-    total -= i3p_closed_limit(disp, kx, ky, eta)
-    total += i4_quad(disp, model, kx, ky, eta, 0.0, quad_tol)
-    if Q is not None:
-        total += nq_term(disp, Q, kx, ky, 0.0, quad_tol)
-    return total.real, abs(total.imag)
+    val, resid = occupation_limits(disp, model, [kx], [ky], eta, quad_tol, Q)
+    return float(val[0]), float(resid[0])
 
 
 def occupation_N(disp, model, kx, ky, tau: float, eta: Optional[float] = None,
@@ -304,10 +360,9 @@ def _free_model() -> SelfEnergyModel:
     return SelfEnergyModel(S=zero, dS_dk0=zero, eps=1.0, C=0.0)
 
 
-def jump_predicted(model, kx, ky) -> float:
+def jump_predicted(model, kx, ky):
     """[1 - (1/i) dS/dk0(0, kbar)]^(-1)."""
-    A = 1.0 - (complex(model.dS_dk0(0.0, kx, ky)) / 1j).real
-    return 1.0 / A
+    return 1.0 / (1.0 - np.imag(model.dS_dk0(0.0, kx, ky)))
 
 
 def jump_at(disp, model, theta: float, deltas=(4e-3, 2e-3, 1e-3),
@@ -318,22 +373,33 @@ def jump_at(disp, model, theta: float, deltas=(4e-3, 2e-3, 1e-3),
     to the curve by polynomial (Richardson-style) extrapolation in the
     offset.  The row's n_in/n_out are N at -/+ deltas[-1].
     """
-    rad = float(disp.fermi_radius(theta))
-    nx, ny = math.cos(theta), math.sin(theta)
+    return _jump_rows(disp, model, [theta], deltas, quad_tol, Q)[0]
 
-    def n_at(offset):
-        val, _ = occupation_limit(disp, model, (rad + offset) * nx,
-                                  (rad + offset) * ny, quad_tol=quad_tol, Q=Q)
-        return val
 
+def _jump_rows(disp, model, thetas, deltas, quad_tol, Q) -> List[SweepRow]:
+    """jump_at at every angle of thetas, all N values from one
+    occupation_limits call."""
+    thetas = np.asarray(thetas, dtype=float)
     ds = np.asarray(deltas, dtype=float)
-    inside = [n_at(-d) for d in ds]    # e < 0 side
-    outside = [n_at(+d) for d in ds]
-    measured = _extrapolate_to_zero(ds, inside) - _extrapolate_to_zero(ds, outside)
-    predicted = jump_predicted(model, rad * nx, rad * ny)
-    return SweepRow(theta=theta, n_in=inside[-1], n_out=outside[-1],
-                    jump_measured=measured, jump_predicted=predicted,
-                    abs_err=abs(measured - predicted))
+    rad = disp.fermi_radius(thetas)
+    nx, ny = np.cos(thetas), np.sin(thetas)
+    r = rad[:, None] + np.concatenate([-ds, ds])    # e < 0 side first
+    vals, _ = occupation_limits(disp, model, r * nx[:, None], r * ny[:, None],
+                                quad_tol=quad_tol, Q=Q)
+    predicted = np.broadcast_to(jump_predicted(model, rad * nx, rad * ny),
+                                thetas.shape)
+    m = len(ds)
+    rows = []
+    for theta, inside, outside, pred in zip(thetas, vals[:, :m], vals[:, m:],
+                                            predicted):
+        measured = _extrapolate_to_zero(ds, inside) \
+            - _extrapolate_to_zero(ds, outside)
+        rows.append(SweepRow(theta=float(theta), n_in=float(inside[-1]),
+                             n_out=float(outside[-1]),
+                             jump_measured=measured,
+                             jump_predicted=float(pred),
+                             abs_err=abs(measured - float(pred))))
+    return rows
 
 
 def _extrapolate_to_zero(xs, ys) -> float:
@@ -365,15 +431,20 @@ def fermi_sweep(disp, model, npoints: int = 16, deltas=(4e-3, 2e-3, 1e-3),
                 Q: Optional[Callable] = None) -> List[SweepRow]:
     """Jump measurement at npoints equally spaced Fermi-curve angles.
 
-    Raises ModelHypothesisError when the model fails its hypotheses.  Rows
-    are ordered by angle and computed in one thread, so the output is the
-    same on every run; per-point failures are recorded in the row flag
-    rather than raised.
+    Raises ModelHypothesisError when the model fails its hypotheses.  All
+    angles are first measured together (one vector quadrature); when that
+    fails, each angle is measured on its own and a per-point failure is
+    recorded in its row flag rather than raised.  Rows are ordered by angle
+    and computed in one thread, so the output is the same on every run.
     """
     model.validate(disp)
+    thetas = [2 * math.pi * t / npoints for t in range(npoints)]
+    try:
+        return _jump_rows(disp, model, thetas, deltas, quad_tol, Q)
+    except (QuadratureError, SingularPointError):
+        pass
     rows = []
-    for t in range(npoints):
-        theta = 2 * math.pi * t / npoints
+    for theta in thetas:
         try:
             rows.append(jump_at(disp, model, theta, deltas, quad_tol, Q))
         except (QuadratureError, SingularPointError) as exc:
@@ -416,9 +487,7 @@ def time_domain_free_ft(disp, kx, ky, k0: float, w: float,
     """Quadrature of the temporal Fourier transform of the free kernel
     (one-sided decaying exponential times e^(-i k0 x0), via Fourier-weight
     panels on the half line)."""
-    e = float(disp.e(kx, ky))
-    if e == 0.0:
-        raise SingularPointError("on the Fermi curve")
+    e = float(_off_curve_e(disp, kx, ky))
 
     def envelope(t):
         # |kernel| along the active half line, in the variable t >= 0

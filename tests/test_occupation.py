@@ -1,11 +1,14 @@
+import json
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermi2d import cli
 from fermi2d import occupation as oc
 
 
@@ -246,25 +249,128 @@ def test_quadrature_failure_raises(disp, model, monkeypatch, fake, evaluate):
         evaluate(disp, model)
 
 
-def test_fermi_sweep_evaluates_each_point_once(disp, model, monkeypatch):
-    occupation_limit = oc.occupation_limit
+def _counting(monkeypatch, name):
     calls = []
+    real = getattr(oc.integrate, name)
 
     def counted(*args, **kwargs):
-        calls.append(args[2:4])
-        return occupation_limit(*args, **kwargs)
+        calls.append(name)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(oc, "occupation_limit", counted)
+    monkeypatch.setattr(oc.integrate, name, counted)
+    return calls
+
+
+def test_fermi_sweep_is_one_vector_quadrature(disp, model, monkeypatch):
+    vec_calls = _counting(monkeypatch, "quad_vec")
+    quad_calls = _counting(monkeypatch, "quad")
     rows = oc.fermi_sweep(disp, model, npoints=4)
-    assert len(calls) == 24
+    assert (len(vec_calls), len(quad_calls)) == (1, 0)
     d = 1e-3  # deltas[-1]
     for r in rows:
         rad = float(disp.fermi_radius(r.theta))
         nx, ny = math.cos(r.theta), math.sin(r.theta)
-        n_in, _ = occupation_limit(disp, model, (rad - d) * nx, (rad - d) * ny)
-        n_out, _ = occupation_limit(disp, model, (rad + d) * nx, (rad + d) * ny)
-        assert r.n_in == n_in
-        assert r.n_out == n_out
+        n_in, _ = oc.occupation_limit(disp, model, (rad - d) * nx, (rad - d) * ny)
+        n_out, _ = oc.occupation_limit(disp, model, (rad + d) * nx, (rad + d) * ny)
+        assert abs(r.n_in - n_in) <= 1e-12
+        assert abs(r.n_out - n_out) <= 1e-12
+
+
+def _vec_not_converged(f, a, b, **kwargs):
+    return np.zeros_like(f(0.5)), 0.0, SimpleNamespace(
+        status=1, message="Target precision not reached.")
+
+
+def _vec_huge_error(f, a, b, **kwargs):
+    return np.zeros_like(f(0.5)), 1.0, SimpleNamespace(status=0, message="")
+
+
+@pytest.mark.parametrize("fake", [_vec_not_converged, _vec_huge_error],
+                         ids=["status", "error-estimate"])
+def test_fermi_sweep_redoes_each_angle_when_the_batch_fails(
+        disp, model, monkeypatch, fake):
+    want = oc.fermi_sweep(disp, model, npoints=4)
+    real = oc.integrate.quad_vec
+    calls = []
+
+    def batch_fails(f, a, b, **kwargs):
+        calls.append(1)
+        return (fake if len(calls) == 1 else real)(f, a, b, **kwargs)
+
+    monkeypatch.setattr(oc.integrate, "quad_vec", batch_fails)
+    rows = oc.fermi_sweep(disp, model, npoints=4)
+    assert len(calls) == 1 + 4
+    for r, w in zip(rows, want):
+        assert r.flag == "" and r.theta == w.theta
+        for col in ("n_in", "n_out", "jump_measured", "jump_predicted"):
+            assert abs(getattr(r, col) - getattr(w, col)) <= 1e-12
+
+
+@pytest.mark.parametrize("fake", [_vec_not_converged, _vec_huge_error],
+                         ids=["status", "error-estimate"])
+def test_fermi_sweep_flags_every_failed_angle(disp, model, monkeypatch, fake,
+                                              tmp_path, capsys):
+    monkeypatch.setattr(oc.integrate, "quad_vec", fake)
+    rows = oc.fermi_sweep(disp, model, npoints=3)
+    assert [r.flag for r in rows] == ["QuadratureError"] * 3
+    assert all(math.isnan(r.jump_measured) for r in rows)
+    with pytest.raises(oc.QuadratureError):
+        oc.occupation_limit(disp, model, 1.45, 0.0)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("[scenario]\nnpoints = 3\n")
+    rc = cli.main(["jump-sweep", "--config", str(cfg),
+                   "--out", str(tmp_path / "sweep.csv")])
+    assert rc == cli.EXIT_TOLERANCE
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["scenario"] == "jump-sweep"
+    assert diag["error"] == "tolerance"
+
+
+def test_fermi_sweep_without_points(disp, model, monkeypatch):
+    calls = _counting(monkeypatch, "quad_vec")
+    assert oc.fermi_sweep(disp, model, npoints=0) == []
+    assert calls == []
+
+
+def test_fermi_sweep_flags_only_points_on_the_curve(disp, model):
+    # with offset 0 the sample point lands on e == 0 exactly at some angles
+    # only; the other rows are measured as usual
+    rows = oc.fermi_sweep(disp, model, npoints=8, deltas=(2e-3, 1e-3, 0.0))
+    on_curve = []
+    for r in rows:
+        rad = float(disp.fermi_radius(r.theta))
+        on_curve.append(float(disp.e(rad * math.cos(r.theta),
+                                     rad * math.sin(r.theta))) == 0.0)
+    assert 0 < sum(on_curve) < len(rows)
+    assert [r.flag for r in rows] == ["SingularPointError" if hit else ""
+                                      for hit in on_curve]
+    with pytest.raises(oc.SingularPointError):
+        oc.occupation_limits(disp, model, [1.45, 1.0], [0.0, 1.0])
+
+
+@settings(max_examples=10, deadline=None)
+@given(lam=st.floats(0.0, 0.5),
+       points=st.lists(st.tuples(st.floats(0.0, 2 * math.pi),
+                                 st.floats(0.002, 0.3), st.booleans()),
+                       min_size=1, max_size=4))
+def test_occupation_limits_match_the_five_pieces(disp, lam, points):
+    model = oc.linear_self_energy(
+        lam, lambda kx, ky: 0.6 + 0.3 * np.cos(np.arctan2(ky, kx)))
+    kx, ky = [], []
+    for th, off, inside in points:
+        rad = math.sqrt(2) * (1 - off if inside else 1 + off)
+        kx.append(rad * math.cos(th))
+        ky.append(rad * math.sin(th))
+    vals, resid = oc.occupation_limits(disp, model, kx, ky)
+    for x, y, v, res in zip(kx, ky, vals, resid):
+        eta = oc.default_eta(disp, model, x, y)
+        want = (oc.i1_closed_limit(disp, model, x, y, eta)
+                + oc.i2_quad(disp, model, x, y, eta, 0.0, 1e-9)
+                + (1.0 if float(disp.e(x, y)) < 0 else 0.0)
+                - oc.i3p_closed_limit(disp, x, y, eta)
+                + oc.i4_quad(disp, model, x, y, eta, 0.0, 1e-9))
+        assert abs(v - want.real) <= 1e-12
+        assert res <= 1e-8
 
 
 def test_fermi_sweep_validates_model(disp):
