@@ -1,11 +1,11 @@
 """fermi2d: multiscale RG toolkit for a two-dimensional Fermi liquid."""
 
 from .config import ScaleParams, load_config
-from .scales import (DispersionModel, Momentum, Propagator, ScaleInterval,
-                     ScaleModel, make_model, quadratic_model)
+from .scales import (DispersionModel, Momentum, ScaleInterval, ScaleModel,
+                     make_model, quadratic_model)
 
 __all__ = [
-    "DispersionModel", "Momentum", "Propagator", "ScaleInterval",
+    "DispersionModel", "Momentum", "ScaleInterval",
     "ScaleModel", "ScaleParams", "load_config", "make_model",
     "quadratic_model",
 ]

@@ -3,7 +3,9 @@
 The ladder path keeps its kernels here instead of in dense n^4 arrays:
 PairBlocks (built once per KernelSpace, as KernelSpace.pair_blocks) groups
 the support into dense blocks, and BlockKernel holds a kernel as its
-support vector, with the dense operations of the ladder path as gathers.
+support vector, with the dense operations of the ladder path as gathers:
+each one leg swap of the support (PairBlocks.swap), or, between a directed
+space and its undirected partner, the reduce_ph gather.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .kernels import _PH_TERMS, Kernel4, KernelSpace, zero_kernel
+from .kernels import Kernel4, KernelSpace, zero_kernel
 
 
 class PairBlocks:
@@ -68,6 +70,7 @@ class PairBlocks:
         self.size = int(self.offsets[-1])
         self.flat = np.concatenate([(r[:, None] * n * n + c).ravel()
                                     for r, c in zip(self.rows, self.cols)])
+        self._swaps: dict = {}
 
     def __len__(self):
         return len(self.keys)
@@ -75,48 +78,21 @@ class PairBlocks:
     def span(self, t: int) -> slice:
         return slice(self.offsets[t], self.offsets[t + 1])
 
-    @cached_property
-    def legs4(self) -> Tuple[np.ndarray, ...]:
-        """The four leg indices of every support entry."""
-        rows, cols = np.divmod(self.flat, self.n * self.n)
-        return (*np.divmod(rows, self.n), *np.divmod(cols, self.n))
-
-    @cached_property
-    def _sorted(self):
-        order = np.argsort(self.flat)
-        return order, self.flat[order]
-
-    def positions(self, a, b, c, d) -> np.ndarray:
-        """Support-vector position of each leg tuple, -1 off the support."""
-        order, flat = self._sorted
-        f = ((a * self.n + b) * self.n + c) * self.n + d
-        j = np.minimum(np.searchsorted(flat, f), len(flat) - 1)
-        return np.where(flat[j] == f, order[j], -1)
-
-    def permuted(self, perm) -> np.ndarray:
-        """Gather index of values.transpose(perm) on the support."""
-        src = [None] * 4
-        for ax, p in enumerate(perm):
-            src[p] = self.legs4[ax]
-        idx = self.positions(*src)
-        if (idx < 0).any():
-            raise ValueError(f"support not closed under the leg permutation {perm}")
-        return idx
-
-    @cached_property
-    def swaps(self) -> dict:
-        """Gather index of each axis swap (i, k), i < k (directed spaces)."""
-        out = {}
-        for k in range(1, 4):
-            for i in range(k):
-                perm = [0, 1, 2, 3]
-                perm[i], perm[k] = k, i
-                out[i, k] = self.permuted(perm)
-        return out
-
-    @cached_property
-    def flip_gather(self) -> np.ndarray:
-        return self.permuted((0, 2, 1, 3))
+    def swap(self, i: int, k: int) -> np.ndarray:
+        """Gather index of values.swapaxes(i, k) on the support, cached per
+        (i, k); ValueError when the support is not closed under the swap."""
+        if (i, k) not in self._swaps:
+            legs = list(np.unravel_index(self.flat, (self.n,) * 4))
+            legs[i], legs[k] = legs[k], legs[i]
+            f = np.ravel_multi_index(legs, (self.n,) * 4)
+            order = np.argsort(self.flat)
+            j = np.searchsorted(self.flat, f, sorter=order)
+            idx = order[np.minimum(j, len(order) - 1)]
+            if not np.array_equal(self.flat[idx], f):
+                raise ValueError(
+                    f"support not closed under the leg swap ({i}, {k})")
+            self._swaps[i, k] = idx
+        return self._swaps[i, k]
 
     @cached_property
     def ph(self) -> List[Tuple[int, np.ndarray, np.ndarray]]:
@@ -143,26 +119,6 @@ class PairBlocks:
         return np.concatenate([
             (self.offsets[t] + r[:, None] * len(self.cols[t]) + c).ravel()
             for t, r, c in self.ph])
-
-    @cached_property
-    def ph_embedding(self) -> Tuple[np.ndarray, np.ndarray]:
-        """value_ph onto this directed space as (position in the undirected
-        partner's support vector, -1 for none; sign) per support entry."""
-        und = self.space.undirected()
-        u_of = np.empty(self.n, dtype=int)
-        u_of[self.space.iota(0, und)] = np.arange(und.n)
-        u_of[self.space.iota(1, und)] = np.arange(und.n)
-        bars = np.stack([self.space.leg_bar[x] for x in self.legs4], axis=1)
-        idx = np.full(self.size, -1)
-        sign = np.zeros(self.size)
-        for pattern, perm, sgn in _PH_TERMS:
-            hit = (bars == pattern).all(axis=1)
-            src = [None] * 4
-            for ax, p in enumerate(perm):
-                src[p] = u_of[self.legs4[ax][hit]]
-            idx[hit] = und.pair_blocks.positions(*src)
-            sign[hit] = sgn
-        return idx, sign
 
 
 @dataclass
@@ -234,18 +190,19 @@ class BlockKernel:
 
     def antisymmetrize(self) -> "BlockKernel":
         """The coset product of antisymmetrize, each axis swap a gather."""
-        swaps = self.space.pair_blocks.swaps
+        pb = self.space.pair_blocks
         out = self.values
         for k in range(1, 4):
             acc = out.copy()
             for i in range(k):
-                acc -= out[swaps[i, k]]
+                acc -= out[pb.swap(i, k)]
             out = acc
         return BlockKernel(self.space, out / 24.0)
 
     def flip(self) -> "BlockKernel":
-        gather = self.space.pair_blocks.flip_gather
-        return BlockKernel(self.space, -self.values[gather])
+        """Minus the middle-leg swap."""
+        swap = self.space.pair_blocks.swap(1, 2)
+        return BlockKernel(self.space, -self.values[swap])
 
     def reduce_ph(self) -> "BlockKernel":
         """Onto the undirected partner space."""
@@ -253,6 +210,12 @@ class BlockKernel:
                            self.values[self.space.pair_blocks.ph_gather])
 
     def value_ph(self, directed: KernelSpace) -> "BlockKernel":
-        """From the undirected partner of directed onto directed."""
-        idx, sign = directed.pair_blocks.ph_embedding
-        return BlockKernel(directed, sign * np.append(self.values, 0.0)[idx])
+        """From the undirected partner of directed onto directed: the values
+        at bars (0, 1, 1, 0), times (1 - tau_01)(1 - tau_23), which are the
+        four signed terms of kernels.value_ph, one per bar pattern."""
+        pb = directed.pair_blocks
+        out = np.zeros(pb.size, dtype=complex)
+        out[pb.ph_gather] = self.values
+        out -= out[pb.swap(0, 1)]
+        out -= out[pb.swap(2, 3)]
+        return BlockKernel(directed, out)

@@ -182,22 +182,18 @@ def run_ladder_demo(args) -> int:
     sp = kern.space
     ext = sp.field_indices(0)
     g = sp.grid
+    block = kern.values[np.ix_(ext, ext, ext, ext)]
+    nonzero = block != 0
     rows = []
-    for i1 in ext:
-        for i2 in ext:
-            for i3 in ext:
-                for i4 in ext:
-                    v = kern.values[i1, i2, i3, i4]
-                    if v == 0:
-                        continue
-                    t0 = g.k0[sp.leg_k[i1]] - g.k0[sp.leg_k[i2]]
-                    tx = g.kx[sp.leg_k[i1]] - g.kx[sp.leg_k[i2]]
-                    ty = g.ky[sp.leg_k[i1]] - g.ky[sp.leg_k[i2]]
-                    rows.append({"i1": int(i1), "i2": int(i2), "i3": int(i3),
-                                 "i4": int(i4), "t0": float(t0),
-                                 "tabs": float(math.hypot(tx, ty)),
-                                 "re": float(v.real), "im": float(v.imag),
-                                 "telescope_residual": float(report.residual)})
+    for (i1, i2, i3, i4), v in zip(ext[np.argwhere(nonzero)], block[nonzero]):
+        t0 = g.k0[sp.leg_k[i1]] - g.k0[sp.leg_k[i2]]
+        tx = g.kx[sp.leg_k[i1]] - g.kx[sp.leg_k[i2]]
+        ty = g.ky[sp.leg_k[i1]] - g.ky[sp.leg_k[i2]]
+        rows.append({"i1": int(i1), "i2": int(i2), "i3": int(i3),
+                     "i4": int(i4), "t0": float(t0),
+                     "tabs": float(math.hypot(tx, ty)),
+                     "re": float(v.real), "im": float(v.imag),
+                     "telescope_residual": float(report.residual)})
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(emit(rows, LADDER_COLUMNS, args.format))
     sym_ok = is_inversion_symmetric(report.iterated, tol=1e-11) \

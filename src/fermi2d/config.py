@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Keys recognized at top level of a config file.
-PARAM_KEYS = ("M", "aleph", "alephPrime", "j0", "Jmax", "lambda0", "upsilon")
 MODEL_KEY = "model"
 
 
@@ -23,7 +21,7 @@ class ScaleParams:
     scales entering the norm budgets.  r0/r are the tracked derivative orders
     (temporal/spatial) of the majorant series; alpha and bconst are the
     aggregation weights of the scale norms (defaults are non-canonical, see
-    README).  n0 is the stored asymmetry degree; it is never used in bounds.
+    README).
     """
 
     M: float = 2.0
@@ -37,7 +35,6 @@ class ScaleParams:
     r: int = 2
     alpha: float = 2.0
     bconst: float = 1.0
-    n0: int = 6
 
     def __post_init__(self):
         if not self.M > 1.0:
@@ -109,7 +106,6 @@ def params_from_mapping(mapping: dict) -> ScaleParams:
         "bconst": ("bconst", float),
         "r0": ("r0", int),
         "r": ("r", int),
-        "n0": ("n0", int),
     }
     for key, (field, typ) in conv.items():
         if key in mapping:

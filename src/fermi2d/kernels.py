@@ -343,6 +343,16 @@ def _apply_per_axis(values: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarra
     return out
 
 
+def _scale_axes(values: np.ndarray, diags: Sequence[np.ndarray]) -> np.ndarray:
+    """values times the diagonal diags[ax] along each axis ax, in axis
+    order."""
+    for ax, d in enumerate(diags):
+        shape = [1] * values.ndim
+        shape[ax] = len(d)
+        values = values * d.reshape(shape)
+    return values
+
+
 def _conversion_matrix(src: KernelSpace, dst: KernelSpace,
                        B: Callable, to_field: int) -> np.ndarray:
     """dst x src matrix: identity on shared legs plus B(k)-weighted
@@ -380,9 +390,7 @@ def _scale_field(kern: Kernel4, B: Callable, field: int) -> Kernel4:
     d = np.ones(sp.n, dtype=complex)
     for i in np.flatnonzero(sp.leg_field == field):
         d[i] = B(*sp.grid.values(sp.leg_k[i]))
-    v = kern.values * d[:, None, None, None] * d[None, :, None, None] \
-        * d[None, None, :, None] * d[None, None, None, :]
-    return Kernel4(sp, v)
+    return Kernel4(sp, _scale_axes(kern.values, [d] * 4))
 
 
 def sct_prime(kern: Kernel4, B: Callable) -> Kernel4:
@@ -412,13 +420,8 @@ def pi_collapse(kern: Kernel4, dst: Optional[KernelSpace] = None) -> Kernel4:
 def s_kappa(kern: Kernel4, kappas: Sequence[complex]) -> Kernel4:
     """Scale the component with index vector i by prod_p kappa_p^(1-i_p)."""
     sp = kern.space
-    v = kern.values
-    for ax, kap in enumerate(kappas):
-        d = np.asarray(kap, dtype=complex) ** (1 - sp.leg_field)
-        shape = [1, 1, 1, 1]
-        shape[ax] = sp.n
-        v = v * d.reshape(shape)
-    return Kernel4(sp, v)
+    return Kernel4(sp, _scale_axes(kern.values, [
+        np.asarray(kap, dtype=complex) ** (1 - sp.leg_field) for kap in kappas]))
 
 
 def component_mask(space: KernelSpace, ivec: Sequence[int]) -> List[np.ndarray]:
@@ -438,12 +441,9 @@ def extract_component(kern: Kernel4, ivec: Sequence[int]) -> Kernel4:
     sp = kern.space
     nn = 2 - min(sp.fields)
     nodes = np.exp(2j * np.pi * np.arange(nn) / nn)
-    out = kern.values
-    for ax, ip in enumerate(ivec):
-        filt = (nodes[:, None] ** ((1 - sp.leg_field) - (1 - ip))).mean(axis=0)
-        shape = [1, 1, 1, 1]
-        shape[ax] = sp.n
-        out = out * filt.reshape(shape)
+    out = _scale_axes(kern.values, [
+        (nodes[:, None] ** ((1 - sp.leg_field) - (1 - ip))).mean(axis=0)
+        for ip in ivec])
     keep = np.zeros_like(out, dtype=bool)
     keep[np.ix_(*component_mask(sp, ivec))] = True
     return Kernel4(sp, np.where(keep, out, 0.0))

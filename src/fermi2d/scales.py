@@ -150,18 +150,6 @@ class ScaleInterval:
         return f"[{self.lo}, {self.hi}]"
 
 
-@dataclass(frozen=True)
-class Propagator:
-    """A momentum-space covariance with a recorded scale support."""
-
-    eval: Callable
-    support: ScaleInterval
-    label: str = ""
-
-    def __call__(self, k0, kx, ky):
-        return self.eval(k0, kx, ky)
-
-
 class ScaleModel:
     """Scale functions, shells and covariances for one dispersion model."""
 
@@ -264,10 +252,3 @@ class ScaleModel:
         if np.ndim(nu) == 0:
             return complex(out)
         return out
-
-    def propagator(self, interval: ScaleInterval, u: Optional[Callable] = None,
-                   label: str = "") -> Propagator:
-        def ev(k0, kx, ky):
-            return self.covariance(interval, u, k0, kx, ky)
-
-        return Propagator(eval=ev, support=interval, label=label or f"C^{interval}")

@@ -102,9 +102,9 @@ class Sector:
     def center(self) -> float:
         return 0.5 * (self.s_lo + self.s_hi)
 
-    def arc_contains(self, s, fattened: bool = True) -> bool:
-        """Membership of an arc position, cyclically."""
-        margin = self.arc_margin if fattened else 0.0
+    def arc_contains(self, s) -> bool:
+        """Membership of an arc position in the fattened arc, cyclically."""
+        margin = self.arc_margin
         L = self.curve.length
         rel = np.mod(np.asarray(s, dtype=float) - (self.s_lo - margin), L)
         return bool(np.all(rel < (self.s_hi - self.s_lo) + 2 * margin))

@@ -1,10 +1,12 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermi2d import cli
 from fermi2d.blocks import BlockKernel
 from fermi2d.kernels import (KernelSpace, antisymmetrize, conservation_mask,
                              flip, make_grid, number_conserving_mask,
@@ -39,10 +41,41 @@ def test_block_operations_match_dense(small_spaces, data, seed):
     for block, dense in ((bf.antisymmetrize(), antisymmetrize(f)),
                          (bf.reduce_ph(), reduce_ph(f, und)),
                          (bL.value_ph(sp), value_ph(L, sp)),
-                         (bL.flip(), flip(L))):
+                         (bL.flip(), flip(L)),
+                         (bf.flip(), flip(f))):
         assert block.space is dense.space
         assert np.array_equal(block.dense().values, dense.values)
         BlockKernel.from_dense(dense)
+
+
+def test_antisymmetrize_rejects_an_undirected_space():
+    # the undirected support (bars (+, -, -, +)) is not closed under the
+    # leg swaps of antisymmetrize
+    und = KernelSpace(make_grid([(0.25, 1.2, 0.55)]), nspin=1, nsec=1,
+                      directed=False)
+    bf = BlockKernel.from_dense(random_kernel(und, np.random.default_rng(3)))
+    with pytest.raises(ValueError, match="not closed"):
+        bf.antisymmetrize()
+
+
+def test_block_operations_keep_no_build_tables(params, disp):
+    # once the antisymmetrize swaps exist, warming flip, reduce_ph,
+    # value_ph and the undirected flip keeps only their small gathers: no
+    # leg-index or sort table of their build stays cached
+    scheme, fam = cli._demo_scheme_and_family(params, disp, 1, 0, [2, 3])
+    sp, f = scheme.space(2), fam.F[2]
+    f.antisymmetrize()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        L = f.flip().reduce_ph()
+        L.value_ph(sp)
+        L.flip()
+        del L
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 8 * sp.pair_blocks.size
 
 
 def test_off_support_kernel_rejected():

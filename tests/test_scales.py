@@ -186,14 +186,6 @@ def test_covariance_rejects_large_u_with_large_denominator(scales, fermi_point):
         scales.covariance(ScaleInterval.at(4), u_big, 0.05, kx, ky)
 
 
-def test_propagator_wrapper(scales):
-    prop = scales.propagator(ScaleInterval.ge(3))
-    val = prop(0.09, 1.38, 0.2)
-    direct = scales.covariance(ScaleInterval.ge(3), None, 0.09, 1.38, 0.2)
-    assert val == direct
-    assert prop.support == ScaleInterval.ge(3)
-
-
 def test_params_validation():
     with pytest.raises(ValueError):
         ScaleParams(aleph=0.7)   # above aleph'
