@@ -94,7 +94,6 @@ def g_profile(name: str):
 
 
 def run_jump_sweep(args) -> int:
-    # occupation loads scipy.integrate; only this scenario needs it
     from . import occupation as oc
 
     try:

@@ -500,24 +500,33 @@ def grid_sup_derivatives(f: Callable, box, shape, max_order: int,
 
 def sup_derivatives(F: np.ndarray, steps, max_order: int) -> dict:
     """sup |D^delta F| for every multi-index delta with |delta| <= max_order,
-    from central differences (np.gradient) on a regular grid of spacings
-    steps.
+    from central differences on a regular grid of spacings steps.
 
-    D^delta is one gradient pass on its parent, delta less one unit on its
-    last nonzero axis, so each derivative costs one pass and the passes of
-    a delta run in ascending axis order.  The sup skips sum(delta) cells
-    per side, where the differences are one-sided.
+    D^delta is one pass (D[2:] - D[:-2]) / (2 step) along one axis, the
+    interior formula of np.gradient, on its parent, delta less one unit on
+    its last nonzero axis, so each derivative costs one pass and the passes
+    of a delta run in ascending axis order.  A pass drops one cell per side
+    on its axis.  The sup skips sum(delta) cells per side of the full grid
+    on every axis, the cells that one-sided edge differences would reach,
+    and is NaN when a measured cell is.
     """
     sups = {}
 
     def visit(D, delta, first_axis):
         total = sum(delta)
-        sl = tuple(slice(total, -total) if total else slice(None) for _ in delta)
-        sups[delta] = float(np.abs(D[sl]).max())
+        A = D[tuple(slice(total - d, D.shape[a] - total + d)
+                    for a, d in enumerate(delta))]
+        if np.iscomplexobj(A):
+            sups[delta] = float(np.abs(A).max())
+        else:
+            # abs maps a -0.0 sup to 0.0, as np.abs would
+            sups[delta] = abs(float(max(A.max(), -A.min())))
         if total < max_order:
             for ax in range(first_axis, D.ndim):
                 child = delta[:ax] + (delta[ax] + 1,) + delta[ax + 1:]
-                visit(np.gradient(D, steps[ax], axis=ax), child, ax)
+                pre = (slice(None),) * ax
+                visit((D[pre + (slice(2, None),)] - D[pre + (slice(None, -2),)])
+                      / (2. * steps[ax]), child, ax)
 
     visit(F, (0,) * F.ndim, 0)
     return sups

@@ -11,18 +11,24 @@ the whole line (known by residues), I3' its |k0| < eta part, and I4 the
 interacting-minus-free tail.  The tau -> 0+ limit is evaluated through the
 closed forms for I1, I3, I3' plus direct quadrature of I2 and I4, whose
 integrands stay dominated at tau = 0; occupation_limits integrates them
-for many points at once, as one vector on shared intervals.  Across the
+for many points at once, as one vector on shared intervals, with the
+in-tree adaptive Gauss-Kronrod 21 rule (_gk21_adaptive).  Across the
 Fermi curve the limit jumps by 1 / (1 - (1/i) dS/dk0(0, kbar)).
+
+scipy.integrate is imported only by _quad, the scalar quadrature of the
+tau > 0 pieces, the Q term and time_domain_free_ft, so a tau -> 0 sweep
+loads no scipy.
 """
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .scales import DispersionModel
 
@@ -120,6 +126,8 @@ def _quad(f, a, b, tol, **quad_kwargs) -> float:
     """integrate.quad of a real f at epsabs = tol, checked: raises
     QuadratureError when scipy warns or the error estimate exceeds 50 times
     the requested accuracy, max(tol, epsrel |value|) when epsrel is given."""
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
@@ -138,15 +146,141 @@ def _quad_complex(f, a, b, tol, **quad_kwargs) -> complex:
     return re + 1j * im
 
 
+# GK21 of QUADPACK (Piessens et al., 1983): the positive Kronrod nodes, the
+# Kronrod weights of those nodes and of 0, and the 10-point Gauss weights of
+# the odd-numbered nodes; the rule is symmetric about 0.
+_KRONROD_X = (0.995657163025808080735527280689003,
+              0.973906528517171720077964012084452,
+              0.930157491355708226001207180059508,
+              0.865063366688984510732096688423493,
+              0.780817726586416897063717578345042,
+              0.679409568299024406234327365114874,
+              0.562757134668604683339000099272694,
+              0.433395394129247190799265943165784,
+              0.294392862701460198131126603103866,
+              0.148874338981631210884826001129720)
+_KRONROD_V = (0.011694638867371874278064396062192,
+              0.032558162307964727478818972459390,
+              0.054755896574351996031381300244580,
+              0.075039674810919952767043140916190,
+              0.093125454583697605535065465083366,
+              0.109387158802297641899210590325805,
+              0.123491976262065851077958109831074,
+              0.134709217311473325928054001771707,
+              0.142775938577060080797094273138717,
+              0.147739104901338491374841515972068)
+_KRONROD_V0 = 0.149445554002916905664936468389821
+_GAUSS_W = (0.066671344308688137593568809893332,
+            0.149451349150580593145776339657697,
+            0.219086362515982043995534934228163,
+            0.269266719309996355091226921569469,
+            0.295524224714752870173892994651338)
+_GK21_X = _KRONROD_X + (0.0,) + tuple(-x for x in reversed(_KRONROD_X))
+_GK21_V = _KRONROD_V + (_KRONROD_V0,) + _KRONROD_V[::-1]
+_GK21_W = _GAUSS_W + _GAUSS_W[::-1]     # at nodes 1, 3, ..., 19
+
+# the adaptive driver: subintervals kept at most, intervals bisected per
+# round at most, bytes of cached interval integrals at most, and the
+# message of each status
+_GK21_LIMIT = 10000
+_GK21_BATCH = 128
+_GK21_CACHE_BYTES = 100e6
+_GK21_STATUS = ("Target precision reached.",
+                "Target precision not reached.",
+                "Target precision could not be reached due to rounding error.",
+                "Non-finite values encountered.")
+
+
+def _max_norm(x) -> float:
+    return float(np.max(np.abs(x)))
+
+
+def _gk21(f, a, b):
+    """GK21 of f on [a, b]: (integral, error estimate, rounding error), the
+    error estimated as QUADPACK does, in the max norm."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fv = [f(c + h * x) for x in _GK21_X]
+    s_k = s_k_abs = s_g = s_k_dabs = 0.0
+    for v, y in zip(_GK21_V, fv):
+        s_k += v * y
+        s_k_abs += v * abs(y)
+    for w, y in zip(_GK21_W, fv[1::2]):
+        s_g += w * y
+    y0 = s_k / 2.0
+    for v, y in zip(_GK21_V, fv):
+        s_k_dabs += v * abs(y - y0)
+    err = _max_norm((s_k - s_g) * h)
+    dabs = _max_norm(s_k_dabs * h)
+    if dabs != 0 and err != 0:
+        err = dabs * min(1.0, (200 * err / dabs) ** 1.5)
+    round_err = _max_norm(50 * sys.float_info.epsilon * h * s_k_abs)
+    if round_err > sys.float_info.min:
+        err = max(err, round_err)
+    return h * s_k, err, round_err
+
+
+def _gk21_adaptive(f, a, b, tol):
+    """Global adaptive GK21 quadrature of a vector-valued f on a finite
+    [a, b] at epsabs = epsrel = tol in the max norm, with the algorithm and
+    results of scipy.integrate.quad_vec(norm="max"): each round bisects the
+    intervals of largest error (up to _GK21_BATCH, until their errors cover
+    the excess over tol/8), reusing each parent's cached integral.
+
+    Returns (integral, error estimate, status), status an index into
+    _GK21_STATUS: 0 once the error is below tol/8 on at least 2 intervals,
+    2 when rounding dominates it, 3 on a non-finite error, 1 at
+    _GK21_LIMIT intervals.
+    """
+    ig, error, rounding = _gk21(f, a, b)
+    total = ig
+    heap = [(-error, a, b)]
+    cache = {(a, b): ig}                  # oldest entries are evicted first
+    cache_len = _GK21_CACHE_BYTES // sys.getsizeof(ig)
+    status = 1
+    while heap and len(heap) < _GK21_LIMIT:
+        goal = max(tol, tol * _max_norm(total))
+        batch, batch_err = [], 0.0
+        while heap and len(batch) < _GK21_BATCH and not (
+                batch and batch_err > error - goal / 8):
+            neg_err, lo, hi = heapq.heappop(heap)
+            batch.append((-neg_err, lo, hi, cache.pop((lo, hi), None)))
+            batch_err += -neg_err
+        for old_err, lo, hi, old in batch:
+            mid = 0.5 * (lo + hi)
+            s1, e1, r1 = _gk21(f, lo, mid)
+            s2, e2, r2 = _gk21(f, mid, hi)
+            if old is None:
+                old = _gk21(f, lo, hi)[0]
+            total = total + (s1 + s2 - old)
+            error += e1 + e2 - old_err
+            rounding += r1 + r2
+            for x1, x2, s, e in ((lo, mid, s1, e1), (mid, hi, s2, e2)):
+                cache[(x1, x2)] = s
+                if len(cache) > cache_len:
+                    del cache[next(iter(cache))]
+                heapq.heappush(heap, (-e, x1, x2))
+        if len(heap) >= 2:
+            if error < max(tol, tol * _max_norm(total)) / 8:
+                status = 0
+                break
+            if error < rounding:
+                status = 2
+                break
+        if not (math.isfinite(error) and math.isfinite(rounding)):
+            status = 3
+            break
+    return total, error + rounding, status
+
+
 def _quad_vec(f, a, b, tol) -> np.ndarray:
-    """integrate.quad_vec of a vector-valued f in the max norm at
-    epsabs = epsrel = tol, checked like _quad: raises QuadratureError when it
-    does not converge or its error estimate exceeds 50 max(tol, tol |value|)."""
-    val, err, info = integrate.quad_vec(f, a, b, epsabs=tol, epsrel=tol,
-                                        norm="max", full_output=True)
-    if info.status != 0:
-        raise QuadratureError(info.message)
-    if err > 50 * max(tol, tol * np.max(np.abs(val))):
+    """_gk21_adaptive of a vector-valued f, checked like _quad: raises
+    QuadratureError when it does not converge or its error estimate exceeds
+    50 max(tol, tol |value|), |value| the max norm."""
+    val, err, status = _gk21_adaptive(f, a, b, tol)
+    if status != 0:
+        raise QuadratureError(_GK21_STATUS[status])
+    if err > 50 * max(tol, tol * _max_norm(val)):
         raise QuadratureError(f"estimated error {err:.2e}")
     return val
 
@@ -283,7 +417,7 @@ def occupation_limits(disp, model, kx, ky, eta=None, quad_tol: float = 1e-9,
     I1, I3 and I3' are the closed forms.  I2 (k0 = +-eta t) and the I4 tail
     (k0 = +-eta/t, dk0 = eta/t^2 dt) are mapped onto t in (0, 1] and folded,
     so the I2 + I4 integrands of all points form one complex vector,
-    integrated by a single checked quad_vec call.  Near the curve eta is
+    integrated by a single checked _quad_vec call.  Near the curve eta is
     proportional to |E|, so the near-pole structure of every point has the
     same width in t and one adaptive subdivision serves all points.
     Returns arrays (values, imaginary residuals) in the broadcast shape of

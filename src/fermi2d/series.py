@@ -42,6 +42,16 @@ def _xmul(a: float, b: float) -> float:
     return max(a * b, _TINY)
 
 
+def _sum(terms) -> float:
+    # exactly rounded (math.fsum, so independent of the order of terms) sum
+    # of terms in [0, inf]; fsum raises on a finite sum beyond the float
+    # range, which is inf here
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return INF
+
+
 @dataclass(frozen=True)
 class FormalSeries:
     r0: int
@@ -81,16 +91,16 @@ class FormalSeries:
         return self._like({d: self.get(d) + other.get(d) for d in self.region()})
 
     def __mul__(self, other: "FormalSeries") -> "FormalSeries":
+        """Cauchy product; each coefficient is the exactly rounded sum of its
+        terms, so a * b == b * a bit for bit."""
         self._check_compatible(other)
         out = {}
         for d in self.region():
-            acc = 0.0
-            for a0 in range(d[0] + 1):
-                for a1 in range(d[1] + 1):
-                    for a2 in range(d[2] + 1):
-                        acc += _xmul(self.get((a0, a1, a2)),
-                                     other.get((d[0] - a0, d[1] - a1, d[2] - a2)))
-            out[d] = acc
+            out[d] = _sum(_xmul(self.get((a0, a1, a2)),
+                                other.get((d[0] - a0, d[1] - a1, d[2] - a2)))
+                          for a0 in range(d[0] + 1)
+                          for a1 in range(d[1] + 1)
+                          for a2 in range(d[2] + 1))
         return self._like(out)
 
     def scale(self, c: float) -> "FormalSeries":

@@ -424,6 +424,41 @@ def test_grid_sup_derivatives_scalar_member():
     assert set(sups.values()) == {0.0}
 
 
+def _gradient_sups(F, steps, max_order):
+    # reference: one full np.gradient pass per derivative, the sup taken on
+    # the cells |delta| away from every edge
+    sups = {}
+    for delta in itertools.product(range(max_order + 1), repeat=F.ndim):
+        total = sum(delta)
+        if total > max_order:
+            continue
+        D = F
+        for ax, d in enumerate(delta):
+            for _ in range(d):
+                D = np.gradient(D, steps[ax], axis=ax)
+        sl = tuple(slice(total, -total) if total else slice(None) for _ in delta)
+        sups[delta] = float(np.abs(D[sl]).max())
+    return sups
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_sup_derivatives_matches_np_gradient(dtype):
+    rng = np.random.default_rng(11)
+    F = rng.normal(size=(9, 8, 7)).astype(dtype)
+    if dtype is complex:
+        F += 1j * rng.normal(size=F.shape)
+    steps = (0.1, 0.25, 0.3)
+    assert sup_derivatives(F, steps, 2) == _gradient_sups(F, steps, 2)
+
+
+def test_sup_derivatives_nan_and_signed_zero():
+    F = np.ones((9, 8, 7))
+    F[4, 4, 3] = np.nan
+    assert all(math.isnan(v) for v in sup_derivatives(F, (0.1,) * 3, 2).values())
+    zero = sup_derivatives(np.full((9, 8, 7), -0.0), (0.1,) * 3, 2)
+    assert all(math.copysign(1.0, v) == 1.0 for v in zero.values())
+
+
 def test_momentum_norm_tilde_open_grid():
     params = ScaleParams()
 

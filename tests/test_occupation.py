@@ -1,12 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from fermi2d import cli
 from fermi2d import occupation as oc
@@ -231,7 +234,7 @@ def _quad_huge_error(f, a, b, **kwargs):
 
 
 def _quad_warns(f, a, b, **kwargs):
-    warnings.warn("roundoff error is detected", oc.integrate.IntegrationWarning)
+    warnings.warn("roundoff error is detected", integrate.IntegrationWarning)
     return 0.0, 0.0
 
 
@@ -244,26 +247,27 @@ def _quad_warns(f, a, b, **kwargs):
     lambda disp, model: oc.time_domain_free_ft(disp, 1.2, 0.0, 0.7, 0.1),
 ], ids=["occupation_N", "i3_cutoff_quad", "ft-k0-zero", "ft-k0-nonzero"])
 def test_quadrature_failure_raises(disp, model, monkeypatch, fake, evaluate):
-    monkeypatch.setattr(oc.integrate, "quad", fake)
+    # _quad imports scipy.integrate when called, so it meets the patched quad
+    monkeypatch.setattr(integrate, "quad", fake)
     with pytest.raises(oc.QuadratureError):
         evaluate(disp, model)
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, owner, name):
     calls = []
-    real = getattr(oc.integrate, name)
+    real = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls.append(name)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(oc.integrate, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
 def test_fermi_sweep_is_one_vector_quadrature(disp, model, monkeypatch):
-    vec_calls = _counting(monkeypatch, "quad_vec")
-    quad_calls = _counting(monkeypatch, "quad")
+    vec_calls = _counting(monkeypatch, oc, "_gk21_adaptive")
+    quad_calls = _counting(monkeypatch, integrate, "quad")
     rows = oc.fermi_sweep(disp, model, npoints=4)
     assert (len(vec_calls), len(quad_calls)) == (1, 0)
     d = 1e-3  # deltas[-1]
@@ -276,13 +280,12 @@ def test_fermi_sweep_is_one_vector_quadrature(disp, model, monkeypatch):
         assert abs(r.n_out - n_out) <= 1e-12
 
 
-def _vec_not_converged(f, a, b, **kwargs):
-    return np.zeros_like(f(0.5)), 0.0, SimpleNamespace(
-        status=1, message="Target precision not reached.")
+def _vec_not_converged(f, a, b, tol):
+    return np.zeros_like(f(0.5)), 0.0, 1
 
 
-def _vec_huge_error(f, a, b, **kwargs):
-    return np.zeros_like(f(0.5)), 1.0, SimpleNamespace(status=0, message="")
+def _vec_huge_error(f, a, b, tol):
+    return np.zeros_like(f(0.5)), 1.0, 0
 
 
 @pytest.mark.parametrize("fake", [_vec_not_converged, _vec_huge_error],
@@ -290,14 +293,14 @@ def _vec_huge_error(f, a, b, **kwargs):
 def test_fermi_sweep_redoes_each_angle_when_the_batch_fails(
         disp, model, monkeypatch, fake):
     want = oc.fermi_sweep(disp, model, npoints=4)
-    real = oc.integrate.quad_vec
+    real = oc._gk21_adaptive
     calls = []
 
-    def batch_fails(f, a, b, **kwargs):
+    def batch_fails(f, a, b, tol):
         calls.append(1)
-        return (fake if len(calls) == 1 else real)(f, a, b, **kwargs)
+        return (fake if len(calls) == 1 else real)(f, a, b, tol)
 
-    monkeypatch.setattr(oc.integrate, "quad_vec", batch_fails)
+    monkeypatch.setattr(oc, "_gk21_adaptive", batch_fails)
     rows = oc.fermi_sweep(disp, model, npoints=4)
     assert len(calls) == 1 + 4
     for r, w in zip(rows, want):
@@ -310,7 +313,7 @@ def test_fermi_sweep_redoes_each_angle_when_the_batch_fails(
                          ids=["status", "error-estimate"])
 def test_fermi_sweep_flags_every_failed_angle(disp, model, monkeypatch, fake,
                                               tmp_path, capsys):
-    monkeypatch.setattr(oc.integrate, "quad_vec", fake)
+    monkeypatch.setattr(oc, "_gk21_adaptive", fake)
     rows = oc.fermi_sweep(disp, model, npoints=3)
     assert [r.flag for r in rows] == ["QuadratureError"] * 3
     assert all(math.isnan(r.jump_measured) for r in rows)
@@ -327,7 +330,7 @@ def test_fermi_sweep_flags_every_failed_angle(disp, model, monkeypatch, fake,
 
 
 def test_fermi_sweep_without_points(disp, model, monkeypatch):
-    calls = _counting(monkeypatch, "quad_vec")
+    calls = _counting(monkeypatch, oc, "_gk21_adaptive")
     assert oc.fermi_sweep(disp, model, npoints=0) == []
     assert calls == []
 
@@ -386,3 +389,94 @@ def test_jump_matches_prediction_for_constant_g(disp, g, lam_g, theta):
     lam = lam_g / g
     row = oc.jump_at(disp, oc.linear_self_energy(lam, lambda kx, ky: g), theta)
     assert abs(row.jump_measured - 1.0 / (1.0 - lam * g)) <= 1e-3
+
+
+def _sweep_integrand(disp):
+    # the I2 + I4 integrand of occupation_limits at 8 points near the curve
+    model = oc.linear_self_energy(
+        0.17, lambda kx, ky: 0.6 + 0.3 * np.cos(np.arctan2(ky, kx)))
+    th = np.linspace(0.0, 2 * math.pi, 4, endpoint=False)[:, None]
+    r = disp.fermi_radius(th) + np.array([-2e-3, 1e-3])
+    seen = []
+
+    def record(f, a, b, tol):
+        seen.append(f)
+        return np.zeros_like(f(1.0))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oc, "_quad_vec", record)
+        oc.occupation_limits(disp, model, r * np.cos(th), r * np.sin(th))
+    return seen[0]
+
+
+_RATES = np.linspace(0.1, 3.0, 7)
+_POLY = np.random.default_rng(2).normal(size=(5, 32))
+
+
+@pytest.mark.parametrize("make, tol", [
+    (lambda disp: lambda t: np.exp(1j * _RATES * t) / (1 + _RATES * t * t),
+     1e-10),
+    (_sweep_integrand, 1e-9),
+    (_sweep_integrand, 1e-3),
+    (lambda disp: lambda t: _POLY @ t ** np.arange(32), 1e-12),
+    (lambda disp: lambda t: np.array([1 / np.sqrt(t), np.log(t)]), 1e-10),
+    (lambda disp: lambda t: np.sin(1 / (t + 1e-3)) * _RATES, 1e-12),
+    (lambda disp: lambda t: np.array([1.0, np.nan if t > 0.3 else 1.0]), 1e-9),
+], ids=["smooth-complex", "sweep-tight", "sweep-cli-tol", "degree-31",
+        "endpoint-singular", "oscillating", "nan"])
+def test_gk21_adaptive_matches_scipy_quad_vec(disp, make, tol):
+    f = make(disp)
+    nodes = []
+
+    def counted(t):
+        nodes.append(t)
+        return f(t)
+
+    with np.errstate(invalid="ignore"):
+        val, err, status = oc._gk21_adaptive(counted, 0.0, 1.0, tol)
+        want, want_err, info = integrate.quad_vec(
+            f, 0.0, 1.0, epsabs=tol, epsrel=tol, norm="max", full_output=True)
+    assert np.array_equal(val, want, equal_nan=True)
+    assert np.array_equal(err, want_err, equal_nan=True)
+    assert status == info.status
+    assert oc._GK21_STATUS[status] == info.message
+    assert len(nodes) == info.neval     # f once per node, parents cached
+
+
+def test_gk21_integrates_degree_31_exactly():
+    val, _, status = oc._gk21_adaptive(lambda t: _POLY @ t ** np.arange(32),
+                                       0.0, 1.0, 1e-12)
+    exact = _POLY @ (1.0 / np.arange(1, 33))
+    assert status == 0
+    assert np.max(np.abs(val - exact)) <= 1e-13
+
+
+def test_quad_vec_raises_on_non_finite_values():
+    with np.errstate(invalid="ignore"):
+        _, _, status = oc._gk21_adaptive(
+            lambda t: np.array([np.nan, 1.0]), 0.0, 1.0, 1e-9)
+        assert status == 3
+        with pytest.raises(oc.QuadratureError,
+                           match="Non-finite values encountered"):
+            oc._quad_vec(lambda t: np.array([np.nan, 1.0]), 0.0, 1.0, 1e-9)
+
+
+def test_jump_sweep_loads_no_scipy(tmp_path):
+    # a fresh interpreter: a module-level scipy import anywhere on the
+    # jump-sweep path would show up in sys.modules
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("[scenario]\nnpoints = 8\nlambda = 0.17\n"
+                   "gprofile = cosine\ntol = 1e-3\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oc.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = ("import sys\n"
+            "from fermi2d import cli\n"
+            f"rc = cli.main(['jump-sweep', '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 'sweep.csv')!r}])\n"
+            "print(rc, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0", "[]"]

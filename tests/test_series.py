@@ -90,6 +90,11 @@ def test_e_series_monotone(Xa, Xb):
 @given(series_strategy, series_strategy, series_strategy)
 @example(small_series({(0, 0, 0): 1e-200}), small_series({(0, 0, 0): 1e-200}),
          small_series({(0, 0, 0): INF}))  # a * b underflows
+@example(small_series({(0, 0, 1): INF, (0, 0, 0): 2.0,
+                       (2, 0, 2): 1.6231663313947489, (0, 0, 2): 2.0}),
+         small_series({(0, 0, 1): INF, (0, 0, 0): 0.375, (2, 0, 2): 3.0,
+                       (0, 1, 0): INF, (2, 0, 0): 1.0}),
+         small_series({}))  # a * b and b * a sum their terms in reverse order
 def test_ring_laws(a, b, c):
     # commutativity is bit-exact; associativity/distributivity hold exactly
     # in the extended (inf-absorbing) structure and to machine precision in
