@@ -78,15 +78,24 @@ class PairBlocks:
     def span(self, t: int) -> slice:
         return slice(self.offsets[t], self.offsets[t + 1])
 
+    @cached_property
+    def _sorted(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(order, flat[order]): the ascending sort of flat that every swap
+        searches."""
+        order = np.argsort(self.flat).astype(np.int32)
+        return order, self.flat[order]
+
     def swap(self, i: int, k: int) -> np.ndarray:
-        """Gather index of values.swapaxes(i, k) on the support, cached per
-        (i, k); ValueError when the support is not closed under the swap."""
+        """Gather index (int32) of values.swapaxes(i, k) on the support,
+        cached per (i, k); ValueError when the support is not closed under
+        the swap."""
         if (i, k) not in self._swaps:
-            legs = list(np.unravel_index(self.flat, (self.n,) * 4))
-            legs[i], legs[k] = legs[k], legs[i]
-            f = np.ravel_multi_index(legs, (self.n,) * 4)
-            order = np.argsort(self.flat)
-            j = np.searchsorted(self.flat, f, sorter=order)
+            # leg i carries the weight n^(3 - i) in the flat index
+            wi, wk = self.n ** (3 - i), self.n ** (3 - k)
+            li, lk = self.flat // wi % self.n, self.flat // wk % self.n
+            f = self.flat + (lk - li) * (wi - wk)
+            order, ordered = self._sorted
+            j = np.searchsorted(ordered, f)
             idx = order[np.minimum(j, len(order) - 1)]
             if not np.array_equal(self.flat[idx], f):
                 raise ValueError(
@@ -115,10 +124,10 @@ class PairBlocks:
 
     @cached_property
     def ph_gather(self) -> np.ndarray:
-        """Gather index of reduce_ph on the support."""
+        """Gather index (int32) of reduce_ph on the support."""
         return np.concatenate([
             (self.offsets[t] + r[:, None] * len(self.cols[t]) + c).ravel()
-            for t, r, c in self.ph])
+            for t, r, c in self.ph]).astype(np.int32)
 
 
 @dataclass
@@ -151,16 +160,13 @@ class BlockKernel:
 
     @classmethod
     def random(cls, space: KernelSpace, rng) -> "BlockKernel":
-        """The support entries of kernels.random_kernel(space, rng), from
-        the same n^4 real and n^4 imaginary normal draws, taken one n^3
-        slab at a time so that no dense kernel is built."""
-        n, flat = space.n, space.pair_blocks.flat
-        slab, at = np.divmod(flat, n ** 3)
-        re, im = np.empty(len(flat)), np.empty(len(flat))
-        for part in re, im:
-            for a in range(n):
-                part[slab == a] = rng.standard_normal(n ** 3)[at[slab == a]]
-        return cls(space, re + 1j * im)
+        """A random kernel on the support: one standard normal draw per
+        support entry for the real parts, then one for the imaginary parts
+        (not the stream of kernels.random_kernel, which draws all n^4
+        entries)."""
+        size = space.pair_blocks.size
+        re = rng.standard_normal(size)
+        return cls(space, re + 1j * rng.standard_normal(size))
 
     def dense(self) -> Kernel4:
         out = zero_kernel(self.space)

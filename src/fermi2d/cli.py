@@ -1,7 +1,8 @@
 """Scenario runner: config parsing, batch drivers, CSV/JSON emission.
 
-Exit codes: 0 success, 1 config/validation error, 2 budget or identity
-violation, 3 numerical-tolerance failure.  Every failure also prints a
+Exit codes: 0 success, 1 config/validation error or an output file that
+cannot be written, 2 budget or identity violation, 3 numerical-tolerance
+failure (a diverging ladder included).  Every failure also prints a
 machine-readable JSON diagnostic to stderr.  Output formatting is fixed
 (17 significant digits, stable column order) and every scenario runs in
 one thread, so identical configs produce byte-identical files.
@@ -75,6 +76,18 @@ def _diag(kind: str, err: str, detail: str):
                      sort_keys=True), file=sys.stderr)
 
 
+def _write_out(kind: str, path: str, text: str) -> bool:
+    """Write text to path; False after an output diagnostic when the file
+    cannot be written (a missing directory, say)."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _diag(kind, "output", str(exc))
+        return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # g profiles for the jump sweep
 
@@ -119,8 +132,9 @@ def run_jump_sweep(args) -> int:
               "jump_measured": r.jump_measured,
               "jump_predicted": r.jump_predicted,
               "abs_err": r.abs_err, "flag": r.flag} for r in rows]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(emit(table, SWEEP_COLUMNS, args.format))
+    if not _write_out("jump-sweep", args.out,
+                      emit(table, SWEEP_COLUMNS, args.format)):
+        return EXIT_CONFIG
     bad = [r for r in rows if r.flag or not (r.abs_err <= tol)]
     if bad:
         _diag("jump-sweep", "tolerance",
@@ -169,14 +183,21 @@ def run_ladder_demo(args) -> int:
         nscales = int(args.scales)
         if nscales < 1 or nscales > params.jmax - params.j0:
             raise ValueError(f"--scales must be in [1, {params.jmax - params.j0}]")
+        gridn = int(args.grid)
+        if gridn < 1:
+            raise ValueError(f"--grid must be >= 1, got {gridn}")
         jtop = params.j0 + nscales
         scales_list = list(range(params.j0, jtop))
-        scheme, fam = _demo_scheme_and_family(params, disp, int(args.grid),
+        scheme, fam = _demo_scheme_and_family(params, disp, gridn,
                                               int(args.seed), scales_list)
     except ValueError as exc:
         _diag("ladder-demo", "config", str(exc))
         return EXIT_CONFIG
-    report = ld.delta_ladder_telescope(scheme, jtop, fam, lmax=4, ltol=0.0)
+    try:
+        report = ld.delta_ladder_telescope(scheme, jtop, fam, lmax=4, ltol=0.0)
+    except ld.LadderDivergenceError as exc:
+        _diag("ladder-demo", "divergence", str(exc))
+        return EXIT_TOLERANCE
     kern = report.iterated
     sp = kern.space
     ext = sp.field_indices(0)
@@ -193,8 +214,9 @@ def run_ladder_demo(args) -> int:
                      "tabs": float(math.hypot(tx, ty)),
                      "re": float(v.real), "im": float(v.imag),
                      "telescope_residual": float(report.residual)})
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(emit(rows, LADDER_COLUMNS, args.format))
+    if not _write_out("ladder-demo", args.out,
+                      emit(rows, LADDER_COLUMNS, args.format)):
+        return EXIT_CONFIG
     sym_ok = is_inversion_symmetric(report.iterated, tol=1e-11) \
         and is_inversion_symmetric(report.compound, tol=1e-11)
     if report.residual > 1e-12 or not sym_ok:
@@ -235,9 +257,10 @@ def run_norm_budget(args) -> int:
     if loaded is None:
         return EXIT_CONFIG
     report = _budget_report(*loaded)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(emit(_budget_table(report), BUDGET_COLUMNS, args.format))
+    if args.out and not _write_out(
+            "norm-budget", args.out,
+            emit(_budget_table(report), BUDGET_COLUMNS, args.format)):
+        return EXIT_CONFIG
     if not report.all_pass:
         nbad = sum(1 for r in report.rows if not r.passed)
         _diag("norm-budget", "budget",
@@ -263,9 +286,9 @@ def run_resum(args) -> int:
         rows.append({"k0": k0, "kx": kx, "ky": ky,
                      "re_p": float(P.real), "im_p": float(P.imag),
                      "re_q": float(Q.real), "im_q": float(Q.imag)})
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(emit(rows, RESUM_COLUMNS, args.format))
+    if args.out and not _write_out("resum", args.out,
+                                   emit(rows, RESUM_COLUMNS, args.format)):
+        return EXIT_CONFIG
     if args.check_budget and not _budget_report(params, fam).all_pass:
         _diag("resum", "budget", "family violates the derivative budget")
         return EXIT_VIOLATION
@@ -291,8 +314,8 @@ def run_hoelder_check(args) -> int:
            "hypothesesOk": report.hypotheses_ok}
     text = json.dumps(out, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if not _write_out("hoelder-check", args.out, text):
+            return EXIT_CONFIG
     else:
         sys.stdout.write(text)
     if not report.hypotheses_ok or report.max_ratio > 1.0:

@@ -252,11 +252,9 @@ class LadderScheme:
 
     def _resect_blocks(self, i: int, j: int, directed: bool) -> list:
         """Per scale-j pair block: (its index, the scale-i block of the same
-        key, R (x) R on its rows, R (x) R on its columns), with R the leg
-        refinement matrix; R keeps (momentum, spin, bar) and so every pair
-        block key.  A leg refines into a few sectors, so R (x) R is sparse."""
-        from scipy import sparse
-
+        key, R (x) R on its rows, R (x) R on its columns, as dense arrays),
+        with R the leg refinement matrix; R keeps (momentum, spin, bar) and
+        so every pair block key."""
         key = (i, j, directed)
         if key in self._resect_cache:
             return self._resect_cache[key]
@@ -267,7 +265,7 @@ class LadderScheme:
         def rr(dst_pairs, src_pairs):
             a, b = np.divmod(dst_pairs, dst.n)
             c, d = np.divmod(src_pairs, src.n)
-            return sparse.csr_matrix(R[np.ix_(a, c)] * R[np.ix_(b, d)])
+            return R[np.ix_(a, c)] * R[np.ix_(b, d)]
 
         where = {k: u for u, k in enumerate(src.keys)}
         self._resect_cache[key] = [
@@ -288,8 +286,7 @@ class LadderScheme:
         src = kern.blocks()
         span = out.space.pair_blocks.span
         for t, u, rows, cols in self._resect_blocks(i, j, directed):
-            # sparse factors on the left: rows @ V @ cols^T
-            out.values[span(t)] = (cols @ (rows @ src[u]).T).T.ravel()
+            out.values[span(t)] = (rows @ src[u] @ cols.T).ravel()
         return out
 
     def scale_bubble(self, j: int, u: Optional[Callable],

@@ -96,19 +96,24 @@ def test_unresolvable_momentum_sums_rejected():
 
 
 @settings(max_examples=15, deadline=None)
-@given(data=st.data(), directed=st.booleans(), antisym=st.booleans(),
+@given(data=st.data(), directed=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_random_draws_the_dense_stream_on_the_support(small_spaces, data,
-                                                      directed, antisym, seed):
-    # the support entries of random_kernel, bit for bit, with the rng left
-    # where random_kernel leaves it; antisymmetrize keeps the support only
-    # on directed spaces
+def test_random_draws_on_the_support(small_spaces, data, directed, seed):
+    # one standard_normal(size) draw for the real parts, then one for the
+    # imaginary parts, with the rng left where those two draws leave it;
+    # the values lie on the support, and on directed spaces the blocked
+    # antisymmetrize equals the dense one
     sp = data.draw(small_spaces(directed))
-    antisym = antisym and directed
+    size = sp.pair_blocks.size
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = BlockKernel.random(sp, rng)
-    if antisym:
-        got = got.antisymmetrize()
-    ref = BlockKernel.from_dense(random_kernel(sp, ref_rng, antisym=antisym))
-    assert np.array_equal(got.values, ref.values)
+    again = BlockKernel.random(sp, np.random.default_rng(seed))
+    assert np.array_equal(got.values, again.values)
+    re = ref_rng.standard_normal(size)
+    assert np.array_equal(got.values, re + 1j * ref_rng.standard_normal(size))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+    dense = got.dense()
+    assert np.array_equal(BlockKernel.from_dense(dense).values, got.values)
+    if directed:
+        assert np.array_equal(got.antisymmetrize().dense().values,
+                              antisymmetrize(dense).values)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -121,6 +124,32 @@ def test_ladder_demo_cli(tmp_path):
         assert float(line.split(",")[resid_col]) <= 1e-12
 
 
+@pytest.mark.parametrize("grid", ["0", "-1"])
+def test_ladder_demo_rejects_bad_grid(tmp_path, capsys, grid):
+    rc = cli.main(["ladder-demo", "--grid", grid,
+                   "--out", str(tmp_path / "ladder.csv")])
+    assert rc == cli.EXIT_CONFIG
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["scenario"] == "ladder-demo"
+    assert diag["error"] == "config"
+    assert "--grid" in diag["detail"]
+
+
+def test_ladder_demo_divergence_exits_3(tmp_path, capsys):
+    # at --scales 4, seed 2, the ladder terms of scale 5 grow three times in
+    # a row: the guard's LadderDivergenceError becomes a tolerance failure
+    # naming the bubble
+    out = tmp_path / "ladder.csv"
+    rc = cli.main(["ladder-demo", "--scales", "4", "--seed", "2",
+                   "--out", str(out)])
+    assert rc == cli.EXIT_TOLERANCE
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["scenario"] == "ladder-demo"
+    assert diag["error"] == "divergence"
+    assert "not decaying" in diag["detail"] and "C(C^(" in diag["detail"]
+    assert not out.exists()
+
+
 def test_demo_family_allocates_no_dense_kernel():
     # the ladder-demo rungs are drawn on the support: building the scheme
     # and the family of --scales 3 peaks below one dense kernel of its
@@ -174,6 +203,55 @@ def test_hoelder_check_cli(tmp_path):
     assert rep["constant"] == 8.0
     assert rep["exponent"] == 0.5
     assert rep["maxRatio"] <= 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["jump-sweep", "--config", "{sweep}"],
+    ["ladder-demo", "--scales", "1"],
+    ["norm-budget", "--family", "{good}", "--jmax", "4"],
+    ["resum", "--family", "{good}", "--jmax", "4", "--nsamples", "2"],
+    ["hoelder-check", "--alpha", "1", "--beta", "1", "--c0", "1", "--c1", "1",
+     "--m", "2"],
+], ids=lambda argv: argv[0])
+def test_missing_output_directory(tmp_path, capsys, family_files, argv):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG)
+    argv = [a.format(sweep=cfg, good=family_files / "good.txt") for a in argv]
+    rc = cli.main(argv + ["--out", str(tmp_path / "missing" / "out.csv")])
+    assert rc == cli.EXIT_CONFIG
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["scenario"] == argv[0]
+    assert diag["error"] == "output"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ladder-demo", "--scales", "2", "--out", "{out}"],
+    ["norm-budget", "--family", "{good}", "--jmax", "4"],
+    ["resum", "--family", "{bad}", "--jmax", "4", "--nsamples", "2",
+     "--check-budget"],
+    ["hoelder-check", "--alpha", "1", "--beta", "1", "--c0", "1", "--c1", "1",
+     "--m", "2", "--out", "{out}"],
+], ids=lambda argv: argv[0])
+def test_subcommand_loads_no_scipy(tmp_path, family_files, argv):
+    # a fresh interpreter: a scipy import anywhere on the subcommand's path
+    # would show up in sys.modules (--scales 2 reaches the resectorization)
+    argv = [a.format(out=tmp_path / "out", good=family_files / "good.txt",
+                     bad=family_files / "bad.txt") for a in argv]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = ("import sys\n"
+            "from fermi2d import cli\n"
+            f"rc = cli.main({argv!r})\n"
+            "print(rc, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    rc, mods = out.split(maxsplit=1)
+    assert mods.strip() == "[]"
+    assert int(rc) == (cli.EXIT_VIOLATION if "--check-budget" in argv
+                       else cli.EXIT_OK)
 
 
 def test_repeat_run_determinism(tmp_path):
