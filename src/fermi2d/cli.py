@@ -1,11 +1,12 @@
 """Scenario runner: config parsing, batch drivers, CSV/JSON emission.
 
-Exit codes: 0 success, 1 config/validation error or an output file that
-cannot be written, 2 budget or identity violation, 3 numerical-tolerance
-failure (a diverging ladder included).  Every failure also prints a
-machine-readable JSON diagnostic to stderr.  Output formatting is fixed
-(17 significant digits, stable column order) and every scenario runs in
-one thread, so identical configs produce byte-identical files.
+Exit codes: 0 success, 1 config/validation error, a command line that
+does not parse or an output file that cannot be written, 2 budget or
+identity violation, 3 numerical-tolerance failure (a diverging ladder
+included).  Every failure also prints a machine-readable JSON diagnostic
+to stderr.  Output formatting is fixed (17 significant digits, stable
+column order) and every scenario runs in one thread, so identical configs
+produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -119,6 +120,8 @@ def run_jump_sweep(args) -> int:
         if npoints < 1:
             raise ValueError(f"npoints must be >= 1, got {npoints}")
         tol = float(sc.get("tol", "1e-3"))
+        if not 0.0 < tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {tol}")
         model = oc.linear_self_energy(lam, g_profile(gname))
     except (ValueError, KeyError, OSError) as exc:
         _diag("jump-sweep", "config", str(exc))
@@ -241,7 +244,12 @@ def _load_family(args, kind: str):
                                  upsilon=float(args.upsilon),
                                  jmax=int(args.jmax))
         with open(args.family, "r", encoding="utf-8") as fh:
-            return params, se.family_from_text(fh.read(), params)
+            fam = se.family_from_text(fh.read(), params)
+        top = max([*fam.p, *(max(k) for k in fam.q)], default=params.jmax)
+        if top > params.jmax:
+            raise ValueError(f"family has scale index {top} above "
+                             f"--jmax {params.jmax}")
+        return params, fam
     except (ValueError, OSError) as exc:
         _diag(kind, "config", str(exc))
         return None
@@ -271,13 +279,20 @@ def run_norm_budget(args) -> int:
 
 
 def run_resum(args) -> int:
+    try:
+        nsamples = int(args.nsamples)
+        if nsamples < 1:
+            raise ValueError(f"--nsamples must be >= 1, got {nsamples}")
+        rng = np.random.default_rng(int(args.seed))
+    except ValueError as exc:
+        _diag("resum", "config", str(exc))
+        return EXIT_CONFIG
     loaded = _load_family(args, "resum")
     if loaded is None:
         return EXIT_CONFIG
     params, fam = loaded
-    rng = np.random.default_rng(int(args.seed))
     rows = []
-    for _ in range(int(args.nsamples)):
+    for _ in range(nsamples):
         k0 = float(rng.uniform(-2, 2))
         kx = float(rng.uniform(-1.4, 1.4))
         ky = float(rng.uniform(-1.4, 1.4))
@@ -343,9 +358,19 @@ def _family_options(sp):
     sp.add_argument("--jmax", default="8")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parse error (unknown command, missing or invalid option) is a
+    config error: usage, then a JSON diagnostic naming the subcommand as
+    the last stderr line, then exit 1.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        _diag(self.prog.split()[-1], "config", message)
+        sys.exit(EXIT_CONFIG)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="fermi2d",
-                                 description="2d Fermi liquid RG toolkit")
+    ap = _Parser(prog="fermi2d", description="2d Fermi liquid RG toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("jump-sweep", help="occupation jump across the Fermi curve")

@@ -29,6 +29,9 @@ class ScaleBounds:
     M: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.C0,
+                                       self.C1, self.M))):
+            raise ValueError("alpha, beta, C0, C1 and M must be finite")
         if min(self.alpha, self.beta, self.C0, self.C1) <= 0:
             raise ValueError("alpha, beta, C0, C1 must be positive")
         if self.M <= 1:

@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .kernels import grid_sup_derivatives
+from .kernels import grid_sup_derivatives, product_sup_derivatives
 from .scales import ScaleModel, ramp_down
 
 
@@ -128,7 +128,8 @@ def saturating_q_family(params, imin: Optional[int] = None,
     M, la, up = params.M, params.lambda0, params.upsilon
 
     def sups_1d(f, lo, hi, npts):
-        sups, _ = grid_sup_derivatives(f, [(lo, hi)], (npts,), 2, float)
+        xs = np.linspace(lo, hi, npts)
+        sups = product_sup_derivatives(1.0, [f(xs)], [xs[1] - xs[0]], 2)
         return [sups[(d,)] for d in range(3)]
 
     u_sup = sups_1d(_f0, 1.0, _K0_CENTER + _K0_EDGE, 60000)
@@ -155,14 +156,27 @@ def saturating_q_family(params, imin: Optional[int] = None,
     return fam
 
 
+@dataclass(frozen=True)
+class ProductQ:
+    """The q^(i,l) member amp f0(wi k0) gx(kx, wl) gx(ky, wl) of the
+    saturating and file families, a product of one factor per axis."""
+
+    amp: float
+    wi: float
+    wl: float
+
+    def __call__(self, k0, kx, ky):
+        return self.amp * _f0(self.wi * np.asarray(k0)) \
+            * _gx(kx, self.wl) * _gx(ky, self.wl)
+
+    def factors(self, k0, kx, ky):
+        """The per-axis factors f0(wi k0), gx(kx, wl), gx(ky, wl) on 1d
+        axis arrays; amp times their outer product is the member."""
+        return _f0(self.wi * k0), _gx(kx, self.wl), _gx(ky, self.wl)
+
+
 def _make_q_member(M, i, l, amp):
-    wi = M ** i
-    wl = M ** l
-
-    def q(k0, kx, ky):
-        return amp * _f0(wi * np.asarray(k0)) * _gx(kx, wl) * _gx(ky, wl)
-
-    return q
+    return ProductQ(amp=amp, wi=M ** i, wl=M ** l)
 
 
 def linear_p_family(params, imin: Optional[int] = None,
@@ -264,7 +278,11 @@ def check_q_budget(family: ScaleFamily, params,
     """Measure sup |D^delta q^(i,l)| by central differences on each
     member's declared windows and compare with the budget; also report the
     k0-reflection reality residual and (when a scale model is given) the
-    support conditions near the Fermi curve and off the UV cutoff."""
+    support conditions near the Fermi curve and off the UV cutoff.
+
+    A ProductQ member is measured from its per-axis factors
+    (product_sup_derivatives); any other callable on the open mesh of the
+    full grid (grid_sup_derivatives)."""
     M, la, up = params.M, family.lambda0, family.upsilon
     ap = params.aleph_prime
     rows: List[BudgetRow] = []
@@ -275,8 +293,16 @@ def check_q_budget(family: ScaleFamily, params,
         desc = family.q_desc.get((i, l))
         if desc is None:
             raise ValueError(f"member ({i},{l}) has no sampling descriptor")
-        sups, mesh = grid_sup_derivatives(
-            lambda *k: _real_if_zero_imag(qf(*k)), _windows(desc, M), npts, 2)
+        if isinstance(qf, ProductQ):
+            axes = [np.linspace(lo, hi, n)
+                    for (lo, hi), n in zip(_windows(desc, M), npts)]
+            sups = product_sup_derivatives(
+                qf.amp, qf.factors(*axes), [ax[1] - ax[0] for ax in axes], 2)
+            mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+        else:
+            sups, mesh = grid_sup_derivatives(
+                lambda *k: _real_if_zero_imag(qf(*k)), _windows(desc, M),
+                npts, 2)
         base = 2.0 * la ** (1 - 2 * up) * params.sector_length(l) / M ** l \
             * M ** (ap * (l - i))
         for delta in sorted(sups):

@@ -99,7 +99,12 @@ def test_jump_sweep_bad_config(tmp_path):
     # 1 - lambda g = 0: the linearized piece has no finite limit
     "npoints = 4\nlambda = 1.0\ngprofile = constant\n",
     "npoints = 0\nlambda = 0.2\ngprofile = cosine\n",
-], ids=["lambda-0.9", "lambda-1.0", "npoints-0"])
+    # a tolerance no point can meet or every point meets
+    "npoints = 4\nlambda = 0.2\ntol = nan\n",
+    "npoints = 4\nlambda = 0.2\ntol = 0\n",
+    "npoints = 4\nlambda = 0.2\ntol = inf\n",
+], ids=["lambda-0.9", "lambda-1.0", "npoints-0", "tol-nan", "tol-0",
+        "tol-inf"])
 def test_jump_sweep_rejects_bad_scenario(tmp_path, capsys, scenario):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[scenario]\n" + scenario)
@@ -188,6 +193,29 @@ def test_resum_cli(tmp_path, family_files):
     assert len(lines) == 11
 
 
+@pytest.mark.parametrize("argv", [
+    ["resum", "--seed", "abc"],
+    ["resum", "--seed", "-1"],
+    ["resum", "--nsamples", "abc"],
+    ["resum", "--nsamples", "-3"],
+    ["resum", "--nsamples", "0"],
+    ["resum", "--jmax", "3"],
+    ["norm-budget", "--jmax", "2"],
+], ids=lambda argv: "-".join(argv))
+def test_family_commands_reject_bad_options(tmp_path, capsys, family_files,
+                                            argv):
+    # the family files hold scales up to 4: --jmax below that is a config
+    # error, not a silent run over every member
+    out = tmp_path / "out.csv"
+    rc = cli.main(argv + ["--family", str(family_files / "good.txt"),
+                          "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["scenario"] == argv[0]
+    assert diag["error"] == "config"
+    assert not out.exists()
+
+
 def test_resum_check_budget_cli(family_files):
     rc = cli.main(["resum", "--family", str(family_files / "bad.txt"),
                    "--jmax", "4", "--nsamples", "2", "--check-budget"])
@@ -203,6 +231,42 @@ def test_hoelder_check_cli(tmp_path):
     assert rep["constant"] == 8.0
     assert rep["exponent"] == 0.5
     assert rep["maxRatio"] <= 1.0
+
+
+@pytest.mark.parametrize("name, value", [
+    ("alpha", "nan"), ("beta", "inf"), ("c0", "inf"), ("c1", "nan"),
+    ("m", "inf"),
+])
+def test_hoelder_check_rejects_bad_bounds(capsys, name, value):
+    argv = {"alpha": "1", "beta": "1", "c0": "1", "c1": "1", "m": "2"}
+    argv[name] = value
+    rc = cli.main(["hoelder-check"] + [f"--{k}={v}" for k, v in argv.items()])
+    assert rc == cli.EXIT_CONFIG
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["scenario"] == "hoelder-check"
+    assert diag["error"] == "config"
+
+
+@pytest.mark.parametrize("argv, scenario", [
+    (["bogus"], "fermi2d"),
+    ([], "fermi2d"),
+    (["jump-sweep", "--config", "{sweep}"], "jump-sweep"),
+    (["norm-budget", "--family", "{good}", "--format", "xml"], "norm-budget"),
+    (["ladder-demo", "--out", "x.csv", "--bogus", "1"], "fermi2d"),
+    (["hoelder-check", "--alpha", "1"], "hoelder-check"),
+], ids=["unknown-command", "no-command", "missing-out", "format-xml",
+        "unknown-option", "missing-bounds"])
+def test_parse_errors_are_config_errors(tmp_path, capsys, family_files, argv,
+                                        scenario):
+    # exit 2 means a budget or identity violation, never a bad command line
+    argv = [a.format(sweep=tmp_path / "sweep.cfg", good=family_files / "good.txt")
+            for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_CONFIG
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["scenario"] == scenario
+    assert diag["error"] == "config"
 
 
 @pytest.mark.parametrize("argv", [

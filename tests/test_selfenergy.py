@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermi2d import selfenergy as se
 from fermi2d.config import ScaleParams
@@ -241,16 +244,69 @@ def test_budget_open_grid_matches_dense_mesh(budget_params, name):
     assert rep.reality_residual == reality
 
 
+# A ProductQ member is measured from its per-axis factors, the dense mesh
+# from the rounded products: the two agree to the last digits.
+PRODUCT_RTOL = 1e-14
+
+
+def _assert_matches_oracle(rep, measured):
+    assert {(r.i, r.l, r.delta) for r in rep.rows} == measured.keys()
+    for r in rep.rows:
+        m = measured[(r.i, r.l, r.delta)]
+        assert abs(r.measured - m) <= PRODUCT_RTOL * m
+        assert r.passed == (m <= r.allowed)
+
+
 def test_budget_open_grid_matches_dense_mesh_saturating(budget_params, qfam):
+    # worst relative gap here: 2.3e-16
     subset = se.ScaleFamily(lambda0=qfam.lambda0, upsilon=qfam.upsilon)
     for key in ((2, 2), (2, 4), (4, 5)):
         subset.q[key] = qfam.q[key]
         subset.q_desc[key] = qfam.q_desc[key]
+        assert isinstance(subset.q[key], se.ProductQ)
     npts = (40, 36, 44)
     rep = se.check_q_budget(subset, budget_params, npts=npts)
     measured, reality = dense_budget_oracle(subset, budget_params, npts)
-    assert {(r.i, r.l, r.delta): r.measured for r in rep.rows} == measured
+    _assert_matches_oracle(rep, measured)
     assert rep.reality_residual == reality
+
+
+@settings(max_examples=40, deadline=None)
+@given(amp=st.floats(1e-12, 1e3), negative=st.booleans(),
+       i=st.integers(2, 6), dl=st.integers(0, 2),
+       npts=st.tuples(*[st.integers(8, 24)] * 3))
+def test_product_member_matches_dense_mesh(budget_params, amp, negative, i,
+                                           dl, npts):
+    # from 8 points per axis up; on 7 a central difference spans whole
+    # periods of the spatial waves of l >= 4 (the windows hold three per
+    # side), only the envelope is left of it, and the dense mesh's rounding
+    # of the products grows past the bound (1.8e-14 at npts (13, 7, 7))
+    l = i + dl
+    amp = -amp if negative else amp
+    fam = se.ScaleFamily(lambda0=1e-3, upsilon=0.2)
+    fam.q[(i, l)] = se._make_q_member(budget_params.M, i, l, amp)
+    fam.q_desc[(i, l)] = se.QDescriptor(i=i, l=l, amp=amp, k0_center=11.0,
+                                        k0_width=10.0, kx_width=1.4,
+                                        kx_plateau=0.6)
+    rep = se.check_q_budget(fam, budget_params, npts=npts)
+    measured, reality = dense_budget_oracle(fam, budget_params, npts)
+    _assert_matches_oracle(rep, measured)
+    assert rep.reality_residual == reality
+
+
+def test_budget_of_product_members_allocates_no_grid(budget_params,
+                                                     budget_scales, qfam):
+    # factor ladders and the support points only: one 112^3 float grid
+    # alone is 11 MB (the first call, untraced, loads numpy.random)
+    se.check_q_budget(qfam, budget_params, scales=budget_scales)
+    tracemalloc.start()
+    try:
+        rep = se.check_q_budget(qfam, budget_params, scales=budget_scales)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.all_pass
+    assert peak < 1 << 20
 
 
 def test_budget_scalar_member_measured_on_whole_grid(budget_params):
