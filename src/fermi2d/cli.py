@@ -237,19 +237,14 @@ def _budget_table(report: se.BudgetReport) -> List[dict]:
 
 
 def _load_family(args, kind: str):
-    """(params, family) from --lambda0/--upsilon/--jmax and the --family
-    file, or None after a config diagnostic."""
+    """(params, family) from --jmax and the --family file, or None after a
+    config diagnostic.  The file sets lambda0 and upsilon; a file line the
+    reader rejects (a scale index above --jmax among them) is a config
+    error."""
     try:
-        params = cfg.ScaleParams(lambda0=float(args.lambda0),
-                                 upsilon=float(args.upsilon),
-                                 jmax=int(args.jmax))
+        params = cfg.ScaleParams(jmax=int(args.jmax))
         with open(args.family, "r", encoding="utf-8") as fh:
-            fam = se.family_from_text(fh.read(), params)
-        top = max([*fam.p, *(max(k) for k in fam.q)], default=params.jmax)
-        if top > params.jmax:
-            raise ValueError(f"family has scale index {top} above "
-                             f"--jmax {params.jmax}")
-        return params, fam
+            return params, se.family_from_text(fh.read(), params)
     except (ValueError, OSError) as exc:
         _diag(kind, "config", str(exc))
         return None
@@ -353,8 +348,6 @@ def _family_options(sp):
     sp.add_argument("--family", required=True)
     sp.add_argument("--out", default="")
     sp.add_argument("--format", default="csv", choices=("csv", "json"))
-    sp.add_argument("--lambda0", default="1e-3")
-    sp.add_argument("--upsilon", default="0.2")
     sp.add_argument("--jmax", default="8")
 
 

@@ -45,8 +45,8 @@ class ScaleParams:
             raise ValueError("first scale j0 must be >= 2")
         if not self.jmax >= self.j0:
             raise ValueError("Jmax must be >= j0")
-        if not self.lambda0 > 0.0:
-            raise ValueError("lambda0 must be positive")
+        if not 0.0 < self.lambda0 < math.inf:
+            raise ValueError("lambda0 must be positive and finite")
         if not (0.0 < self.upsilon < 0.25):
             raise ValueError("upsilon must lie in (0, 1/4)")
         if self.r0 < 0 or self.r < 0:

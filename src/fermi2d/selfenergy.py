@@ -11,8 +11,8 @@ k0-reflection real, and obeys the derivative budget
                                M^(aleph'(l-i)) M^(delta0 i) M^(|dvec| l)
 
 for |delta| <= 2.  The budget checker reports measured/allowed ratios per
-(i, l, delta) from central finite differences on the family's declared
-sampling windows, plus the reflection-reality residual.
+(i, l, delta) from central finite differences on each member's sampling
+windows, plus the reflection-reality residual.
 
 The proper self-energy is assembled from P and Q through the rational
 closed form, and its k0-derivative through the tilde-variable formula
@@ -21,7 +21,7 @@ whose cancellations keep every ingredient bounded near the Fermi curve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -43,27 +43,13 @@ class ConditioningError(ArithmeticError):
 
 
 @dataclass
-class QDescriptor:
-    """Sampling/profile data for one q^(i,l) member."""
-
-    i: int
-    l: int
-    amp: float
-    k0_center: float   # center of the k0 profile in the variable M^i k0
-    k0_width: float    # full half-width of that profile
-    kx_width: float    # spatial envelope outer half-width
-    kx_plateau: float  # spatial envelope plateau half-width
-
-
-@dataclass
 class ScaleFamily:
     """Scale-indexed families p^(i), q^(i,l) with optional analytic
-    k0-derivatives and reproducible bump descriptors."""
+    k0-derivatives."""
 
     p: Dict[int, Callable] = field(default_factory=dict)
     dp_dk0: Dict[int, Callable] = field(default_factory=dict)
     q: Dict[Tuple[int, int], Callable] = field(default_factory=dict)
-    q_desc: Dict[Tuple[int, int], QDescriptor] = field(default_factory=dict)
     p_amp: Dict[int, float] = field(default_factory=dict)
     lambda0: float = 0.0
     upsilon: float = 0.0
@@ -150,9 +136,6 @@ def saturating_q_family(params, imin: Optional[int] = None,
                 * params.sector_length(l) / M ** l * M ** (params.aleph_prime * (l - i))
             amp = scale * saturation / cmax * allowed0
             fam.q[(i, l)] = _make_q_member(M, i, l, amp)
-            fam.q_desc[(i, l)] = QDescriptor(
-                i=i, l=l, amp=amp, k0_center=_K0_CENTER, k0_width=_K0_EDGE,
-                kx_width=_KX_EDGE, kx_plateau=_KX_PLATEAU)
     return fam
 
 
@@ -262,12 +245,13 @@ class BudgetReport:
         return out
 
 
-def _windows(desc: QDescriptor, M: float):
-    """Per-axis sampling windows adapted to the member's oscillation."""
-    wi, wl = M ** desc.i, M ** desc.l
-    k0_half = min(desc.k0_width - 1.0, 3 * math.pi)
-    k0_win = ((desc.k0_center - k0_half) / wi, (desc.k0_center + k0_half) / wi)
-    sp_half = min(desc.kx_width, 3 * 2 * math.pi / wl)
+def _windows(i: int, l: int, M: float):
+    """Per-axis sampling windows of member (i, l), adapted to the
+    oscillation of the shipped profile at the scales M^i and M^l."""
+    wi, wl = M ** i, M ** l
+    k0_half = min(_K0_EDGE - 1.0, 3 * math.pi)
+    k0_win = ((_K0_CENTER - k0_half) / wi, (_K0_CENTER + k0_half) / wi)
+    sp_half = min(_KX_EDGE, 3 * 2 * math.pi / wl)
     sp_win = (-sp_half, sp_half)
     return k0_win, sp_win, sp_win
 
@@ -276,7 +260,7 @@ def check_q_budget(family: ScaleFamily, params,
                    npts: Tuple[int, int, int] = (112, 112, 112),
                    scales: Optional[ScaleModel] = None) -> BudgetReport:
     """Measure sup |D^delta q^(i,l)| by central differences on each
-    member's declared windows and compare with the budget; also report the
+    member's sampling windows and compare with the budget; also report the
     k0-reflection reality residual and (when a scale model is given) the
     support conditions near the Fermi curve and off the UV cutoff.
 
@@ -290,19 +274,16 @@ def check_q_budget(family: ScaleFamily, params,
     support = 0.0
     points = {}  # support sample points per i, shared by the members of i
     for (i, l), qf in sorted(family.q.items()):
-        desc = family.q_desc.get((i, l))
-        if desc is None:
-            raise ValueError(f"member ({i},{l}) has no sampling descriptor")
+        windows = _windows(i, l, M)
         if isinstance(qf, ProductQ):
             axes = [np.linspace(lo, hi, n)
-                    for (lo, hi), n in zip(_windows(desc, M), npts)]
+                    for (lo, hi), n in zip(windows, npts)]
             sups = product_sup_derivatives(
                 qf.amp, qf.factors(*axes), [ax[1] - ax[0] for ax in axes], 2)
             mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
         else:
             sups, mesh = grid_sup_derivatives(
-                lambda *k: _real_if_zero_imag(qf(*k)), _windows(desc, M),
-                npts, 2)
+                lambda *k: _real_if_zero_imag(qf(*k)), windows, npts, 2)
         base = 2.0 * la ** (1 - 2 * up) * params.sector_length(l) / M ** l \
             * M ** (ap * (l - i))
         for delta in sorted(sups):
@@ -521,7 +502,16 @@ def amputation_A2(scales: ScaleModel, k0, kx, ky, P: Callable, Q: Callable) -> c
 # family file io
 
 
+# The profile columns of every q line: k0 center and outer half-width in
+# M^i k0, spatial outer and plateau half-widths (the profile of ProductQ).
+_PROFILE = (_K0_CENTER, _K0_EDGE, _KX_EDGE, _KX_PLATEAU)
+
+
 def family_to_text(family: ScaleFamily, params) -> str:
+    """The family as text: the lambda0, upsilon and M keys, one
+    `p i amp` line per counterterm and one `q i l amp` line plus the
+    profile columns per two-point member.  A q member that is not the
+    ProductQ of its (i, l) at params.M has no such line: ValueError."""
     lines = [
         "# fermi2d scale family",
         f"lambda0 = {family.lambda0!r}",
@@ -530,42 +520,73 @@ def family_to_text(family: ScaleFamily, params) -> str:
     ]
     for i in sorted(family.p_amp):
         lines.append(f"p {i} {family.p_amp[i]!r}")
-    for (i, l), d in sorted(family.q_desc.items()):
-        lines.append(f"q {i} {l} {d.amp!r} {d.k0_center!r} {d.k0_width!r} "
-                     f"{d.kx_width!r} {d.kx_plateau!r}")
+    for (i, l), qf in sorted(family.q.items()):
+        if not (isinstance(qf, ProductQ)
+                and qf == _make_q_member(params.M, i, l, qf.amp)):
+            raise ValueError(f"member ({i},{l}) is not a ProductQ of its "
+                             f"scales; a family file cannot hold it")
+        lines.append(f"q {i} {l} {qf.amp!r} " + " ".join(map(repr, _PROFILE)))
     return "\n".join(lines) + "\n"
 
 
 def family_from_text(text: str, params) -> ScaleFamily:
+    """Read a family written by family_to_text.
+
+    The `lambda0` and `upsilon` keys are required and obey the ScaleParams
+    rules; `M`, if given, must equal params.M.  Amplitudes are finite,
+    indices satisfy j0 <= i <= l <= jmax, the profile columns are the
+    shipped profile, and no key or member appears twice.  Any other line
+    raises ValueError naming it.
+    """
     fam = ScaleFamily()
-    M = params.M
-    for raw in text.splitlines():
+    keys = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" in line:
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key == "lambda0":
-                fam.lambda0 = float(val)
-            elif key == "upsilon":
-                fam.upsilon = float(val)
-            elif key == "M":
-                M = float(val)
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            i, a = int(parts[1]), float(parts[2])
-            fam.p[i] = _make_p_member(a)
-            fam.dp_dk0[i] = _make_dp_member(a)
-            fam.p_amp[i] = a
-        elif parts[0] == "q":
-            i, l = int(parts[1]), int(parts[2])
-            amp = float(parts[3])
-            fam.q[(i, l)] = _make_q_member(M, i, l, amp)
-            fam.q_desc[(i, l)] = QDescriptor(
-                i=i, l=l, amp=amp, k0_center=float(parts[4]),
-                k0_width=float(parts[5]), kx_width=float(parts[6]),
-                kx_plateau=float(parts[7]))
-        else:
-            raise ValueError(f"unrecognized family line {raw!r}")
+        if line:
+            try:
+                _read_family_line(fam, keys, line, params)
+            except ValueError as exc:
+                msg = f"family line {lineno} {raw!r}: {exc}"
+                raise ValueError(msg) from None
+    for key in ("lambda0", "upsilon"):
+        if key not in keys:
+            raise ValueError(f"family file sets no {key}")
+    fam.lambda0, fam.upsilon = keys["lambda0"], keys["upsilon"]
     return fam
+
+
+def _read_family_line(fam: ScaleFamily, keys: dict, line: str, params):
+    if "=" in line:
+        key, val = (s.strip() for s in line.split("=", 1))
+        if key not in ("lambda0", "upsilon", "M") or key in keys:
+            raise ValueError(f"unknown or repeated key {key!r}")
+        keys[key] = float(val)
+        if key == "M" and keys[key] != params.M:
+            raise ValueError(f"M must be {params.M!r}, as in the budget")
+        replace(params, **{key: keys[key]})  # the ScaleParams rules
+        return
+    kind, *cols = line.split()
+    if kind == "p" and len(cols) == 2:
+        i = l = key = int(cols[0])
+        amp = float(cols[1])
+    elif kind == "q" and len(cols) == 7:
+        key = i, l = int(cols[0]), int(cols[1])
+        amp = float(cols[2])
+        if tuple(map(float, cols[3:])) != _PROFILE:
+            raise ValueError("profile columns must be "
+                             + " ".join(map(repr, _PROFILE)))
+    else:
+        raise ValueError("expected 'key = value', 'p i amp' or "
+                         "'q i l amp' and the 4 profile columns")
+    if not math.isfinite(amp):
+        raise ValueError(f"amplitude {amp!r} is not finite")
+    if not params.j0 <= i <= l <= params.jmax:
+        raise ValueError(f"need j0 = {params.j0} <= i <= l <= "
+                         f"jmax = {params.jmax}")
+    if key in (fam.p if kind == "p" else fam.q):
+        raise ValueError(f"member {key} given twice")
+    if kind == "p":
+        fam.p[i], fam.dp_dk0[i] = _make_p_member(amp), _make_dp_member(amp)
+        fam.p_amp[i] = amp
+    else:
+        fam.q[key] = _make_q_member(params.M, i, l, amp)

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermi2d import cli
 from fermi2d import selfenergy as se
@@ -216,6 +221,113 @@ def test_family_commands_reject_bad_options(tmp_path, capsys, family_files,
     assert not out.exists()
 
 
+def _edit_first_q(text, edit):
+    """text with the columns of its first q line replaced by edit(cols)."""
+    lines = text.splitlines()
+    k = next(n for n, line in enumerate(lines) if line.startswith("q "))
+    lines[k] = " ".join(edit(lines[k].split()))
+    return "\n".join(lines) + "\n"
+
+
+BAD_FAMILY_FILES = {
+    "q-short": lambda t: _edit_first_q(t, lambda c: c[:-1]),
+    "q-nan-amplitude": lambda t: _edit_first_q(
+        t, lambda c: c[:3] + ["nan"] + c[4:]),
+    "q-i-above-l": lambda t: _edit_first_q(
+        t, lambda c: ["q", "3", "2"] + c[3:]),
+    "q-below-j0": lambda t: _edit_first_q(
+        t, lambda c: ["q", "0", "0"] + c[3:]),
+    # the members ignore these columns: a shifted profile would measure the
+    # budget on windows that miss the member
+    "q-shifted-profile": lambda t: _edit_first_q(
+        t, lambda c: c[:4] + ["40.0"] + c[5:]),
+    "q-twice": lambda t: t + next(line for line in t.splitlines()
+                                  if line.startswith("q ")) + "\n",
+    "p-no-amplitude": lambda t: t + "p 2\n",
+    "p-nan": lambda t: t + "p 2 nan\n",
+    "p-inf": lambda t: t + "p 2 inf\n",
+    "lambda0-negative": lambda t: t.replace("lambda0 = 0.001", "lambda0 = -1"),
+    "lambda0-inf": lambda t: t.replace("lambda0 = 0.001", "lambda0 = inf"),
+    "upsilon-too-large": lambda t: t.replace("upsilon = 0.2", "upsilon = 0.3"),
+    "no-lambda0": lambda t: re.sub(r"(?m)^lambda0 = .*\n", "", t),
+    "no-upsilon": lambda t: re.sub(r"(?m)^upsilon = .*\n", "", t),
+    "unknown-key": lambda t: t + "kappa = 1\n",
+    "M-mismatch": lambda t: t.replace("M = 2.0", "M = 3.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FAMILY_FILES))
+@pytest.mark.parametrize("command", ["norm-budget", "resum"])
+def test_family_commands_reject_bad_family_file(tmp_path, capsys,
+                                                family_files, command, case):
+    # a family line the reader cannot take as written is a config error,
+    # not a traceback and not a budget verdict on some other family
+    path = tmp_path / "family.txt"
+    good = (family_files / "good.txt").read_text()
+    path.write_text(BAD_FAMILY_FILES[case](good))
+    out = tmp_path / "out.csv"
+    rc = cli.main([command, "--family", str(path), "--jmax", "4",
+                   "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["scenario"] == command
+    assert diag["error"] == "config"
+    assert "family" in diag["detail"]
+    assert not out.exists()
+
+
+# a valid jmax-3 family: saturating q members and the linear counterterms
+FUZZ_FAMILY = """\
+lambda0 = 0.001
+upsilon = 0.2
+M = 2.0
+p 2 0.0017328621078878657
+p 3 0.0011432626298183157
+q 2 2 0.0019943972371935332 11.0 10.0 1.4 0.6
+q 2 3 0.0014048517934198744 11.0 10.0 1.4 0.6
+q 3 3 0.0009140962197349737 11.0 10.0 1.4 0.6
+""".splitlines()
+
+FUZZ_EDITS = st.tuples(
+    st.integers(0, len(FUZZ_FAMILY) - 1), st.integers(0, 7),
+    st.one_of(st.just("scale"),  # half the edits keep most files readable
+              st.sampled_from(["drop", "truncate", "negate", "nan", "inf",
+                               "-inf", "x"])),
+    st.floats(0.25, 4.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(edits=st.lists(FUZZ_EDITS, max_size=3))
+def test_norm_budget_on_edited_family_files(tmp_path_factory, edits):
+    # drawn edits of a valid file: lines dropped or cut short, columns
+    # negated, scaled or replaced by nan, inf or a word
+    lines = [line.split() for line in FUZZ_FAMILY]
+    for n, k, edit, factor in edits:
+        cols = lines[n]
+        if not cols:
+            continue
+        k %= len(cols)
+        if edit == "drop":
+            cols.clear()
+        elif edit == "truncate":
+            del cols[k:]
+        elif edit == "negate":
+            cols[k] = "-" + cols[k]
+        elif edit == "scale":
+            with contextlib.suppress(ValueError):
+                cols[k] = repr(float(cols[k]) * factor)
+        else:
+            cols[k] = edit
+    path = tmp_path_factory.mktemp("fuzz") / "family.txt"
+    path.write_text("\n".join(" ".join(cols) for cols in lines) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(["norm-budget", "--family", str(path), "--jmax", "5"])
+    assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_VIOLATION)
+    if rc != cli.EXIT_OK:
+        assert isinstance(json.loads(err.getvalue().splitlines()[-1]), dict)
+
+
 def test_resum_check_budget_cli(family_files):
     rc = cli.main(["resum", "--family", str(family_files / "bad.txt"),
                    "--jmax", "4", "--nsamples", "2", "--check-budget"])
@@ -254,8 +366,9 @@ def test_hoelder_check_rejects_bad_bounds(capsys, name, value):
     (["norm-budget", "--family", "{good}", "--format", "xml"], "norm-budget"),
     (["ladder-demo", "--out", "x.csv", "--bogus", "1"], "fermi2d"),
     (["hoelder-check", "--alpha", "1"], "hoelder-check"),
+    (["norm-budget", "--family", "{good}", "--lambda0", "0.5"], "fermi2d"),
 ], ids=["unknown-command", "no-command", "missing-out", "format-xml",
-        "unknown-option", "missing-bounds"])
+        "unknown-option", "missing-bounds", "lambda0-option"])
 def test_parse_errors_are_config_errors(tmp_path, capsys, family_files, argv,
                                         scenario):
     # exit 2 means a budget or identity violation, never a bad command line

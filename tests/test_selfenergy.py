@@ -77,9 +77,6 @@ def test_reality_propagates(budget_params, qfam, budget_scales):
 def test_budget_zero_family_all_pass(budget_params, budget_scales):
     fam = se.ScaleFamily(lambda0=1e-3, upsilon=0.2)
     fam.q[(2, 2)] = lambda k0, kx, ky: 0.0 * np.asarray(k0)
-    fam.q_desc[(2, 2)] = se.QDescriptor(i=2, l=2, amp=0.0, k0_center=11.0,
-                                        k0_width=10.0, kx_width=1.4,
-                                        kx_plateau=0.6)
     rep = se.check_q_budget(fam, budget_params, scales=budget_scales)
     assert rep.all_pass
     assert rep.worst_ratio() == 0.0
@@ -109,7 +106,6 @@ def test_budget_oracle_on_finer_grid(budget_params, qfam):
     subset = se.ScaleFamily(lambda0=qfam.lambda0, upsilon=qfam.upsilon)
     for key in ((2, 2), (2, 4), (4, 5)):
         subset.q[key] = qfam.q[key]
-        subset.q_desc[key] = qfam.q_desc[key]
     coarse = se.check_q_budget(subset, budget_params, npts=(112, 112, 112))
     fine = se.check_q_budget(subset, budget_params, npts=(168, 168, 168))
     cmap = {(r.i, r.l, r.delta): r.ratio for r in coarse.rows}
@@ -122,9 +118,6 @@ def test_budget_detects_support_violation(budget_params, budget_scales):
     fam = se.ScaleFamily(lambda0=1e-3, upsilon=0.2)
     # constant in space: does not vanish off the ultraviolet cutoff
     fam.q[(2, 2)] = lambda k0, kx, ky: 1e-6 * np.ones_like(np.asarray(k0, dtype=float))
-    fam.q_desc[(2, 2)] = se.QDescriptor(i=2, l=2, amp=1e-6, k0_center=11.0,
-                                        k0_width=10.0, kx_width=1.4,
-                                        kx_plateau=0.6)
     rep = se.check_q_budget(fam, budget_params, scales=budget_scales)
     assert rep.support_violation > 0.0
     assert not rep.all_pass
@@ -152,15 +145,6 @@ def _support_violation_loop(scales, qf, i):
     return worst
 
 
-def _single(q, amp):
-    fam = se.ScaleFamily(lambda0=1e-3, upsilon=0.2)
-    fam.q[(2, 2)] = q
-    fam.q_desc[(2, 2)] = se.QDescriptor(i=2, l=2, amp=amp, k0_center=11.0,
-                                        k0_width=10.0, kx_width=1.4,
-                                        kx_plateau=0.6)
-    return fam
-
-
 @pytest.mark.parametrize("which", ["saturating", "scaled", "zero",
                                    "constant", "scalar", "oscillating"])
 def test_support_points_match_scalar_loop(budget_params, budget_scales, qfam,
@@ -169,14 +153,13 @@ def test_support_points_match_scalar_loop(budget_params, budget_scales, qfam,
     # once on the point arrays; the scalar loop gives the same violation
     fam = {"saturating": lambda: qfam,
            "scaled": lambda: se.saturating_q_family(budget_params, scale=3.0),
-           "zero": lambda: _single(lambda k0, kx, ky: 0.0 * np.asarray(k0), 0.0),
-           "constant": lambda: _single(
-               lambda k0, kx, ky: 1e-6 * np.ones_like(np.asarray(k0, dtype=float)),
-               1e-6),
-           "scalar": lambda: _single(lambda k0, kx, ky: 1e-7, 1e-7),
-           "oscillating": lambda: _single(
-               lambda k0, kx, ky: 1e-6 * np.cos(3 * k0) * np.exp(1j * kx * ky),
-               1e-6)}[which]()
+           "zero": lambda: _one_member_family(
+               lambda k0, kx, ky: 0.0 * np.asarray(k0)),
+           "constant": lambda: _one_member_family(
+               lambda k0, kx, ky: 1e-6 * np.ones_like(np.asarray(k0, dtype=float))),
+           "scalar": lambda: _one_member_family(lambda k0, kx, ky: 1e-7),
+           "oscillating": lambda: _one_member_family(
+               lambda k0, kx, ky: 1e-6 * np.cos(3 * k0) * np.exp(1j * kx * ky))}[which]()
     rep = se.check_q_budget(fam, budget_params, npts=(9, 9, 9),
                             scales=budget_scales)
     ref = max(_support_violation_loop(budget_scales, qf, i)
@@ -189,9 +172,6 @@ def test_budget_reality_residual(budget_params):
     fam = se.ScaleFamily(lambda0=1e-3, upsilon=0.2)
     # odd real part in k0 breaks the reflection-reality condition
     fam.q[(2, 2)] = lambda k0, kx, ky: 1e-9 * np.asarray(k0)
-    fam.q_desc[(2, 2)] = se.QDescriptor(i=2, l=2, amp=1e-9, k0_center=11.0,
-                                        k0_width=10.0, kx_width=1.4,
-                                        kx_plateau=0.6)
     rep = se.check_q_budget(fam, budget_params)
     assert rep.reality_residual > 0.0
 
@@ -199,9 +179,6 @@ def test_budget_reality_residual(budget_params):
 def _one_member_family(qf):
     fam = se.ScaleFamily(lambda0=1e-3, upsilon=0.2)
     fam.q[(2, 2)] = qf
-    fam.q_desc[(2, 2)] = se.QDescriptor(i=2, l=2, amp=1e-6, k0_center=11.0,
-                                        k0_width=10.0, kx_width=1.4,
-                                        kx_plateau=0.6)
     return fam
 
 
@@ -210,7 +187,7 @@ def dense_budget_oracle(family, params, npts):
     the dense meshgrid, each of its npts[0] npts[1] npts[2] points."""
     measured, reality = {}, 0.0
     for (i, l), qf in sorted(family.q.items()):
-        wins = se._windows(family.q_desc[(i, l)], params.M)
+        wins = se._windows(i, l, params.M)
         axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(wins, npts)]
         K0, KX, KY = np.meshgrid(*axes, indexing="ij")
         Q = np.asarray(qf(K0, KX, KY))
@@ -262,7 +239,6 @@ def test_budget_open_grid_matches_dense_mesh_saturating(budget_params, qfam):
     subset = se.ScaleFamily(lambda0=qfam.lambda0, upsilon=qfam.upsilon)
     for key in ((2, 2), (2, 4), (4, 5)):
         subset.q[key] = qfam.q[key]
-        subset.q_desc[key] = qfam.q_desc[key]
         assert isinstance(subset.q[key], se.ProductQ)
     npts = (40, 36, 44)
     rep = se.check_q_budget(subset, budget_params, npts=npts)
@@ -285,9 +261,6 @@ def test_product_member_matches_dense_mesh(budget_params, amp, negative, i,
     amp = -amp if negative else amp
     fam = se.ScaleFamily(lambda0=1e-3, upsilon=0.2)
     fam.q[(i, l)] = se._make_q_member(budget_params.M, i, l, amp)
-    fam.q_desc[(i, l)] = se.QDescriptor(i=i, l=l, amp=amp, k0_center=11.0,
-                                        k0_width=10.0, kx_width=1.4,
-                                        kx_plateau=0.6)
     rep = se.check_q_budget(fam, budget_params, npts=npts)
     measured, reality = dense_budget_oracle(fam, budget_params, npts)
     _assert_matches_oracle(rep, measured)
@@ -342,7 +315,7 @@ def test_saturating_amplitudes_match_reference_loop(budget_params, qfam):
     p = budget_params
     M, la, up = p.M, p.lambda0, p.upsilon
     u = _sup_derivs_1d_reference(se._f0, 1.0, se._K0_CENTER + se._K0_EDGE, 60000)
-    for (i, l), desc in sorted(qfam.q_desc.items()):
+    for (i, l), q in sorted(qfam.q.items()):
         w = M ** l
         npts = int(max(8000, 40 * se._KX_EDGE * 2 * w))
         raw = _sup_derivs_1d_reference(lambda t: se._gx(t, w),
@@ -352,7 +325,7 @@ def test_saturating_amplitudes_match_reference_loop(budget_params, qfam):
                    for d1 in range(3 - d0) for d2 in range(3 - d0 - d1))
         allowed0 = 2.0 * la ** (1 - 2 * up) * p.sector_length(l) / M ** l \
             * M ** (p.aleph_prime * (l - i))
-        assert desc.amp == 0.9 / cmax * allowed0
+        assert q.amp == 0.9 / cmax * allowed0
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +484,21 @@ def test_amputations(scales, fermi_point):
     assert worst <= 2.0
 
 
+@pytest.mark.parametrize("member", [
+    lambda k0, kx, ky: 1e-8 * np.cos(3.0 * kx),
+    se._make_q_member(3.0, 2, 2, 1e-6),
+], ids=["callable", "product-at-other-M"])
+def test_family_text_rejects_member_it_cannot_hold(budget_params, member):
+    # written from its amplitude alone, the member would read back as the
+    # ProductQ of (2, 2) at M = 2: a different function
+    with pytest.raises(ValueError, match="ProductQ"):
+        se.family_to_text(_one_member_family(member), budget_params)
+
+
 def test_family_text_roundtrip(budget_params, qfam):
     pfam = se.linear_p_family(budget_params)
     fam = se.ScaleFamily(p=pfam.p, dp_dk0=pfam.dp_dk0, p_amp=pfam.p_amp,
-                         q=qfam.q, q_desc=qfam.q_desc,
+                         q=qfam.q,
                          lambda0=qfam.lambda0, upsilon=qfam.upsilon)
     text = se.family_to_text(fam, budget_params)
     back = se.family_from_text(text, budget_params)
