@@ -1,13 +1,7 @@
-"""fermi2d: multiscale RG toolkit for a two-dimensional Fermi liquid."""
+"""fermi2d: multiscale RG toolkit for a two-dimensional Fermi liquid.
 
-from .config import ScaleParams, load_config
-from .scales import (DispersionModel, Momentum, ScaleInterval, ScaleModel,
-                     make_model, quadratic_model)
-
-__all__ = [
-    "DispersionModel", "Momentum", "ScaleInterval",
-    "ScaleModel", "ScaleParams", "load_config", "make_model",
-    "quadratic_model",
-]
+The package imports nothing, so each subcommand loads only the modules on
+its own path; import from the modules (fermi2d.config, fermi2d.scales, ...).
+"""
 
 __version__ = "0.1.0"

@@ -7,6 +7,10 @@ included).  Every failure also prints a machine-readable JSON diagnostic
 to stderr.  Output formatting is fixed (17 significant digits, stable
 column order) and every scenario runs in one thread, so identical configs
 produce byte-identical files.
+
+Each scenario imports the layers it uses inside its own functions: every
+command runs in a fresh interpreter, so a command compiles only the
+modules on its path (jump-sweep: config, scales and occupation).
 """
 from __future__ import annotations
 
@@ -19,12 +23,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import config as cfg
-from . import hoelder as hl
-from . import ladders as ld
-from . import selfenergy as se
-from .blocks import BlockKernel
-from .kernels import is_inversion_symmetric, make_grid
-from .scales import ScaleModel, make_model
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -109,6 +107,7 @@ def g_profile(name: str):
 
 def run_jump_sweep(args) -> int:
     from . import occupation as oc
+    from .scales import make_model
 
     try:
         params, model_name, sections = cfg.load_config(args.config)
@@ -150,7 +149,11 @@ def _demo_scheme_and_family(params, disp, gridn: int, seed: int, scales_list):
     """Small momentum grid with one live shell-overlap radius per processed
     scale (so every scale's bubble lines are nonzero), shared angles to
     keep the admissible sector count small, and a random rung family."""
-    from fermi2d.sectors import build_fermi_curve
+    from . import ladders as ld
+    from . import selfenergy as se
+    from .blocks import BlockKernel
+    from .kernels import make_grid
+    from .sectors import build_fermi_curve
 
     rng = np.random.default_rng(seed)
     curve = build_fermi_curve(disp)
@@ -180,6 +183,10 @@ def _demo_scheme_and_family(params, disp, gridn: int, seed: int, scales_list):
 
 
 def run_ladder_demo(args) -> int:
+    from . import ladders as ld
+    from .kernels import is_inversion_symmetric
+    from .scales import make_model
+
     try:
         params = cfg.ScaleParams()
         disp = make_model("quadratic")
@@ -230,7 +237,7 @@ def run_ladder_demo(args) -> int:
     return EXIT_OK
 
 
-def _budget_table(report: se.BudgetReport) -> List[dict]:
+def _budget_table(report) -> List[dict]:
     return [{"i": r.i, "l": r.l, "d0": r.delta[0], "d1": r.delta[1],
              "d2": r.delta[2], "measured": r.measured, "allowed": r.allowed,
              "ratio": r.ratio, "pass": int(r.passed)} for r in report.rows]
@@ -241,6 +248,8 @@ def _load_family(args, kind: str):
     config diagnostic.  The file sets lambda0 and upsilon; a file line the
     reader rejects (a scale index above --jmax among them) is a config
     error."""
+    from . import selfenergy as se
+
     try:
         params = cfg.ScaleParams(jmax=int(args.jmax))
         with open(args.family, "r", encoding="utf-8") as fh:
@@ -250,7 +259,10 @@ def _load_family(args, kind: str):
         return None
 
 
-def _budget_report(params, fam) -> se.BudgetReport:
+def _budget_report(params, fam):
+    from . import selfenergy as se
+    from .scales import ScaleModel, make_model
+
     return se.check_q_budget(fam, params,
                              scales=ScaleModel(params, make_model("quadratic")))
 
@@ -274,6 +286,8 @@ def run_norm_budget(args) -> int:
 
 
 def run_resum(args) -> int:
+    from . import selfenergy as se
+
     try:
         nsamples = int(args.nsamples)
         if nsamples < 1:
@@ -306,6 +320,8 @@ def run_resum(args) -> int:
 
 
 def run_hoelder_check(args) -> int:
+    from . import hoelder as hl
+
     try:
         b = hl.ScaleBounds(alpha=float(args.alpha), beta=float(args.beta),
                            C0=float(args.c0), C1=float(args.c1),

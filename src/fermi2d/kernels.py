@@ -14,7 +14,6 @@ tuples are admissible only when the bar-signed momenta sum to zero.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -24,10 +23,6 @@ import numpy as np
 EXTP = -1  # primed external field
 EXT = 0    # external field
 INT = 1    # internal (sectorized) field
-
-
-class ResolutionError(ValueError):
-    """Grid too coarse for the requested finite-difference order."""
 
 
 # ---------------------------------------------------------------------------
@@ -447,123 +442,6 @@ def extract_component(kern: Kernel4, ivec: Sequence[int]) -> Kernel4:
     keep = np.zeros_like(out, dtype=bool)
     keep[np.ix_(*component_mask(sp, ivec))] = True
     return Kernel4(sp, np.where(keep, out, 0.0))
-
-
-# ---------------------------------------------------------------------------
-# momentum-space norms
-
-
-def momentum_norm_tilde(h: Callable, box, shape, max_order: int,
-                        params) -> "FormalSeries":
-    """Derivative-graded sup norm of a scalar momentum function.
-
-    The delta coefficient is sup over a regular grid of the central
-    finite-difference estimate of |D^delta h|, divided by delta!.  Entries
-    beyond max_order inside the truncation region are +inf (not estimated).
-    """
-    from .series import INF, FormalSeries, finite_region
-
-    if max_order > min(params.r0, params.r):
-        raise ValueError("max_order exceeds the truncation orders")
-    for npts in shape:
-        if npts < 2 * max_order + 3:
-            raise ResolutionError(
-                f"axis with {npts} points cannot support order {max_order}")
-    sups, _ = grid_sup_derivatives(h, box, shape, max_order, complex)
-    coeff = {}
-    for d in finite_region(params.r0, params.r):
-        if sum(d) > max_order:
-            coeff[d] = INF
-            continue
-        fact = math.factorial(d[0]) * math.factorial(d[1]) * math.factorial(d[2])
-        coeff[d] = sups[d] / fact
-    return FormalSeries(params.r0, params.r, coeff)
-
-
-def grid_sup_derivatives(f: Callable, box, shape, max_order: int,
-                         dtype=None):
-    """sup |D^delta f| (see sup_derivatives) on the regular grid of shape[a]
-    points spanning box[a] = (lo, hi) on each axis a.
-
-    f is called once, on the open mesh (one 1d axis array per argument,
-    shaped to broadcast), so a product of per-axis factors costs sum(shape)
-    factor evaluations instead of prod(shape).  Its result, as dtype, is
-    broadcast to the full grid: a member that ignores an axis or returns a
-    scalar is still measured on the whole grid.  Returns the sups and the
-    open mesh.
-    """
-    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(box, shape)]
-    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    F = np.broadcast_to(np.asarray(f(*mesh), dtype=dtype), tuple(shape))
-    return sup_derivatives(F, [ax[1] - ax[0] for ax in axes], max_order), mesh
-
-
-def sup_derivatives(F: np.ndarray, steps, max_order: int) -> dict:
-    """sup |D^delta F| for every multi-index delta with |delta| <= max_order,
-    from central differences on a regular grid of spacings steps.
-
-    D^delta is one pass (D[2:] - D[:-2]) / (2 step) along one axis, the
-    interior formula of np.gradient, on its parent, delta less one unit on
-    its last nonzero axis, so each derivative costs one pass and the passes
-    of a delta run in ascending axis order.  A pass drops one cell per side
-    on its axis.  The sup skips sum(delta) cells per side of the full grid
-    on every axis, the cells that one-sided edge differences would reach,
-    and is NaN when a measured cell is.
-    """
-    sups = {}
-
-    def visit(D, delta, first_axis):
-        total = sum(delta)
-        sups[delta] = _sup_abs(D[tuple(slice(total - d, D.shape[a] - total + d)
-                                       for a, d in enumerate(delta))])
-        if total < max_order:
-            for ax in range(first_axis, D.ndim):
-                child = delta[:ax] + (delta[ax] + 1,) + delta[ax + 1:]
-                pre = (slice(None),) * ax
-                visit((D[pre + (slice(2, None),)] - D[pre + (slice(None, -2),)])
-                      / (2. * steps[ax]), child, ax)
-
-    visit(F, (0,) * F.ndim, 0)
-    return sups
-
-
-def product_sup_derivatives(amp, factors, steps, max_order: int) -> dict:
-    """sup_derivatives of the rank-1 grid amp * factors[0] (x) factors[1]
-    (x) ..., from the 1d factors alone.
-
-    D^delta of a product is the product of the factors' own differences,
-    so each axis gets one ladder of central differences (D[2:] - D[:-2]) /
-    (2 step), and the sup of D^delta is |amp| times the product of the sups
-    of rung delta[a] of each ladder, taken on the cells sup_derivatives
-    reads: sum(delta) cells per side of the full grid.  Equal to
-    sup_derivatives of the full grid up to rounding in the last digits.
-    """
-    ladders = []
-    for f, step in zip(factors, steps):
-        rungs = [np.asarray(f)]
-        for _ in range(max_order):
-            D = rungs[-1]
-            rungs.append((D[2:] - D[:-2]) / (2. * step))
-        ladders.append(rungs)
-    sups = {}
-    for delta in itertools.product(range(max_order + 1), repeat=len(ladders)):
-        total = sum(delta)
-        if total > max_order:
-            continue
-        sup = abs(amp)
-        for rungs, d in zip(ladders, delta):
-            R = rungs[d]
-            sup *= _sup_abs(R[total - d:len(R) - total + d])
-        sups[delta] = sup
-    return sups
-
-
-def _sup_abs(A) -> float:
-    """max |A| as a float, NaN when an entry is."""
-    if np.iscomplexobj(A):
-        return float(np.abs(A).max())
-    # abs maps a -0.0 sup to 0.0, as np.abs would
-    return abs(float(max(A.max(), -A.min())))
 
 
 def _component_values_by_sector(space, arr, ivec):

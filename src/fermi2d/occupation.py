@@ -56,21 +56,32 @@ class SelfEnergyModel:
 
     def validate(self, disp: DispersionModel, samples: int = 200,
                  seed: int = 5) -> None:
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            k0 = rng.uniform(-30, 30)
-            kx, ky = rng.uniform(-2, 2, size=2)
-            s = complex(self.S(k0, kx, ky))
-            ds = complex(self.dS_dk0(k0, kx, ky))
-            if abs(s) > 0.5 + 1e-12 or abs(ds) > 0.5 + 1e-12:
-                raise ModelHypothesisError(
-                    f"|S| or |dS/dk0| exceeds 1/2 at ({k0},{kx},{ky})")
-            s0 = complex(self.S(0.0, kx, ky))
-            if abs(s0) > 0.5 * abs(float(disp.e(kx, ky))) + 1e-12:
-                raise ModelHypothesisError("|S(0,k)| exceeds |e(k)|/2")
-            if abs(s0.imag) > 1e-12 or abs(complex(self.dS_dk0(0.0, kx, ky)).real) > 1e-12:
-                raise ModelHypothesisError(
-                    "S(0,k) and (1/i) dS/dk0(0,k) must be real")
+        """Check the hypotheses at `samples` seeded draws (k0, kx, ky):
+        |S|, |dS/dk0| <= 1/2; |S(0,k)| <= |e(k)|/2; S(0,k) and
+        (1/i) dS/dk0(0,k) real.  S and dS_dk0 are each called once, on the
+        draws followed by their k0 = 0 copies.  The first failing draw
+        raises ModelHypothesisError for the first hypothesis it fails."""
+        k0, kx, ky = np.random.default_rng(seed).uniform(
+            [-30, -2, -2], [30, 2, 2], size=(samples, 3)).T
+        args = (np.concatenate([k0, np.zeros(samples)]),
+                np.tile(kx, 2), np.tile(ky, 2))
+        s, s0 = np.broadcast_to(self.S(*args), (2 * samples,)).reshape(2, -1)
+        ds, ds0 = np.broadcast_to(self.dS_dk0(*args),
+                                  (2 * samples,)).reshape(2, -1)
+        fails = [
+            ((np.abs(s) > 0.5 + 1e-12) | (np.abs(ds) > 0.5 + 1e-12),
+             "|S| or |dS/dk0| exceeds 1/2 at ({},{},{})"),
+            (np.abs(s0) > 0.5 * np.abs(disp.e(kx, ky)) + 1e-12,
+             "|S(0,k)| exceeds |e(k)|/2"),
+            ((np.abs(np.imag(s0)) > 1e-12) | (np.abs(np.real(ds0)) > 1e-12),
+             "S(0,k) and (1/i) dS/dk0(0,k) must be real"),
+        ]
+        bad = np.logical_or.reduce([mask for mask, _ in fails])
+        if bad.any():
+            n = int(np.argmax(bad))
+            msg = next(msg for mask, msg in fails if mask[n])
+            raise ModelHypothesisError(
+                msg.format(float(k0[n]), float(kx[n]), float(ky[n])))
 
 
 def linear_self_energy(lam: float, g: Callable, k_sat: float = 1.0) -> SelfEnergyModel:

@@ -276,6 +276,26 @@ def test_family_commands_reject_bad_family_file(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, power", [
+    ("q 2 1100 1e-3 11.0 10.0 1.4 0.6", 2200),  # M^l of the member overflows
+    ("q 2 520 1e-3 11.0 10.0 1.4 0.6", 1040),   # M^(2 l) of its budget does
+], ids=["l-1100", "l-520"])
+@pytest.mark.parametrize("command", ["norm-budget", "resum"])
+def test_family_commands_reject_overflowing_scale(tmp_path, capsys, command,
+                                                  line, power):
+    # a scale index --jmax admits but whose budget factors overflow a float
+    # is a config error naming the line, not an OverflowError traceback
+    path = tmp_path / "family.txt"
+    path.write_text(f"lambda0 = 0.001\nupsilon = 0.2\nM = 2.0\n{line}\n")
+    rc = cli.main([command, "--family", str(path), "--jmax", "2000"])
+    assert rc == cli.EXIT_CONFIG
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["scenario"] == command
+    assert diag["error"] == "config"
+    assert f"family line 4 {line!r}" in diag["detail"]
+    assert f"2.0^{power} is not a finite float" in diag["detail"]
+
+
 # a valid jmax-3 family: saturating q members and the linear counterterms
 FUZZ_FAMILY = """\
 lambda0 = 0.001
@@ -401,34 +421,51 @@ def test_missing_output_directory(tmp_path, capsys, family_files, argv):
     assert diag["error"] == "output"
 
 
-@pytest.mark.parametrize("argv", [
-    ["ladder-demo", "--scales", "2", "--out", "{out}"],
-    ["norm-budget", "--family", "{good}", "--jmax", "4"],
-    ["resum", "--family", "{bad}", "--jmax", "4", "--nsamples", "2",
-     "--check-budget"],
-    ["hoelder-check", "--alpha", "1", "--beta", "1", "--c0", "1", "--c1", "1",
-     "--m", "2", "--out", "{out}"],
-], ids=lambda argv: argv[0])
-def test_subcommand_loads_no_scipy(tmp_path, family_files, argv):
-    # a fresh interpreter: a scipy import anywhere on the subcommand's path
-    # would show up in sys.modules (--scales 2 reaches the resectorization)
-    argv = [a.format(out=tmp_path / "out", good=family_files / "good.txt",
+# the fermi2d modules each subcommand loads besides the package, cli and
+# config: only the layers on its own path
+FAMILY_LAYERS = {"scales", "selfenergy"}
+SUBCOMMAND_LAYERS = [
+    (["jump-sweep", "--config", "{sweep}", "--out", "{out}"],
+     {"scales", "occupation"}),
+    # --scales 2 reaches the resectorization
+    (["ladder-demo", "--scales", "2", "--out", "{out}"],
+     {"blocks", "kernels", "ladders", "scales", "sectors", "selfenergy"}),
+    (["norm-budget", "--family", "{good}", "--jmax", "4"], FAMILY_LAYERS),
+    (["resum", "--family", "{bad}", "--jmax", "4", "--nsamples", "2",
+      "--check-budget"], FAMILY_LAYERS),
+    (["hoelder-check", "--alpha", "1", "--beta", "1", "--c0", "1", "--c1",
+      "1", "--m", "2", "--out", "{out}"], {"hoelder"}),
+]
+
+
+@pytest.mark.parametrize("argv, layers", SUBCOMMAND_LAYERS,
+                         ids=[argv[0] for argv, _ in SUBCOMMAND_LAYERS])
+def test_subcommand_loads_no_scipy(tmp_path, family_files, argv, layers):
+    # a fresh interpreter: sys.modules shows every module the subcommand
+    # imported, a scipy import anywhere on its path included
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("[scenario]\nnpoints = 8\nlambda = 0.17\n"
+                   "gprofile = cosine\ntol = 1e-3\n")
+    argv = [a.format(sweep=cfg, out=tmp_path / "out",
+                     good=family_files / "good.txt",
                      bad=family_files / "bad.txt") for a in argv]
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    code = ("import sys\n"
+    code = ("import json, sys\n"
             "from fermi2d import cli\n"
             f"rc = cli.main({argv!r})\n"
-            "print(rc, sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))\n")
+            "print(json.dumps([rc, sorted(sys.modules)]))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    rc, mods = out.split(maxsplit=1)
-    assert mods.strip() == "[]"
-    assert int(rc) == (cli.EXIT_VIOLATION if "--check-budget" in argv
-                       else cli.EXIT_OK)
+    rc, mods = json.loads(out)
+    assert [m for m in mods if m.split(".")[0] == "scipy"] == []
+    assert {m for m in mods if m.split(".")[0] == "fermi2d"} \
+        == {"fermi2d", "fermi2d.cli", "fermi2d.config"} \
+        | {"fermi2d." + m for m in layers}
+    assert rc == (cli.EXIT_VIOLATION if "--check-budget" in argv
+                  else cli.EXIT_OK)
 
 
 def test_repeat_run_determinism(tmp_path):

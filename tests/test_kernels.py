@@ -7,19 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermi2d.config import ScaleParams
-from fermi2d.kernels import (EXT, INT, Kernel4, KernelSpace, ResolutionError,
-                             antisymmetrize, component_mask,
-                             conservation_mask, extract_component, flip,
-                             grid_sup_derivatives, is_antisymmetric,
+from fermi2d.kernels import (EXT, INT, Kernel4, KernelSpace, antisymmetrize,
+                             component_mask, conservation_mask,
+                             extract_component, flip, is_antisymmetric,
                              is_inversion_symmetric, kernel_from_text,
                              kernel_to_text, make_grid,
-                             momentum_norm_tilde, number_conserving_mask,
-                             ord_component, ord_permutation,
-                             permutation_sign, pi_collapse, random_kernel,
-                             reduce_ph, reduce_pp, s_kappa, sct, sct_prime,
-                             sector_norm_p, shear, shear_prime,
-                             sup_derivatives, value_ph, value_pp,
-                             zero_kernel)
+                             number_conserving_mask, ord_component,
+                             ord_permutation, permutation_sign, pi_collapse,
+                             random_kernel, reduce_ph, reduce_pp, s_kappa,
+                             sct, sct_prime, sector_norm_p, shear,
+                             shear_prime, value_ph, value_pp, zero_kernel)
+from fermi2d.selfenergy import (ResolutionError, grid_sup_derivatives,
+                                momentum_norm_tilde, sup_derivatives)
 
 GRID = make_grid([(0.25, 1.2, 0.55)])
 

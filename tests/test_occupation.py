@@ -1,8 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -27,6 +24,26 @@ def test_model_validation(disp, model):
                              eps=1.0, C=0.0)
     with pytest.raises(oc.ModelHypothesisError):
         bad.validate(disp)
+
+
+@pytest.mark.parametrize("bad_at", [0, 137, 199])
+def test_model_validation_names_first_failing_sample(disp, bad_at):
+    # |S| = 0.9 at one draw of the validation stream and 0 elsewhere: the
+    # error names that draw, in the (k0,kx,ky) form of the scalar check
+    draws = np.random.default_rng(5).uniform([-30, -2, -2], [30, 2, 2],
+                                             size=(200, 3))
+    k0_bad = draws[bad_at, 0]
+
+    def spike(k0, kx, ky):
+        return 0.9j * (np.asarray(k0) == k0_bad) + 0 * np.asarray(kx)
+
+    bad = oc.SelfEnergyModel(S=spike, dS_dk0=lambda k0, kx, ky: 0.0,
+                             eps=1.0, C=0.0)
+    k0, kx, ky = map(float, draws[bad_at])
+    with pytest.raises(oc.ModelHypothesisError) as exc:
+        bad.validate(disp)
+    assert str(exc.value) == f"|S| or |dS/dk0| exceeds 1/2 at ({k0},{kx},{ky})"
+    bad.validate(disp, samples=bad_at)  # the draws before it all pass
 
 
 def test_free_occupation_step(disp):
@@ -459,24 +476,3 @@ def test_quad_vec_raises_on_non_finite_values():
         with pytest.raises(oc.QuadratureError,
                            match="Non-finite values encountered"):
             oc._quad_vec(lambda t: np.array([np.nan, 1.0]), 0.0, 1.0, 1e-9)
-
-
-def test_jump_sweep_loads_no_scipy(tmp_path):
-    # a fresh interpreter: a module-level scipy import anywhere on the
-    # jump-sweep path would show up in sys.modules
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("[scenario]\nnpoints = 8\nlambda = 0.17\n"
-                   "gprofile = cosine\ntol = 1e-3\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(oc.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    code = ("import sys\n"
-            "from fermi2d import cli\n"
-            f"rc = cli.main(['jump-sweep', '--config', {str(cfg)!r}, "
-            f"'--out', {str(tmp_path / 'sweep.csv')!r}])\n"
-            "print(rc, sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.split() == ["0", "[]"]

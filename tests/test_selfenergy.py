@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from fermi2d import selfenergy as se
 from fermi2d.config import ScaleParams
-from fermi2d.kernels import sup_derivatives
 from fermi2d.scales import ScaleModel, quadratic_model
 
 
@@ -193,7 +192,7 @@ def dense_budget_oracle(family, params, npts):
         Q = np.asarray(qf(K0, KX, KY))
         if np.iscomplexobj(Q) and not np.abs(Q.imag).any():
             Q = Q.real
-        sups = sup_derivatives(Q, [ax[1] - ax[0] for ax in axes], 2)
+        sups = se.sup_derivatives(Q, [ax[1] - ax[0] for ax in axes], 2)
         measured.update({(i, l, d): s for d, s in sups.items()})
         S0, SX, SY = (K[::13, ::13, ::13] for K in (K0, KX, KY))
         res = np.abs(qf(-S0, SX, SY) - np.conj(qf(S0, SX, SY)))
@@ -493,6 +492,23 @@ def test_family_text_rejects_member_it_cannot_hold(budget_params, member):
     # ProductQ of (2, 2) at M = 2: a different function
     with pytest.raises(ValueError, match="ProductQ"):
         se.family_to_text(_one_member_family(member), budget_params)
+
+
+@pytest.mark.parametrize("amps", [{}, "drop-one", "extra"])
+def test_family_text_rejects_p_without_its_amplitude(budget_params, qfam,
+                                                     amps):
+    # p lines come from p_amp: a counterterm without its amplitude would be
+    # left out of the file without a word, an amplitude alone would add one
+    pfam = se.linear_p_family(budget_params)
+    if amps == "drop-one":
+        amps = dict(pfam.p_amp)
+        del amps[max(amps)]
+    elif amps == "extra":
+        amps = {**pfam.p_amp, budget_params.jmax + 1: 1e-3}
+    fam = se.ScaleFamily(p=pfam.p, p_amp=amps, q=qfam.q,
+                         lambda0=qfam.lambda0, upsilon=qfam.upsilon)
+    with pytest.raises(ValueError, match="counterterm indices"):
+        se.family_to_text(fam, budget_params)
 
 
 def test_family_text_roundtrip(budget_params, qfam):
