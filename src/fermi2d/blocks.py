@@ -4,8 +4,9 @@ The ladder path keeps its kernels here instead of in dense n^4 arrays:
 PairBlocks (built once per KernelSpace, as KernelSpace.pair_blocks) groups
 the support into dense blocks, and BlockKernel holds a kernel as its
 support vector, with the dense operations of the ladder path as gathers:
-each one leg swap of the support (PairBlocks.swap), or, between a directed
-space and its undirected partner, the reduce_ph gather.
+each one leg swap of the support (PairBlocks.swap) or a product of them
+(the inversion check reverses the legs by two swaps), or, between a
+directed space and its undirected partner, the reduce_ph gather.
 """
 from __future__ import annotations
 
@@ -204,6 +205,14 @@ class BlockKernel:
                 acc -= out[pb.swap(i, k)]
             out = acc
         return BlockKernel(self.space, out / 24.0)
+
+    def is_inversion_symmetric(self, tol: float = 1e-12) -> bool:
+        """kernels.is_inversion_symmetric: the reversal of the four legs is
+        the (0, 3) swap gather followed by the (1, 2) one."""
+        pb = self.space.pair_blocks
+        v = self.values
+        return bool(np.abs(v - v[pb.swap(0, 3)][pb.swap(1, 2)]).max(initial=0.0)
+                    <= tol * max(self.max_abs(), 1.0))
 
     def flip(self) -> "BlockKernel":
         """Minus the middle-leg swap."""

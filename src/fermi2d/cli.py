@@ -182,9 +182,22 @@ def _demo_scheme_and_family(params, disp, gridn: int, seed: int, scales_list):
     return scheme, fam
 
 
+def _external_entries(kern):
+    """(legs, values) of the nonzero all-external support entries of a
+    BlockKernel, legs one (i1, i2, i3, i4) row per entry, in ascending
+    dense flat index (the order of np.argwhere on the dense block)."""
+    from .kernels import EXT
+
+    flat = kern.space.pair_blocks.flat
+    legs = np.stack(np.unravel_index(flat, (kern.space.n,) * 4), axis=1)
+    keep = np.flatnonzero((kern.space.leg_field[legs] == EXT).all(axis=1)
+                          & (kern.values != 0))
+    keep = keep[np.argsort(flat[keep])]
+    return legs[keep], kern.values[keep]
+
+
 def run_ladder_demo(args) -> int:
     from . import ladders as ld
-    from .kernels import is_inversion_symmetric
     from .scales import make_model
 
     try:
@@ -208,14 +221,10 @@ def run_ladder_demo(args) -> int:
     except ld.LadderDivergenceError as exc:
         _diag("ladder-demo", "divergence", str(exc))
         return EXIT_TOLERANCE
-    kern = report.iterated
-    sp = kern.space
-    ext = sp.field_indices(0)
+    sp = report.iterated.space
     g = sp.grid
-    block = kern.values[np.ix_(ext, ext, ext, ext)]
-    nonzero = block != 0
     rows = []
-    for (i1, i2, i3, i4), v in zip(ext[np.argwhere(nonzero)], block[nonzero]):
+    for (i1, i2, i3, i4), v in zip(*_external_entries(report.iterated)):
         t0 = g.k0[sp.leg_k[i1]] - g.k0[sp.leg_k[i2]]
         tx = g.kx[sp.leg_k[i1]] - g.kx[sp.leg_k[i2]]
         ty = g.ky[sp.leg_k[i1]] - g.ky[sp.leg_k[i2]]
@@ -227,8 +236,8 @@ def run_ladder_demo(args) -> int:
     if not _write_out("ladder-demo", args.out,
                       emit(rows, LADDER_COLUMNS, args.format)):
         return EXIT_CONFIG
-    sym_ok = is_inversion_symmetric(report.iterated, tol=1e-11) \
-        and is_inversion_symmetric(report.compound, tol=1e-11)
+    sym_ok = report.iterated.is_inversion_symmetric(tol=1e-11) \
+        and report.compound.is_inversion_symmetric(tol=1e-11)
     if report.residual > 1e-12 or not sym_ok:
         _diag("ladder-demo", "identity",
               f"telescope residual {report.residual:.3e}, "
@@ -326,11 +335,16 @@ def run_hoelder_check(args) -> int:
         b = hl.ScaleBounds(alpha=float(args.alpha), beta=float(args.beta),
                            C0=float(args.c0), C1=float(args.c1),
                            M=float(args.m))
+        family = hl.saturating_family(b)
+        report = hl.verify_family(b, family)
     except ValueError as exc:
         _diag("hoelder-check", "config", str(exc))
         return EXIT_CONFIG
-    family = hl.saturating_family(b)
-    report = hl.verify_family(b, family)
+    except (ZeroDivisionError, OverflowError) as exc:
+        # M^alpha rounding to 1, or M^((alpha+beta) j) or C' overflowing
+        _diag("hoelder-check", "config",
+              f"bounds beyond floating-point range: {exc}")
+        return EXIT_CONFIG
     expo, band = hl.empirical_exponent(
         lambda t: sum(f(t) for f, _ in family))
     out = {"exponent": report.exponent, "constant": report.constant,

@@ -45,6 +45,8 @@ def hoelder_certificate(b: ScaleBounds) -> Tuple[float, float]:
                     + b.M ** b.alpha / (b.M ** b.alpha - 1.0))
     const = cprime * b.C0 ** (b.beta / (b.alpha + b.beta)) \
         * b.C1 ** (b.alpha / (b.alpha + b.beta))
+    if not math.isfinite(const):
+        raise OverflowError("certificate constant overflows a float")
     return expo, const
 
 

@@ -10,11 +10,11 @@ Read as n^2 x n^2 matrices over ordered leg pairs, a composition is one
 matrix product, left[:, P] @ B @ rung[P, :], with P the internal pairs and
 B = la (x) lb + lb (x) la the Kronecker form of the two bubble lines; a
 ladder with ell bubbles is the chain L_ell = L_(ell-1) B rung, and every
-ladder sum below is one power series in that chain.  The dense compose is
-exact on any kernel; the ladder sums run on the conservation support
-(blocks.BlockKernel), where the bubble maps each pair block onto itself,
-so a chain step is one small product per pair block (compose_blocks), and
-reject rungs with entries off that support.
+ladder sum below is one power series in that chain.  The ladder sums take
+and return kernels on the conservation support (blocks.BlockKernel), where
+the bubble maps each pair block onto itself, so a chain step is one small
+product per pair block (compose_blocks); the dense compose, exact on any
+kernel, is the reference the blocked step is tested against.
 
 Three recursions are provided: the scale-dependent iterated particle-hole
 ladder (counterterm sum u_j grows with the scale), the compound ladder
@@ -180,22 +180,10 @@ def _ladder_series(rung: BlockKernel, bub: BubbleProp, lmax: int, ltol: float,
     return acc, flat(chain)
 
 
-def ladder_L(ell: int, rung: Kernel4, bub: BubbleProp) -> Kernel4:
+def ladder_L(ell: int, rung: BlockKernel, bub: BubbleProp) -> BlockKernel:
     """The ladder with ell+1 identical rungs and ell bubbles."""
-    _, vals = _ladder_series(BlockKernel.from_dense(rung), bub, ell, 0.0,
-                             lambda _, v: v)
-    return BlockKernel(rung.space, vals).dense()
-
-
-def bubble_ph_kernel(und_space: KernelSpace, a_vals_per_k: np.ndarray,
-                     b_vals_per_k: np.ndarray) -> Kernel4:
-    """The ph-reduced bubble as a four-legged kernel over undirected
-    internal legs (diagonal pairing), for symmetry checks."""
-    ii = und_space.field_indices(INT)
-    a, b = a_vals_per_k[und_space.leg_k[ii]], b_vals_per_k[und_space.leg_k[ii]]
-    vals = np.zeros((und_space.n,) * 4, dtype=complex)
-    vals[ii[:, None], ii, ii[:, None], ii] = np.outer(a, b) + np.outer(b, a)
-    return Kernel4(und_space, vals)
+    _, vals = _ladder_series(rung, bub, ell, 0.0, lambda _, v: v)
+    return BlockKernel(rung.space, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +325,10 @@ def build_scheme(params, disp, grid: MomentumGrid, scales_needed,
 
 @dataclass
 class LadderFamily:
-    """Rung family F^(i) (directed kernels at their native scales, dense or
-    BlockKernel) and counterterm momentum functions p^(i)."""
+    """Rung family F^(i) (directed kernels on the support at their native
+    scales) and counterterm momentum functions p^(i)."""
 
-    F: Dict[int, Kernel4]
+    F: Dict[int, BlockKernel]
     p: Dict[int, Callable]
 
     def u_below(self, j: int) -> Optional[Callable]:
@@ -386,13 +374,6 @@ def _ph_rung(scheme: LadderScheme, d: BlockKernel, i: int,
     return scheme.resectorize(emb, i, j) / 8.0
 
 
-def _on_support(family_F: Dict[int, Kernel4]) -> Dict[int, BlockKernel]:
-    """The rung family on its support: BlockKernel rungs as they are, dense
-    ones through BlockKernel.from_dense (ValueError for entries off it)."""
-    return {i: f if isinstance(f, BlockKernel) else BlockKernel.from_dense(f)
-            for i, f in family_F.items()}
-
-
 def _ladder_recursion(scheme: LadderScheme, jtop: int,
                       family_F: Dict[int, BlockKernel],
                       bubble_at: Callable[[int], BubbleProp],
@@ -416,30 +397,28 @@ def _ladder_recursion(scheme: LadderScheme, jtop: int,
 
 
 def iterated_ladder(scheme: LadderScheme, jtop: int, family: LadderFamily,
-                    lmax: int = 12, ltol: float = 1e-10) -> Kernel4:
+                    lmax: int = 12, ltol: float = 1e-10) -> BlockKernel:
     """Iterated particle-hole ladder up to scale jtop (covariances built
     from the running counterterm sum u_j)."""
     return _ladder_recursion(
-        scheme, jtop, _on_support(family.F),
-        lambda j: scheme.scale_bubble(j, family.u_below(j)), lmax, ltol).dense()
+        scheme, jtop, family.F,
+        lambda j: scheme.scale_bubble(j, family.u_below(j)), lmax, ltol)
 
 
 def compound_ladder(scheme: LadderScheme, jtop: int, v: Optional[Callable],
-                    family_F: Dict[int, Kernel4], lmax: int = 12,
-                    ltol: float = 1e-10) -> Kernel4:
+                    family_F: Dict[int, BlockKernel], lmax: int = 12,
+                    ltol: float = 1e-10) -> BlockKernel:
     """Compound particle-hole ladder: one fixed v in both covariances."""
-    return _ladder_recursion(scheme, jtop, _on_support(family_F),
-                             lambda j: scheme.scale_bubble(j, v), lmax,
-                             ltol).dense()
+    return _ladder_recursion(scheme, jtop, family_F,
+                             lambda j: scheme.scale_bubble(j, v), lmax, ltol)
 
 
 def ladder_closed_form(scheme: LadderScheme, jtop: int, v: Optional[Callable],
-                      family_F: Dict[int, Kernel4], lmax: int = 12,
-                      ltol: float = 1e-10) -> Kernel4:
+                      family_F: Dict[int, BlockKernel], lmax: int = 12,
+                      ltol: float = 1e-10) -> BlockKernel:
     """Compound ladder through the flipped-kernel closed form:
     chains of (24 F + L + L^f) joined by ph-reduced bubbles; agrees with
     compound_ladder identically."""
-    family_F = _on_support(family_F)
     j0 = scheme.scales.params.j0
     L = BlockKernel.zeros(scheme.space(j0, directed=False))
     lscale = j0
@@ -451,15 +430,15 @@ def ladder_closed_form(scheme: LadderScheme, jtop: int, v: Optional[Callable],
                                 lambda ell, vals: ((-1.0) ** ell) * vals)
         L = Lj + BlockKernel(Lj.space, acc)
         lscale = j
-    return L.dense()
+    return L
 
 
 @dataclass
 class TelescopeReport:
     residual: float
     per_scale_delta_norms: Dict[int, float]
-    iterated: Kernel4
-    compound: Kernel4
+    iterated: BlockKernel
+    compound: BlockKernel
 
 
 def delta_ladder_telescope(scheme: LadderScheme, jtop: int,
@@ -473,11 +452,10 @@ def delta_ladder_telescope(scheme: LadderScheme, jtop: int,
     covariance-swap corrections, resectorized to the final scale.
     """
     v = family.v_total()
-    family_F = _on_support(family.F)
     j0 = scheme.scales.params.j0
     v_bubbles = {j: scheme.scale_bubble(j, v) for j in range(j0, jtop)}
     record = {}
-    it = _ladder_recursion(scheme, jtop, family_F,
+    it = _ladder_recursion(scheme, jtop, family.F,
                            lambda j: scheme.scale_bubble(j, family.u_below(j)),
                            lmax, ltol, record)
     # delta_j = step(u_j) - step(v), both ladder sums over the recorded w_j;
@@ -487,7 +465,7 @@ def delta_ladder_telescope(scheme: LadderScheme, jtop: int,
     del record
     # corrected rung family F': the scale-(j+1) rung carries the ph rung
     # of delta_j
-    fam_prime = dict(family_F)
+    fam_prime = dict(family.F)
     for j, d in delta.items():
         tgt = j + 1
         if tgt < jtop:
@@ -503,7 +481,7 @@ def delta_ladder_telescope(scheme: LadderScheme, jtop: int,
     return TelescopeReport(
         residual=residual,
         per_scale_delta_norms={j: d.max_abs() for j, d in delta.items()},
-        iterated=it.dense(), compound=comp.dense())
+        iterated=it, compound=comp)
 
 
 # ---------------------------------------------------------------------------

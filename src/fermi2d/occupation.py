@@ -47,12 +47,10 @@ class SingularPointError(ZeroDivisionError):
 
 @dataclass
 class SelfEnergyModel:
-    """Self-energy S(k0, k) with k0-derivative and Hoelder data for it."""
+    """Self-energy S(k0, k) with its k0-derivative."""
 
     S: Callable
     dS_dk0: Callable
-    eps: float
-    C: float
 
     def validate(self, disp: DispersionModel, samples: int = 200,
                  seed: int = 5) -> None:
@@ -60,7 +58,8 @@ class SelfEnergyModel:
         |S|, |dS/dk0| <= 1/2; |S(0,k)| <= |e(k)|/2; S(0,k) and
         (1/i) dS/dk0(0,k) real.  S and dS_dk0 are each called once, on the
         draws followed by their k0 = 0 copies.  The first failing draw
-        raises ModelHypothesisError for the first hypothesis it fails."""
+        raises ModelHypothesisError for the first hypothesis it fails; each
+        check is written as not (value <= bound), so NaN fails it."""
         k0, kx, ky = np.random.default_rng(seed).uniform(
             [-30, -2, -2], [30, 2, 2], size=(samples, 3)).T
         args = (np.concatenate([k0, np.zeros(samples)]),
@@ -69,11 +68,11 @@ class SelfEnergyModel:
         ds, ds0 = np.broadcast_to(self.dS_dk0(*args),
                                   (2 * samples,)).reshape(2, -1)
         fails = [
-            ((np.abs(s) > 0.5 + 1e-12) | (np.abs(ds) > 0.5 + 1e-12),
+            (~((np.abs(s) <= 0.5 + 1e-12) & (np.abs(ds) <= 0.5 + 1e-12)),
              "|S| or |dS/dk0| exceeds 1/2 at ({},{},{})"),
-            (np.abs(s0) > 0.5 * np.abs(disp.e(kx, ky)) + 1e-12,
+            (~(np.abs(s0) <= 0.5 * np.abs(disp.e(kx, ky)) + 1e-12),
              "|S(0,k)| exceeds |e(k)|/2"),
-            ((np.abs(np.imag(s0)) > 1e-12) | (np.abs(np.real(ds0)) > 1e-12),
+            (~((np.abs(np.imag(s0)) <= 1e-12) & (np.abs(np.real(ds0)) <= 1e-12)),
              "S(0,k) and (1/i) dS/dk0(0,k) must be real"),
         ]
         bad = np.logical_or.reduce([mask for mask, _ in fails])
@@ -104,7 +103,7 @@ def linear_self_energy(lam: float, g: Callable, k_sat: float = 1.0) -> SelfEnerg
     def dS(k0, kx, ky):
         return 1j * lam * dq(np.asarray(k0)) * g(kx, ky)
 
-    return SelfEnergyModel(S=S, dS_dk0=dS, eps=1.0, C=1.5 * lam / k_sat ** 2)
+    return SelfEnergyModel(S=S, dS_dk0=dS)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +501,7 @@ def occupation_N(disp, model, kx, ky, tau: float, eta: Optional[float] = None,
 
 def _free_model() -> SelfEnergyModel:
     zero = lambda k0, kx, ky: 0.0 * np.asarray(k0)
-    return SelfEnergyModel(S=zero, dS_dk0=zero, eps=1.0, C=0.0)
+    return SelfEnergyModel(S=zero, dS_dk0=zero)
 
 
 def jump_predicted(model, kx, ky):

@@ -73,8 +73,6 @@ class DispersionModel:
 
     e: Callable
     U: Callable
-    mu: float
-    name: str
     fermi_radius: Callable
 
 
@@ -98,8 +96,7 @@ def quadratic_model(anisotropy: float = 1.0) -> DispersionModel:
         th = np.asarray(theta, dtype=float)
         return np.sqrt(2.0 / (np.cos(th) ** 2 + a * np.sin(th) ** 2))
 
-    name = "quadratic" if a == 1.0 else f"quadratic:{a}"
-    return DispersionModel(e=e, U=U, mu=1.0, name=name, fermi_radius=fermi_radius)
+    return DispersionModel(e=e, U=U, fermi_radius=fermi_radius)
 
 
 def make_model(name: str) -> DispersionModel:

@@ -15,13 +15,13 @@ from fermi2d import hoelder as hl
 from fermi2d import ladders as ld
 from fermi2d import occupation as oc
 from fermi2d import selfenergy as se
+from fermi2d.blocks import BlockKernel
 from fermi2d.config import ScaleParams
 from fermi2d.kernels import (Kernel4, KernelSpace, antisymmetrize,
                              component_mask, extract_component, flip,
-                             is_inversion_symmetric, make_grid, pi_collapse,
-                             random_kernel, reduce_ph, reduce_pp,
-                             sct_prime, shear, shear_prime, value_ph,
-                             value_pp)
+                             make_grid, pi_collapse, random_kernel,
+                             reduce_ph, reduce_pp, sct_prime, shear,
+                             shear_prime, value_ph, value_pp)
 from fermi2d.scales import ScaleModel, quadratic_model
 from fermi2d.sectors import build_fermi_curve
 
@@ -149,7 +149,8 @@ def _ladder_fixture():
     rng = np.random.default_rng(7)
     fam = ld.LadderFamily(F={}, p={})
     for i in (2, 3):
-        fam.F[i] = random_kernel(scheme.space(i), rng, amp=1e-5, antisym=True)
+        fam.F[i] = BlockKernel.from_dense(
+            random_kernel(scheme.space(i), rng, amp=1e-5, antisym=True))
     pfam = se.linear_p_family(params, imin=2, imax=3, amp0=5e-3)
     fam.p = pfam.p
     return scheme, fam
@@ -171,7 +172,7 @@ def test_criterion_4_ladder_equivalences():
     assert r_tel <= 1e-12
     assert max(rep.per_scale_delta_norms.values()) > 0.0
     for kern in (comp, closed, rep.iterated, rep.compound):
-        assert is_inversion_symmetric(kern, tol=1e-11)
+        assert kern.is_inversion_symmetric(tol=1e-11)
     _report(4, f"recursion vs closed form {r_closed:.1e}; telescoping {r_tel:.1e} "
                f"(both <= 1e-12 relative); all outputs inversion symmetric")
 

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from fermi2d import cli
 from fermi2d.blocks import BlockKernel
-from fermi2d.kernels import (KernelSpace, antisymmetrize, conservation_mask,
-                             flip, make_grid, number_conserving_mask,
-                             random_kernel, reduce_ph, value_ph)
+from fermi2d.kernels import (Kernel4, KernelSpace, antisymmetrize,
+                             conservation_mask, flip, is_inversion_symmetric,
+                             make_grid, number_conserving_mask, random_kernel,
+                             reduce_ph, value_ph)
 
 
 @settings(max_examples=15, deadline=None)
@@ -32,7 +33,8 @@ def test_pair_blocks_hold_the_support(small_spaces, data, directed, seed):
 def test_block_operations_match_dense(small_spaces, data, seed):
     # on support kernels each gather equals its dense operation bit for
     # bit, and every dense result lies on the support (from_dense raises
-    # on an entry off it)
+    # on an entry off it); the inversion check agrees with the dense one on
+    # directed and undirected kernels, inversion symmetric or not
     sp = data.draw(small_spaces())
     und = sp.undirected()
     rng = np.random.default_rng(seed)
@@ -46,6 +48,13 @@ def test_block_operations_match_dense(small_spaces, data, seed):
         assert block.space is dense.space
         assert np.array_equal(block.dense().values, dense.values)
         BlockKernel.from_dense(dense)
+    for kern in (f, L):
+        sym = Kernel4(kern.space,
+                      kern.values + kern.values.transpose(3, 2, 1, 0))
+        for k in (kern, sym):
+            assert BlockKernel.from_dense(k).is_inversion_symmetric() \
+                == is_inversion_symmetric(k)
+        assert BlockKernel.from_dense(sym).is_inversion_symmetric()
 
 
 def test_antisymmetrize_rejects_an_undirected_space():

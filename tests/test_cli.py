@@ -7,13 +7,16 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermi2d import cli
+from fermi2d import ladders as ld
 from fermi2d import selfenergy as se
 from fermi2d.config import ScaleParams
+from fermi2d.kernels import EXT
 from fermi2d.scales import make_model
 
 SWEEP_CFG = """\
@@ -108,8 +111,11 @@ def test_jump_sweep_bad_config(tmp_path):
     "npoints = 4\nlambda = 0.2\ntol = nan\n",
     "npoints = 4\nlambda = 0.2\ntol = 0\n",
     "npoints = 4\nlambda = 0.2\ntol = inf\n",
+    # a non-finite S fails every bound check of SelfEnergyModel.validate
+    "npoints = 4\nlambda = nan\ngprofile = constant\n",
+    "npoints = 4\nlambda = inf\ngprofile = constant\n",
 ], ids=["lambda-0.9", "lambda-1.0", "npoints-0", "tol-nan", "tol-0",
-        "tol-inf"])
+        "tol-inf", "lambda-nan", "lambda-inf"])
 def test_jump_sweep_rejects_bad_scenario(tmp_path, capsys, scenario):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[scenario]\n" + scenario)
@@ -158,6 +164,26 @@ def test_ladder_demo_divergence_exits_3(tmp_path, capsys):
     assert diag["error"] == "divergence"
     assert "not decaying" in diag["detail"] and "C(C^(" in diag["detail"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scales, grid, seed", [(2, 1, 0), (2, 2, 1),
+                                              (3, 1, 2)])
+def test_ladder_demo_rows_match_dense_block(params, disp, scales, grid, seed):
+    # the all-external entries read from the support are, bit for bit and
+    # in order, those np.argwhere finds on the dense all-external block
+    scales_list = list(range(params.j0, params.j0 + scales))
+    scheme, fam = cli._demo_scheme_and_family(params, disp, grid, seed,
+                                              scales_list)
+    rep = ld.delta_ladder_telescope(scheme, scales_list[-1] + 1, fam, lmax=4,
+                                    ltol=0.0)
+    legs, vals = cli._external_entries(rep.iterated)
+    dense = rep.iterated.dense().values
+    ext = rep.iterated.space.field_indices(EXT)
+    block = dense[np.ix_(ext, ext, ext, ext)]
+    nonzero = block != 0
+    assert len(vals) > 0
+    assert np.array_equal(legs, ext[np.argwhere(nonzero)])
+    assert np.array_equal(vals, block[nonzero])
 
 
 def test_demo_family_allocates_no_dense_kernel():
@@ -373,6 +399,24 @@ def test_hoelder_check_rejects_bad_bounds(capsys, name, value):
     argv = {"alpha": "1", "beta": "1", "c0": "1", "c1": "1", "m": "2"}
     argv[name] = value
     rc = cli.main(["hoelder-check"] + [f"--{k}={v}" for k, v in argv.items()])
+    assert rc == cli.EXIT_CONFIG
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["scenario"] == "hoelder-check"
+    assert diag["error"] == "config"
+
+
+@pytest.mark.parametrize("argv", [
+    # M^alpha rounds to 1: the certificate constant divides by zero
+    ["--alpha", "1e-300", "--beta", "1", "--c0", "1", "--c1", "1", "--m", "2"],
+    # M^((alpha+beta) j) of the saturating family overflows a float
+    ["--alpha", "1", "--beta", "1", "--c0", "1", "--c1", "1", "--m", "1e300"],
+    ["--alpha", "1000", "--beta", "1", "--c0", "1", "--c1", "1", "--m", "2"],
+    # the certificate constant overflows: every ratio against it reads 0
+    ["--alpha", "1", "--beta", "1", "--c0", "1e308", "--c1", "1e308",
+     "--m", "2"],
+], ids=["alpha-1e-300", "m-1e300", "alpha-1000", "constant-inf"])
+def test_hoelder_check_rejects_extreme_bounds(capsys, argv):
+    rc = cli.main(["hoelder-check"] + argv)
     assert rc == cli.EXIT_CONFIG
     diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert diag["scenario"] == "hoelder-check"

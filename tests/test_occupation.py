@@ -20,8 +20,7 @@ def model():
 def test_model_validation(disp, model):
     model.validate(disp)
     bad = oc.SelfEnergyModel(S=lambda k0, kx, ky: 0.9 + 0 * np.asarray(k0),
-                             dS_dk0=lambda k0, kx, ky: 0.0 * np.asarray(k0),
-                             eps=1.0, C=0.0)
+                             dS_dk0=lambda k0, kx, ky: 0.0 * np.asarray(k0))
     with pytest.raises(oc.ModelHypothesisError):
         bad.validate(disp)
 
@@ -37,8 +36,7 @@ def test_model_validation_names_first_failing_sample(disp, bad_at):
     def spike(k0, kx, ky):
         return 0.9j * (np.asarray(k0) == k0_bad) + 0 * np.asarray(kx)
 
-    bad = oc.SelfEnergyModel(S=spike, dS_dk0=lambda k0, kx, ky: 0.0,
-                             eps=1.0, C=0.0)
+    bad = oc.SelfEnergyModel(S=spike, dS_dk0=lambda k0, kx, ky: 0.0)
     k0, kx, ky = map(float, draws[bad_at])
     with pytest.raises(oc.ModelHypothesisError) as exc:
         bad.validate(disp)
