@@ -10,13 +10,16 @@ directed space and its undirected partner, the reduce_ph gather.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .kernels import Kernel4, KernelSpace, zero_kernel
+
+_LEG_PAIRS = tuple(itertools.combinations(range(4), 2))
 
 
 class PairBlocks:
@@ -63,7 +66,9 @@ class PairBlocks:
         col_key = 3 * cls[k[:, None], 1 - s[2][:, None], k, 1 - s[3]] \
             + nbar - bar[:, None] - bar
         row_key, col_key = row_key.ravel(), col_key.ravel()
-        self.keys = np.intersect1d(row_key, col_key)
+        # sorted common keys; np.intersect1d would import numpy.ma
+        self.keys = np.array(sorted(set(row_key.tolist())
+                                    & set(col_key.tolist())), dtype=int)
         self.rows = [np.flatnonzero(row_key == key) for key in self.keys]
         self.cols = [np.flatnonzero(col_key == key) for key in self.keys]
         self.offsets = np.cumsum([0] + [len(r) * len(c) for r, c
@@ -72,19 +77,15 @@ class PairBlocks:
         self.flat = np.concatenate([(r[:, None] * n * n + c).ravel()
                                     for r, c in zip(self.rows, self.cols)])
         self._swaps: dict = {}
+        # (order, flat[order]): the ascending sort of flat that every swap
+        # searches, held only until all six leg swaps are built
+        self._sorted: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __len__(self):
         return len(self.keys)
 
     def span(self, t: int) -> slice:
         return slice(self.offsets[t], self.offsets[t + 1])
-
-    @cached_property
-    def _sorted(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(order, flat[order]): the ascending sort of flat that every swap
-        searches."""
-        order = np.argsort(self.flat).astype(np.int32)
-        return order, self.flat[order]
 
     def swap(self, i: int, k: int) -> np.ndarray:
         """Gather index (int32) of values.swapaxes(i, k) on the support,
@@ -95,6 +96,9 @@ class PairBlocks:
             wi, wk = self.n ** (3 - i), self.n ** (3 - k)
             li, lk = self.flat // wi % self.n, self.flat // wk % self.n
             f = self.flat + (lk - li) * (wi - wk)
+            if self._sorted is None:
+                order = np.argsort(self.flat).astype(np.int32)
+                self._sorted = order, self.flat[order]
             order, ordered = self._sorted
             j = np.searchsorted(ordered, f)
             idx = order[np.minimum(j, len(order) - 1)]
@@ -102,6 +106,8 @@ class PairBlocks:
                 raise ValueError(
                     f"support not closed under the leg swap ({i}, {k})")
             self._swaps[i, k] = idx
+            if all(pair in self._swaps for pair in _LEG_PAIRS):
+                self._sorted = None
         return self._swaps[i, k]
 
     @cached_property

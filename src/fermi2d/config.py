@@ -2,7 +2,9 @@
 
 Config files are flat ``key = value`` text with optional ``[section]``
 blocks.  Keys outside any section configure the scale parameters and the
-dispersion model; sections hold scenario-specific options for the CLI.
+dispersion model; the one section, ``[scenario]``, holds the jump-sweep
+options.  Any other key or section is an error, so a typo is not silently
+ignored.
 """
 from __future__ import annotations
 
@@ -91,26 +93,30 @@ def parse_config_text(text: str) -> tuple[dict, dict[str, dict]]:
     return top, sections
 
 
+# config key -> (ScaleParams field, type)
+PARAM_KEYS = {
+    "M": ("M", float),
+    "aleph": ("aleph", float),
+    "alephPrime": ("aleph_prime", float),
+    "j0": ("j0", int),
+    "Jmax": ("jmax", int),
+    "lambda0": ("lambda0", float),
+    "upsilon": ("upsilon", float),
+    "alpha": ("alpha", float),
+    "bconst": ("bconst", float),
+    "r0": ("r0", int),
+    "r": ("r", int),
+}
+SCENARIO = "scenario"
+SCENARIO_KEYS = ("npoints", "lambda", "gprofile", "tol", "kind")
+SCENARIO_KIND = "jump-sweep"
+
+
 def params_from_mapping(mapping: dict) -> ScaleParams:
     """Build ScaleParams from string-valued config keys."""
-    kw = {}
-    conv = {
-        "M": ("M", float),
-        "aleph": ("aleph", float),
-        "alephPrime": ("aleph_prime", float),
-        "j0": ("j0", int),
-        "Jmax": ("jmax", int),
-        "lambda0": ("lambda0", float),
-        "upsilon": ("upsilon", float),
-        "alpha": ("alpha", float),
-        "bconst": ("bconst", float),
-        "r0": ("r0", int),
-        "r": ("r", int),
-    }
-    for key, (field, typ) in conv.items():
-        if key in mapping:
-            kw[field] = typ(mapping[key])
-    return ScaleParams(**kw)
+    return ScaleParams(**{field: typ(mapping[key])
+                          for key, (field, typ) in PARAM_KEYS.items()
+                          if key in mapping})
 
 
 def load_config(path) -> tuple[ScaleParams, str, dict[str, dict]]:
@@ -118,10 +124,26 @@ def load_config(path) -> tuple[ScaleParams, str, dict[str, dict]]:
 
     Returns (params, model name, sections).  The model name defaults to
     "quadratic"; anisotropy may be configured as ``model = quadratic:0.8``.
+    A key or section the run does not read is a ValueError naming it: the
+    top level takes PARAM_KEYS and ``model``, the one section is
+    ``[scenario]`` with SCENARIO_KEYS, and its ``kind``, if given, is
+    ``jump-sweep``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         top, sections = parse_config_text(fh.read())
+    for key in top:
+        if key not in PARAM_KEYS and key != MODEL_KEY:
+            raise ValueError(f"unknown config key {key!r}")
+    for name, keys in sections.items():
+        if name != SCENARIO:
+            raise ValueError(f"unknown config section [{name}]")
+        for key in keys:
+            if key not in SCENARIO_KEYS:
+                raise ValueError(f"unknown [{SCENARIO}] key {key!r}")
+    kind = sections.get(SCENARIO, {}).get("kind", SCENARIO_KIND)
+    if kind != SCENARIO_KIND:
+        raise ValueError(f"[{SCENARIO}] kind must be {SCENARIO_KIND!r}, "
+                         f"got {kind!r}")
     params = params_from_mapping(top)
     model = top.get(MODEL_KEY, "quadratic")
     return params, model, sections
-

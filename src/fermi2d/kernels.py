@@ -331,21 +331,50 @@ def is_inversion_symmetric(kern: Kernel4, tol: float = 1e-12) -> bool:
 # shear / scaling transforms
 
 
+def _axis_shape(ndim: int, ax: int, n: int) -> List[int]:
+    """Broadcast shape of a length-n vector along axis ax of ndim axes."""
+    shape = [1] * ndim
+    shape[ax] = n
+    return shape
+
+
 def _apply_per_axis(values: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """values with the matrix mats[ax] applied along each axis ax, in axis
+    order: out[.., i, ..] = sum_j mats[ax][i, j] values[.., j, ..].
+
+    Each matrix acts through its nonzero entries, with no BLAS call: the
+    first nonzero of every row is one gather along the axis (np.take, so
+    the result is C-contiguous) times its weight, and any further nonzeros
+    of the row (several sectors feeding one converted leg, say) are added
+    in column order.
+    """
     out = values
     for ax, m in enumerate(mats):
-        out = np.moveaxis(np.tensordot(m, out, axes=(1, ax)), 0, ax)
+        rows, cols = np.nonzero(m)
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        r, c = rows[first], cols[first]
+        take = np.zeros(len(m), dtype=np.intp)
+        take[r] = c
+        weight = np.zeros(len(m), dtype=m.dtype)
+        weight[r] = m[r, c]
+        src = out
+        out = np.take(src, take, axis=ax).astype(np.result_type(src, m),
+                                                 copy=False)
+        out *= weight.reshape(_axis_shape(out.ndim, ax, len(m)))
+        lead = (slice(None),) * ax
+        for i, j in zip(rows[~first], cols[~first]):
+            out[lead + (i,)] += m[i, j] * src[lead + (j,)]
     return out
 
 
 def _scale_axes(values: np.ndarray, diags: Sequence[np.ndarray]) -> np.ndarray:
     """values times the diagonal diags[ax] along each axis ax, in axis
-    order."""
+    order: one allocation, then in-place products."""
+    out = np.array(values, dtype=np.result_type(values, *diags))
     for ax, d in enumerate(diags):
-        shape = [1] * values.ndim
-        shape[ax] = len(d)
-        values = values * d.reshape(shape)
-    return values
+        out *= d.reshape(_axis_shape(out.ndim, ax, len(d)))
+    return out
 
 
 def _conversion_matrix(src: KernelSpace, dst: KernelSpace,
@@ -431,17 +460,22 @@ def extract_component(kern: Kernel4, ivec: Sequence[int]) -> Kernel4:
     isolates the coefficient of prod kappa_p^(1-i_p) exactly.  S_kappa is a
     product of per-leg diagonal scalings, so the average over all node
     combinations factorizes into one filter per axis,
-    (1/nn) sum_c node_c^((1-field) - (1-i_p)).
+    (1/nn) sum_c node_c^((1-field) - (1-i_p)).  Off the component the
+    filters vanish up to rounding, which is discarded: they are applied to
+    the component's block alone, and the block is written into an
+    otherwise zero kernel.
     """
     sp = kern.space
     nn = 2 - min(sp.fields)
     nodes = np.exp(2j * np.pi * np.arange(nn) / nn)
-    out = _scale_axes(kern.values, [
-        (nodes[:, None] ** ((1 - sp.leg_field) - (1 - ip))).mean(axis=0)
-        for ip in ivec])
-    keep = np.zeros_like(out, dtype=bool)
-    keep[np.ix_(*component_mask(sp, ivec))] = True
-    return Kernel4(sp, np.where(keep, out, 0.0))
+    idx = component_mask(sp, ivec)
+    block = np.ix_(*idx)
+    vals = _scale_axes(kern.values[block], [
+        (nodes[:, None] ** ((1 - sp.leg_field[i]) - (1 - ip))).mean(axis=0)
+        for ip, i in zip(ivec, idx)])
+    out = np.zeros(kern.values.shape, dtype=vals.dtype)
+    out[block] = vals
+    return Kernel4(sp, out)
 
 
 def _component_values_by_sector(space, arr, ivec):

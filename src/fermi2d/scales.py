@@ -83,8 +83,9 @@ def quadratic_model(anisotropy: float = 1.0) -> DispersionModel:
     config-selectable anisotropic variant (unused by the shipped tests).
     """
     a = float(anisotropy)
-    if a <= 0:
-        raise ValueError("anisotropy must be positive")
+    if not 0 < a < math.inf:
+        raise ValueError("quadratic model anisotropy must be positive and "
+                         f"finite, got {a}")
 
     def e(kx, ky):
         return 0.5 * (np.asarray(kx) ** 2 + a * np.asarray(ky) ** 2) - 1.0

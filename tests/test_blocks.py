@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 
@@ -85,6 +86,27 @@ def test_block_operations_keep_no_build_tables(params, disp):
     finally:
         tracemalloc.stop()
     assert retained < 8 * sp.pair_blocks.size
+
+
+def test_swaps_free_their_sort(params, disp):
+    # the ascending sort of the support is searched only while the leg swaps
+    # are built: the swaps share it, and the sixth swap frees it, so each
+    # support entry keeps its six int32 gathers and no sort table
+    scheme, _ = cli._demo_scheme_and_family(params, disp, 1, 0, [2, 3])
+    assert scheme.space(2).pair_blocks._sorted is None
+    pb = KernelSpace(make_grid([(0.25, 1.2, 0.55)]), nspin=2,
+                     nsec=2).pair_blocks
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for t, (i, k) in enumerate(itertools.combinations(range(4), 2)):
+            assert (pb._sorted is None) == (t == 0)
+            pb.swap(i, k)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert pb._sorted is None
+    assert retained < (6 * 4 + 4) * pb.size
 
 
 def test_off_support_kernel_rejected():

@@ -127,6 +127,31 @@ def test_jump_sweep_rejects_bad_scenario(tmp_path, capsys, scenario):
     assert diag["error"] == "config"
 
 
+@pytest.mark.parametrize("text, named", [
+    # a NaN or infinite anisotropy is a config error, not a bound check of
+    # the self-energy or a tolerance failure
+    ("model = quadratic:nan\n", "anisotropy"),
+    ("model = quadratic:inf\n", "anisotropy"),
+    # a key or section the run does not read, named in the diagnostic
+    ("Jmaxx = 3\n", "'Jmaxx'"),
+    ("[scenario]\nnpoint = 4\n", "'npoint'"),
+    ("[sweep]\nnpoints = 4\n", "[sweep]"),
+    ("[scenario]\nkind = ladder-demo\n", "'ladder-demo'"),
+], ids=["quadratic-nan", "quadratic-inf", "top-level-key", "scenario-key",
+        "section", "kind"])
+def test_jump_sweep_rejects_bad_config_text(tmp_path, capsys, text, named):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "x.csv"
+    rc = cli.main(["jump-sweep", "--config", str(cfg), "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert not out.exists()
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["scenario"] == "jump-sweep"
+    assert diag["error"] == "config"
+    assert named in diag["detail"]
+
+
 def test_ladder_demo_cli(tmp_path):
     out = tmp_path / "ladder.csv"
     rc = cli.main(["ladder-demo", "--scales", "2", "--grid", "1",
@@ -505,6 +530,7 @@ def test_subcommand_loads_no_scipy(tmp_path, family_files, argv, layers):
                          capture_output=True, text=True).stdout
     rc, mods = json.loads(out)
     assert [m for m in mods if m.split(".")[0] == "scipy"] == []
+    assert "numpy.ma" not in mods
     assert {m for m in mods if m.split(".")[0] == "fermi2d"} \
         == {"fermi2d", "fermi2d.cli", "fermi2d.config"} \
         | {"fermi2d." + m for m in layers}

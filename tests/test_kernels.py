@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermi2d.config import ScaleParams
-from fermi2d.kernels import (EXT, INT, Kernel4, KernelSpace, antisymmetrize,
+from fermi2d.kernels import (EXT, EXTP, INT, Kernel4, KernelSpace, Leg,
+                             _conversion_matrix, antisymmetrize,
                              component_mask, conservation_mask,
                              extract_component, flip, is_antisymmetric,
                              is_inversion_symmetric, kernel_from_text,
@@ -310,6 +311,74 @@ def test_extract_component_matches_fourier_loop():
         got = extract_component(fp, ivec).values
         assert np.abs(got - ref).max() <= 64 * np.finfo(float).eps \
             * max(1.0, fp.max_abs())
+
+
+def _full_array_extract(kern, ivec):
+    # the full-array form: all four per-axis filters over every entry, then
+    # a mask that zeroes everything outside the component block
+    sp = kern.space
+    nn = 2 - min(sp.fields)
+    nodes = np.exp(2j * np.pi * np.arange(nn) / nn)
+    out = kern.values
+    for ax, ip in enumerate(ivec):
+        d = (nodes[:, None] ** ((1 - sp.leg_field) - (1 - ip))).mean(axis=0)
+        shape = [1] * 4
+        shape[ax] = len(d)
+        out = out * d.reshape(shape)
+    keep = np.zeros(out.shape, dtype=bool)
+    keep[np.ix_(*component_mask(sp, ivec))] = True
+    return np.where(keep, out, 0.0)
+
+
+# the criterion-3 space, and two sectors with a ragged sec_ok
+BLOCK_SPACES = [dict(nspin=2, nsec=1),
+                dict(nspin=2, nsec=2, sec_ok=np.array([[True, True],
+                                                       [True, False]]))]
+
+
+@pytest.mark.parametrize("kw", BLOCK_SPACES, ids=["criterion-3", "ragged"])
+def test_extract_component_on_block_is_bit_identical(kw):
+    # filtering the component block alone gives the same products, in the
+    # same axis order, as filtering every entry and masking
+    sp = KernelSpace(GRID, **kw)
+    rng = np.random.default_rng(17)
+    fp = shear_prime(random_kernel(sp, rng, antisym=True),
+                     _table_fn(GRID, rng))
+    for ivec in itertools.product((-1, 0, 1), repeat=4):
+        got = extract_component(fp, ivec).values
+        assert np.array_equal(got, _full_array_extract(fp, ivec)), ivec
+
+
+def _tensordot_per_axis(values, mats):
+    out = values
+    for ax, m in enumerate(mats):
+        out = np.moveaxis(np.tensordot(m, out, axes=(1, ax)), 0, ax)
+    return out
+
+
+@pytest.mark.parametrize("kw", BLOCK_SPACES, ids=["criterion-3", "ragged"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_leg_maps_match_tensordot(kw, seed):
+    # shear, shear_prime and pi_collapse, _apply_per_axis through the
+    # nonzeros of their leg maps, agree with the dense BLAS contraction up
+    # to rounding (FMA), and the result is C-contiguous
+    sp = KernelSpace(GRID, **kw)
+    rng = np.random.default_rng(seed)
+    f = random_kernel(sp, rng, antisym=True)
+    B = _table_fn(GRID, rng)
+    spp = sp.primed()
+    fp = shear_prime(f, B)
+    P = np.zeros((sp.n, spp.n))
+    for i, g in enumerate(spp.legs):
+        tgt = Leg(EXT, g.k, g.spin, g.bar, -1) if g.field == EXTP else g
+        P[sp.index[tgt], i] = 1.0
+    for got, src, T in (
+            (shear(f, B), f, _conversion_matrix(sp, sp, B, EXT)),
+            (fp, f, _conversion_matrix(sp, spp, B, EXTP)),
+            (pi_collapse(fp, sp), fp, P)):
+        want = _tensordot_per_axis(src.values, [T] * 4)
+        assert got.values.flags.c_contiguous
+        assert np.abs(got.values - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_norm_sandwich():
