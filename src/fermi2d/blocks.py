@@ -10,16 +10,13 @@ directed space and its undirected partner, the reduce_ph gather.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .kernels import Kernel4, KernelSpace, zero_kernel
-
-_LEG_PAIRS = tuple(itertools.combinations(range(4), 2))
 
 
 class PairBlocks:
@@ -36,7 +33,12 @@ class PairBlocks:
     undirected spaces), and the support is the set of (row, column) of
     equal keys: one dense block per key.  A support vector holds the
     blocks one after another, each row-major over its ascending row and
-    column pairs; flat is the dense flat index of every entry.
+    column pairs; flat is the dense flat index of every entry.  Four
+    n^2-entry int32 pair tables place every ordered leg pair: the block
+    holding it as a row pair, the block holding it as a column pair (-1 if
+    none), its position in both, and, as a row pair, the support index at
+    which its row starts.  The leg swaps and the reduce_ph gather are
+    lookups in them.
     """
 
     def __init__(self, space: KernelSpace):
@@ -76,10 +78,18 @@ class PairBlocks:
         self.size = int(self.offsets[-1])
         self.flat = np.concatenate([(r[:, None] * n * n + c).ravel()
                                     for r, c in zip(self.rows, self.cols)])
+        # one position table serves rows and cols: row and column keys
+        # group the pairs alike (the column class is that of the negated
+        # pair momentum), so a pair has one position in rows[t] and cols[t']
+        self._row_block = np.full(n * n, -1, dtype=np.int32)
+        self._col_block = np.full(n * n, -1, dtype=np.int32)
+        self._pos = np.zeros(n * n, dtype=np.int32)
+        self._row_start = np.zeros(n * n, dtype=np.int32)
+        for t, (r, c) in enumerate(zip(self.rows, self.cols)):
+            self._row_block[r] = self._col_block[c] = t
+            self._pos[r], self._pos[c] = np.arange(len(r)), np.arange(len(c))
+            self._row_start[r] = self.offsets[t] + self._pos[r] * len(c)
         self._swaps: dict = {}
-        # (order, flat[order]): the ascending sort of flat that every swap
-        # searches, held only until all six leg swaps are built
-        self._sorted: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __len__(self):
         return len(self.keys)
@@ -90,24 +100,21 @@ class PairBlocks:
     def swap(self, i: int, k: int) -> np.ndarray:
         """Gather index (int32) of values.swapaxes(i, k) on the support,
         cached per (i, k); ValueError when the support is not closed under
-        the swap."""
+        the swap.  The swapped flat index splits into its row and column
+        pair, which the pair tables place in a block: the swap is closed
+        when both lie in the same block, and the gather is the start of
+        the row plus the position of the column."""
         if (i, k) not in self._swaps:
             # leg i carries the weight n^(3 - i) in the flat index
-            wi, wk = self.n ** (3 - i), self.n ** (3 - k)
-            li, lk = self.flat // wi % self.n, self.flat // wk % self.n
-            f = self.flat + (lk - li) * (wi - wk)
-            if self._sorted is None:
-                order = np.argsort(self.flat).astype(np.int32)
-                self._sorted = order, self.flat[order]
-            order, ordered = self._sorted
-            j = np.searchsorted(ordered, f)
-            idx = order[np.minimum(j, len(order) - 1)]
-            if not np.array_equal(self.flat[idx], f):
+            n = self.n
+            wi, wk = n ** (3 - i), n ** (3 - k)
+            li, lk = self.flat // wi % n, self.flat // wk % n
+            r, c = np.divmod(self.flat + (lk - li) * (wi - wk), n * n)
+            t = self._row_block[r]
+            if not np.all((t >= 0) & (t == self._col_block[c])):
                 raise ValueError(
                     f"support not closed under the leg swap ({i}, {k})")
-            self._swaps[i, k] = idx
-            if all(pair in self._swaps for pair in _LEG_PAIRS):
-                self._sorted = None
+            self._swaps[i, k] = self._row_start[r] + self._pos[c]
         return self._swaps[i, k]
 
     @cached_property
@@ -125,8 +132,8 @@ class PairBlocks:
             t = where[key + 1]   # same momentum class, bar count 1
             a, b = np.divmod(r, und.n)
             cc, d = np.divmod(c, und.n)
-            out.append((t, np.searchsorted(self.rows[t], i0[a] * self.n + i1[b]),
-                        np.searchsorted(self.cols[t], i1[cc] * self.n + i0[d])))
+            out.append((t, self._pos[i0[a] * self.n + i1[b]],
+                        self._pos[i1[cc] * self.n + i0[d]]))
         return out
 
     @cached_property

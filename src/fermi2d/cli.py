@@ -6,7 +6,10 @@ identity violation, 3 numerical-tolerance failure (a diverging ladder
 included).  Every failure also prints a machine-readable JSON diagnostic
 to stderr.  Output formatting is fixed (17 significant digits, stable
 column order) and every scenario runs in one thread, so identical configs
-produce byte-identical files.
+produce byte-identical files.  Importing this module sets
+OPENBLAS_NUM_THREADS to 1 unless the environment already sets it, before
+numpy loads, so BLAS runs in that thread too; other BLAS builds are not
+pinned.
 
 Each scenario imports the layers it uses inside its own functions: every
 command runs in a fresh interpreter, so a command compiles only the
@@ -17,10 +20,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import List, Optional, Sequence
 
-import numpy as np
+# OpenBLAS reads this once, when numpy loads it; a second BLAS thread
+# spins on an idle core after every call and buys no wall time here
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402  (after the thread count is set)
 
 from . import config as cfg
 

@@ -71,7 +71,7 @@ def test_antisymmetrize_rejects_an_undirected_space():
 def test_block_operations_keep_no_build_tables(params, disp):
     # once the antisymmetrize swaps exist, warming flip, reduce_ph,
     # value_ph and the undirected flip keeps only their small gathers: no
-    # leg-index or sort table of their build stays cached
+    # leg-index table of their build stays cached
     scheme, fam = cli._demo_scheme_and_family(params, disp, 1, 0, [2, 3])
     sp, f = scheme.space(2), fam.F[2]
     f.antisymmetrize()
@@ -88,25 +88,45 @@ def test_block_operations_keep_no_build_tables(params, disp):
     assert retained < 8 * sp.pair_blocks.size
 
 
-def test_swaps_free_their_sort(params, disp):
-    # the ascending sort of the support is searched only while the leg swaps
-    # are built: the swaps share it, and the sixth swap frees it, so each
-    # support entry keeps its six int32 gathers and no sort table
-    scheme, _ = cli._demo_scheme_and_family(params, disp, 1, 0, [2, 3])
-    assert scheme.space(2).pair_blocks._sorted is None
-    pb = KernelSpace(make_grid([(0.25, 1.2, 0.55)]), nspin=2,
-                     nsec=2).pair_blocks
+@pytest.mark.parametrize("directed, swaps", [
+    (True, list(itertools.combinations(range(4), 2))),
+    (False, [(0, 3), (1, 2)])], ids=["directed", "undirected"])
+def test_swaps_keep_no_sort_table(directed, swaps):
+    # the swaps are lookups in the pair tables, built with the space: each
+    # support entry keeps one int32 gather per closed swap (all six on a
+    # directed space, two on an undirected one) and no sort table
+    pb = KernelSpace(make_grid([(0.25, 1.2, 0.55)]), nspin=2, nsec=2,
+                     directed=directed).pair_blocks
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for t, (i, k) in enumerate(itertools.combinations(range(4), 2)):
-            assert (pb._sorted is None) == (t == 0)
+        for i, k in swaps:
             pb.swap(i, k)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert pb._sorted is None
-    assert retained < (6 * 4 + 4) * pb.size
+    assert retained < (len(swaps) * 4 + 4) * pb.size
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), directed=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_swaps_match_swapaxes(small_spaces, data, directed, seed):
+    # a leg swap is closed when it maps the support onto itself; its gather
+    # then reads values.swapaxes(i, k) on the support, and an open swap
+    # raises
+    sp = data.draw(small_spaces(directed))
+    pb = sp.pair_blocks
+    mask = conservation_mask(sp) & number_conserving_mask(sp)
+    f = BlockKernel.random(sp, np.random.default_rng(seed))
+    dense = f.dense().values
+    for i, k in itertools.combinations(range(4), 2):
+        if np.array_equal(mask.swapaxes(i, k), mask):
+            assert np.array_equal(f.values[pb.swap(i, k)],
+                                  dense.swapaxes(i, k).reshape(-1)[pb.flat])
+        else:
+            with pytest.raises(ValueError, match="not closed"):
+                pb.swap(i, k)
 
 
 def test_off_support_kernel_rejected():

@@ -490,6 +490,22 @@ def test_missing_output_directory(tmp_path, capsys, family_files, argv):
     assert diag["error"] == "output"
 
 
+def _run_fresh(code: str, blas_threads) -> str:
+    """Run code in a fresh interpreter that imports fermi2d from this
+    checkout, with OPENBLAS_NUM_THREADS set to blas_threads, or removed
+    when None (importing cli here set it, and the child would inherit
+    it); its stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 # the fermi2d modules each subcommand loads besides the package, cli and
 # config: only the layers on its own path
 FAMILY_LAYERS = {"scales", "selfenergy"}
@@ -511,24 +527,23 @@ SUBCOMMAND_LAYERS = [
                          ids=[argv[0] for argv, _ in SUBCOMMAND_LAYERS])
 def test_subcommand_loads_no_scipy(tmp_path, family_files, argv, layers):
     # a fresh interpreter: sys.modules shows every module the subcommand
-    # imported, a scipy import anywhere on its path included
+    # imported, a scipy import anywhere on its path included, and
+    # /proc/self/task its threads: one, BLAS included
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("[scenario]\nnpoints = 8\nlambda = 0.17\n"
                    "gprofile = cosine\ntol = 1e-3\n")
     argv = [a.format(sweep=cfg, out=tmp_path / "out",
                      good=family_files / "good.txt",
                      bad=family_files / "bad.txt") for a in argv]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    code = ("import json, sys\n"
+    code = ("import json, os, sys\n"
             "from fermi2d import cli\n"
             f"rc = cli.main({argv!r})\n"
-            "print(json.dumps([rc, sorted(sys.modules)]))\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    rc, mods = json.loads(out)
+            "threads = (len(os.listdir('/proc/self/task'))\n"
+            "           if os.path.isdir('/proc/self/task') else None)\n"
+            "print(json.dumps([rc, sorted(sys.modules), threads]))\n")
+    rc, mods, threads = json.loads(_run_fresh(code, None))
+    if threads is not None:
+        assert threads == 1
     assert [m for m in mods if m.split(".")[0] == "scipy"] == []
     assert "numpy.ma" not in mods
     assert {m for m in mods if m.split(".")[0] == "fermi2d"} \
@@ -536,6 +551,27 @@ def test_subcommand_loads_no_scipy(tmp_path, family_files, argv, layers):
         | {"fermi2d." + m for m in layers}
     assert rc == (cli.EXIT_VIOLATION if "--check-budget" in argv
                   else cli.EXIT_OK)
+
+
+def test_explicit_blas_thread_count_wins():
+    code = ("import os\n"
+            "import fermi2d.cli\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'])\n")
+    assert _run_fresh(code, "2").strip() == "2"
+
+
+def test_ladder_demo_bytes_across_blas_threads(tmp_path):
+    # byte-identical output whether BLAS runs on one thread or two
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"ladder_{threads}.csv"
+        argv = ["ladder-demo", "--scales", "2", "--out", str(out)]
+        code = ("import sys\n"
+                "from fermi2d import cli\n"
+                f"sys.exit(cli.main({argv!r}))\n")
+        _run_fresh(code, threads)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_repeat_run_determinism(tmp_path):
