@@ -378,17 +378,24 @@ def _ladder_recursion(scheme: LadderScheme, jtop: int,
                       family_F: Dict[int, BlockKernel],
                       bubble_at: Callable[[int], BubbleProp],
                       lmax: int, ltol: float,
-                      record: Optional[dict] = None) -> BlockKernel:
+                      record: Optional[dict] = None,
+                      first: Optional[BlockKernel] = None) -> BlockKernel:
     """Particle-hole ladder recursion over the scales j0 <= j < jtop: scale
     j sums the ladders of its rung w_j through the bubble bubble_at(j).
+    At j0 the ladder so far is the zero kernel, so w_j0 has no ph rung;
+    first, if given, is the j0 ladder sum, already computed by the caller.
     record, if given, receives (w_j, step_j) per scale."""
     j0 = scheme.scales.params.j0
     L = BlockKernel.zeros(scheme.space(j0, directed=False))
     lscale = j0
     for j in range(j0, jtop):
-        bub = bubble_at(j)
-        w = _rungs_at(scheme, j, family_F) + _ph_rung(scheme, L, lscale, j)
-        step = _ladder_sum_ph(w, bub, lmax, ltol)
+        w = _rungs_at(scheme, j, family_F)
+        if j > j0:
+            w = w + _ph_rung(scheme, L, lscale, j)
+        if j == j0 and first is not None:
+            step = first
+        else:
+            step = _ladder_sum_ph(w, bubble_at(j), lmax, ltol)
         if record is not None:
             record[j] = (w, step)
         L = scheme.resectorize(L, lscale, j) + step
@@ -459,8 +466,12 @@ def delta_ladder_telescope(scheme: LadderScheme, jtop: int,
                            lambda j: scheme.scale_bubble(j, family.u_below(j)),
                            lmax, ltol, record)
     # delta_j = step(u_j) - step(v), both ladder sums over the recorded w_j;
-    # no w_j or step outlives this, so none is alive in the compound ladder
-    delta = {j: step - _ladder_sum_ph(w, v_bubbles[j], lmax, ltol)
+    # no w_j or step(u_j) outlives this, so none is alive in the compound
+    # ladder.  That ladder has the same rung and bubble at j0 (F' differs
+    # from F only above j0), so step(v) at j0 is also its first ladder sum.
+    first = _ladder_sum_ph(record[j0][0], v_bubbles[j0], lmax, ltol)
+    delta = {j: step - (first if j == j0 else
+                        _ladder_sum_ph(w, v_bubbles[j], lmax, ltol))
              for j, (w, step) in record.items()}
     del record
     # corrected rung family F': the scale-(j+1) rung carries the ph rung
@@ -472,7 +483,7 @@ def delta_ladder_telescope(scheme: LadderScheme, jtop: int,
             corr = _ph_rung(scheme, d, j, tgt)
             fam_prime[tgt] = fam_prime[tgt] + corr if tgt in fam_prime else corr
     comp = _ladder_recursion(scheme, jtop, fam_prime, v_bubbles.__getitem__,
-                             lmax, ltol)
+                             lmax, ltol, first=first)
     # sum of per-scale corrections at the final sectorization
     total = BlockKernel.zeros(scheme.space(jtop - 1, directed=False))
     for j, d in delta.items():

@@ -30,7 +30,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .scales import DispersionModel
+from .scales import DispersionModel, rd_points
 
 
 class ModelHypothesisError(ValueError):
@@ -52,16 +52,15 @@ class SelfEnergyModel:
     S: Callable
     dS_dk0: Callable
 
-    def validate(self, disp: DispersionModel, samples: int = 200,
-                 seed: int = 5) -> None:
-        """Check the hypotheses at `samples` seeded draws (k0, kx, ky):
+    def validate(self, disp: DispersionModel, samples: int = 200) -> None:
+        """Check the hypotheses at the first `samples` points (k0, kx, ky)
+        of the R_d sequence on [-30, 30] x [-2, 2]^2 (scales.rd_points):
         |S|, |dS/dk0| <= 1/2; |S(0,k)| <= |e(k)|/2; S(0,k) and
         (1/i) dS/dk0(0,k) real.  S and dS_dk0 are each called once, on the
-        draws followed by their k0 = 0 copies.  The first failing draw
+        points followed by their k0 = 0 copies.  The first failing point
         raises ModelHypothesisError for the first hypothesis it fails; each
         check is written as not (value <= bound), so NaN fails it."""
-        k0, kx, ky = np.random.default_rng(seed).uniform(
-            [-30, -2, -2], [30, 2, 2], size=(samples, 3)).T
+        k0, kx, ky = rd_points(samples, (-30, -2, -2), (30, 2, 2)).T
         args = (np.concatenate([k0, np.zeros(samples)]),
                 np.tile(kx, 2), np.tile(ky, 2))
         s, s0 = np.broadcast_to(self.S(*args), (2 * samples,)).reshape(2, -1)

@@ -51,6 +51,27 @@ def momentum(k0: float, kvec) -> Momentum:
     return k
 
 
+def rd_points(n: int, lo, hi) -> np.ndarray:
+    """The first n points of the R_d Kronecker sequence, scaled to the box
+    [lo, hi) of dimension d = len(lo), as an (n, d) array.
+
+    u_m = frac(1/2 + m alpha) for m = 1..n with alpha_j = phi_d^(-j), and
+    phi_d the positive root of x^(d+1) = x + 1 (Roberts 2018).  Each point
+    depends only on m, so the first k of n points are the k-point set;
+    the sequence fills the box more evenly than independent uniform draws.
+    The hypothesis checks (SelfEnergyModel.validate and the support check
+    of selfenergy.check_q_budget) sample it.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    phi = 2.0
+    for _ in range(64):  # fixed point of x = (1 + x)^(1/(d+1)): a contraction
+        phi = (1.0 + phi) ** (1.0 / (lo.size + 1))
+    alpha = phi ** -np.arange(1.0, lo.size + 1)
+    u = (0.5 + np.arange(1.0, n + 1)[:, None] * alpha) % 1.0
+    return lo + (hi - lo) * u
+
+
 def _smoothstep(t):
     """C^2 quintic step: 0 at t<=0, 1 at t>=1, vanishing s' and s'' at ends."""
     t = np.clip(t, 0.0, 1.0)

@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .scales import ScaleModel, ramp_down
+from .scales import ScaleModel, ramp_down, rd_points
 
 
 class SingularityError(ZeroDivisionError):
@@ -435,28 +435,21 @@ def _real_if_zero_imag(q):
 
 def _support_points(scales: ScaleModel, i: int):
     """(k0, kx, ky) arrays of the points where a member of first index i
-    must vanish: inside the (i+2)-nd neighbourhood of the Fermi curve and
-    off supp U.  The draws depend only on i (seed 1234 + i)."""
-    p = scales.params
-    pts = []
-    rng = np.random.default_rng(1234 + i)
-    # points near the Fermi curve with |i k0 - e| below the neighbourhood edge
-    edge = p.shell_hi(i + 2)
-    for _ in range(200):
-        th = rng.uniform(0, 2 * np.pi)
-        rad = float(scales.disp.fermi_radius(th))
-        kx, ky = rad * math.cos(th), rad * math.sin(th)
-        k0 = rng.uniform(-edge, edge)
-        if abs(scales.radius(k0, kx, ky)) <= edge:
-            pts.append((k0, kx, ky))
-    # points outside the ultraviolet cutoff
-    for _ in range(200):
-        th = rng.uniform(0, 2 * np.pi)
-        rad = rng.uniform(2.05, 4.0)
-        kx, ky = rad * math.cos(th), rad * math.sin(th)
-        if scales.disp.U(kx, ky) == 0.0:
-            pts.append((rng.uniform(-2, 2), kx, ky))
-    return tuple(np.array(pts, dtype=float).reshape(-1, 3).T)
+    must vanish, from the first 200 points of two R_d sets
+    (scales.rd_points): points on the Fermi curve at angle theta with k0
+    in [-edge, edge), kept where |i k0 - e| <= edge, the edge of the
+    (i+2)-nd neighbourhood; and points at angle theta, radius in
+    [2.05, 4) and k0 in [-2, 2), kept where U = 0, off supp U.  Only the
+    edge depends on i."""
+    edge = scales.params.shell_hi(i + 2)
+    th, k0 = rd_points(200, (0.0, -edge), (2 * np.pi, edge)).T
+    rad = scales.disp.fermi_radius(th)
+    near = np.stack([k0, rad * np.cos(th), rad * np.sin(th)])
+    near = near[:, np.abs(scales.radius(*near)) <= edge]
+    th, rad, k0 = rd_points(200, (0.0, 2.05, -2.0), (2 * np.pi, 4.0, 2.0)).T
+    uv = np.stack([k0, rad * np.cos(th), rad * np.sin(th)])
+    uv = uv[:, scales.disp.U(uv[1], uv[2]) == 0.0]
+    return tuple(np.concatenate([near, uv], axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -507,25 +507,31 @@ def _run_fresh(code: str, blas_threads) -> str:
 
 
 # the fermi2d modules each subcommand loads besides the package, cli and
-# config: only the layers on its own path
+# config: only the layers on its own path; and whether it loads
+# numpy.random (with secrets, which numpy.random imports): jump-sweep and
+# norm-budget check their hypotheses on the R_d points of scales.rd_points,
+# while the outputs of ladder-demo (its rungs), resum (its sample momenta)
+# and hoelder-check (its dyadic pair bases) are made of seeded draws
 FAMILY_LAYERS = {"scales", "selfenergy"}
 SUBCOMMAND_LAYERS = [
     (["jump-sweep", "--config", "{sweep}", "--out", "{out}"],
-     {"scales", "occupation"}),
+     {"scales", "occupation"}, False),
     # --scales 2 reaches the resectorization
     (["ladder-demo", "--scales", "2", "--out", "{out}"],
-     {"blocks", "kernels", "ladders", "scales", "sectors", "selfenergy"}),
-    (["norm-budget", "--family", "{good}", "--jmax", "4"], FAMILY_LAYERS),
+     {"blocks", "kernels", "ladders", "scales", "sectors", "selfenergy"},
+     True),
+    (["norm-budget", "--family", "{good}", "--jmax", "4"], FAMILY_LAYERS,
+     False),
     (["resum", "--family", "{bad}", "--jmax", "4", "--nsamples", "2",
-      "--check-budget"], FAMILY_LAYERS),
+      "--check-budget"], FAMILY_LAYERS, True),
     (["hoelder-check", "--alpha", "1", "--beta", "1", "--c0", "1", "--c1",
-      "1", "--m", "2", "--out", "{out}"], {"hoelder"}),
+      "1", "--m", "2", "--out", "{out}"], {"hoelder"}, True),
 ]
 
 
-@pytest.mark.parametrize("argv, layers", SUBCOMMAND_LAYERS,
-                         ids=[argv[0] for argv, _ in SUBCOMMAND_LAYERS])
-def test_subcommand_loads_no_scipy(tmp_path, family_files, argv, layers):
+@pytest.mark.parametrize("argv, layers, rng", SUBCOMMAND_LAYERS,
+                         ids=[argv[0] for argv, _, _ in SUBCOMMAND_LAYERS])
+def test_subcommand_loads_no_scipy(tmp_path, family_files, argv, layers, rng):
     # a fresh interpreter: sys.modules shows every module the subcommand
     # imported, a scipy import anywhere on its path included, and
     # /proc/self/task its threads: one, BLAS included
@@ -546,6 +552,7 @@ def test_subcommand_loads_no_scipy(tmp_path, family_files, argv, layers):
         assert threads == 1
     assert [m for m in mods if m.split(".")[0] == "scipy"] == []
     assert "numpy.ma" not in mods
+    assert ("numpy.random" in mods, "secrets" in mods) == (rng, rng)
     assert {m for m in mods if m.split(".")[0] == "fermi2d"} \
         == {"fermi2d", "fermi2d.cli", "fermi2d.config"} \
         | {"fermi2d." + m for m in layers}

@@ -457,7 +457,8 @@ def test_resectorize_preserves_totals(scheme):
 
 def test_telescope_builds_each_chain_once(scheme, family, monkeypatch):
     # per scale: the iterated chain, the v-swap chain on the recorded w_j
-    # and the compound chain, lmax block steps each
+    # and the compound chain, lmax block steps each; at j0 the compound
+    # ladder reuses the v-swap chain, so 5 chains over the 2 scales
     calls = []
     compose_blocks = ld.compose_blocks
 
@@ -467,7 +468,36 @@ def test_telescope_builds_each_chain_once(scheme, family, monkeypatch):
 
     monkeypatch.setattr(ld, "compose_blocks", counting)
     ld.delta_ladder_telescope(scheme, 4, family, lmax=4, ltol=0.0)
-    assert len(calls) == 2 * 3 * 4
+    assert len(calls) == (2 * 3 - 1) * 4
+
+
+@pytest.mark.parametrize("nscales, antisym, sums", [(2, 3, 5), (3, 6, 8)])
+def test_telescope_computes_each_ladder_sum_once(params, disp, monkeypatch,
+                                                 nscales, antisym, sums):
+    # the ladder-demo telescope: no ph rung at j0, where the ladder is the
+    # zero kernel (2 (nscales - 1) rungs in the two recursions, nscales - 1
+    # for F'), and 3 nscales - 1 ladder sums, since the compound ladder
+    # takes its j0 sum from the v-swap of delta_j0
+    from fermi2d import cli
+
+    scales_list = list(range(params.j0, params.j0 + nscales))
+    scheme, fam = cli._demo_scheme_and_family(params, disp, 1, 0, scales_list)
+    calls = {"antisym": 0, "sums": 0}
+    antisymmetrize, ladder_sum_ph = BlockKernel.antisymmetrize, ld._ladder_sum_ph
+
+    def counting_antisym(self):
+        calls["antisym"] += 1
+        return antisymmetrize(self)
+
+    def counting_sums(*args):
+        calls["sums"] += 1
+        return ladder_sum_ph(*args)
+
+    monkeypatch.setattr(BlockKernel, "antisymmetrize", counting_antisym)
+    monkeypatch.setattr(ld, "_ladder_sum_ph", counting_sums)
+    ld.delta_ladder_telescope(scheme, scales_list[-1] + 1, fam, lmax=4,
+                              ltol=0.0)
+    assert calls == {"antisym": antisym, "sums": sums}
 
 
 def test_telescope_builds_each_bubble_once(scheme, family, monkeypatch):

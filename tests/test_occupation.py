@@ -10,6 +10,7 @@ from scipy import integrate
 
 from fermi2d import cli
 from fermi2d import occupation as oc
+from fermi2d.scales import rd_points
 
 
 @pytest.fixture(scope="module")
@@ -27,10 +28,9 @@ def test_model_validation(disp, model):
 
 @pytest.mark.parametrize("bad_at", [0, 137, 199])
 def test_model_validation_names_first_failing_sample(disp, bad_at):
-    # |S| = 0.9 at one draw of the validation stream and 0 elsewhere: the
-    # error names that draw, in the (k0,kx,ky) form of the scalar check
-    draws = np.random.default_rng(5).uniform([-30, -2, -2], [30, 2, 2],
-                                             size=(200, 3))
+    # |S| = 0.9 at one point of the validation set and 0 elsewhere: the
+    # error names that point, in the (k0,kx,ky) form of the scalar check
+    draws = rd_points(200, (-30, -2, -2), (30, 2, 2))
     k0_bad = draws[bad_at, 0]
 
     def spike(k0, kx, ky):
@@ -41,7 +41,22 @@ def test_model_validation_names_first_failing_sample(disp, bad_at):
     with pytest.raises(oc.ModelHypothesisError) as exc:
         bad.validate(disp)
     assert str(exc.value) == f"|S| or |dS/dk0| exceeds 1/2 at ({k0},{kx},{ky})"
-    bad.validate(disp, samples=bad_at)  # the draws before it all pass
+    bad.validate(disp, samples=bad_at)  # the points before it all pass
+
+
+def test_model_validation_finds_any_k0_window(disp):
+    # |S| = 0.9 on a k0 window of width 0.6, 1/100 of the k0 range, and 0
+    # elsewhere, at k0 = 0 too: some validation point falls in it, wherever
+    # it lies, and the k0 = 0 copies do not find it for them
+    for lo in np.linspace(-30.0, 29.4, 100):
+        def spike(k0, kx, ky, lo=lo):
+            k0 = np.asarray(k0)
+            return 0.9j * ((lo <= k0) & (k0 <= lo + 0.6) & (k0 != 0)) \
+                + 0 * np.asarray(kx)
+
+        bad = oc.SelfEnergyModel(S=spike, dS_dk0=lambda k0, kx, ky: 0.0)
+        with pytest.raises(oc.ModelHypothesisError, match="exceeds 1/2"):
+            bad.validate(disp)
 
 
 def test_free_occupation_step(disp):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fermi2d import selfenergy as se
 from fermi2d.config import ScaleParams
-from fermi2d.scales import ScaleModel, quadratic_model
+from fermi2d.scales import ScaleModel, quadratic_model, rd_points
 
 
 @pytest.fixture(scope="module")
@@ -122,26 +122,21 @@ def test_budget_detects_support_violation(budget_params, budget_scales):
     assert not rep.all_pass
 
 
-def _support_violation_loop(scales, qf, i):
-    # reference: the scalar sampling loop, one member call per point
-    p = scales.params
-    worst = 0.0
-    rng = np.random.default_rng(1234 + i)
-    edge = p.shell_hi(i + 2)
-    for _ in range(200):
-        th = rng.uniform(0, 2 * np.pi)
+def _support_points_loop(scales, i):
+    # reference: the scalar sampling loop over the R_d points, one point
+    # at a time
+    edge = scales.params.shell_hi(i + 2)
+    pts = []
+    for th, k0 in rd_points(200, (0.0, -edge), (2 * np.pi, edge)):
         rad = float(scales.disp.fermi_radius(th))
         kx, ky = rad * math.cos(th), rad * math.sin(th)
-        k0 = rng.uniform(-edge, edge)
         if abs(scales.radius(k0, kx, ky)) <= edge:
-            worst = max(worst, abs(complex(qf(k0, kx, ky))))
-    for _ in range(200):
-        th = rng.uniform(0, 2 * np.pi)
-        rad = rng.uniform(2.05, 4.0)
+            pts.append((k0, kx, ky))
+    for th, rad, k0 in rd_points(200, (0.0, 2.05, -2.0), (2 * np.pi, 4.0, 2.0)):
         kx, ky = rad * math.cos(th), rad * math.sin(th)
         if scales.disp.U(kx, ky) == 0.0:
-            worst = max(worst, abs(complex(qf(rng.uniform(-2, 2), kx, ky))))
-    return worst
+            pts.append((k0, kx, ky))
+    return pts
 
 
 @pytest.mark.parametrize("which", ["saturating", "scaled", "zero",
@@ -149,7 +144,8 @@ def _support_violation_loop(scales, qf, i):
 def test_support_points_match_scalar_loop(budget_params, budget_scales, qfam,
                                           which):
     # each support point is drawn once per i and every member is evaluated
-    # once on the point arrays; the scalar loop gives the same violation
+    # once on the point arrays; the scalar loop gives the same points and
+    # the same violation
     fam = {"saturating": lambda: qfam,
            "scaled": lambda: se.saturating_q_family(budget_params, scale=3.0),
            "zero": lambda: _one_member_family(
@@ -161,8 +157,12 @@ def test_support_points_match_scalar_loop(budget_params, budget_scales, qfam,
                lambda k0, kx, ky: 1e-6 * np.cos(3 * k0) * np.exp(1j * kx * ky))}[which]()
     rep = se.check_q_budget(fam, budget_params, npts=(9, 9, 9),
                             scales=budget_scales)
-    ref = max(_support_violation_loop(budget_scales, qf, i)
-              for (i, _), qf in fam.q.items())
+    loops = {i: _support_points_loop(budget_scales, i) for i, _ in fam.q}
+    for i, pts in loops.items():
+        np.testing.assert_allclose(se._support_points(budget_scales, i),
+                                   np.array(pts).T, rtol=1e-15, atol=0)
+    ref = max(abs(complex(qf(*pt)))
+              for (i, _), qf in fam.q.items() for pt in loops[i])
     assert abs(rep.support_violation - ref) <= 1e-15 * ref
     assert (rep.support_violation <= 1e-12) == (ref <= 1e-12)
 
