@@ -1,12 +1,17 @@
 """Four-legged kernels on their conservation support, in pair blocks.
 
 The ladder path keeps its kernels here instead of in dense n^4 arrays:
-PairBlocks (built once per KernelSpace, as KernelSpace.pair_blocks) groups
-the support into dense blocks, and BlockKernel holds a kernel as its
-support vector, with the dense operations of the ladder path as gathers:
-each one leg swap of the support (PairBlocks.swap) or a product of them
-(the inversion check reverses the legs by two swaps), or, between a
+PairBlocks groups the support into dense blocks, and BlockKernel holds a
+kernel as its support vector, with the dense operations of the ladder path
+as gathers: each one leg swap of the support (PairBlocks.swap) or a product
+of them (the inversion check reverses the legs by two swaps), or, between a
 directed space and its undirected partner, the reduce_ph gather.
+
+The support depends only on a space's leg signature: its grid, its
+direction and the (field, k, spin, bar) of every leg.  Sectors do not enter
+it, so the spaces of every scale of a ladder scheme whose legs agree up to
+their sectors share one PairBlocks (KernelSpace.pair_blocks), with its
+cached gathers; the grid keeps one instance per signature.
 """
 from __future__ import annotations
 
@@ -16,37 +21,40 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .kernels import Kernel4, KernelSpace, zero_kernel
+from .kernels import Kernel4, KernelSpace, MomentumGrid, zero_kernel
 
 
 class PairBlocks:
-    """The momentum- and number-conservation support of a leg space,
+    """The momentum- and number-conservation support of a leg signature,
     grouped into pair blocks.
 
-    Read as an n^2 x n^2 matrix over ordered leg pairs, a kernel on the
-    support joins the row pair (a, b) only to column pairs (c, d) of
-    opposite signed pair momentum and complementary bar count, with the
-    signs of conservation_mask ((-1)^bar on directed spaces, (+, -, -, +)
-    on undirected ones).  A row pair has the key (class of
-    s_a k_a + s_b k_b, bar count), a column pair the key
-    (class of -(s_c k_c + s_d k_d), 2 - bar count) (bar counts are 0 on
-    undirected spaces), and the support is the set of (row, column) of
-    equal keys: one dense block per key.  A support vector holds the
-    blocks one after another, each row-major over its ascending row and
-    column pairs; flat is the dense flat index of every entry.  Four
-    n^2-entry int32 pair tables place every ordered leg pair: the block
-    holding it as a row pair, the block holding it as a column pair (-1 if
-    none), its position in both, and, as a row pair, the support index at
-    which its row starts.  The leg swaps and the reduce_ph gather are
-    lookups in them.
+    legs holds one (field, k, spin, bar) row per leg, in the leg order of
+    the spaces that share the instance (KernelSpace.pair_blocks).  Read as an
+    n^2 x n^2 matrix over ordered leg pairs, a kernel on the support joins
+    the row pair (a, b) only to column pairs (c, d) of opposite signed pair
+    momentum and complementary bar count, with the signs of
+    conservation_mask ((-1)^bar on directed spaces, (+, -, -, +) on
+    undirected ones).  A row pair has the key (class of s_a k_a + s_b k_b,
+    bar count), a column pair the key (class of -(s_c k_c + s_d k_d),
+    2 - bar count) (bar counts are 0 on undirected spaces), and the support
+    is the set of (row, column) of equal keys: one dense block per key.
+    The column pairs of block t are the row pairs of block col_rows[t]
+    (block t itself on undirected spaces), and cols[t] is that array.  A
+    support vector holds the blocks one after another, each row-major over
+    its ascending row and column pairs; flat is the dense flat index of
+    every entry.  Four n^2-entry int32 pair tables place every ordered leg
+    pair: the block holding it as a row pair, the block holding it as a
+    column pair (-1 if none), its position in both, and, as a row pair, the
+    support index at which its row starts.  The leg swaps and the reduce_ph
+    gather are lookups in them.
     """
 
-    def __init__(self, space: KernelSpace):
-        self.space = space
-        n = self.n = space.n
+    def __init__(self, grid: MomentumGrid, directed: bool, legs: np.ndarray):
+        self.grid, self.directed, self.legs = grid, directed, legs
+        n = self.n = len(legs)
         # class of every signed sum s k_i + t k_j of two grid momenta: the
         # first such sum within conservation_mask's tolerance on every axis
-        K = np.stack([space.grid.k0, space.grid.kx, space.grid.ky], axis=1)
+        K = np.stack([grid.k0, grid.kx, grid.ky], axis=1)
         SK = np.stack([K, -K], axis=1)
         P = (SK[:, :, None, None, :] + SK[None, None, :, :, :]).reshape(-1, 3)
         close = np.ones((len(P), len(P)), dtype=bool)
@@ -57,8 +65,8 @@ class PairBlocks:
             raise ValueError("grid momentum sums within the conservation "
                              "tolerance of each other do not form classes")
         cls = cls.reshape(len(K), 2, len(K), 2)
-        k, bar = space.leg_k, space.leg_bar
-        if space.directed:
+        k, bar = legs[:, 1], legs[:, 3]
+        if directed:
             s, nbar = [bar] * 4, 2
         else:
             zero, one = np.zeros_like(bar), np.ones_like(bar)
@@ -72,24 +80,45 @@ class PairBlocks:
         self.keys = np.array(sorted(set(row_key.tolist())
                                     & set(col_key.tolist())), dtype=int)
         self.rows = [np.flatnonzero(row_key == key) for key in self.keys]
-        self.cols = [np.flatnonzero(col_key == key) for key in self.keys]
+        self._row_block = np.full(n * n, -1, dtype=np.int32)
+        for t, r in enumerate(self.rows):
+            self._row_block[r] = t
+        # a column key is the row key of the negated pair momentum and the
+        # complementary bar count, so the column pairs of a block are the
+        # row pairs of one block
+        cols = [np.flatnonzero(col_key == key) for key in self.keys]
+        self.col_rows = np.array([self._row_block[c[0]] for c in cols],
+                                 dtype=int)
+        if not all(np.array_equal(c, self.rows[u])
+                   for c, u in zip(cols, self.col_rows)):
+            raise RuntimeError("pair-block columns are not the rows of a block")
+        self.cols = [self.rows[u] for u in self.col_rows]
         self.offsets = np.cumsum([0] + [len(r) * len(c) for r, c
                                         in zip(self.rows, self.cols)])
         self.size = int(self.offsets[-1])
         self.flat = np.concatenate([(r[:, None] * n * n + c).ravel()
                                     for r, c in zip(self.rows, self.cols)])
-        # one position table serves rows and cols: row and column keys
-        # group the pairs alike (the column class is that of the negated
-        # pair momentum), so a pair has one position in rows[t] and cols[t']
-        self._row_block = np.full(n * n, -1, dtype=np.int32)
+        # one position table serves rows and cols: a pair has one position
+        # in rows[t] and in cols[t'], the same array
         self._col_block = np.full(n * n, -1, dtype=np.int32)
         self._pos = np.zeros(n * n, dtype=np.int32)
         self._row_start = np.zeros(n * n, dtype=np.int32)
         for t, (r, c) in enumerate(zip(self.rows, self.cols)):
-            self._row_block[r] = self._col_block[c] = t
-            self._pos[r], self._pos[c] = np.arange(len(r)), np.arange(len(c))
+            self._col_block[c] = t
+            self._pos[r] = np.arange(len(r))
             self._row_start[r] = self.offsets[t] + self._pos[r] * len(c)
         self._swaps: dict = {}
+
+    @classmethod
+    def shared(cls, grid: MomentumGrid, directed: bool,
+               legs: np.ndarray) -> "PairBlocks":
+        """The instance of the signature (grid, directed, legs), kept in
+        grid.pair_blocks and built on first use."""
+        legs = np.ascontiguousarray(legs, dtype=np.int64)
+        key = (directed, legs.tobytes())
+        if key not in grid.pair_blocks:
+            grid.pair_blocks[key] = cls(grid, directed, legs)
+        return grid.pair_blocks[key]
 
     def __len__(self):
         return len(self.keys)
@@ -119,19 +148,26 @@ class PairBlocks:
 
     @cached_property
     def ph(self) -> List[Tuple[int, np.ndarray, np.ndarray]]:
-        """Per pair block of the undirected partner (directed spaces): the
-        block t holding it here, and its row and column positions in block
-        t, the row pairs of bars (0, 1) and the column pairs of bars
-        (1, 0) that reduce_ph reads."""
-        und = self.space.undirected()
-        ub = und.pair_blocks
-        i0, i1 = self.space.iota(0, und), self.space.iota(1, und)
+        """Per pair block of the undirected partner (directed signatures):
+        the block t holding it here, and its row and column positions in
+        block t, the row pairs of bars (0, 1) and the column pairs of bars
+        (1, 0) that reduce_ph reads.
+
+        The undirected partner has the bar-0 legs, in order.  Legs sort by
+        (field, k, spin, bar, sector) and every internal sector has both
+        bars, so the m-th undirected leg is the m-th bar-0 leg and the m-th
+        bar-1 leg here (KernelSpace.iota)."""
+        bar = self.legs[:, 3]
+        i0, i1 = np.flatnonzero(bar == 0), np.flatnonzero(bar == 1)
+        if not np.array_equal(self.legs[i0, :3], self.legs[i1, :3]):
+            raise ValueError("the bar-0 and bar-1 legs differ")
+        ub = PairBlocks.shared(self.grid, False, self.legs[i0])
         where = {key: t for t, key in enumerate(self.keys)}
         out = []
         for key, r, c in zip(ub.keys, ub.rows, ub.cols):
             t = where[key + 1]   # same momentum class, bar count 1
-            a, b = np.divmod(r, und.n)
-            cc, d = np.divmod(c, und.n)
+            a, b = np.divmod(r, ub.n)
+            cc, d = np.divmod(c, ub.n)
             out.append((t, self._pos[i0[a] * self.n + i1[b]],
                         self._pos[i1[cc] * self.n + i0[d]]))
         return out

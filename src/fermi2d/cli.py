@@ -317,16 +317,13 @@ def run_resum(args) -> int:
     if loaded is None:
         return EXIT_CONFIG
     params, fam = loaded
-    rows = []
-    for _ in range(nsamples):
-        k0 = float(rng.uniform(-2, 2))
-        kx = float(rng.uniform(-1.4, 1.4))
-        ky = float(rng.uniform(-1.4, 1.4))
-        P = se.resum_P(fam, k0, kx, ky)
-        Q = se.resum_Q(fam, k0, kx, ky)
-        rows.append({"k0": k0, "kx": kx, "ky": ky,
-                     "re_p": float(P.real), "im_p": float(P.imag),
-                     "re_q": float(Q.real), "im_q": float(Q.imag)})
+    # (k0, kx, ky) per row, drawn in that order
+    k = rng.uniform((-2, -1.4, -1.4), (2, 1.4, 1.4), (nsamples, 3)).T
+    P = np.broadcast_to(se.resum_P(fam, *k), k[0].shape)
+    Q = np.broadcast_to(se.resum_Q(fam, *k), k[0].shape)
+    rows = [{"k0": k0, "kx": kx, "ky": ky, "re_p": p.real, "im_p": p.imag,
+             "re_q": q.real, "im_q": q.imag}
+            for k0, kx, ky, p, q in zip(*k.tolist(), P.tolist(), Q.tolist())]
     if args.out and not _write_out("resum", args.out,
                                    emit(rows, RESUM_COLUMNS, args.format)):
         return EXIT_CONFIG

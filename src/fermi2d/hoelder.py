@@ -84,10 +84,12 @@ def verify_family(b: ScaleBounds, family: Sequence[Tuple[Callable, Callable]],
     max_ratio = 0.0
     worst = (0.0, 0.0)
     lo, hi = t_range
-    for m in range(2, mmax + 1):
-        sep = 2.0 ** (-m) * (hi - lo)
-        base = rng.uniform(lo, hi - sep, size=pair_points)
-        diff = np.abs(np.asarray(total(base + sep)) - np.asarray(total(base)))
+    # every dyadic level at once, one row per level, drawn in level order
+    seps = [2.0 ** (-m) * (hi - lo) for m in range(2, mmax + 1)]
+    col = np.array(seps)[:, None]
+    bases = rng.uniform(lo, hi - col, size=(len(seps), pair_points))
+    diffs = np.abs(np.asarray(total(bases + col)) - np.asarray(total(bases)))
+    for sep, base, diff in zip(seps, bases, diffs):
         ratios = diff / (const * sep ** expo)
         k = int(np.argmax(ratios))
         if ratios[k] > max_ratio:

@@ -14,7 +14,7 @@ tuples are admissible only when the bar-signed momenta sum to zero.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -35,6 +35,9 @@ class MomentumGrid:
     kx: np.ndarray
     ky: np.ndarray
     neg: np.ndarray  # neg[i] = index of -k_i
+    # blocks.PairBlocks per leg signature on this grid (PairBlocks.shared)
+    pair_blocks: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def __len__(self):
         return len(self.k0)
@@ -117,10 +120,14 @@ class KernelSpace:
     @cached_property
     def pair_blocks(self) -> "PairBlocks":
         """The conservation support grouped into pair blocks
-        (blocks.PairBlocks), built on first use."""
+        (blocks.PairBlocks): one instance per leg signature (the grid, the
+        direction and the (field, k, spin, bar) of every leg), shared by
+        every space of that signature and built on first use."""
         from .blocks import PairBlocks
 
-        return PairBlocks(self)
+        legs = np.stack([self.leg_field, self.leg_k, self.leg_spin,
+                         self.leg_bar], axis=1)
+        return PairBlocks.shared(self.grid, self.directed, legs)
 
     # -- partner spaces -------------------------------------------------
 

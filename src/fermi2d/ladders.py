@@ -242,24 +242,26 @@ class LadderScheme:
         """Per scale-j pair block: (its index, the scale-i block of the same
         key, R (x) R on its rows, R (x) R on its columns, as dense arrays),
         with R the leg refinement matrix; R keeps (momentum, spin, bar) and
-        so every pair block key."""
+        so every pair block key.  The column pairs of a block are the row
+        pairs of another (PairBlocks.col_rows), so one R (x) R factor is
+        built per pair of scale-j and scale-i row-pair sets and serves as
+        the column factor of that other block."""
         key = (i, j, directed)
         if key in self._resect_cache:
             return self._resect_cache[key]
         R = self._resect_matrix(i, j, directed)
         src = self.space(i, directed).pair_blocks
         dst = self.space(j, directed).pair_blocks
-
-        def rr(dst_pairs, src_pairs):
-            a, b = np.divmod(dst_pairs, dst.n)
-            c, d = np.divmod(src_pairs, src.n)
-            return R[np.ix_(a, c)] * R[np.ix_(b, d)]
-
         where = {k: u for u, k in enumerate(src.keys)}
+        factor = {}  # R (x) R on the row pairs of block t
+        for t, k in enumerate(dst.keys):
+            if k in where:
+                a, b = np.divmod(dst.rows[t], dst.n)
+                c, d = np.divmod(src.rows[where[k]], src.n)
+                factor[t] = R[np.ix_(a, c)] * R[np.ix_(b, d)]
         self._resect_cache[key] = [
-            (t, where[k], rr(dst.rows[t], src.rows[where[k]]),
-             rr(dst.cols[t], src.cols[where[k]]))
-            for t, k in enumerate(dst.keys) if k in where]
+            (t, where[dst.keys[t]], f, factor[dst.col_rows[t]])
+            for t, f in factor.items()]
         return self._resect_cache[key]
 
     def resectorize(self, kern: BlockKernel, i: int, j: int) -> BlockKernel:

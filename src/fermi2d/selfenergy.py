@@ -435,15 +435,16 @@ def _real_if_zero_imag(q):
 
 def _support_points(scales: ScaleModel, i: int):
     """(k0, kx, ky) arrays of the points where a member of first index i
-    must vanish, from the first 200 points of two R_d sets
-    (scales.rd_points): points on the Fermi curve at angle theta with k0
-    in [-edge, edge), kept where |i k0 - e| <= edge, the edge of the
-    (i+2)-nd neighbourhood; and points at angle theta, radius in
-    [2.05, 4) and k0 in [-2, 2), kept where U = 0, off supp U.  Only the
-    edge depends on i."""
+    must vanish, from two R_d sets (scales.rd_points): the first 400 points
+    of a 3-d set at angle theta, radius fermi_radius(theta) (1 + s) with s
+    in [-edge, edge), and k0 in [-edge, edge), kept where
+    |i k0 - e| <= edge, the edge of the (i+2)-nd neighbourhood (on the
+    shipped models e = (1 + s)^2 - 1, so the kept points fill it); and the
+    first 200 points at angle theta, radius in [2.05, 4) and k0 in [-2, 2),
+    kept where U = 0, off supp U.  Only the edge depends on i."""
     edge = scales.params.shell_hi(i + 2)
-    th, k0 = rd_points(200, (0.0, -edge), (2 * np.pi, edge)).T
-    rad = scales.disp.fermi_radius(th)
+    th, s, k0 = rd_points(400, (0.0, -edge, -edge), (2 * np.pi, edge, edge)).T
+    rad = scales.disp.fermi_radius(th) * (1.0 + s)
     near = np.stack([k0, rad * np.cos(th), rad * np.sin(th)])
     near = near[:, np.abs(scales.radius(*near)) <= edge]
     th, rad, k0 = rd_points(200, (0.0, 2.05, -2.0), (2 * np.pi, 4.0, 2.0)).T

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermi2d import cli
-from fermi2d.blocks import BlockKernel
+from fermi2d.blocks import BlockKernel, PairBlocks
 from fermi2d.kernels import (Kernel4, KernelSpace, antisymmetrize,
                              conservation_mask, flip, is_inversion_symmetric,
                              make_grid, number_conserving_mask, random_kernel,
@@ -27,6 +27,109 @@ def test_pair_blocks_hold_the_support(small_spaces, data, directed, seed):
     assert np.array_equal(ones.values != 0, mask)
     f = random_kernel(sp, np.random.default_rng(seed))
     assert np.array_equal(BlockKernel.from_dense(f).dense().values, f.values)
+
+
+@pytest.fixture(scope="module")
+def demo_schemes(params, disp):
+    """The ladder-demo scheme of --grid g --scales s, built once."""
+    built = {}
+
+    def get(gridn, nscales):
+        if (gridn, nscales) not in built:
+            scales = list(range(params.j0, params.j0 + nscales))
+            built[gridn, nscales] = cli._demo_scheme_and_family(
+                params, disp, gridn, 0, scales)[0]
+        return built[gridn, nscales]
+
+    return get
+
+
+def _fresh(space):
+    # a PairBlocks built from the space's legs, outside the grid's cache
+    legs = np.stack([space.leg_field, space.leg_k, space.leg_spin,
+                     space.leg_bar], axis=1)
+    return PairBlocks(space.grid, space.directed, legs)
+
+
+def _ph_by_iota(space, pb):
+    # the reduce_ph positions read through the space's own leg lookup
+    # (KernelSpace.iota) and a fresh undirected partner
+    und = space.undirected()
+    ub = _fresh(und)
+    i0, i1 = space.iota(0, und), space.iota(1, und)
+    where = {key: t for t, key in enumerate(pb.keys)}
+    out = []
+    for key, r, c in zip(ub.keys, ub.rows, ub.cols):
+        a, b = np.divmod(r, und.n)
+        cc, d = np.divmod(c, und.n)
+        out.append((where[key + 1], pb._pos[i0[a] * pb.n + i1[b]],
+                    pb._pos[i1[cc] * pb.n + i0[d]]))
+    return out
+
+
+@pytest.mark.parametrize("gridn, nscales", [(1, 2), (1, 3), (1, 4), (2, 2),
+                                            (2, 3), (2, 4)])
+def test_scheme_spaces_share_pair_blocks(demo_schemes, gridn, nscales):
+    # every scale of a demo scheme has the same leg signature (sectors do
+    # not enter the support): one directed and one undirected PairBlocks,
+    # the ones the grid keeps
+    scheme = demo_schemes(gridn, nscales)
+    js = sorted(scheme.dir_spaces)
+    for directed in (True, False):
+        pbs = {id(scheme.space(j, directed).pair_blocks) for j in js}
+        assert len(pbs) == 1
+    assert scheme.space(js[0]).pair_blocks is not \
+        scheme.space(js[0], False).pair_blocks
+    assert len(scheme.grid.pair_blocks) == 2
+
+
+@pytest.mark.parametrize("gridn, nscales", [(1, 2), (1, 3), (2, 2), (2, 3)])
+def test_shared_pair_blocks_match_a_fresh_build(demo_schemes, gridn, nscales):
+    # for every space sharing the instance, each table, swap, ph and
+    # ph_gather equals that of a PairBlocks built for the space alone, and
+    # ph equals the one read through KernelSpace.iota
+    scheme = demo_schemes(gridn, nscales)
+    for j in sorted(scheme.dir_spaces):
+        for sp in (scheme.space(j), scheme.space(j, False)):
+            pb, ref = sp.pair_blocks, _fresh(sp)
+            assert np.array_equal(pb.flat, ref.flat)
+            assert all(np.array_equal(a, b) for a, b in zip(pb.cols, ref.cols))
+            for i, k in itertools.combinations(range(4), 2):
+                try:
+                    want = ref.swap(i, k)
+                except ValueError:
+                    with pytest.raises(ValueError, match="not closed"):
+                        pb.swap(i, k)
+                    continue
+                assert np.array_equal(pb.swap(i, k), want)
+            if sp.directed:
+                for got, want in ((pb.ph, ref.ph), (pb.ph, _ph_by_iota(sp, pb))):
+                    assert len(got) == len(want)
+                    for (t, r, c), (u, rr, cc) in zip(got, want):
+                        assert t == u and np.array_equal(r, rr) \
+                            and np.array_equal(c, cc)
+                assert np.array_equal(pb.ph_gather, ref.ph_gather)
+
+
+def test_other_signatures_get_their_own_pair_blocks():
+    # the instance follows the grid, the direction and the (field, k, spin,
+    # bar) legs: other sectors with the same count per k share it; another
+    # spin count, another count per k, another direction or another grid
+    # (even an equal one) do not
+    grid = make_grid([(0.25, 1.2, 0.55)])
+    base = KernelSpace(grid, nspin=1, nsec=2, sec_ok=[[1, 0], [0, 1]])
+    pb = base.pair_blocks
+    same = [KernelSpace(grid, nspin=1, nsec=2, sec_ok=[[0, 1], [1, 0]]),
+            KernelSpace(grid, nspin=1, nsec=1)]
+    other = [KernelSpace(grid, nspin=2, nsec=2, sec_ok=[[1, 0], [0, 1]]),
+             KernelSpace(grid, nspin=1, nsec=2, sec_ok=[[1, 1], [0, 1]]),
+             KernelSpace(grid, nspin=1, nsec=2, sec_ok=[[1, 0], [0, 1]],
+                         directed=False),
+             KernelSpace(make_grid([(0.25, 1.2, 0.55)]), nspin=1, nsec=2,
+                         sec_ok=[[1, 0], [0, 1]])]
+    assert all(sp.pair_blocks is pb for sp in same)
+    assert len({id(pb)} | {id(sp.pair_blocks) for sp in other}) == 5
+    assert len(grid.pair_blocks) == 4
 
 
 @settings(max_examples=15, deadline=None)

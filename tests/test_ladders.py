@@ -199,6 +199,36 @@ def test_resectorize_blocks_match_dense(scheme, directed, seed):
         <= 1e-14 * want.max_abs()
 
 
+@pytest.fixture(scope="module")
+def demo_scheme(params, disp):
+    """The scheme of ladder-demo --grid 2 --scales 3."""
+    from fermi2d import cli
+
+    return cli._demo_scheme_and_family(params, disp, 2, 0, [2, 3, 4])[0]
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_resect_column_factors_are_row_factors(scheme, demo_scheme, directed):
+    # the cached column factor of a block is the row factor of the block
+    # whose row pairs are its column pairs, and equals R (x) R on its
+    # column pairs; undirected blocks are their own column block
+    for sch, pairs in ((scheme, [(2, 3)]),
+                       (demo_scheme, [(2, 3), (2, 4), (3, 4)])):
+        for i, j in pairs:
+            R = sch._resect_matrix(i, j, directed)
+            src = sch.space(i, directed).pair_blocks
+            dst = sch.space(j, directed).pair_blocks
+            if not directed:
+                assert np.array_equal(dst.col_rows, np.arange(len(dst)))
+            entries = sch._resect_blocks(i, j, directed)
+            row_factor = {t: rows for t, _, rows, _ in entries}
+            for t, u, _, cols in entries:
+                assert cols is row_factor[dst.col_rows[t]]
+                a, b = np.divmod(dst.cols[t], dst.n)
+                c, d = np.divmod(src.cols[u], src.n)
+                assert np.array_equal(cols, R[np.ix_(a, c)] * R[np.ix_(b, d)])
+
+
 def test_ladder_zero_rung(scheme):
     sp = scheme.space(2)
     bub = ld.bubble(sp, lambda *k: 1.0, lambda *k: 1.0)

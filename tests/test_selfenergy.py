@@ -122,13 +122,31 @@ def test_budget_detects_support_violation(budget_params, budget_scales):
     assert not rep.all_pass
 
 
+def test_budget_detects_support_violation_off_the_curve(budget_params,
+                                                       budget_scales):
+    # nonzero at k0 = 0 just off the Fermi curve, zero on it and off the
+    # ultraviolet cutoff: only near points with 0 < |e| <= edge see it
+    e, U = budget_scales.disp.e, budget_scales.disp.U
+    fam = _one_member_family(lambda k0, kx, ky: 1e-3 * e(kx, ky) * U(kx, ky)
+                             + 0.0 * np.asarray(k0))
+    rep = se.check_q_budget(fam, budget_params, npts=(9, 9, 9),
+                            scales=budget_scales)
+    assert rep.support_violation > 1e-12
+    assert not rep.all_pass
+    # the member is within rounding of 0 on the curve itself
+    th = np.linspace(0.0, 2 * np.pi, 64)
+    rad = budget_scales.disp.fermi_radius(th)
+    assert np.abs(fam.q[2, 2](0.0, rad * np.cos(th), rad * np.sin(th))).max() \
+        <= 1e-12
+
+
 def _support_points_loop(scales, i):
     # reference: the scalar sampling loop over the R_d points, one point
     # at a time
     edge = scales.params.shell_hi(i + 2)
     pts = []
-    for th, k0 in rd_points(200, (0.0, -edge), (2 * np.pi, edge)):
-        rad = float(scales.disp.fermi_radius(th))
+    for th, s, k0 in rd_points(400, (0.0, -edge, -edge), (2 * np.pi, edge, edge)):
+        rad = float(scales.disp.fermi_radius(th)) * (1.0 + s)
         kx, ky = rad * math.cos(th), rad * math.sin(th)
         if abs(scales.radius(k0, kx, ky)) <= edge:
             pts.append((k0, kx, ky))
