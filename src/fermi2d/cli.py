@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import os
+import random
 import sys
 from typing import List, Optional, Sequence
 
@@ -309,7 +310,10 @@ def run_resum(args) -> int:
         nsamples = int(args.nsamples)
         if nsamples < 1:
             raise ValueError(f"--nsamples must be >= 1, got {nsamples}")
-        rng = np.random.default_rng(int(args.seed))
+        seed = int(args.seed)
+        # random.Random would take -1 as the seed 1
+        if seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {seed}")
     except ValueError as exc:
         _diag("resum", "config", str(exc))
         return EXIT_CONFIG
@@ -317,8 +321,11 @@ def run_resum(args) -> int:
     if loaded is None:
         return EXIT_CONFIG
     params, fam = loaded
-    # (k0, kx, ky) per row, drawn in that order
-    k = rng.uniform((-2, -1.4, -1.4), (2, 1.4, 1.4), (nsamples, 3)).T
+    # (k0, kx, ky) per row, drawn in that order; the stdlib generator, as
+    # numpy.random would add its import to the command for a few draws
+    rng = random.Random(seed)
+    k = np.array([(rng.uniform(-2, 2), rng.uniform(-1.4, 1.4),
+                   rng.uniform(-1.4, 1.4)) for _ in range(nsamples)]).T
     P = np.broadcast_to(se.resum_P(fam, *k), k[0].shape)
     Q = np.broadcast_to(se.resum_Q(fam, *k), k[0].shape)
     rows = [{"k0": k0, "kx": kx, "ky": ky, "re_p": p.real, "im_p": p.imag,

@@ -5,7 +5,10 @@ C1 M^(beta j), then f is Hoelder continuous with exponent alpha/(alpha+beta)
 and constant C' C0^(beta/(alpha+beta)) C1^(alpha/(alpha+beta)), where
 C' = 2 (M^beta/(M^beta - 1) + M^alpha/(M^alpha - 1)).  The certificate is
 checked on sampled pairs, and an empirical exponent estimator fits the
-log-log modulus of continuity over dyadic separations.
+log-log modulus of continuity over dyadic separations.  Both sample their
+pairs (t, t + sep) at every dyadic level from one fixed point set, the 1-D
+R_d sequence (scales.rd_points) scaled to [lo, hi - sep): no seed, and the
+same pairs on every run.
 """
 from __future__ import annotations
 
@@ -14,6 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
+
+from .scales import rd_points
 
 
 class EstimationError(ArithmeticError):
@@ -62,12 +67,10 @@ class FamilyReport:
 
 def verify_family(b: ScaleBounds, family: Sequence[Tuple[Callable, Callable]],
                   pair_points: int = 200, mmax: int = 18,
-                  t_range: Tuple[float, float] = (0.0, 1.0),
-                  seed: int = 11) -> FamilyReport:
+                  t_range: Tuple[float, float] = (0.0, 1.0)) -> FamilyReport:
     """Check the hypotheses on samples, then the certified modulus on
     dyadic pairs; family entries are (f_j, f_j') callables."""
     expo, const = hoelder_certificate(b)
-    rng = np.random.default_rng(seed)
     ts = np.linspace(t_range[0], t_range[1], 2049)
     hyp_worst = 0.0
     for j, (f, fp) in enumerate(family):
@@ -84,10 +87,10 @@ def verify_family(b: ScaleBounds, family: Sequence[Tuple[Callable, Callable]],
     max_ratio = 0.0
     worst = (0.0, 0.0)
     lo, hi = t_range
-    # every dyadic level at once, one row per level, drawn in level order
+    # every dyadic level at once, one row per level
     seps = [2.0 ** (-m) * (hi - lo) for m in range(2, mmax + 1)]
     col = np.array(seps)[:, None]
-    bases = rng.uniform(lo, hi - col, size=(len(seps), pair_points))
+    bases = _pair_bases(pair_points, lo, hi - col)
     diffs = np.abs(np.asarray(total(bases + col)) - np.asarray(total(bases)))
     for sep, base, diff in zip(seps, bases, diffs):
         ratios = diff / (const * sep ** expo)
@@ -98,6 +101,12 @@ def verify_family(b: ScaleBounds, family: Sequence[Tuple[Callable, Callable]],
     return FamilyReport(hypotheses_ok=hypotheses_ok, hyp_worst=hyp_worst,
                         max_ratio=max_ratio, worst_pair=worst,
                         exponent=expo, constant=const)
+
+
+def _pair_bases(n: int, lo, hi):
+    """The first n points of the 1-D R_d set scaled to [lo, hi); hi may be
+    a column of upper ends, one row of bases per end."""
+    return lo + (hi - lo) * rd_points(n, (0.0,), (1.0,))[:, 0]
 
 
 def saturating_family(b: ScaleBounds, jmax: int = 25):
@@ -123,20 +132,19 @@ def _sine_member(amp, freq):
 
 def empirical_exponent(f: Callable, m_range: Tuple[int, int] = (4, 18),
                        pair_points: int = 200,
-                       t_range: Tuple[float, float] = (0.0, 1.0),
-                       seed: int = 13) -> Tuple[float, float]:
+                       t_range: Tuple[float, float] = (0.0, 1.0)
+                       ) -> Tuple[float, float]:
     """Fitted slope of log max|f(t+sep)-f(t)| against log sep over dyadic
     separations, capped at 1 (Lipschitz saturation); returns
     (exponent, one-sigma band of the regression slope)."""
     m_lo, m_hi = m_range
     if m_hi - m_lo + 1 < 10:
         raise EstimationError("need at least 10 dyadic separation levels")
-    rng = np.random.default_rng(seed)
     lo, hi = t_range
     xs, ys = [], []
     for m in range(m_lo, m_hi + 1):
         sep = 2.0 ** (-m) * (hi - lo)
-        base = rng.uniform(lo, hi - sep, size=pair_points)
+        base = _pair_bases(pair_points, lo, hi - sep)
         diff = np.abs(np.asarray(f(base + sep)) - np.asarray(f(base)))
         mx = float(diff.max())
         if mx <= 0.0:

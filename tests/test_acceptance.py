@@ -20,7 +20,7 @@ from fermi2d.config import ScaleParams
 from fermi2d.kernels import (Kernel4, KernelSpace, antisymmetrize,
                              component_mask, extract_component, flip,
                              make_grid, pi_collapse, random_kernel,
-                             reduce_ph, reduce_pp, sct_prime, shear,
+                             reduce_ph, reduce_pp, s_kappa, sct_prime, shear,
                              shear_prime, value_ph, value_pp)
 from fermi2d.scales import ScaleModel, quadratic_model
 from fermi2d.sectors import build_fermi_curve
@@ -125,8 +125,25 @@ def test_criterion_3_kernel_identities():
         direct[np.ix_(*idx)] = gp.values[np.ix_(*idx)]
         worst_ext = max(worst_ext, np.abs(comp.values - direct).max())
     assert worst_ext <= 1e-13 * max(1.0, gp.max_abs())
+    # on the block a direct copy is what extraction writes by construction;
+    # the S_kappa node average itself, over all 3^4 node combinations, tests
+    # the exactness by degree: 8 seeded components, each S_kappa taken once
+    ivecs = list(itertools.product((-1, 0, 1), repeat=4))
+    chosen = [ivecs[c] for c in sorted(rng.choice(len(ivecs), size=8,
+                                                  replace=False))]
+    nodes = np.exp(2j * np.pi * np.arange(3) / 3)
+    avgs = [np.zeros_like(gp.values) for _ in chosen]
+    for combo in itertools.product(range(3), repeat=4):
+        kappas = nodes[list(combo)]
+        scaled = s_kappa(gp, kappas).values
+        for ivec, avg in zip(chosen, avgs):
+            avg += np.prod(kappas ** (np.array(ivec) - 1)) * scaled
+    worst_avg = max(np.abs(extract_component(gp, ivec).values - avg / 81).max()
+                    for ivec, avg in zip(chosen, avgs))
+    assert worst_avg <= 1e-13 * max(1.0, gp.max_abs())
     _report(3, f"reconstruction {worst_rec:.1e}; flip identity {worst_d4:.1e}; "
-               f"involution exact; extraction {worst_ext:.1e} (all <= 1e-13)")
+               f"involution exact; extraction {worst_ext:.1e}, against the "
+               f"S_kappa average {worst_avg:.1e} (all <= 1e-13)")
 
 
 def _ladder_fixture():

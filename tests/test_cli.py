@@ -249,6 +249,28 @@ def test_resum_cli(tmp_path, family_files):
     assert len(lines) == 11
 
 
+def test_resum_rows_are_seeded_draws_in_the_box(tmp_path, family_files):
+    # the same seed gives the same bytes, another seed other rows, and
+    # every (k0, kx, ky) lies in (-2, 2) x (-1.4, 1.4)^2
+    def rows(seed, run):
+        out = tmp_path / f"resum_{seed}_{run}.csv"
+        rc = cli.main(["resum", "--family", str(family_files / "good.txt"),
+                       "--jmax", "4", "--nsamples", "40", "--seed", seed,
+                       "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        return out.read_bytes()
+
+    first = rows("0", 1)
+    assert rows("0", 2) == first
+    other = rows("1", 1)
+    k = np.array([[float(x) for x in line.split(",")[:3]]
+                  for blob in (first, other)
+                  for line in blob.decode().splitlines()[1:]])
+    assert k.shape == (80, 3)
+    assert not (k[:40] == k[40:]).all(axis=1).any()
+    assert np.all(np.abs(k) < (2.0, 1.4, 1.4))
+
+
 @pytest.mark.parametrize("argv", [
     ["resum", "--seed", "abc"],
     ["resum", "--seed", "-1"],
@@ -507,11 +529,12 @@ def _run_fresh(code: str, blas_threads) -> str:
 
 
 # the fermi2d modules each subcommand loads besides the package, cli and
-# config: only the layers on its own path; and whether it loads
-# numpy.random (with secrets, which numpy.random imports): jump-sweep and
-# norm-budget check their hypotheses on the R_d points of scales.rd_points,
-# while the outputs of ladder-demo (its rungs), resum (its sample momenta)
-# and hoelder-check (its dyadic pair bases) are made of seeded draws
+# config: only the layers on its own path (hoelder-check takes its pair
+# bases from scales.rd_points); and whether it loads numpy.random (with
+# secrets, which numpy.random imports): only ladder-demo does, as its rungs
+# are numpy's seeded draws.  The hypothesis checks of jump-sweep and
+# norm-budget and the Hoelder pairs sample R_d points, and resum draws its
+# sample momenta from the stdlib random.Random
 FAMILY_LAYERS = {"scales", "selfenergy"}
 SUBCOMMAND_LAYERS = [
     (["jump-sweep", "--config", "{sweep}", "--out", "{out}"],
@@ -523,9 +546,9 @@ SUBCOMMAND_LAYERS = [
     (["norm-budget", "--family", "{good}", "--jmax", "4"], FAMILY_LAYERS,
      False),
     (["resum", "--family", "{bad}", "--jmax", "4", "--nsamples", "2",
-      "--check-budget"], FAMILY_LAYERS, True),
+      "--check-budget"], FAMILY_LAYERS, False),
     (["hoelder-check", "--alpha", "1", "--beta", "1", "--c0", "1", "--c1",
-      "1", "--m", "2", "--out", "{out}"], {"hoelder"}, True),
+      "1", "--m", "2", "--out", "{out}"], {"hoelder", "scales"}, False),
 ]
 
 

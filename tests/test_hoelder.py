@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -83,3 +84,37 @@ def test_empirical_exponent_step():
 def test_empirical_exponent_needs_levels():
     with pytest.raises(hl.EstimationError):
         hl.empirical_exponent(lambda t: np.asarray(t), m_range=(4, 8))
+
+
+def test_pairs_are_fixed_rd_points():
+    # every dyadic level samples the same 1-D R_d set, u_m = frac(1/2 +
+    # m / golden ratio), scaled to [lo, hi - sep); no seed
+    seen = []
+
+    def f(t):
+        seen.append(np.array(t, dtype=float))
+        return 0.0 * seen[-1]
+
+    hl.verify_family(hl.ScaleBounds(1, 1, 1, 1, 2), [(f, f)], pair_points=7,
+                     mmax=3, t_range=(-1.0, 3.0))
+    u = (0.5 + np.arange(1, 8) / ((1 + 5 ** 0.5) / 2)) % 1.0
+    bases = seen[-1]  # total(bases + sep) is taken first, then total(bases)
+    assert bases.shape == (2, 7)
+    for row, sep in zip(bases, (1.0, 0.5)):
+        assert np.allclose(row, -1.0 + (4.0 - sep) * u, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+def test_hoelder_check_domain(alpha):
+    # every combination that hoelder-check runs on in the budget-resum
+    # benchmark workload: alpha, beta in {0.5, 1, 1.5, 2}, C0, C1 in
+    # {0.5, 1, 2}, M = 2; each must exit 0 there
+    for beta, c0, c1 in itertools.product((0.5, 1.0, 1.5, 2.0),
+                                          (0.5, 1.0, 2.0), (0.5, 1.0, 2.0)):
+        b = hl.ScaleBounds(alpha, beta, c0, c1, 2.0)
+        fam = hl.saturating_family(b)
+        rep = hl.verify_family(b, fam)
+        assert rep.hypotheses_ok
+        assert rep.max_ratio <= 1.0
+        expo, _ = hl.empirical_exponent(lambda t: sum(f(t) for f, _ in fam))
+        assert abs(expo - rep.exponent) <= 0.05, (alpha, beta, c0, c1)
