@@ -58,10 +58,6 @@ class ScaleParams:
         """l_j = M^(-aleph j)."""
         return self.M ** (-self.aleph * j)
 
-    def shell_lo(self, j: int) -> float:
-        """Inner radius of the j-th shell in |i k0 - e(k)|."""
-        return 1.0 / (math.sqrt(self.M) * self.M ** j)
-
     def shell_hi(self, j: int) -> float:
         """Outer radius of the j-th shell in |i k0 - e(k)|."""
         return math.sqrt(2.0 * self.M) / self.M ** j

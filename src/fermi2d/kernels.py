@@ -164,9 +164,6 @@ class Kernel4:
     space: KernelSpace
     values: np.ndarray
 
-    def copy(self) -> "Kernel4":
-        return Kernel4(self.space, self.values.copy())
-
     def max_abs(self) -> float:
         return float(np.abs(self.values).max()) if self.values.size else 0.0
 
@@ -225,33 +222,7 @@ def random_kernel(space: KernelSpace, rng, amp: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
-# ordering and antisymmetrization
-
-
-def permutation_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
-def ord_permutation(ivec: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
-    """Stable ordering permutation for Ord and its sign.
-
-    Returns (order, sign): order[pos] is the source slot placed at pos,
-    sorting lower field tags first while preserving relative order; sign
-    is the parity of that rearrangement of anticommuting legs.
-    """
-    order = tuple(sorted(range(len(ivec)), key=lambda j: (ivec[j], j)))
-    return order, permutation_sign(order)
-
-
-def ord_component(arr: np.ndarray, ivec: Sequence[int]) -> Tuple[np.ndarray, Tuple[int, ...]]:
-    """Reorder a component's axes so external legs precede internal ones."""
-    order, sign = ord_permutation(ivec)
-    return sign * arr.transpose(order), tuple(ivec[j] for j in order)
+# antisymmetrization
 
 
 def antisymmetrize(kern: Kernel4) -> Kernel4:
@@ -266,13 +237,6 @@ def antisymmetrize(kern: Kernel4) -> Kernel4:
             acc -= out.swapaxes(i, k)
         out = acc
     return Kernel4(kern.space, out / 24.0)
-
-
-def is_antisymmetric(kern: Kernel4, tol: float = 1e-12) -> bool:
-    v = kern.values
-    return bool(np.abs(v + v.transpose((1, 0, 2, 3))).max() <= tol
-                and np.abs(v + v.transpose((0, 2, 1, 3))).max() <= tol
-                and np.abs(v + v.transpose((0, 1, 3, 2))).max() <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -415,23 +379,13 @@ def shear_prime(kern: Kernel4, B: Callable) -> Kernel4:
     return Kernel4(spp, _apply_per_axis(kern.values, [T] * 4))
 
 
-def _scale_field(kern: Kernel4, B: Callable, field: int) -> Kernel4:
-    """Multiply every leg of the given field by B(k)."""
-    sp = kern.space
-    d = np.ones(sp.n, dtype=complex)
-    for i in np.flatnonzero(sp.leg_field == field):
-        d[i] = B(*sp.grid.values(sp.leg_k[i]))
-    return Kernel4(sp, _scale_axes(kern.values, [d] * 4))
-
-
 def sct_prime(kern: Kernel4, B: Callable) -> Kernel4:
     """Multiply every primed external leg by B(k)."""
-    return _scale_field(kern, B, EXTP)
-
-
-def sct(kern: Kernel4, B: Callable) -> Kernel4:
-    """Multiply every (unprimed) external leg by B(k)."""
-    return _scale_field(kern, B, EXT)
+    sp = kern.space
+    d = np.ones(sp.n, dtype=complex)
+    for i in np.flatnonzero(sp.leg_field == EXTP):
+        d[i] = B(*sp.grid.values(sp.leg_k[i]))
+    return Kernel4(sp, _scale_axes(kern.values, [d] * 4))
 
 
 def pi_collapse(kern: Kernel4, dst: Optional[KernelSpace] = None) -> Kernel4:
@@ -560,28 +514,3 @@ def _outer_sector_norm(block: np.ndarray, next_: int, nint: int,
         val = float(red.max()) if np.ndim(red) else float(red)
         best = max(best, val)
     return best
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def kernel_to_text(kern: Kernel4, scale: int = 0) -> str:
-    lines = [f"# fermi2d kernel  scale={scale}  legs={kern.space.n} "
-             f"grid={len(kern.space.grid)} directed={int(kern.space.directed)}"]
-    nz = np.argwhere(np.abs(kern.values) > 0)
-    for i, j, k, l in nz:
-        v = kern.values[i, j, k, l]
-        lines.append(f"{i} {j} {k} {l} {v.real:.17g} {v.imag:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def kernel_from_text(text: str, space: KernelSpace) -> Kernel4:
-    out = zero_kernel(space)
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        i, j, k, l, re, im = line.split()
-        out.values[int(i), int(j), int(k), int(l)] = float(re) + 1j * float(im)
-    return out

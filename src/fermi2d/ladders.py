@@ -180,12 +180,6 @@ def _ladder_series(rung: BlockKernel, bub: BubbleProp, lmax: int, ltol: float,
     return acc, flat(chain)
 
 
-def ladder_L(ell: int, rung: BlockKernel, bub: BubbleProp) -> BlockKernel:
-    """The ladder with ell+1 identical rungs and ell bubbles."""
-    _, vals = _ladder_series(rung, bub, ell, 0.0, lambda _, v: v)
-    return BlockKernel(rung.space, vals)
-
-
 # ---------------------------------------------------------------------------
 # desk-scale geometry scheme
 

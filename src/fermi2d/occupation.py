@@ -15,9 +15,10 @@ for many points at once, as one vector on shared intervals, with the
 in-tree adaptive Gauss-Kronrod 21 rule (_gk21_adaptive).  Across the
 Fermi curve the limit jumps by 1 / (1 - (1/i) dS/dk0(0, kbar)).
 
-scipy.integrate is imported only by _quad, the scalar quadrature of the
-tau > 0 pieces, the Q term and time_domain_free_ft, so a tau -> 0 sweep
-loads no scipy.
+scipy.integrate is imported only by _quad, the scalar quadrature of
+i1_quad and i3_cutoff_quad (the quadrature sides of the I1 and I3 closed
+forms) and of i2_quad and i4_quad (the one-point references for
+occupation_limits).  No subcommand calls them, so a sweep loads no scipy.
 """
 from __future__ import annotations
 
@@ -294,17 +295,6 @@ def _quad_vec(f, a, b, tol) -> np.ndarray:
     return val
 
 
-def _fourier_tail_quad(g, a: float, tau: float, tol: float) -> complex:
-    """int_{|k0| >= a} e^(i k0 tau) g(k0) dk0 for decaying g, through
-    Fourier-weight panels of the symmetric and antisymmetric parts."""
-    c = _quad_complex(lambda x: g(x) + g(-x), a, np.inf, tol,
-                      weight="cos", wvar=tau, limit=400)
-    s = _quad_complex(lambda x: g(x) - g(-x), a, np.inf, tol,
-                      weight="sin", wvar=tau, limit=400)
-    # e^(i k0 tau) g + e^(-i k0 tau) g(-k0) = cos * (g+g(-)) + i sin * (g-g(-))
-    return (c.real - s.imag) + 1j * (c.imag + s.real)
-
-
 # ---------------------------------------------------------------------------
 # the five pieces
 
@@ -326,8 +316,9 @@ def i1_closed_limit(disp, model, kx, ky, eta):
     return -np.sign(e) / (math.pi * A) * np.arctan(eta * np.abs(A / E))
 
 
-def i2_quad(disp, model, kx, ky, eta: float, tau: float = 0.0,
-            tol: float = 1e-10) -> complex:
+def i2_quad(disp, model, kx, ky, eta: float, tol: float = 1e-10) -> complex:
+    """The |k0| < eta remainder at tau = 0, by scalar quadrature: the
+    reference for the I2 part of occupation_limits."""
     A, E = _aer(disp, model, kx, ky)
     S0 = complex(model.S(0.0, kx, ky))
     dS0 = complex(model.dS_dk0(0.0, kx, ky))
@@ -335,7 +326,7 @@ def i2_quad(disp, model, kx, ky, eta: float, tau: float = 0.0,
     def f(k0):
         R = complex(model.S(k0, kx, ky)) - S0 - dS0 * k0
         lin = 1j * A * k0 - E
-        return np.exp(1j * k0 * tau) * R / (lin * (lin - R)) / (2 * math.pi)
+        return R / (lin * (lin - R)) / (2 * math.pi)
 
     return _quad_complex(f, -eta, eta, tol, epsrel=tol, limit=300,
                          points=[0.0])
@@ -383,10 +374,9 @@ def i3p_closed_limit(disp, kx, ky, eta):
     return -np.sign(e) / math.pi * np.arctan(eta / np.abs(e))
 
 
-def i4_quad(disp, model, kx, ky, eta: float, tau: float = 0.0,
-            tol: float = 1e-10) -> complex:
-    """Interacting-minus-free tail over |k0| >= eta, folded symmetrically;
-    at tau > 0 the oscillation is handled by Fourier-weight panels."""
+def i4_quad(disp, model, kx, ky, eta: float, tol: float = 1e-10) -> complex:
+    """Interacting-minus-free tail over |k0| >= eta at tau = 0, folded
+    symmetrically: the reference for the I4 part of occupation_limits."""
     e = float(disp.e(kx, ky))
 
     def g(k0):
@@ -394,33 +384,15 @@ def i4_quad(disp, model, kx, ky, eta: float, tau: float = 0.0,
         free = 1j * k0 - e
         return S / (free * (free - S)) / (2 * math.pi)
 
-    if tau == 0.0:
-        return _quad_complex(lambda k0: g(k0) + g(-k0), eta, np.inf, tol,
-                             epsrel=tol, limit=300)
-    return _fourier_tail_quad(g, eta, tau, tol)
+    return _quad_complex(lambda k0: g(k0) + g(-k0), eta, np.inf, tol,
+                         epsrel=tol, limit=300)
 
 
 # ---------------------------------------------------------------------------
 # assembled quantities
 
 
-def nq_term(disp, Q: Callable, kx, ky, tau: float = 0.0,
-            tol: float = 1e-10) -> complex:
-    """Contribution int dk0/2pi e^(i k0 tau) Q(k)/(i k0 - e)^2 of a
-    two-point correction obeying the |Q| <= const |i k0 - e|^(3/2) bound."""
-    e = float(disp.e(kx, ky))
-
-    def g(k0):
-        return complex(Q(k0, kx, ky)) / (1j * k0 - e) ** 2 / (2 * math.pi)
-
-    if tau == 0.0:
-        return _quad_complex(lambda k0: g(k0) + g(-k0), 0.0, np.inf, tol,
-                             epsrel=tol, limit=300)
-    return _fourier_tail_quad(g, 0.0, tau, tol)
-
-
-def occupation_limits(disp, model, kx, ky, eta=None, quad_tol: float = 1e-9,
-                      Q: Optional[Callable] = None):
+def occupation_limits(disp, model, kx, ky, eta=None, quad_tol: float = 1e-9):
     """occupation_limit at every point of the arrays kx, ky at once.
 
     I1, I3 and I3' are the closed forms.  I2 (k0 = +-eta t) and the I4 tail
@@ -462,14 +434,11 @@ def occupation_limits(disp, model, kx, ky, eta=None, quad_tol: float = 1e-9,
     total += i1_closed_limit(disp, model, kx, ky, eta)
     total += np.where(e < 0, 1.0, 0.0)
     total -= i3p_closed_limit(disp, kx, ky, eta)
-    if Q is not None:
-        total += np.reshape([nq_term(disp, Q, x, y, 0.0, quad_tol)
-                             for x, y in zip(kx.flat, ky.flat)], e.shape)
     return total.real, np.abs(total.imag)
 
 
 def occupation_limit(disp, model, kx, ky, eta: Optional[float] = None,
-                     quad_tol: float = 1e-9, Q: Optional[Callable] = None):
+                     quad_tol: float = 1e-9):
     """N(k) = lim_{tau->0+} N(k, tau) via the closed forms for I1, I3, I3'
     and direct quadrature of I2, I4 at tau = 0 (occupation_limits at one
     point).
@@ -477,30 +446,8 @@ def occupation_limit(disp, model, kx, ky, eta: Optional[float] = None,
     Returns (value, imaginary residual); the residual must stay within the
     quadrature tolerance for reality-symmetric models.
     """
-    val, resid = occupation_limits(disp, model, [kx], [ky], eta, quad_tol, Q)
+    val, resid = occupation_limits(disp, model, [kx], [ky], eta, quad_tol)
     return float(val[0]), float(resid[0])
-
-
-def occupation_N(disp, model, kx, ky, tau: float, eta: Optional[float] = None,
-                 quad_tol: float = 1e-9, Q: Optional[Callable] = None):
-    """N(k, tau) at tau > 0 (all five pieces, oscillatory tails included)."""
-    if tau <= 0:
-        raise ValueError("use occupation_limit for the tau -> 0+ value")
-    if eta is None:
-        eta = default_eta(disp, model, kx, ky)
-    total = i1_quad(disp, model, kx, ky, eta, tau, quad_tol)
-    total += i2_quad(disp, model, kx, ky, eta, tau, quad_tol)
-    total += i3_closed(disp, kx, ky, tau)
-    total -= i1_quad(disp, _free_model(), kx, ky, eta, tau, quad_tol)
-    total += i4_quad(disp, model, kx, ky, eta, tau, quad_tol)
-    if Q is not None:
-        total += nq_term(disp, Q, kx, ky, tau, quad_tol)
-    return total.real, abs(total.imag)
-
-
-def _free_model() -> SelfEnergyModel:
-    zero = lambda k0, kx, ky: 0.0 * np.asarray(k0)
-    return SelfEnergyModel(S=zero, dS_dk0=zero)
 
 
 def jump_predicted(model, kx, ky):
@@ -509,17 +456,17 @@ def jump_predicted(model, kx, ky):
 
 
 def jump_at(disp, model, theta: float, deltas=(4e-3, 2e-3, 1e-3),
-            quad_tol: float = 1e-9, Q: Optional[Callable] = None) -> SweepRow:
+            quad_tol: float = 1e-9) -> SweepRow:
     """Measure the jump at the Fermi point with angle theta.
 
     N is evaluated at radial offsets straddling the curve and extrapolated
     to the curve by polynomial (Richardson-style) extrapolation in the
     offset.  The row's n_in/n_out are N at -/+ deltas[-1].
     """
-    return _jump_rows(disp, model, [theta], deltas, quad_tol, Q)[0]
+    return _jump_rows(disp, model, [theta], deltas, quad_tol)[0]
 
 
-def _jump_rows(disp, model, thetas, deltas, quad_tol, Q) -> List[SweepRow]:
+def _jump_rows(disp, model, thetas, deltas, quad_tol) -> List[SweepRow]:
     """jump_at at every angle of thetas, all N values from one
     occupation_limits call."""
     thetas = np.asarray(thetas, dtype=float)
@@ -528,7 +475,7 @@ def _jump_rows(disp, model, thetas, deltas, quad_tol, Q) -> List[SweepRow]:
     nx, ny = np.cos(thetas), np.sin(thetas)
     r = rad[:, None] + np.concatenate([-ds, ds])    # e < 0 side first
     vals, _ = occupation_limits(disp, model, r * nx[:, None], r * ny[:, None],
-                                quad_tol=quad_tol, Q=Q)
+                                quad_tol=quad_tol)
     predicted = np.broadcast_to(jump_predicted(model, rad * nx, rad * ny),
                                 thetas.shape)
     m = len(ds)
@@ -570,8 +517,7 @@ class SweepRow:
 
 
 def fermi_sweep(disp, model, npoints: int = 16, deltas=(4e-3, 2e-3, 1e-3),
-                quad_tol: float = 1e-9,
-                Q: Optional[Callable] = None) -> List[SweepRow]:
+                quad_tol: float = 1e-9) -> List[SweepRow]:
     """Jump measurement at npoints equally spaced Fermi-curve angles.
 
     Raises ModelHypothesisError when the model fails its hypotheses.  All
@@ -583,65 +529,16 @@ def fermi_sweep(disp, model, npoints: int = 16, deltas=(4e-3, 2e-3, 1e-3),
     model.validate(disp)
     thetas = [2 * math.pi * t / npoints for t in range(npoints)]
     try:
-        return _jump_rows(disp, model, thetas, deltas, quad_tol, Q)
+        return _jump_rows(disp, model, thetas, deltas, quad_tol)
     except (QuadratureError, SingularPointError):
         pass
     rows = []
     for theta in thetas:
         try:
-            rows.append(jump_at(disp, model, theta, deltas, quad_tol, Q))
+            rows.append(jump_at(disp, model, theta, deltas, quad_tol))
         except (QuadratureError, SingularPointError) as exc:
             rows.append(SweepRow(theta=theta, n_in=math.nan, n_out=math.nan,
                                  jump_measured=math.nan,
                                  jump_predicted=math.nan, abs_err=math.nan,
                                  flag=type(exc).__name__))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# time-domain free kernel
-
-
-def time_domain_free(disp, kx, ky, x0: float, w: float) -> float:
-    """Free time-domain kernel with quasiparticle weight renormalized by w:
-
-        (1/(1-w)) U(k) exp(x0 e/(1-w)) chi(k, x0)
-
-    where chi is 1 for e < 0, x0 >= 0; -1 for e > 0, x0 < 0; else 0.
-    Its temporal Fourier transform is U(k) / (i (1-w) k0 - e(k)).
-    """
-    if abs(w) >= 1.0:
-        raise ValueError("|w| must be below 1")
-    e = float(disp.e(kx, ky))
-    if e < 0 and x0 >= 0:
-        chi = 1.0
-    elif e > 0 and x0 < 0:
-        chi = -1.0
-    else:
-        chi = 0.0
-    if chi == 0.0:
-        return 0.0
-    U = float(disp.U(kx, ky))
-    return U / (1.0 - w) * math.exp(x0 * e / (1.0 - w)) * chi
-
-
-def time_domain_free_ft(disp, kx, ky, k0: float, w: float,
-                        tol: float = 1e-11) -> complex:
-    """Quadrature of the temporal Fourier transform of the free kernel
-    (one-sided decaying exponential times e^(-i k0 x0), via Fourier-weight
-    panels on the half line)."""
-    e = float(_off_curve_e(disp, kx, ky))
-
-    def envelope(t):
-        # |kernel| along the active half line, in the variable t >= 0
-        return time_domain_free(disp, kx, ky, t if e < 0 else -t, w)
-
-    if k0 == 0.0:
-        return complex(_quad(envelope, 0.0, np.inf, tol, epsrel=tol))
-    cosi = _quad(envelope, 0.0, np.inf, tol, weight="cos", wvar=k0, limit=300)
-    sini = _quad(envelope, 0.0, np.inf, tol, weight="sin", wvar=k0, limit=300)
-    if e < 0:
-        # int_0^inf env(t) e^(-i k0 t) dt
-        return cosi - 1j * sini
-    # int_{-inf}^0 env(-x0) ... dx0 = int_0^inf env(t) e^(+i k0 t) dt
-    return cosi + 1j * sini

@@ -19,13 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
-
-
-class NotInSupportError(ValueError):
-    """Momentum lies outside the ultraviolet cutoff / all shells."""
 
 
 class ScaleRangeError(ValueError):
@@ -34,21 +30,6 @@ class ScaleRangeError(ValueError):
 
 class HypothesisViolationError(ValueError):
     """A smallness hypothesis (|u| <= |A|/2 on shell support) failed."""
-
-
-class Momentum(NamedTuple):
-    """A (d+1)-momentum (k0, kx, ky) with d = 2."""
-
-    k0: float
-    kx: float
-    ky: float
-
-
-def momentum(k0: float, kvec) -> Momentum:
-    k = Momentum(float(k0), float(kvec[0]), float(kvec[1]))
-    if not all(math.isfinite(c) for c in k):
-        raise ValueError(f"non-finite momentum {k}")
-    return k
 
 
 def rd_points(n: int, lo, hi) -> np.ndarray:
@@ -153,10 +134,6 @@ class ScaleInterval:
     def ge(j: int) -> "ScaleInterval":
         return ScaleInterval(j, None)
 
-    @staticmethod
-    def range(i: int, j: int) -> "ScaleInterval":
-        return ScaleInterval(i, j)
-
     def __str__(self):
         if self.lo is None and self.hi is None:
             return "(all)"
@@ -238,16 +215,6 @@ class ScaleModel:
         if hi is None:
             return U * top
         return U * (top - self._phi(hi + 1, r))
-
-    def scale_of(self, k0, kx, ky) -> int:
-        """Smallest m with nu^(m)(k) > 0; deep points go to Jmax."""
-        p = self.params
-        if not self.disp.U(kx, ky) > 0.0:
-            raise NotInSupportError(f"k=({k0},{kx},{ky}) outside supp U")
-        for m in range(p.j0, p.jmax + 1):
-            if self.nu(m, k0, kx, ky) > 0.0:
-                return m
-        return p.jmax
 
     # -- covariances ---------------------------------------------------
 

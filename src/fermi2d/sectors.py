@@ -12,10 +12,9 @@ unity along the curve, so refined pieces always re-sum to the original.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Callable, List
 
 import numpy as np
 
@@ -25,22 +24,12 @@ class FermiCurve:
     """Arc-length parametrization of a radial Fermi curve."""
 
     length: float
-    _theta_of_s: Callable
-    _radius: Callable
-
-    def point(self, s):
-        """Curve point at arc-length position s (cyclic)."""
-        th = self._theta_of_s(np.mod(s, self.length))
-        r = self._radius(th)
-        return r * np.cos(th), r * np.sin(th)
+    _s_of_theta: Callable = field(repr=False)
 
     def arc_position(self, kx, ky):
         """Arc-length position of the angular projection of (kx, ky)."""
         th = np.mod(np.arctan2(ky, kx), 2 * np.pi)
         return self._s_of_theta(th)
-
-    # filled in by build_fermi_curve
-    _s_of_theta: Callable = field(default=None, repr=False)
 
 
 def build_fermi_curve(disp, ntheta: int = 4096) -> FermiCurve:
@@ -53,37 +42,22 @@ def build_fermi_curve(disp, ntheta: int = 4096) -> FermiCurve:
     r = np.asarray(disp.fermi_radius(thetas), dtype=float)
     if np.allclose(r, r[0], rtol=1e-13, atol=1e-13):
         R = float(r[0])
-        L = 2 * np.pi * R
-
-        def theta_of_s(s):
-            return np.asarray(s, dtype=float) / R
 
         def s_of_theta(th):
             return np.asarray(th, dtype=float) * R
 
-        return FermiCurve(length=L, _theta_of_s=theta_of_s,
-                          _radius=disp.fermi_radius, _s_of_theta=s_of_theta)
+        return FermiCurve(length=2 * np.pi * R, _s_of_theta=s_of_theta)
 
     # general radial curve: ds = sqrt(r^2 + r'^2) dtheta on a dense table
     dr = np.gradient(r, thetas)
     speed = np.sqrt(r ** 2 + dr ** 2)
     s_tab = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1])
                                              * np.diff(thetas))])
-    L = float(s_tab[-1])
-
-    def theta_of_s(s):
-        return np.interp(np.mod(s, L), s_tab, thetas)
 
     def s_of_theta(th):
         return np.interp(np.mod(th, 2 * np.pi), thetas, s_tab)
 
-    return FermiCurve(length=L, _theta_of_s=theta_of_s,
-                      _radius=disp.fermi_radius, _s_of_theta=s_of_theta)
-
-
-def _cyclic_dist(a, b, period):
-    d = np.mod(a - b, period)
-    return np.minimum(d, period - d)
+    return FermiCurve(length=float(s_tab[-1]), _s_of_theta=s_of_theta)
 
 
 @dataclass(frozen=True)
@@ -154,12 +128,6 @@ def build_sectorization(params, curve: FermiCurve, j: int,
     return Sectorization(j=j, curve=curve, sectors=secs)
 
 
-def sector_of(sectorization: Sectorization, disp, k0, kx, ky) -> List[Sector]:
-    """Sectors whose extended support contains the momentum (empty if far)."""
-    del k0  # transversal position is measured through e(k) only
-    return [s for s in sectorization if s.ext_contains(disp, kx, ky)]
-
-
 def hat_weights(sectorization: Sectorization) -> List[Callable]:
     """Piecewise-linear partition of unity along the curve, one hat per
     sector, centered at the arc midpoints (cyclic, non-uniform safe)."""
@@ -187,36 +155,3 @@ def hat_weights(sectorization: Sectorization) -> List[Callable]:
         return hat
 
     return [make(i) for i in range(n)]
-
-
-def refine_weights(params, coarse: Sector, fine: Sectorization) -> Dict[int, Callable]:
-    """Partition-of-unity weights over fine sectors meeting the coarse one.
-
-    Maps fine-sector index -> weight function of arc position.  The weights
-    of the returned sectors sum to 1 on the coarse sector's (fattened)
-    support; fine sectors that never meet it are omitted.
-    """
-    if fine.j <= coarse.j:
-        raise ValueError("refinement target must be a finer (larger j) scale")
-    hats = hat_weights(fine)
-    L = fine.curve.length
-    out: Dict[int, Callable] = {}
-    for t, hat in zip(fine.sectors, hats):
-        # hat support: (center - wl, center + wr); keep those meeting the
-        # coarse fattened arc
-        reach = max(np.mod(t.center() - fine.sectors[(t.index - 1) % len(fine)].center(), L),
-                    np.mod(fine.sectors[(t.index + 1) % len(fine)].center() - t.center(), L))
-        gap = _cyclic_dist(t.center(), 0.5 * (coarse.s_lo + coarse.s_hi), L)
-        half_span = 0.5 * (coarse.s_hi - coarse.s_lo) + coarse.arc_margin
-        if gap <= half_span + reach:
-            out[t.index] = hat
-    return out
-
-
-def sectorization_to_csv(sectorization: Sectorization) -> str:
-    """Dump (index, arc start, arc end) rows for plotting."""
-    buf = io.StringIO()
-    buf.write("index,arc_start,arc_end\n")
-    for s in sectorization:
-        buf.write(f"{s.index},{s.s_lo:.17g},{s.s_hi:.17g}\n")
-    return buf.getvalue()

@@ -75,6 +75,12 @@ GOLDEN = {
         EMPTY,
         "fa531a644b34e51eecf55f7a6622c708ed0ba790ef6d46e34a07e6a40d788c12",
         RC[2]),
+    "resum --family {family} --jmax 5 --out {out}": (
+        "fe9694651dd6f8d1a6462c9343b1f287b6f669d5ccbe429f9b81faeaeacdbb46",
+        EMPTY, EMPTY, RC[0]),
+    "ladder-demo --scales 2 --seed 0 --format json --out {out}": (
+        "91ecfa80aa4383789fce5d1790cf8f5f7793cd32934bf5cbc2895d477f565a0d",
+        EMPTY, EMPTY, RC[0]),
     "resum --family {violating} --jmax 5 --check-budget --out {out}": (
         "5dfc50dd03a52337a7c82319e8db7bf1f2bb33466a85ff8325d85e45610510a9",
         EMPTY,
@@ -114,9 +120,9 @@ def _case_id(command: str) -> str:
     return "-".join(w.strip("-{}") for w in command.split() if "out" not in w)
 
 
-@pytest.mark.parametrize("command", sorted(GOLDEN), ids=_case_id)
-def test_output_digests(inputs, command):
-    root, paths = inputs
+def run(command, root, paths):
+    """Run one GOLDEN command in process, writing its output file under
+    root; returns the digests of (output file, stdout, stderr, exit code)."""
     out = root / "out"
     out.unlink(missing_ok=True)
     argv = command.format(out=out, **paths).split()
@@ -124,7 +130,12 @@ def test_output_digests(inputs, command):
     with contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(stderr):
         rc = cli.main(argv)
-    got = (_sha(out.read_bytes()) if out.exists() else None,
-           _sha(stdout.getvalue().encode()), _sha(stderr.getvalue().encode()),
-           _sha(str(rc).encode()))
+    return (_sha(out.read_bytes()) if out.exists() else None,
+            _sha(stdout.getvalue().encode()), _sha(stderr.getvalue().encode()),
+            _sha(str(rc).encode()))
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN), ids=_case_id)
+def test_output_digests(inputs, command):
+    got = run(command, *inputs)
     assert got == GOLDEN[command], f"{command!r}: {got!r}"

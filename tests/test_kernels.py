@@ -10,14 +10,11 @@ from fermi2d.config import ScaleParams
 from fermi2d.kernels import (EXT, EXTP, INT, Kernel4, KernelSpace, Leg,
                              _conversion_matrix, antisymmetrize,
                              component_mask, conservation_mask,
-                             extract_component, flip, is_antisymmetric,
-                             is_inversion_symmetric, kernel_from_text,
-                             kernel_to_text, make_grid,
-                             number_conserving_mask, ord_component,
-                             ord_permutation, permutation_sign, pi_collapse,
+                             extract_component, flip, is_inversion_symmetric,
+                             make_grid, number_conserving_mask, pi_collapse,
                              random_kernel, reduce_ph, reduce_pp, s_kappa,
-                             sct, sct_prime, sector_norm_p, shear,
-                             shear_prime, value_ph, value_pp, zero_kernel)
+                             sct_prime, sector_norm_p, shear, shear_prime,
+                             value_ph, value_pp, zero_kernel)
 from fermi2d.selfenergy import (ResolutionError, grid_sup_derivatives,
                                 momentum_norm_tilde, sup_derivatives)
 
@@ -40,48 +37,11 @@ def brute_force_sign(perm):
     return sign
 
 
-def test_permutation_sign_matches_bruteforce():
-    for perm in itertools.permutations(range(4)):
-        assert permutation_sign(perm) == brute_force_sign(perm)
-
-
-def test_ord_already_sorted():
-    order, sign = ord_permutation((0, 0, 1, 1))
-    assert order == (0, 1, 2, 3)
-    assert sign == 1
-
-
-def test_ord_adjacent_transposition():
-    _, sign = ord_permutation((0, 1, 0, 1))
-    # moving the third leg (external) past one internal leg: one swap
-    assert sign == -1
-
-
-def test_ord_mixed_vector():
-    # ivec = (1,0,1,0): externals at slots 2 and 4 move forward; the
-    # rearrangement is a 4-cycle, odd by explicit transposition count
-    order, sign = ord_permutation((1, 0, 1, 0))
-    assert order == (1, 3, 0, 2)
-    assert sign == brute_force_sign(order) == -1
-
-
-def test_ord_component_roundtrip():
-    rng = np.random.default_rng(0)
-    arr = rng.standard_normal((3, 3, 3, 3))
-    out, sorted_ivec = ord_component(arr, (1, 0, 1, 0))
-    assert sorted_ivec == (0, 0, 1, 1)
-    # applying the inverse reordering with the same sign restores the array
-    order, sign = ord_permutation((1, 0, 1, 0))
-    inv = np.argsort(order)
-    assert np.array_equal(sign * out.transpose(tuple(inv)), arr)
-
-
 def test_antisymmetrize_projection():
     rng = np.random.default_rng(1)
     sp = dspace()
     f = random_kernel(sp, rng)
     af = antisymmetrize(f)
-    assert is_antisymmetric(af, tol=1e-13)
     again = antisymmetrize(af)
     assert np.abs(again.values - af.values).max() <= 1e-13
     # projection never increases the sup norm
@@ -255,16 +215,16 @@ def test_shear_composition():
 
 
 def test_sct_scales_external_legs():
+    # sct_prime multiplies every primed external leg by B(k) and leaves the
+    # unprimed external and the internal legs alone
     rng = np.random.default_rng(12)
-    sp = dspace(nspin=1, nsec=1)
+    sp = dspace(nspin=1, nsec=1).primed()
     f = random_kernel(sp, rng)
     B = _table_fn(GRID, np.random.default_rng(23))
-    out = sct(f, B)
-    ext = sp.field_indices(EXT)
+    out = sct_prime(f, B)
     d = np.ones(sp.n, dtype=complex)
-    for i in ext:
-        g = sp.legs[i]
-        d[i] = B(*sp.grid.values(g.k))
+    for i in sp.field_indices(EXTP):
+        d[i] = B(*sp.grid.values(sp.legs[i].k))
     manual = f.values * d[:, None, None, None] * d[None, :, None, None] \
         * d[None, None, :, None] * d[None, None, None, :]
     assert np.abs(out.values - manual).max() == 0.0
@@ -422,8 +382,7 @@ def test_sector_norm_out_of_range_and_monotone():
         f.values[np.ix_(ii, ii, ii, ii)]
     assert sector_norm_p(only_int, 7) == 0.0
     # zeroing entries never increases the norm
-    g = f.copy()
-    g.values = g.values.copy()
+    g = Kernel4(sp, f.values.copy())
     g.values[0] = 0.0
     assert sector_norm_p(Kernel4(sp, g.values), 3) <= sector_norm_p(f, 3) + 1e-12
 
@@ -543,11 +502,3 @@ def test_momentum_norm_tilde_open_grid():
                                params).to_text() \
         == momentum_norm_tilde(lambda k0, kx, ky: 2.5 + 0 * k0, BOX, SHAPE, 2,
                                params).to_text()
-
-
-def test_kernel_serialization_roundtrip():
-    rng = np.random.default_rng(18)
-    sp = dspace(nspin=1, nsec=1)
-    f = random_kernel(sp, rng, antisym=True)
-    back = kernel_from_text(kernel_to_text(f, scale=3), sp)
-    assert np.abs(back.values - f.values).max() <= 1e-15

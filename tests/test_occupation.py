@@ -169,66 +169,6 @@ def test_jump_constant_g(disp, model):
     assert abs(measured - predicted) <= 1e-3
 
 
-def test_jump_unaffected_by_compliant_q(disp, model):
-    def Qc(k0, kx, ky):
-        r = abs(1j * k0 - (0.5 * (kx ** 2 + ky ** 2) - 1.0))
-        return 0.05 * min(r ** 1.5, 1.0) * math.exp(-0.3 * (kx * kx + ky * ky))
-
-    r0 = oc.jump_at(disp, model, 0.7)
-    rq = oc.jump_at(disp, model, 0.7, Q=Qc)
-    m0, p0 = r0.jump_measured, r0.jump_predicted
-    mq, pq = rq.jump_measured, rq.jump_predicted
-    assert p0 == pq
-    assert abs(m0 - p0) <= 1e-3
-    assert abs(mq - pq) <= 1e-3
-    assert abs(mq - m0) <= 1e-3
-
-
-def test_occupation_n_converges_to_limit(disp, model):
-    kx, ky = math.sqrt(2) * 1.03, 0.0
-    lim, _ = oc.occupation_limit(disp, model, kx, ky)
-    drift = [abs(oc.occupation_N(disp, model, kx, ky, tau)[0] - lim)
-             for tau in (0.04, 0.02, 0.01)]
-    assert drift[0] > drift[1] > drift[2]
-    assert drift[2] <= 0.01
-
-
-def test_time_domain_free_ft_zero_frequency_near_curve(disp):
-    # |e| = 0.007: the value -U/e is ~143, so quad meets its relative goal
-    # with an absolute error estimate above 50 tol
-    rad = math.sqrt(2 * (1 - 0.007))
-    ft = oc.time_domain_free_ft(disp, rad, 0.0, 0.0, 0.1)
-    want = -float(disp.U(rad, 0.0)) / float(disp.e(rad, 0.0))
-    assert abs(ft - want) <= 1e-9 * abs(want)
-
-
-def test_time_domain_free_cases(disp):
-    # chi table: decaying exponential inside, zero outside for x0 >= 0
-    inside = 0.5  # rad where e < 0
-    outside = 1.9
-    assert oc.time_domain_free(disp, inside, 0.0, 0.3, 0.2) > 0.0
-    assert oc.time_domain_free(disp, outside, 0.0, 0.3, 0.2) == 0.0
-    assert oc.time_domain_free(disp, outside, 0.0, -0.3, 0.2) < 0.0
-    with pytest.raises(ValueError):
-        oc.time_domain_free(disp, inside, 0.0, 0.3, 1.2)
-
-
-def test_time_domain_free_ft(disp):
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(10):
-        th = rng.uniform(0, 2 * np.pi)
-        rad = math.sqrt(2) * (1 + rng.uniform(-0.25, 0.25))
-        kx, ky = rad * math.cos(th), rad * math.sin(th)
-        k0 = rng.uniform(-2, 2)
-        w = rng.uniform(-0.4, 0.4)
-        ft = oc.time_domain_free_ft(disp, kx, ky, k0, w)
-        e = float(disp.e(kx, ky))
-        U = float(disp.U(kx, ky))
-        worst = max(worst, abs(ft - U / (1j * (1 - w) * k0 - e)))
-    assert worst <= 1e-6
-
-
 def test_fermi_sweep_free_and_angular(disp):
     free = oc.linear_self_energy(0.0, lambda kx, ky: 1.0)
     rows = oc.fermi_sweep(disp, free, npoints=6)
@@ -271,11 +211,11 @@ def _quad_warns(f, a, b, **kwargs):
 @pytest.mark.parametrize("fake", [_quad_huge_error, _quad_warns],
                          ids=["error-estimate", "warning"])
 @pytest.mark.parametrize("evaluate", [
-    lambda disp, model: oc.occupation_N(disp, model, 1.45, 0.0, 0.02),
+    lambda disp, model: oc.i1_quad(disp, model, 1.45, 0.0, 0.2, 0.02),
+    lambda disp, model: oc.i2_quad(disp, model, 1.45, 0.0, 0.2),
     lambda disp, model: oc.i3_cutoff_quad(disp, 1.2, 0.0, 0.5, 60.0),
-    lambda disp, model: oc.time_domain_free_ft(disp, 1.2, 0.0, 0.0, 0.1),
-    lambda disp, model: oc.time_domain_free_ft(disp, 1.2, 0.0, 0.7, 0.1),
-], ids=["occupation_N", "i3_cutoff_quad", "ft-k0-zero", "ft-k0-nonzero"])
+    lambda disp, model: oc.i4_quad(disp, model, 1.45, 0.0, 0.2),
+], ids=["i1_quad", "i2_quad", "i3_cutoff_quad", "i4_quad"])
 def test_quadrature_failure_raises(disp, model, monkeypatch, fake, evaluate):
     # _quad imports scipy.integrate when called, so it meets the patched quad
     monkeypatch.setattr(integrate, "quad", fake)
@@ -398,10 +338,10 @@ def test_occupation_limits_match_the_five_pieces(disp, lam, points):
     for x, y, v, res in zip(kx, ky, vals, resid):
         eta = oc.default_eta(disp, model, x, y)
         want = (oc.i1_closed_limit(disp, model, x, y, eta)
-                + oc.i2_quad(disp, model, x, y, eta, 0.0, 1e-9)
+                + oc.i2_quad(disp, model, x, y, eta, 1e-9)
                 + (1.0 if float(disp.e(x, y)) < 0 else 0.0)
                 - oc.i3p_closed_limit(disp, x, y, eta)
-                + oc.i4_quad(disp, model, x, y, eta, 0.0, 1e-9))
+                + oc.i4_quad(disp, model, x, y, eta, 1e-9))
         assert abs(v - want.real) <= 1e-12
         assert res <= 1e-8
 

@@ -6,13 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermi2d.sectors import (build_fermi_curve, build_sectorization,
-                             hat_weights, refine_weights, sector_of,
-                             sectorization_to_csv)
+                             hat_weights)
 
 
 @pytest.fixture(scope="module")
 def curve(disp):
     return build_fermi_curve(disp)
+
+
+def curve_point(disp, curve, s):
+    """The point at arc position s of the quadratic model's circle, placed
+    from its angle 2 pi s / length."""
+    th = 2 * math.pi * s / curve.length
+    rad = float(disp.fermi_radius(th))
+    return rad * math.cos(th), rad * math.sin(th)
+
+
+def containing(secz, disp, kx, ky):
+    """Indices of the sectors whose extended support holds (kx, ky): the
+    membership test of the ladder scheme's sector refinement."""
+    return {t.index for t in secz if t.ext_contains(disp, kx, ky)}
 
 
 def test_sector_length_formula(params):
@@ -53,10 +66,8 @@ def test_sector_of_midpoint(params, disp, curve):
     j = 5
     secz = build_sectorization(params, curve, j)
     s = secz[10]
-    mid = s.center()
-    kx, ky = curve.point(mid)
-    found = sector_of(secz, disp, 0.0, kx, ky)
-    idxs = {t.index for t in found}
+    kx, ky = curve_point(disp, curve, s.center())
+    idxs = containing(secz, disp, kx, ky)
     # the one-arc-length fattening catches exactly the sector and both
     # neighbors at an interior midpoint
     assert idxs == {9, 10, 11}
@@ -65,15 +76,15 @@ def test_sector_of_midpoint(params, disp, curve):
 def test_sector_of_boundary(params, disp, curve):
     j = 5
     secz = build_sectorization(params, curve, j)
-    kx, ky = curve.point(secz[10].s_hi)
-    idxs = {t.index for t in sector_of(secz, disp, 0.0, kx, ky)}
+    kx, ky = curve_point(disp, curve, secz[10].s_hi)
+    idxs = containing(secz, disp, kx, ky)
     assert {10, 11} <= idxs
 
 
 def test_sector_of_far_is_empty(params, disp, curve):
     secz = build_sectorization(params, curve, 5)
     # |e| far beyond every transversal width
-    assert sector_of(secz, disp, 0.0, 0.2, 0.1) == []
+    assert containing(secz, disp, 0.2, 0.1) == set()
 
 
 def test_hat_weights_partition(params, curve):
@@ -97,68 +108,6 @@ def test_hat_weights_partition_any_count(params, curve, count, short, fracs):
     ss = np.array(fracs) * L
     total = sum(np.asarray(h(ss), dtype=float) for h in hat_weights(secz))
     assert np.abs(total - 1.0).max() <= 1e-12
-
-
-def test_refine_weights_sum_to_one(params, disp, curve):
-    j = 4
-    coarse = build_sectorization(params, curve, j)
-    fine = build_sectorization(params, curve, j + 1)
-    s = coarse[3]
-    weights = refine_weights(params, s, fine)
-    rng = np.random.default_rng(0)
-    margin = s.arc_margin
-    for _ in range(100):
-        pos = rng.uniform(s.s_lo - margin, s.s_hi + margin)
-        total = sum(float(w(pos)) for w in weights.values())
-        assert abs(total - 1.0) <= 1e-12
-
-
-def test_refine_weights_nonoverlapping_zero(params, curve):
-    j = 4
-    coarse = build_sectorization(params, curve, j)
-    fine = build_sectorization(params, curve, j + 1)
-    weights = refine_weights(params, coarse[0], fine)
-    # a fine sector on the far side of the curve is omitted entirely
-    far = len(fine) // 2
-    assert far not in weights
-
-
-def test_refine_resums_constant(params, curve):
-    # distributing a constant over the fine weights and re-summing returns
-    # the constant (partition of unity)
-    j = 4
-    coarse = build_sectorization(params, curve, j)
-    fine = build_sectorization(params, curve, j + 1)
-    weights = refine_weights(params, coarse[5], fine)
-    value = 2.75
-    pos = coarse[5].center() + 0.3 * params.sector_length(j)
-    resummed = sum(value * float(w(pos)) for w in weights.values())
-    assert abs(resummed - value) <= 1e-12
-
-
-def test_double_refinement_idempotent(params, curve):
-    # j -> j+1 -> j+2 re-sums to the same totals as direct evaluation
-    j = 4
-    c0 = build_sectorization(params, curve, j)
-    c1 = build_sectorization(params, curve, j + 1)
-    c2 = build_sectorization(params, curve, j + 2)
-    s = c0[7]
-    w01 = refine_weights(params, s, c1)
-    pos = s.center()
-    total = 0.0
-    for t_idx, w1 in w01.items():
-        w12 = refine_weights(params, c1[t_idx], c2)
-        for w2 in w12.values():
-            total += float(w1(pos)) * float(w2(pos))
-    assert abs(total - 1.0) <= 1e-12
-
-
-def test_csv_dump(params, curve):
-    secz = build_sectorization(params, curve, 4)
-    text = sectorization_to_csv(secz)
-    lines = text.strip().splitlines()
-    assert lines[0] == "index,arc_start,arc_end"
-    assert len(lines) == len(secz) + 1
 
 
 def test_scale_below_first_rejected(params, curve):
