@@ -33,8 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .blocks import BlockKernel
-from .kernels import (EXT, INT, Kernel4, KernelSpace, Leg, MomentumGrid,
-                      sector_norm_p)
+from .kernels import EXT, INT, KernelSpace, Leg, MomentumGrid
 from .scales import ScaleInterval, ScaleModel
 from .sectors import Sectorization, build_fermi_curve, build_sectorization, \
     hat_weights
@@ -354,48 +353,53 @@ def _ladder_sum_ph(w: BlockKernel, bub: BubbleProp, lmax: int,
     return BlockKernel(w.space.undirected(), acc)
 
 
-def _rungs_at(scheme: LadderScheme, j: int,
-              family_F: Dict[int, BlockKernel]) -> BlockKernel:
-    """sum_{i <= j} F^(i), each rung resectorized to scale j."""
-    return sum((scheme.resectorize(family_F[i], i, j)
-                for i in sorted(family_F) if i <= j),
-               BlockKernel.zeros(scheme.space(j)))
-
-
-def _ph_rung(scheme: LadderScheme, d: BlockKernel, i: int,
-             j: int) -> BlockKernel:
-    """The rung that a scale-i ph kernel d adds at scale j: 1/8 of its
-    antisymmetrized ph value, resectorized to scale j."""
-    emb = d.value_ph(scheme.space(i)).antisymmetrize()
-    return scheme.resectorize(emb, i, j) / 8.0
+def _rung_sums(scheme: LadderScheme, jtop: int,
+               family_F: Dict[int, BlockKernel]) -> Dict[int, BlockKernel]:
+    """W_j = sum_{i <= j} F^(i), each rung refined to scale j, for
+    j0 <= j < jtop, by the running sum W_j = R(j-1 -> j) W_(j-1) + F^(j):
+    the refinement maps compose, so each step resectorizes only W_(j-1)."""
+    j0 = scheme.scales.params.j0
+    W = {j0: family_F.get(j0, BlockKernel.zeros(scheme.space(j0)))}
+    for j in range(j0 + 1, jtop):
+        W[j] = scheme.resectorize(W[j - 1], j - 1, j)
+        if j in family_F:
+            W[j] = W[j] + family_F[j]
+    return W
 
 
 def _ladder_recursion(scheme: LadderScheme, jtop: int,
-                      family_F: Dict[int, BlockKernel],
+                      W: Dict[int, BlockKernel],
                       bubble_at: Callable[[int], BubbleProp],
                       lmax: int, ltol: float,
-                      record: Optional[dict] = None,
-                      first: Optional[BlockKernel] = None) -> BlockKernel:
-    """Particle-hole ladder recursion over the scales j0 <= j < jtop: scale
-    j sums the ladders of its rung w_j through the bubble bubble_at(j).
-    At j0 the ladder so far is the zero kernel, so w_j0 has no ph rung;
-    first, if given, is the j0 ladder sum, already computed by the caller.
-    record, if given, receives (w_j, step_j) per scale."""
+                      record: Optional[Callable] = None,
+                      first: Optional[BlockKernel] = None,
+                      D: Optional[Dict[int, BlockKernel]] = None
+                      ) -> BlockKernel:
+    """Particle-hole ladder recursion over the scales j0 <= j < jtop: the
+    ladder so far is resectorized to scale j, and scale j sums the ladders
+    of its rung w_j through the bubble bubble_at(j).  w_j is the rung sum
+    W_j plus the ph rung of that ladder (plus D_j, if D is given): 1/8 of
+    its antisymmetrized ph value.  R commutes with value_ph and
+    antisymmetrize, so the ph rung is taken at scale j, from the ladder
+    already resectorized.  At j0 the ladder so far is the zero kernel, so
+    w_j0 = W_j0; first, if given, is the j0 ladder sum, already computed by
+    the caller.  record, if given, is called as record(j, w_j, step_j) per
+    scale."""
     j0 = scheme.scales.params.j0
     L = BlockKernel.zeros(scheme.space(j0, directed=False))
-    lscale = j0
     for j in range(j0, jtop):
-        w = _rungs_at(scheme, j, family_F)
+        L = scheme.resectorize(L, max(j0, j - 1), j)
+        w = W[j]
         if j > j0:
-            w = w + _ph_rung(scheme, L, lscale, j)
+            ph = L + D[j] if D else L
+            w = w + ph.value_ph(scheme.space(j)).antisymmetrize() / 8.0
         if j == j0 and first is not None:
             step = first
         else:
             step = _ladder_sum_ph(w, bubble_at(j), lmax, ltol)
         if record is not None:
-            record[j] = (w, step)
-        L = scheme.resectorize(L, lscale, j) + step
-        lscale = j
+            record(j, w, step)
+        L = L + step
     return L
 
 
@@ -404,7 +408,7 @@ def iterated_ladder(scheme: LadderScheme, jtop: int, family: LadderFamily,
     """Iterated particle-hole ladder up to scale jtop (covariances built
     from the running counterterm sum u_j)."""
     return _ladder_recursion(
-        scheme, jtop, family.F,
+        scheme, jtop, _rung_sums(scheme, jtop, family.F),
         lambda j: scheme.scale_bubble(j, family.u_below(j)), lmax, ltol)
 
 
@@ -412,7 +416,7 @@ def compound_ladder(scheme: LadderScheme, jtop: int, v: Optional[Callable],
                     family_F: Dict[int, BlockKernel], lmax: int = 12,
                     ltol: float = 1e-10) -> BlockKernel:
     """Compound particle-hole ladder: one fixed v in both covariances."""
-    return _ladder_recursion(scheme, jtop, family_F,
+    return _ladder_recursion(scheme, jtop, _rung_sums(scheme, jtop, family_F),
                              lambda j: scheme.scale_bubble(j, v), lmax, ltol)
 
 
@@ -423,16 +427,15 @@ def ladder_closed_form(scheme: LadderScheme, jtop: int, v: Optional[Callable],
     chains of (24 F + L + L^f) joined by ph-reduced bubbles; agrees with
     compound_ladder identically."""
     j0 = scheme.scales.params.j0
+    W = _rung_sums(scheme, jtop, family_F)
     L = BlockKernel.zeros(scheme.space(j0, directed=False))
-    lscale = j0
     for j in range(j0, jtop):
         bub = scheme.scale_bubble(j, v, directed=False)
-        Lj = scheme.resectorize(L, lscale, j)
-        big = 24.0 * _rungs_at(scheme, j, family_F).reduce_ph() + Lj + Lj.flip()
+        Lj = scheme.resectorize(L, max(j0, j - 1), j)
+        big = 24.0 * W[j].reduce_ph() + Lj + Lj.flip()
         acc, _ = _ladder_series(big, bub, lmax, ltol,
                                 lambda ell, vals: ((-1.0) ** ell) * vals)
         L = Lj + BlockKernel(Lj.space, acc)
-        lscale = j
     return L
 
 
@@ -450,68 +453,42 @@ def delta_ladder_telescope(scheme: LadderScheme, jtop: int,
     """Evaluate the scale-swap telescoping identity.
 
     The iterated ladder (running u_j) and the compound ladder with the full
-    counterterm sum v and the corrected rung family F' are computed
-    independently; their difference must equal the sum of the per-scale
-    covariance-swap corrections, resectorized to the final scale.
+    counterterm sum v are computed independently, from the same rung sums
+    W_j; their difference must equal the sum of the per-scale
+    covariance-swap corrections delta_j, refined to the final scale.  The
+    corrections enter the compound rungs through the undirected running sum
+    D_j = R(j-1 -> j) (D_(j-1) + delta_(j-1)), D_j0 = 0: the compound rung
+    at scale j carries the ph rung of D_j, taken together with that of its
+    own ladder, and the sum of all corrections is
+    D_(jtop-1) + delta_(jtop-1).
     """
     v = family.v_total()
     j0 = scheme.scales.params.j0
     v_bubbles = {j: scheme.scale_bubble(j, v) for j in range(j0, jtop)}
-    record = {}
-    it = _ladder_recursion(scheme, jtop, family.F,
+    W = _rung_sums(scheme, jtop, family.F)
+    D, norms = {}, {}
+    first = total = None
+
+    def swap(j, w, step):
+        # delta_j = step(u_j) - step(v), both ladder sums over w_j, formed
+        # at scale j so that no w_j outlives it.  The compound ladder has
+        # the same rung and bubble at j0, so step(v) at j0 is also its
+        # first ladder sum.
+        nonlocal first, total
+        step_v = _ladder_sum_ph(w, v_bubbles[j], lmax, ltol)
+        d = step - step_v
+        norms[j] = d.max_abs()
+        if j == j0:
+            first, total = step_v, d
+        else:
+            D[j] = scheme.resectorize(total, j - 1, j)
+            total = D[j] + d
+
+    it = _ladder_recursion(scheme, jtop, W,
                            lambda j: scheme.scale_bubble(j, family.u_below(j)),
-                           lmax, ltol, record)
-    # delta_j = step(u_j) - step(v), both ladder sums over the recorded w_j;
-    # no w_j or step(u_j) outlives this, so none is alive in the compound
-    # ladder.  That ladder has the same rung and bubble at j0 (F' differs
-    # from F only above j0), so step(v) at j0 is also its first ladder sum.
-    first = _ladder_sum_ph(record[j0][0], v_bubbles[j0], lmax, ltol)
-    delta = {j: step - (first if j == j0 else
-                        _ladder_sum_ph(w, v_bubbles[j], lmax, ltol))
-             for j, (w, step) in record.items()}
-    del record
-    # corrected rung family F': the scale-(j+1) rung carries the ph rung
-    # of delta_j
-    fam_prime = dict(family.F)
-    for j, d in delta.items():
-        tgt = j + 1
-        if tgt < jtop:
-            corr = _ph_rung(scheme, d, j, tgt)
-            fam_prime[tgt] = fam_prime[tgt] + corr if tgt in fam_prime else corr
-    comp = _ladder_recursion(scheme, jtop, fam_prime, v_bubbles.__getitem__,
-                             lmax, ltol, first=first)
-    # sum of per-scale corrections at the final sectorization
-    total = BlockKernel.zeros(scheme.space(jtop - 1, directed=False))
-    for j, d in delta.items():
-        total = total + scheme.resectorize(d, j, jtop - 1)
+                           lmax, ltol, swap)
+    comp = _ladder_recursion(scheme, jtop, W, v_bubbles.__getitem__, lmax,
+                             ltol, first=first, D=D)
     residual = float(np.abs(it.values - comp.values - total.values).max())
-    return TelescopeReport(
-        residual=residual,
-        per_scale_delta_norms={j: d.max_abs() for j, d in delta.items()},
-        iterated=it, compound=comp)
-
-
-# ---------------------------------------------------------------------------
-# decay report
-
-
-@dataclass
-class DecayReport:
-    entries: List[Tuple[int, float]]
-    slope: float
-
-
-def ladder_decay_report(rung: Kernel4, bub: BubbleProp, lmax: int) -> DecayReport:
-    """Per-ell sector norms of L_ell and the fitted log-linear slope."""
-    entries: List[Tuple[int, float]] = []
-
-    def record(ell, vals):
-        entries.append((ell, sector_norm_p(BlockKernel(rung.space, vals).dense(), 3)))
-        return vals
-
-    _ladder_series(BlockKernel.from_dense(rung), bub, lmax, 0.0, record)
-    ells, norms = np.array(entries, dtype=float).T
-    pos = norms > 0.0
-    slope = float(np.polyfit(ells[pos], np.log(norms[pos]), 1)[0]) \
-        if pos.sum() >= 2 else float("-inf")
-    return DecayReport(entries=entries, slope=slope)
+    return TelescopeReport(residual=residual, per_scale_delta_norms=norms,
+                           iterated=it, compound=comp)

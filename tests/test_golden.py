@@ -36,25 +36,25 @@ RC = {0: "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
 # --scale 3 copy
 GOLDEN = {
     "ladder-demo --scales 2 --seed 0 --out {out}": (
-        "42fe5d32686c4fd897791472a477d441fd8d0fb073afbd2c9fa5371f30d2988a",
+        "b01ff783103143209e2df2755ba4f8f0069b7382d5f40ef77b4863012b24da57",
         EMPTY, EMPTY, RC[0]),
     "ladder-demo --scales 2 --seed 1 --out {out}": (
-        "f4b8c7f0ee0a56c0d8b8f4b39e0e7f3aa1e7ff425c38bd0a4a7ba92f38477377",
+        "22529a6d52972098e1079c7813f42d5d828af522b116c04e44d9b84d4a64835c",
         EMPTY, EMPTY, RC[0]),
     "ladder-demo --scales 2 --seed 2 --out {out}": (
-        "a2ce353a5ec1c13a1564cd922c88d04f8eef4201a2f71d207677d13507f9ec32",
+        "2e837e750b3319c778af8d2c3f584b9c60d6ac1cb29ac53fd050c3532bc5d279",
         EMPTY, EMPTY, RC[0]),
     "ladder-demo --scales 2 --seed 3 --out {out}": (
-        "8201c9b3c5422a0f89a29344804506f71b8fd2ae91cfea4fd599cd58a50cfe93",
+        "93fee28551bef113b17d942cf5996427d6fedf31bc491b147c4fb1bb06544739",
         EMPTY, EMPTY, RC[0]),
     "ladder-demo --scales 2 --seed 4 --out {out}": (
-        "56fcf709a4be54cd38d216459a8d14eb0779a483f7c2c516aee2fa0dab6697aa",
+        "5aef7293bcb88f088c362720267dafc543b323af1f920162ff43f4ec8ada2253",
         EMPTY, EMPTY, RC[0]),
     "ladder-demo --grid 2 --seed 0 --out {out}": (
-        "9d493d70b82704a0a7eea3f93eb5a683d593f15967d4471a5c116ecd0aa10e42",
+        "081c4c1469660918b745f3296df6152c0ccb95aa3ddfea9e6f0917c89acdadc9",
         EMPTY, EMPTY, RC[0]),
     "ladder-demo --scales 4 --seed 0 --out {out}": (
-        "915c72000e4b9a88282e98455e00e43c725db4775b74434cee423d58c5343860",
+        "6149b5abf6429085a2923bc7a3c807e4cc27945de20fd6eedadbada8c918f4fb",
         EMPTY, EMPTY, RC[0]),
     "ladder-demo --scales 4 --seed 2 --out {out}": (
         None,
@@ -79,7 +79,7 @@ GOLDEN = {
         "fe9694651dd6f8d1a6462c9343b1f287b6f669d5ccbe429f9b81faeaeacdbb46",
         EMPTY, EMPTY, RC[0]),
     "ladder-demo --scales 2 --seed 0 --format json --out {out}": (
-        "91ecfa80aa4383789fce5d1790cf8f5f7793cd32934bf5cbc2895d477f565a0d",
+        "64ddf4d6de415b0babadaa5acaedda0df633c7d8cb6f45d8479680490a86586c",
         EMPTY, EMPTY, RC[0]),
     "resum --family {violating} --jmax 5 --check-budget --out {out}": (
         "5dfc50dd03a52337a7c82319e8db7bf1f2bb33466a85ff8325d85e45610510a9",

@@ -1,6 +1,5 @@
 import itertools
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -12,8 +11,8 @@ from fermi2d import ladders as ld
 from fermi2d import selfenergy as se
 from fermi2d.blocks import BlockKernel
 from fermi2d.kernels import (INT, Kernel4, _apply_per_axis,
-                             conservation_mask, is_inversion_symmetric,
-                             make_grid, random_kernel, reduce_ph, zero_kernel)
+                             is_inversion_symmetric, make_grid, random_kernel,
+                             reduce_ph, zero_kernel)
 from fermi2d.scales import HypothesisViolationError
 from fermi2d.sectors import build_fermi_curve
 
@@ -346,19 +345,6 @@ def test_delta_norms_decay_for_decaying_family(scheme, params):
     assert rep.per_scale_delta_norms[2] > 0.0
 
 
-@pytest.mark.parametrize("entry", ["decay_report"])
-def test_off_support_rung_rejected(scheme, entry):
-    # the decay report, the one ladder entry that takes a dense rung, moves
-    # it onto the conservation support, so a rung with entries off it is
-    # an error that names the largest such entry
-    sp = scheme.space(2)
-    bad = random_kernel(sp, np.random.default_rng(13), amp=1e-5,
-                        conserving=False)
-    largest = np.abs(np.where(conservation_mask(sp), 0.0, bad.values)).max()
-    with pytest.raises(ValueError, match=re.escape(f"{largest:.3e}")):
-        ld.ladder_decay_report(bad, scheme.scale_bubble(2, None), 2)
-
-
 def test_ladder_sum_allocates_no_dense_kernel(scheme, family):
     # one ladder sum on the blocks peaks below one dense kernel, so no
     # n^2 x n^2 pair matrix is built along the chain
@@ -446,22 +432,6 @@ def test_compound_small_v_check(scheme, family):
         ld.compound_ladder(scheme, 4, v_big, family.F, lmax=2)
 
 
-def test_decay_report(scheme):
-    sp = scheme.space(2)
-    rng = np.random.default_rng(9)
-    rung = random_kernel(sp, rng, amp=1e-4, antisym=True)
-    bub = scheme.scale_bubble(2, None)
-    rep = ld.ladder_decay_report(rung, bub, 4)
-    norms = [n for _, n in rep.entries]
-    assert all(n > 0 for n in norms)
-    # geometric decay for a small rung: strictly decreasing, negative slope
-    assert all(a > b for a, b in zip(norms, norms[1:]))
-    assert rep.slope < 0.0
-    # zero rung: all zero
-    rep0 = ld.ladder_decay_report(zero_kernel(sp), bub, 3)
-    assert all(n == 0.0 for _, n in rep0.entries)
-
-
 def test_resectorize_preserves_totals(scheme):
     # summing over fine sectors undoes the refinement of internal legs
     rng = np.random.default_rng(10)
@@ -489,7 +459,7 @@ def test_resectorize_preserves_totals(scheme):
 
 
 def test_telescope_builds_each_chain_once(scheme, family, monkeypatch):
-    # per scale: the iterated chain, the v-swap chain on the recorded w_j
+    # per scale: the iterated chain, the v-swap chain on the same w_j
     # and the compound chain, lmax block steps each; at j0 the compound
     # ladder reuses the v-swap chain, so 5 chains over the 2 scales
     calls = []
@@ -504,19 +474,23 @@ def test_telescope_builds_each_chain_once(scheme, family, monkeypatch):
     assert len(calls) == (2 * 3 - 1) * 4
 
 
-@pytest.mark.parametrize("nscales, antisym, sums", [(2, 3, 5), (3, 6, 8)])
+@pytest.mark.parametrize("nscales", [2, 3])
 def test_telescope_computes_each_ladder_sum_once(params, disp, monkeypatch,
-                                                 nscales, antisym, sums):
-    # the ladder-demo telescope: no ph rung at j0, where the ladder is the
-    # zero kernel (2 (nscales - 1) rungs in the two recursions, nscales - 1
-    # for F'), and 3 nscales - 1 ladder sums, since the compound ladder
-    # takes its j0 sum from the v-swap of delta_j0
+                                                 nscales):
+    # the ladder-demo telescope over s scales: no ph rung at j0, where the
+    # ladder is the zero kernel, so s - 1 ph rungs in each recursion (the
+    # compound one takes the correction sum D_j into its ph rung), and
+    # 3 s - 1 ladder sums, since the compound ladder takes its j0 sum from
+    # the v-swap of delta_j0.  Each scale step resectorizes only from the
+    # scale before it: the rung sum W_j (directed) once, and the two
+    # ladders and D_j (undirected) once each
     from fermi2d import cli
 
     scales_list = list(range(params.j0, params.j0 + nscales))
     scheme, fam = cli._demo_scheme_and_family(params, disp, 1, 0, scales_list)
-    calls = {"antisym": 0, "sums": 0}
+    calls = {"antisym": 0, "sums": 0, "directed": 0, "undirected": 0}
     antisymmetrize, ladder_sum_ph = BlockKernel.antisymmetrize, ld._ladder_sum_ph
+    resectorize = ld.LadderScheme.resectorize
 
     def counting_antisym(self):
         calls["antisym"] += 1
@@ -526,11 +500,41 @@ def test_telescope_computes_each_ladder_sum_once(params, disp, monkeypatch,
         calls["sums"] += 1
         return ladder_sum_ph(*args)
 
+    def counting_resect(self, kern, i, j):
+        if i != j:
+            calls["directed" if kern.space.directed else "undirected"] += 1
+        return resectorize(self, kern, i, j)
+
     monkeypatch.setattr(BlockKernel, "antisymmetrize", counting_antisym)
     monkeypatch.setattr(ld, "_ladder_sum_ph", counting_sums)
+    monkeypatch.setattr(ld.LadderScheme, "resectorize", counting_resect)
     ld.delta_ladder_telescope(scheme, scales_list[-1] + 1, fam, lmax=4,
                               ltol=0.0)
-    assert calls == {"antisym": antisym, "sums": sums}
+    s = nscales
+    assert calls == {"antisym": 2 * (s - 1), "sums": 3 * s - 1,
+                     "directed": s - 1, "undirected": 3 * (s - 1)}
+    assert {(i, j) for i, j, _ in scheme._resect_cache} \
+        == {(j, j + 1) for j in scales_list[:-1]}
+
+
+def test_refinement_composes_and_commutes_with_ph_rung(demo_scheme):
+    # the two identities the running sums rest on: the refinement maps
+    # compose, R(2 -> 4) = R(3 -> 4) R(2 -> 3), because the scale-3 hats
+    # are a partition of unity; and R commutes with the antisymmetrized ph
+    # value, since it acts alike on every leg and keeps the bars
+    sch = demo_scheme
+    for directed in (True, False):
+        R = sch._resect_matrix(3, 4, directed) @ sch._resect_matrix(2, 3,
+                                                                   directed)
+        assert np.abs(sch._resect_matrix(2, 4, directed) - R).max() <= 1e-15
+    rng = np.random.default_rng(14)
+    d = BlockKernel.random(sch.space(2, directed=False), rng)
+    rung_then_refine = sch.resectorize(
+        d.value_ph(sch.space(2)).antisymmetrize(), 2, 4)
+    refine_then_rung = sch.resectorize(d, 2, 4).value_ph(
+        sch.space(4)).antisymmetrize()
+    assert np.abs(rung_then_refine.values - refine_then_rung.values).max() \
+        <= 1e-15 * refine_then_rung.max_abs()
 
 
 def test_telescope_builds_each_bubble_once(scheme, family, monkeypatch):

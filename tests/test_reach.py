@@ -62,7 +62,6 @@ KEPT = {
     "ladders.compound_ladder": CRIT.format(4),
     "ladders.iterated_ladder": SPANS,
     "ladders.ladder_closed_form": CRIT.format(4),
-    "ladders.ladder_decay_report": ITEM.format(1),
     # occupation: the scalar pieces of the five-piece split
     "occupation.i1_quad": CRIT.format(2),
     "occupation.i2_quad": "reference for occupation_limits in "
