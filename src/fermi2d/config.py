@@ -20,10 +20,7 @@ class ScaleParams:
 
     M is the scale ratio (shells shrink like M^-j), aleph the sector-length
     exponent (sector length l_j = M^(-aleph j)), lambda0/upsilon the coupling
-    scales entering the norm budgets.  r0/r are the tracked derivative orders
-    (temporal/spatial) of the majorant series; alpha and bconst are the
-    aggregation weights of the scale norms (defaults are non-canonical, see
-    README).
+    scales entering the norm budgets.
     """
 
     M: float = 2.0
@@ -33,10 +30,6 @@ class ScaleParams:
     jmax: int = 8
     lambda0: float = 1e-3
     upsilon: float = 0.2
-    r0: int = 2
-    r: int = 2
-    alpha: float = 2.0
-    bconst: float = 1.0
 
     def __post_init__(self):
         if not self.M > 1.0:
@@ -51,8 +44,6 @@ class ScaleParams:
             raise ValueError("lambda0 must be positive and finite")
         if not (0.0 < self.upsilon < 0.25):
             raise ValueError("upsilon must lie in (0, 1/4)")
-        if self.r0 < 0 or self.r < 0:
-            raise ValueError("truncation orders must be nonnegative")
 
     def sector_length(self, j: int) -> float:
         """l_j = M^(-aleph j)."""
@@ -98,10 +89,6 @@ PARAM_KEYS = {
     "Jmax": ("jmax", int),
     "lambda0": ("lambda0", float),
     "upsilon": ("upsilon", float),
-    "alpha": ("alpha", float),
-    "bconst": ("bconst", float),
-    "r0": ("r0", int),
-    "r": ("r", int),
 }
 SCENARIO = "scenario"
 SCENARIO_KEYS = ("npoints", "lambda", "gprofile", "tol", "kind")
@@ -123,7 +110,9 @@ def load_config(path) -> tuple[ScaleParams, str, dict[str, dict]]:
     A key or section the run does not read is a ValueError naming it: the
     top level takes PARAM_KEYS and ``model``, the one section is
     ``[scenario]`` with SCENARIO_KEYS, and its ``kind``, if given, is
-    ``jump-sweep``.
+    ``jump-sweep``.  The PARAM_KEYS values are checked by the ScaleParams
+    rules, so a bad one is a ValueError too; the jump sweep reads none of
+    them.
     """
     with open(path, "r", encoding="utf-8") as fh:
         top, sections = parse_config_text(fh.read())

@@ -12,9 +12,10 @@ k0-reflection real, and obeys the derivative budget
 
 for |delta| <= 2.  The budget checker reports measured/allowed ratios per
 (i, l, delta) from central finite differences on each member's sampling
-windows, plus the reflection-reality residual.  The momentum-space norms
-it measures with (sup_derivatives and its grid and product forms,
-momentum_norm_tilde) live here too.
+windows, plus the reflection-reality residual.  The measured value is
+sup |D^delta q| itself, with no 1/delta! weight.  The derivative sups it
+measures with (sup_derivatives and its grid and product forms) live here
+too.
 
 The proper self-energy is assembled from P and Q through the rational
 closed form, and its k0-derivative through the tilde-variable formula
@@ -38,10 +39,6 @@ class SingularityError(ZeroDivisionError):
 
 class ConditioningError(ArithmeticError):
     """Denominator of the self-energy form too close to zero."""
-
-
-class ResolutionError(ValueError):
-    """Grid too coarse for the requested finite-difference order."""
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +135,7 @@ def saturating_q_family(params, imin: Optional[int] = None,
             cmax = max(u_sup[d0] * v[d1] * v[d2]
                        for d0 in range(3) for d1 in range(3 - d0)
                        for d2 in range(3 - d0 - d1))
-            allowed0 = 2.0 * la ** (1 - 2 * up) \
-                * params.sector_length(l) / M ** l * M ** (params.aleph_prime * (l - i))
-            amp = scale * saturation / cmax * allowed0
+            amp = scale * saturation / cmax * _budget_base(params, la, up, i, l)
             fam.q[(i, l)] = _make_q_member(M, i, l, amp)
     return fam
 
@@ -212,48 +207,19 @@ def _make_dp_member(a):
 # momentum-space norms
 
 
-def momentum_norm_tilde(h: Callable, box, shape, max_order: int,
-                        params) -> "FormalSeries":
-    """Derivative-graded sup norm of a scalar momentum function.
-
-    The delta coefficient is sup over a regular grid of the central
-    finite-difference estimate of |D^delta h|, divided by delta!.  Entries
-    beyond max_order inside the truncation region are +inf (not estimated).
-    """
-    from .series import INF, FormalSeries, finite_region
-
-    if max_order > min(params.r0, params.r):
-        raise ValueError("max_order exceeds the truncation orders")
-    for npts in shape:
-        if npts < 2 * max_order + 3:
-            raise ResolutionError(
-                f"axis with {npts} points cannot support order {max_order}")
-    sups, _ = grid_sup_derivatives(h, box, shape, max_order, complex)
-    coeff = {}
-    for d in finite_region(params.r0, params.r):
-        if sum(d) > max_order:
-            coeff[d] = INF
-            continue
-        fact = math.factorial(d[0]) * math.factorial(d[1]) * math.factorial(d[2])
-        coeff[d] = sups[d] / fact
-    return FormalSeries(params.r0, params.r, coeff)
-
-
-def grid_sup_derivatives(f: Callable, box, shape, max_order: int,
-                         dtype=None):
+def grid_sup_derivatives(f: Callable, box, shape, max_order: int):
     """sup |D^delta f| (see sup_derivatives) on the regular grid of shape[a]
     points spanning box[a] = (lo, hi) on each axis a.
 
     f is called once, on the open mesh (one 1d axis array per argument,
     shaped to broadcast), so a product of per-axis factors costs sum(shape)
-    factor evaluations instead of prod(shape).  Its result, as dtype, is
-    broadcast to the full grid: a member that ignores an axis or returns a
-    scalar is still measured on the whole grid.  Returns the sups and the
-    open mesh.
+    factor evaluations instead of prod(shape).  Its result is broadcast to
+    the full grid: a member that ignores an axis or returns a scalar is
+    still measured on the whole grid.  Returns the sups and the open mesh.
     """
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(box, shape)]
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    F = np.broadcast_to(np.asarray(f(*mesh), dtype=dtype), tuple(shape))
+    F = np.broadcast_to(np.asarray(f(*mesh)), tuple(shape))
     return sup_derivatives(F, [ax[1] - ax[0] for ax in axes], max_order), mesh
 
 
@@ -368,6 +334,15 @@ class BudgetReport:
         return out
 
 
+def _budget_base(params, la: float, up: float, i: int, l: int) -> float:
+    """2 lambda0^(1-2 upsilon) (l_l / M^l) M^(aleph'(l-i)), the delta = 0
+    allowed value of member (i, l); the budget and the saturating family's
+    calibration both call it."""
+    M = params.M
+    return 2.0 * la ** (1 - 2 * up) * params.sector_length(l) / M ** l \
+        * M ** (params.aleph_prime * (l - i))
+
+
 def _windows(i: int, l: int, M: float):
     """Per-axis sampling windows of member (i, l), adapted to the
     oscillation of the shipped profile at the scales M^i and M^l."""
@@ -391,7 +366,6 @@ def check_q_budget(family: ScaleFamily, params,
     (product_sup_derivatives); any other callable on the open mesh of the
     full grid (grid_sup_derivatives)."""
     M, la, up = params.M, family.lambda0, family.upsilon
-    ap = params.aleph_prime
     rows: List[BudgetRow] = []
     reality = 0.0
     support = 0.0
@@ -407,8 +381,7 @@ def check_q_budget(family: ScaleFamily, params,
         else:
             sups, mesh = grid_sup_derivatives(
                 lambda *k: _real_if_zero_imag(qf(*k)), windows, npts, 2)
-        base = 2.0 * la ** (1 - 2 * up) * params.sector_length(l) / M ** l \
-            * M ** (ap * (l - i))
+        base = _budget_base(params, la, up, i, l)
         for delta in sorted(sups):
             allowed = base * M ** (delta[0] * i) * M ** ((delta[1] + delta[2]) * l)
             rows.append(BudgetRow(i=i, l=l, delta=delta,

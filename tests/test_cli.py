@@ -137,8 +137,12 @@ def test_jump_sweep_rejects_bad_scenario(tmp_path, capsys, scenario):
     ("[scenario]\nnpoint = 4\n", "'npoint'"),
     ("[sweep]\nnpoints = 4\n", "[sweep]"),
     ("[scenario]\nkind = ladder-demo\n", "'ladder-demo'"),
+    ("r0 = 0\n", "'r0'"),
+    ("r = 7\n", "'r'"),
+    ("alpha = 99\n", "'alpha'"),
+    ("bconst = 1e9\n", "'bconst'"),
 ], ids=["quadratic-nan", "quadratic-inf", "top-level-key", "scenario-key",
-        "section", "kind"])
+        "section", "kind", "r0", "r", "alpha", "bconst"])
 def test_jump_sweep_rejects_bad_config_text(tmp_path, capsys, text, named):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)

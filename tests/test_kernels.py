@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermi2d.config import ScaleParams
 from fermi2d.kernels import (EXT, EXTP, INT, Kernel4, KernelSpace, Leg,
                              _conversion_matrix, antisymmetrize,
                              component_mask, conservation_mask,
@@ -15,8 +14,7 @@ from fermi2d.kernels import (EXT, EXTP, INT, Kernel4, KernelSpace, Leg,
                              random_kernel, reduce_ph, reduce_pp, s_kappa,
                              sct_prime, sector_norm_p, shear, shear_prime,
                              value_ph, value_pp, zero_kernel)
-from fermi2d.selfenergy import (ResolutionError, grid_sup_derivatives,
-                                momentum_norm_tilde, sup_derivatives)
+from fermi2d.selfenergy import grid_sup_derivatives, sup_derivatives
 
 GRID = make_grid([(0.25, 1.2, 0.55)])
 
@@ -398,36 +396,14 @@ def test_conservation_mask_preserved_by_transforms():
         assert np.abs(out.values[~mask]).max() <= 1e-15
 
 
-def test_momentum_norm_tilde_constant_and_linear():
-    params = ScaleParams()
-    box = ((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0))
-    const = momentum_norm_tilde(lambda k0, kx, ky: 2.5 + 0 * k0, box,
-                                (9, 9, 9), 2, params)
-    assert abs(const.get((0, 0, 0)) - 2.5) <= 1e-12
-    assert const.get((1, 0, 0)) <= 1e-10
-    assert const.get((0, 1, 1)) <= 1e-10
-    lin = momentum_norm_tilde(lambda k0, kx, ky: k0 + 0 * kx, box,
-                              (17, 9, 9), 2, params)
-    assert abs(lin.get((1, 0, 0)) - 1.0) <= 1e-8
-    # the constant coefficient is the sup of |k0|
-    assert abs(lin.get((0, 0, 0)) - 1.0) <= 1e-12
-
-
-def test_momentum_norm_tilde_resolution_error():
-    params = ScaleParams()
-    box = ((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0))
-    with pytest.raises(ResolutionError):
-        momentum_norm_tilde(lambda k0, kx, ky: k0, box, (4, 9, 9), 2, params)
-
-
 BOX = ((-1.0, 0.5), (-0.7, 1.2), (0.0, 2.0))
 SHAPE = (13, 11, 9)
 
 
-def _dense_sups(f, box, shape, max_order, dtype=None):
+def _dense_sups(f, box, shape, max_order):
     # oracle: f evaluated on every point of the dense meshgrid
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(box, shape)]
-    F = np.asarray(f(*np.meshgrid(*axes, indexing="ij")), dtype=dtype)
+    F = np.asarray(f(*np.meshgrid(*axes, indexing="ij")))
     return sup_derivatives(F, [ax[1] - ax[0] for ax in axes], max_order)
 
 
@@ -484,21 +460,3 @@ def test_sup_derivatives_nan_and_signed_zero():
     assert all(math.isnan(v) for v in sup_derivatives(F, (0.1,) * 3, 2).values())
     zero = sup_derivatives(np.full((9, 8, 7), -0.0), (0.1,) * 3, 2)
     assert all(math.copysign(1.0, v) == 1.0 for v in zero.values())
-
-
-def test_momentum_norm_tilde_open_grid():
-    params = ScaleParams()
-
-    def h(k0, kx, ky):
-        return np.cos(2 * k0) * np.sin(kx + ky)
-
-    norm = momentum_norm_tilde(h, BOX, SHAPE, 2, params)
-    dense = _dense_sups(h, BOX, SHAPE, 2, complex)
-    for d, s in dense.items():
-        fact = math.factorial(d[0]) * math.factorial(d[1]) * math.factorial(d[2])
-        assert norm.get(d) == s / fact
-    # a scalar member is measured on the whole grid, like its array twin
-    assert momentum_norm_tilde(lambda k0, kx, ky: 2.5, BOX, SHAPE, 2,
-                               params).to_text() \
-        == momentum_norm_tilde(lambda k0, kx, ky: 2.5 + 0 * k0, BOX, SHAPE, 2,
-                               params).to_text()

@@ -74,11 +74,11 @@ KEPT = {
     "occupation.jump_at": SPANS,
     "occupation.occupation_limit": SPANS,
     # scales
-    "scales.ScaleInterval.le": ITEM.format("3 and 4") + ", through nu_le",
+    "scales.ScaleInterval.le": ITEM.format(3) + ", through nu_le",
     "scales.ScaleModel.nu": CRIT.format(9),
     "scales.ScaleModel.nu_ge": CRIT.format(9),
     "scales.ScaleModel.nu_gt": CRIT.format(9),
-    "scales.ScaleModel.nu_le": ITEM.format("3 and 4"),
+    "scales.ScaleModel.nu_le": ITEM.format(3),
     # selfenergy
     "selfenergy.BudgetReport.max_ratio_per_pair": CRIT.format(7),
     "selfenergy.BudgetReport.worst_ratio": CRIT.format(7),
@@ -86,35 +86,15 @@ KEPT = {
     "selfenergy.amputation_A2": ITEM.format(3),
     "selfenergy.check_resum_bounds": ITEM.format(3),
     "selfenergy.green2": ITEM.format(3),
-    "selfenergy.grid_sup_derivatives": ITEM.format(4),
-    "selfenergy.momentum_norm_tilde": ITEM.format(4),
+    "selfenergy.grid_sup_derivatives": "the check_q_budget path for a member "
+                                       "that is not a ProductQ, which the "
+                                       "support and reality tests use",
     "selfenergy.p_tail_decay": ITEM.format(3),
     "selfenergy.proper_sigma": CRIT.format(6),
     "selfenergy.q_tail_decay": CRIT.format(7),
     "selfenergy.sigma_k0_derivative": CRIT.format(6),
-    "selfenergy.sup_derivatives": ITEM.format(4),
-    # series: the majorant norm of momentum_norm_tilde
-    "series.FormalSeries.const": ITEM.format(4),
-    "series.FormalSeries.from_text": ITEM.format(4),
-    "series.FormalSeries.get": ITEM.format(4),
-    "series.FormalSeries.isclose": ITEM.format(4),
-    "series.FormalSeries.leq": ITEM.format(4),
-    "series.FormalSeries.max_abs": ITEM.format(4),
-    "series.FormalSeries.region": ITEM.format(4),
-    "series.FormalSeries.scale": ITEM.format(4),
-    "series.FormalSeries.shift_temporal": ITEM.format(4),
-    "series.FormalSeries.to_text": ITEM.format(4),
-    "series.c_series": ITEM.format(4),
-    "series.cj_series": ITEM.format(4),
-    "series.const_series": ITEM.format(4),
-    "series.e_series": ITEM.format(4),
-    "series.ej_series": ITEM.format(4),
-    "series.finite_region": ITEM.format(4),
-    "series.from_coeffs": ITEM.format(4),
-    "series.geometric_series": ITEM.format(4),
-    "series.n_tilde_aggregate": ITEM.format(4),
-    "series.rho_tilde": ITEM.format(4),
-    "series.zero_series": ITEM.format(4),
+    "selfenergy.sup_derivatives": "reference: the dense oracle of "
+                                  "dense_budget_oracle",
 }
 
 
