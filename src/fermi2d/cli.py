@@ -230,6 +230,9 @@ def run_ladder_demo(args) -> int:
     except ld.LadderDivergenceError as exc:
         _diag("ladder-demo", "divergence", str(exc))
         return EXIT_TOLERANCE
+    except ValueError as exc:  # a sector refinement the scheme cannot carry
+        _diag("ladder-demo", "geometry", str(exc))
+        return EXIT_CONFIG
     sp = report.iterated.space
     g = sp.grid
     rows = []

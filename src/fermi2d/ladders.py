@@ -13,15 +13,19 @@ ladder with ell bubbles is the chain L_ell = L_(ell-1) B rung, and every
 ladder sum below is one power series in that chain.  The ladder sums take
 and return kernels on the conservation support (blocks.BlockKernel), where
 the bubble maps each pair block onto itself, so a chain step is one small
-product per pair block (compose_blocks); the dense compose, exact on any
-kernel, is the reference the blocked step is tested against.
+product per pair block (compose_blocks), a square matrix T_t on block t,
+and every series checks the spectral radii of the T_t before its chain
+runs; the dense compose is the reference the blocked step is tested on.
 
-Three recursions are provided: the scale-dependent iterated particle-hole
-ladder (counterterm sum u_j grows with the scale), the compound ladder
-with one fixed momentum function v in both covariance lines, and the
-closed-form route through flipped kernels (24F + L + L^f chains); the two
-compound routes agree identically, and the difference between iterated
-and compound telescopes over scales.
+The particle-hole ladders read a directed rung w only through its ph
+entries, bars (0, 1, 1, 0): for antisymmetric w the directed ph sum equals
+the series of 24 w^ph over the undirected bubble, and the ph rung of a
+ladder L is (L + L^f) / 24.  So iterated_ladder, ladder_closed_form and
+delta_ladder_telescope share one undirected recursion (_ph_ladders): a
+telescope over s scales makes 3 s - 1 ladder sums, 4 (s - 1)
+resectorizations and no directed kernel operation.  compound_ladder keeps
+the directed route (value_ph, antisymmetrize, the directed ph chain) as the
+independent computation that the closed form is checked against.
 """
 from __future__ import annotations
 
@@ -40,7 +44,8 @@ from .sectors import Sectorization, build_fermi_curve, build_sectorization, \
 
 
 class LadderDivergenceError(RuntimeError):
-    """The rung-bubble iteration stopped decaying."""
+    """A ladder series diverges: its term ratio times the spectral radius
+    of its chain step is at least 1."""
 
 
 # ---------------------------------------------------------------------------
@@ -136,47 +141,53 @@ def compose_blocks(chain: List[np.ndarray],
 
 
 def _ladder_series(rung: BlockKernel, bub: BubbleProp, lmax: int, ltol: float,
-                   term: Callable[[int, np.ndarray], np.ndarray],
-                   ph: bool = False):
-    """Sum of term(ell, L_ell) over the chain L_0 = rung,
-    L_ell = L_(ell-1) . C . rung for ell = 1..lmax, one compose_blocks call
-    per step; returns the sum and the last L_ell.
+                   ph: bool = False) -> Tuple[BlockKernel, BlockKernel]:
+    """The ladder sum of rung through bub and the last ladder L_ell, over the
+    chain L_0 = rung, L_ell = L_(ell-1) . C . rung for ell = 1..lmax, one
+    compose_blocks call per step.
 
-    L_ell is passed as its support vector or, with ph, as the support vector
-    of its ph reduction: the chain then carries only the row pairs that
-    reduce_ph reads, since row (a, b) of L_ell depends only on row (a, b) of
-    L_(ell-1).  Stops after the first term whose max |.| is at most ltol
-    times the largest so far (ltol > 0); three growing terms in a row raise
-    LadderDivergenceError.
+    The sum is sum_l (-1)^l L_l or, with ph (rung and bub directed), the
+    directed ph sum 2 sum_l (-1)^l 12^(l+1) L_l^ph over the undirected
+    partner of the rung's space; the chain then carries only the row pairs
+    that reduce_ph reads, since row (a, b) of L_ell depends only on row
+    (a, b) of L_(ell-1), and L_ell is returned ph-reduced.  For an
+    antisymmetric rung w, the ph sum of w is the plain sum of 24 w^ph over
+    the undirected bubble of the same lines.  Stops after the first term
+    whose max |.| is at most ltol times the largest so far (ltol > 0).
+    Raises LadderDivergenceError before the chain runs when the series
+    diverges: when its term ratio (1, or 12 with ph) times the spectral
+    radius of the step, max_t rho(M_t[:, cols_t]) (bubble_joins), is at
+    least 1.
     """
     if lmax < 1:
         raise ValueError("ladders need at least one bubble")
     pb = rung.space.pair_blocks
     sel = pb.ph if ph else [(t, slice(None), slice(None)) for t in range(len(pb))]
+    coef, ratio, out = (24.0, 12.0, rung.space.undirected()) if ph \
+        else (1.0, 1.0, rung.space)
     blocks = rung.blocks()
     chain = [blocks[t][rows] for t, rows, _ in sel]
     joins = bubble_joins(rung, bub, [t for t, _, _ in sel])
+    rho = ratio * max((np.abs(np.linalg.eigvals(M[:, cols])).max(initial=0.0)
+                       for cols, M in joins), default=0.0)
+    if rho >= 1.0:
+        raise LadderDivergenceError(f"ladder terms not decaying: spectral "
+                                    f"radius {rho:.4g} >= 1 ({bub.label})")
 
     def flat(chain):
         return np.concatenate([C[:, cols].ravel()
                                for C, (_, _, cols) in zip(chain, sel)])
 
-    acc = 0.0
-    largest, prev, grow = 0.0, 0.0, 0
+    acc, largest = 0.0, 0.0
     for ell in range(1, lmax + 1):
         chain = compose_blocks(chain, joins)
-        t = term(ell, flat(chain))
+        t = coef * (-ratio) ** ell * flat(chain)
         acc = acc + t
         tnorm = float(np.abs(t).max(initial=0.0))
         largest = max(largest, tnorm)
-        grow = grow + 1 if tnorm >= prev > 0.0 else 0
-        if grow >= 3:
-            raise LadderDivergenceError(
-                f"ladder terms not decaying at ell={ell} ({bub.label})")
-        prev = tnorm
         if ltol > 0.0 and tnorm <= ltol * max(largest, 1e-300):
             break
-    return acc, flat(chain)
+    return BlockKernel(out, acc), BlockKernel(out, flat(chain))
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +232,13 @@ class LadderScheme:
                     continue
                 tgt = Leg(INT, g.k, g.spin, g.bar, loc)
                 if tgt not in dst.index:
-                    raise RuntimeError(
+                    raise ValueError(
                         f"refinement target sector {full} at scale {j} lost "
                         f"grid point {g.k}")
                 R[dst.index[tgt], col] += w
                 placed += w
             if abs(placed - 1.0) > 1e-12:
-                raise RuntimeError(
+                raise ValueError(
                     f"refinement weights sum to {placed}, expected 1")
         return R
 
@@ -342,63 +353,44 @@ class LadderFamily:
         return self.u_below(math.inf)
 
 
-def _ladder_sum_ph(w: BlockKernel, bub: BubbleProp, lmax: int,
-                   ltol: float) -> BlockKernel:
-    """2 sum_l (-1)^l 12^(l+1) L_l(w; bub)^ph over the undirected partner of
-    w's space."""
-    def term(ell, vals):
-        return 2.0 * ((-1) ** ell) * 12.0 ** (ell + 1) * vals
-
-    acc, _ = _ladder_series(w, bub, lmax, ltol, term, ph=True)
-    return BlockKernel(w.space.undirected(), acc)
-
-
 def _rung_sums(scheme: LadderScheme, jtop: int,
                family_F: Dict[int, BlockKernel]) -> Dict[int, BlockKernel]:
-    """W_j = sum_{i <= j} F^(i), each rung refined to scale j, for
-    j0 <= j < jtop, by the running sum W_j = R(j-1 -> j) W_(j-1) + F^(j):
-    the refinement maps compose, so each step resectorizes only W_(j-1)."""
+    """W_j = sum_{i <= j} (F^(i))^ph, each rung ph-reduced and refined to
+    scale j, for j0 <= j < jtop, by the running sum
+    W_j = R(j-1 -> j) W_(j-1) + (F^(j))^ph: the refinement maps compose and
+    commute with reduce_ph, so each step resectorizes only W_(j-1)."""
     j0 = scheme.scales.params.j0
-    W = {j0: family_F.get(j0, BlockKernel.zeros(scheme.space(j0)))}
-    for j in range(j0 + 1, jtop):
-        W[j] = scheme.resectorize(W[j - 1], j - 1, j)
+    W, w = {}, BlockKernel.zeros(scheme.space(j0, directed=False))
+    for j in range(j0, jtop):
+        w = scheme.resectorize(w, max(j0, j - 1), j)
         if j in family_F:
-            W[j] = W[j] + family_F[j]
+            w = w + family_F[j].reduce_ph()
+        W[j] = w
     return W
 
 
-def _ladder_recursion(scheme: LadderScheme, jtop: int,
-                      W: Dict[int, BlockKernel],
-                      bubble_at: Callable[[int], BubbleProp],
-                      lmax: int, ltol: float,
-                      record: Optional[Callable] = None,
-                      first: Optional[BlockKernel] = None,
-                      D: Optional[Dict[int, BlockKernel]] = None
-                      ) -> BlockKernel:
-    """Particle-hole ladder recursion over the scales j0 <= j < jtop: the
-    ladder so far is resectorized to scale j, and scale j sums the ladders
-    of its rung w_j through the bubble bubble_at(j).  w_j is the rung sum
-    W_j plus the ph rung of that ladder (plus D_j, if D is given): 1/8 of
-    its antisymmetrized ph value.  R commutes with value_ph and
-    antisymmetrize, so the ph rung is taken at scale j, from the ladder
-    already resectorized.  At j0 the ladder so far is the zero kernel, so
-    w_j0 = W_j0; first, if given, is the j0 ladder sum, already computed by
-    the caller.  record, if given, is called as record(j, w_j, step_j) per
-    scale."""
+def _ph_ladders(scheme: LadderScheme, jtop: int, W: Dict[int, BlockKernel],
+                bubble_at: Callable[[int], BubbleProp], lmax: int, ltol: float,
+                record: Optional[Callable] = None,
+                first: Optional[BlockKernel] = None,
+                D: Optional[Dict[int, BlockKernel]] = None) -> BlockKernel:
+    """Particle-hole ladder recursion over the scales j0 <= j < jtop, on
+    undirected kernels: the ladder L so far is resectorized to scale j, and
+    scale j sums the series of rung_j = 24 W_j + P + P^f through
+    bubble_at(j), with P = L (plus D_j, if D is given): (P + P^f) / 24 is
+    the ph rung of P.  At j0, L is zero; first, if given, is the j0 ladder
+    sum, computed by the caller.  record, if given, is called as
+    record(j, rung_j, step_j) per scale."""
     j0 = scheme.scales.params.j0
     L = BlockKernel.zeros(scheme.space(j0, directed=False))
     for j in range(j0, jtop):
         L = scheme.resectorize(L, max(j0, j - 1), j)
-        w = W[j]
-        if j > j0:
-            ph = L + D[j] if D else L
-            w = w + ph.value_ph(scheme.space(j)).antisymmetrize() / 8.0
-        if j == j0 and first is not None:
-            step = first
-        else:
-            step = _ladder_sum_ph(w, bubble_at(j), lmax, ltol)
+        P = L + D[j] if D and j > j0 else L
+        rung = 24.0 * W[j] + P + P.flip()
+        step = first if j == j0 and first is not None \
+            else _ladder_series(rung, bubble_at(j), lmax, ltol)[0]
         if record is not None:
-            record(j, w, step)
+            record(j, rung, step)
         L = L + step
     return L
 
@@ -407,36 +399,41 @@ def iterated_ladder(scheme: LadderScheme, jtop: int, family: LadderFamily,
                     lmax: int = 12, ltol: float = 1e-10) -> BlockKernel:
     """Iterated particle-hole ladder up to scale jtop (covariances built
     from the running counterterm sum u_j)."""
-    return _ladder_recursion(
+    return _ph_ladders(
         scheme, jtop, _rung_sums(scheme, jtop, family.F),
-        lambda j: scheme.scale_bubble(j, family.u_below(j)), lmax, ltol)
+        lambda j: scheme.scale_bubble(j, family.u_below(j), directed=False),
+        lmax, ltol)
 
 
 def compound_ladder(scheme: LadderScheme, jtop: int, v: Optional[Callable],
                     family_F: Dict[int, BlockKernel], lmax: int = 12,
                     ltol: float = 1e-10) -> BlockKernel:
-    """Compound particle-hole ladder: one fixed v in both covariances."""
-    return _ladder_recursion(scheme, jtop, _rung_sums(scheme, jtop, family_F),
-                             lambda j: scheme.scale_bubble(j, v), lmax, ltol)
+    """Compound particle-hole ladder, one fixed v in both covariances, on
+    directed rungs: scale j sums the directed ph ladders of
+    w_j = W_j + antisymmetrize(value_ph(L)) / 8, with W_j the directed rung
+    sum and L the ladder so far, both refined to scale j."""
+    j0 = scheme.scales.params.j0
+    W = BlockKernel.zeros(scheme.space(j0))
+    L = BlockKernel.zeros(scheme.space(j0, directed=False))
+    for j in range(j0, jtop):
+        W, L = (scheme.resectorize(K, max(j0, j - 1), j) for K in (W, L))
+        if j in family_F:
+            W = W + family_F[j]
+        w = W + L.value_ph(scheme.space(j)).antisymmetrize() / 8.0
+        L = L + _ladder_series(w, scheme.scale_bubble(j, v), lmax, ltol,
+                               ph=True)[0]
+    return L
 
 
 def ladder_closed_form(scheme: LadderScheme, jtop: int, v: Optional[Callable],
-                      family_F: Dict[int, BlockKernel], lmax: int = 12,
-                      ltol: float = 1e-10) -> BlockKernel:
+                       family_F: Dict[int, BlockKernel], lmax: int = 12,
+                       ltol: float = 1e-10) -> BlockKernel:
     """Compound ladder through the flipped-kernel closed form:
     chains of (24 F + L + L^f) joined by ph-reduced bubbles; agrees with
     compound_ladder identically."""
-    j0 = scheme.scales.params.j0
-    W = _rung_sums(scheme, jtop, family_F)
-    L = BlockKernel.zeros(scheme.space(j0, directed=False))
-    for j in range(j0, jtop):
-        bub = scheme.scale_bubble(j, v, directed=False)
-        Lj = scheme.resectorize(L, max(j0, j - 1), j)
-        big = 24.0 * W[j].reduce_ph() + Lj + Lj.flip()
-        acc, _ = _ladder_series(big, bub, lmax, ltol,
-                                lambda ell, vals: ((-1.0) ** ell) * vals)
-        L = Lj + BlockKernel(Lj.space, acc)
-    return L
+    return _ph_ladders(
+        scheme, jtop, _rung_sums(scheme, jtop, family_F),
+        lambda j: scheme.scale_bubble(j, v, directed=False), lmax, ltol)
 
 
 @dataclass
@@ -456,7 +453,7 @@ def delta_ladder_telescope(scheme: LadderScheme, jtop: int,
     counterterm sum v are computed independently, from the same rung sums
     W_j; their difference must equal the sum of the per-scale
     covariance-swap corrections delta_j, refined to the final scale.  The
-    corrections enter the compound rungs through the undirected running sum
+    corrections enter the compound rungs through the running sum
     D_j = R(j-1 -> j) (D_(j-1) + delta_(j-1)), D_j0 = 0: the compound rung
     at scale j carries the ph rung of D_j, taken together with that of its
     own ladder, and the sum of all corrections is
@@ -464,18 +461,18 @@ def delta_ladder_telescope(scheme: LadderScheme, jtop: int,
     """
     v = family.v_total()
     j0 = scheme.scales.params.j0
-    v_bubbles = {j: scheme.scale_bubble(j, v) for j in range(j0, jtop)}
+    v_bubbles = {j: scheme.scale_bubble(j, v, directed=False)
+                 for j in range(j0, jtop)}
     W = _rung_sums(scheme, jtop, family.F)
     D, norms = {}, {}
     first = total = None
 
-    def swap(j, w, step):
-        # delta_j = step(u_j) - step(v), both ladder sums over w_j, formed
-        # at scale j so that no w_j outlives it.  The compound ladder has
-        # the same rung and bubble at j0, so step(v) at j0 is also its
-        # first ladder sum.
+    def swap(j, rung, step):
+        # delta_j = step(u_j) - step(v), both ladder sums over rung_j; the
+        # compound ladder has the same rung and bubble at j0, so step(v) at
+        # j0 is also its first ladder sum
         nonlocal first, total
-        step_v = _ladder_sum_ph(w, v_bubbles[j], lmax, ltol)
+        step_v = _ladder_series(rung, v_bubbles[j], lmax, ltol)[0]
         d = step - step_v
         norms[j] = d.max_abs()
         if j == j0:
@@ -484,11 +481,12 @@ def delta_ladder_telescope(scheme: LadderScheme, jtop: int,
             D[j] = scheme.resectorize(total, j - 1, j)
             total = D[j] + d
 
-    it = _ladder_recursion(scheme, jtop, W,
-                           lambda j: scheme.scale_bubble(j, family.u_below(j)),
-                           lmax, ltol, swap)
-    comp = _ladder_recursion(scheme, jtop, W, v_bubbles.__getitem__, lmax,
-                             ltol, first=first, D=D)
+    it = _ph_ladders(
+        scheme, jtop, W,
+        lambda j: scheme.scale_bubble(j, family.u_below(j), directed=False),
+        lmax, ltol, swap)
+    comp = _ph_ladders(scheme, jtop, W, v_bubbles.__getitem__, lmax, ltol,
+                       first=first, D=D)
     residual = float(np.abs(it.values - comp.values - total.values).max())
     return TelescopeReport(residual=residual, per_scale_delta_norms=norms,
                            iterated=it, compound=comp)

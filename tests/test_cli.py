@@ -181,8 +181,8 @@ def test_ladder_demo_rejects_bad_grid(tmp_path, capsys, grid):
 
 
 def test_ladder_demo_divergence_exits_3(tmp_path, capsys):
-    # at --scales 4, seed 2, the ladder terms of scale 5 grow three times in
-    # a row: the guard's LadderDivergenceError becomes a tolerance failure
+    # at --scales 4, seed 2, the ladder series of scale 5 has spectral
+    # radius >= 1: its LadderDivergenceError becomes a tolerance failure
     # naming the bubble
     out = tmp_path / "ladder.csv"
     rc = cli.main(["ladder-demo", "--scales", "4", "--seed", "2",
@@ -192,6 +192,22 @@ def test_ladder_demo_divergence_exits_3(tmp_path, capsys):
     assert diag["scenario"] == "ladder-demo"
     assert diag["error"] == "divergence"
     assert "not decaying" in diag["detail"] and "C(C^(" in diag["detail"]
+    assert not out.exists()
+
+
+def test_ladder_demo_geometry_error_exits_1(tmp_path, capsys, monkeypatch):
+    # hats that no longer sum to 1 make the first refinement of the
+    # telescope fail: a geometry error, exit 1, not a traceback
+    hat_weights = ld.hat_weights
+    monkeypatch.setattr(ld, "hat_weights", lambda secz: [
+        lambda s, h=h: 0.5 * h(s) for h in hat_weights(secz)])
+    out = tmp_path / "ladder.csv"
+    rc = cli.main(["ladder-demo", "--scales", "2", "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["scenario"] == "ladder-demo"
+    assert diag["error"] == "geometry"
+    assert "refinement weights sum to" in diag["detail"]
     assert not out.exists()
 
 

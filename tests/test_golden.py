@@ -36,30 +36,37 @@ RC = {0: "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
 # --scale 3 copy
 GOLDEN = {
     "ladder-demo --scales 2 --seed 0 --out {out}": (
-        "b01ff783103143209e2df2755ba4f8f0069b7382d5f40ef77b4863012b24da57",
+        "5ba05e02745392de0742fd14b6290a8e3b362f188ffbfbd38fe444eae587c911",
         EMPTY, EMPTY, RC[0]),
     "ladder-demo --scales 2 --seed 1 --out {out}": (
-        "22529a6d52972098e1079c7813f42d5d828af522b116c04e44d9b84d4a64835c",
+        "b9e411ab233f460ccc552d8b2a9dead7cad6622d7370cf8eaeb3d3c124a5aacf",
         EMPTY, EMPTY, RC[0]),
     "ladder-demo --scales 2 --seed 2 --out {out}": (
-        "2e837e750b3319c778af8d2c3f584b9c60d6ac1cb29ac53fd050c3532bc5d279",
+        "b90451eac4c88e2be0eba116974c6937e198fa4a372cd8eb5bb40a7d4ff1038c",
         EMPTY, EMPTY, RC[0]),
     "ladder-demo --scales 2 --seed 3 --out {out}": (
-        "93fee28551bef113b17d942cf5996427d6fedf31bc491b147c4fb1bb06544739",
+        "03385136423ab0803b9a1140673c78e5ac21b17c58a73a21f64ae904ef5567c9",
         EMPTY, EMPTY, RC[0]),
     "ladder-demo --scales 2 --seed 4 --out {out}": (
-        "5aef7293bcb88f088c362720267dafc543b323af1f920162ff43f4ec8ada2253",
+        "693f529371184c5f4f5fd9616a1c1cec9cfb05db82cfdb2d6ffe68e992351886",
         EMPTY, EMPTY, RC[0]),
     "ladder-demo --grid 2 --seed 0 --out {out}": (
-        "081c4c1469660918b745f3296df6152c0ccb95aa3ddfea9e6f0917c89acdadc9",
+        "f082588d5f1a17b284f1a2ccdde96a637c72e8313bc9ee4690802f6f0e75c9fb",
         EMPTY, EMPTY, RC[0]),
     "ladder-demo --scales 4 --seed 0 --out {out}": (
-        "6149b5abf6429085a2923bc7a3c807e4cc27945de20fd6eedadbada8c918f4fb",
-        EMPTY, EMPTY, RC[0]),
+        None,
+        EMPTY,
+        "f244e37517b6b8c00b66d17634ff7f18101715dbee0868972183a23766340ba3",
+        RC[3]),
+    "ladder-demo --scales 4 --seed 3 --out {out}": (
+        None,
+        EMPTY,
+        "e4ec5abc8f368baa98744e7d7b506f9da645c535e4d1a51b6670fd4160118aad",
+        RC[3]),
     "ladder-demo --scales 4 --seed 2 --out {out}": (
         None,
         EMPTY,
-        "e82bb36936562fe3add7953521eef84225c91c17424e439cae1206088b2bfc09",
+        "31ac05f42ed7a3cf3357edc57eef44df372cb5a5fb5b4eb1001945328d5edbad",
         RC[3]),
     "jump-sweep --config {sweep_low} --out {out}": (
         "ec6b104aae2592a60f5072cc3c3e9d818eb8705b1023f4c92ef4bce4cbe60f5a",
@@ -79,7 +86,7 @@ GOLDEN = {
         "fe9694651dd6f8d1a6462c9343b1f287b6f669d5ccbe429f9b81faeaeacdbb46",
         EMPTY, EMPTY, RC[0]),
     "ladder-demo --scales 2 --seed 0 --format json --out {out}": (
-        "64ddf4d6de415b0babadaa5acaedda0df633c7d8cb6f45d8479680490a86586c",
+        "33169a80b10d8fa470d600ad458ed73c1d51bb48fd6afabbc2143eda0c917cbc",
         EMPTY, EMPTY, RC[0]),
     "resum --family {violating} --jmax 5 --check-budget --out {out}": (
         "5dfc50dd03a52337a7c82319e8db7bf1f2bb33466a85ff8325d85e45610510a9",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -184,6 +185,46 @@ def test_block_step_matches_compose_on_random_spaces(small_spaces, data,
         <= 1e-13 * max(1.0, np.abs(want).max())
 
 
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), lmax=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_directed_ph_sum_is_the_undirected_series(small_spaces, data, lmax,
+                                                  seed):
+    # the identity the undirected recursion rests on: for an antisymmetric
+    # rung w, the directed ph sum 2 sum_l (-1)^l 12^(l+1) L_l(w)^ph is the
+    # series sum_l (-1)^l L_l(24 w^ph) over the undirected bubble of the
+    # same lines; w is small enough for both series to converge
+    sp = data.draw(small_spaces(True))
+    rng = np.random.default_rng(seed)
+    w = (1e-5 * BlockKernel.random(sp, rng)).antisymmetrize()
+    n = len(sp.grid)
+    av, bv = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
+              for _ in range(2))
+    dbub, ubub = (ld.BubbleProp(s, ld.line_matrix(s, av), ld.line_matrix(s, bv))
+                  for s in (sp, sp.undirected()))
+    want, _ = ld._ladder_series(w, dbub, lmax, 0.0, ph=True)
+    got, _ = ld._ladder_series(24.0 * w.reduce_ph(), ubub, lmax, 0.0)
+    assert got.space is want.space
+    assert np.abs(got.values - want.values).max() <= 1e-13 * want.max_abs()
+
+
+def test_directed_and_undirected_certificates_agree(demo_scheme):
+    # the directed ph series of an antisymmetric rung w, with its term
+    # ratio 12, and the series of 24 w^ph have one spectral radius; a rung
+    # of unit size makes both diverge, and both messages give the radius
+    w = BlockKernel.random(demo_scheme.space(3),
+                           np.random.default_rng(15)).antisymmetrize()
+    radii = []
+    for rung, directed in ((w, True), (24.0 * w.reduce_ph(), False)):
+        bub = demo_scheme.scale_bubble(3, None, directed)
+        with pytest.raises(ld.LadderDivergenceError) as exc:
+            ld._ladder_series(rung, bub, 4, 0.0, ph=directed)
+        assert bub.label in str(exc.value)
+        radii.append(float(re.search(r"radius (\S+) >= 1",
+                                     str(exc.value)).group(1)))
+    assert radii[0] == pytest.approx(radii[1], rel=1e-3)
+
+
 @settings(max_examples=6, deadline=None)
 @given(directed=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_resectorize_blocks_match_dense(scheme, directed, seed):
@@ -231,9 +272,8 @@ def test_resect_column_factors_are_row_factors(scheme, demo_scheme, directed):
 def test_ladder_zero_rung(scheme):
     sp = scheme.space(2)
     bub = ld.bubble(sp, lambda *k: 1.0, lambda *k: 1.0)
-    total, last = ld._ladder_series(BlockKernel.zeros(sp), bub, 3, 0.0,
-                                    lambda _, v: v)
-    assert not np.any(total) and not np.any(last)
+    total, last = ld._ladder_series(BlockKernel.zeros(sp), bub, 3, 0.0)
+    assert total.max_abs() == 0.0 and last.max_abs() == 0.0
 
 
 def test_ladder_inversion_symmetry_undirected(scheme):
@@ -246,8 +286,7 @@ def test_ladder_inversion_symmetry_undirected(scheme):
     assert rung.is_inversion_symmetric()
     bub = ld.bubble(und, lambda *k: 0.2 + 0.1j, lambda *k: 0.5 - 0.4j)
     # L_2: three rungs, two bubbles
-    _, vals = ld._ladder_series(rung, bub, 2, 0.0, lambda _, v: v)
-    lad = BlockKernel(rung.space, vals)
+    _, lad = ld._ladder_series(rung, bub, 2, 0.0)
     assert lad.is_inversion_symmetric()
     assert is_inversion_symmetric(lad.dense())
 
@@ -352,7 +391,8 @@ def test_ladder_sum_allocates_no_dense_kernel(scheme, family):
     n = w.space.n
 
     def ladder_sum():
-        return ld._ladder_sum_ph(w, scheme.scale_bubble(3, None), 4, 0.0)
+        return ld._ladder_series(w, scheme.scale_bubble(3, None), 4, 0.0,
+                                 ph=True)
 
     ladder_sum()  # builds the cached block tables
     tracemalloc.start()
@@ -477,51 +517,53 @@ def test_telescope_builds_each_chain_once(scheme, family, monkeypatch):
 @pytest.mark.parametrize("nscales", [2, 3])
 def test_telescope_computes_each_ladder_sum_once(params, disp, monkeypatch,
                                                  nscales):
-    # the ladder-demo telescope over s scales: no ph rung at j0, where the
-    # ladder is the zero kernel, so s - 1 ph rungs in each recursion (the
-    # compound one takes the correction sum D_j into its ph rung), and
+    # the ladder-demo telescope over s scales runs on undirected kernels
+    # only: no antisymmetrize, value_ph or directed resectorize, and
     # 3 s - 1 ladder sums, since the compound ladder takes its j0 sum from
     # the v-swap of delta_j0.  Each scale step resectorizes only from the
-    # scale before it: the rung sum W_j (directed) once, and the two
-    # ladders and D_j (undirected) once each
+    # scale before it: the rung sum W_j, the two ladders and D_j once each
     from fermi2d import cli
 
     scales_list = list(range(params.j0, params.j0 + nscales))
     scheme, fam = cli._demo_scheme_and_family(params, disp, 1, 0, scales_list)
-    calls = {"antisym": 0, "sums": 0, "directed": 0, "undirected": 0}
-    antisymmetrize, ladder_sum_ph = BlockKernel.antisymmetrize, ld._ladder_sum_ph
+    calls = {"antisym": 0, "value_ph": 0, "sums": 0, "directed": 0,
+             "undirected": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
     resectorize = ld.LadderScheme.resectorize
-
-    def counting_antisym(self):
-        calls["antisym"] += 1
-        return antisymmetrize(self)
-
-    def counting_sums(*args):
-        calls["sums"] += 1
-        return ladder_sum_ph(*args)
 
     def counting_resect(self, kern, i, j):
         if i != j:
             calls["directed" if kern.space.directed else "undirected"] += 1
         return resectorize(self, kern, i, j)
 
-    monkeypatch.setattr(BlockKernel, "antisymmetrize", counting_antisym)
-    monkeypatch.setattr(ld, "_ladder_sum_ph", counting_sums)
+    monkeypatch.setattr(BlockKernel, "antisymmetrize",
+                        counting("antisym", BlockKernel.antisymmetrize))
+    monkeypatch.setattr(BlockKernel, "value_ph",
+                        counting("value_ph", BlockKernel.value_ph))
+    monkeypatch.setattr(ld, "_ladder_series",
+                        counting("sums", ld._ladder_series))
     monkeypatch.setattr(ld.LadderScheme, "resectorize", counting_resect)
     ld.delta_ladder_telescope(scheme, scales_list[-1] + 1, fam, lmax=4,
                               ltol=0.0)
     s = nscales
-    assert calls == {"antisym": 2 * (s - 1), "sums": 3 * s - 1,
-                     "directed": s - 1, "undirected": 3 * (s - 1)}
-    assert {(i, j) for i, j, _ in scheme._resect_cache} \
-        == {(j, j + 1) for j in scales_list[:-1]}
+    assert calls == {"antisym": 0, "value_ph": 0, "sums": 3 * s - 1,
+                     "directed": 0, "undirected": 4 * (s - 1)}
+    assert set(scheme._resect_cache) \
+        == {(j, j + 1, False) for j in scales_list[:-1]}
 
 
 def test_refinement_composes_and_commutes_with_ph_rung(demo_scheme):
-    # the two identities the running sums rest on: the refinement maps
+    # the identities the running sums rest on: the refinement maps
     # compose, R(2 -> 4) = R(3 -> 4) R(2 -> 3), because the scale-3 hats
     # are a partition of unity; and R commutes with the antisymmetrized ph
-    # value, since it acts alike on every leg and keeps the bars
+    # value and with reduce_ph, since it acts alike on every leg and keeps
+    # the bars
     sch = demo_scheme
     for directed in (True, False):
         R = sch._resect_matrix(3, 4, directed) @ sch._resect_matrix(2, 3,
@@ -535,6 +577,13 @@ def test_refinement_composes_and_commutes_with_ph_rung(demo_scheme):
         sch.space(4)).antisymmetrize()
     assert np.abs(rung_then_refine.values - refine_then_rung.values).max() \
         <= 1e-15 * refine_then_rung.max_abs()
+    w = BlockKernel.random(sch.space(2), rng)
+    reduce_then_refine = sch.resectorize(w.reduce_ph(), 2, 4)
+    refine_then_reduce = sch.resectorize(w, 2, 4).reduce_ph()
+    assert reduce_then_refine.space is refine_then_reduce.space
+    assert np.abs(reduce_then_refine.values
+                  - refine_then_reduce.values).max() \
+        <= 1e-15 * refine_then_reduce.max_abs()
 
 
 def test_telescope_builds_each_bubble_once(scheme, family, monkeypatch):

@@ -29,9 +29,9 @@ KEPT = {
     # blocks: the dense form and the operations criterion 4 checks
     "blocks.BlockKernel.dense": "reference: the dense kernel every blocked "
                                 "operation is tested against",
-    "blocks.BlockKernel.flip": CRIT.format(4),
     "blocks.BlockKernel.from_dense": CRIT.format(4),
-    "blocks.BlockKernel.reduce_ph": CRIT.format(4),
+    "blocks.BlockKernel.value_ph": CRIT.format(4) + ", through the directed "
+                                   "route of compound_ladder",
     # kernels: the dense algebra
     "kernels.Kernel4.max_abs": CRIT.format(3),
     "kernels.KernelSpace.iota": CRIT.format(3),
