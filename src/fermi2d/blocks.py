@@ -5,7 +5,9 @@ PairBlocks groups the support into dense blocks, and BlockKernel holds a
 kernel as its support vector, with the dense operations of the ladder path
 as gathers: each one leg swap of the support (PairBlocks.swap) or a product
 of them (the inversion check reverses the legs by two swaps), or, between a
-directed space and its undirected partner, the reduce_ph gather.
+directed space and its undirected partner, the reduce_ph gather, or the
+antisymmetrized ph entries (antisymmetric_ph), gathered at the permuted
+legs of those entries alone (PairBlocks.index).
 
 The support depends only on a space's leg signature: its grid, its
 direction and the (field, k, spin, bar) of every leg.  Sectors do not enter
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -45,8 +47,9 @@ class PairBlocks:
     every entry.  Four n^2-entry int32 pair tables place every ordered leg
     pair: the block holding it as a row pair, the block holding it as a
     column pair (-1 if none), its position in both, and, as a row pair, the
-    support index at which its row starts.  The leg swaps and the reduce_ph
-    gather are lookups in them.
+    support index at which its row starts.  The support index of given legs
+    (index), and so the leg swaps, and the reduce_ph gather are lookups in
+    them.
     """
 
     def __init__(self, grid: MomentumGrid, directed: bool, legs: np.ndarray):
@@ -126,24 +129,33 @@ class PairBlocks:
     def span(self, t: int) -> slice:
         return slice(self.offsets[t], self.offsets[t + 1])
 
+    def legs_of(self, entries) -> Tuple[np.ndarray, ...]:
+        """The four leg indices (int32) of the support entries at entries."""
+        return tuple(leg.astype(np.int32) for leg in
+                     np.unravel_index(self.flat[entries], (self.n,) * 4))
+
+    def index(self, legs: Sequence[np.ndarray]) -> np.ndarray:
+        """Support index (int32) of the entries with the given four legs;
+        ValueError when one lies off the support.  The legs make a row pair
+        and a column pair, which the pair tables place in a block: the
+        entry lies on the support when both lie in the same block, and its
+        index is the start of the row plus the position of the column."""
+        n = self.n
+        r, c = legs[0] * n + legs[1], legs[2] * n + legs[3]
+        t = self._row_block[r]
+        if not np.all((t >= 0) & (t == self._col_block[c])):
+            raise ValueError("legs not on the support: the support is not "
+                             "closed under their permutation")
+        return self._row_start[r] + self._pos[c]
+
     def swap(self, i: int, k: int) -> np.ndarray:
-        """Gather index (int32) of values.swapaxes(i, k) on the support,
-        cached per (i, k); ValueError when the support is not closed under
-        the swap.  The swapped flat index splits into its row and column
-        pair, which the pair tables place in a block: the swap is closed
-        when both lie in the same block, and the gather is the start of
-        the row plus the position of the column."""
+        """Gather index (int32) of values.swapaxes(i, k) on the support:
+        the index of every entry's legs with legs i and k exchanged,
+        cached per (i, k)."""
         if (i, k) not in self._swaps:
-            # leg i carries the weight n^(3 - i) in the flat index
-            n = self.n
-            wi, wk = n ** (3 - i), n ** (3 - k)
-            li, lk = self.flat // wi % n, self.flat // wk % n
-            r, c = np.divmod(self.flat + (lk - li) * (wi - wk), n * n)
-            t = self._row_block[r]
-            if not np.all((t >= 0) & (t == self._col_block[c])):
-                raise ValueError(
-                    f"support not closed under the leg swap ({i}, {k})")
-            self._swaps[i, k] = self._row_start[r] + self._pos[c]
+            legs = list(self.legs_of(slice(None)))
+            legs[i], legs[k] = legs[k], legs[i]
+            self._swaps[i, k] = self.index(legs)
         return self._swaps[i, k]
 
     @cached_property
@@ -254,6 +266,30 @@ class BlockKernel:
                 acc -= out[pb.swap(i, k)]
             out = acc
         return BlockKernel(self.space, out / 24.0)
+
+    def antisymmetric_ph(self) -> "BlockKernel":
+        """antisymmetrize().reduce_ph(), bit for bit, without the directed
+        kernel: the same coset product, evaluated only at the entries that
+        reduce_ph reads.  Each of its 24 leaves is a gather of values at
+        those entries' legs, permuted (PairBlocks.index), so no directed
+        swap table is built."""
+        pb = self.space.pair_blocks
+        legs = pb.legs_of(pb.ph_gather)
+
+        def out(k, perm):
+            # stage k of antisymmetrize at the ph entries' legs, permuted:
+            # leg m of the entry read is leg perm[m] of the ph entry
+            if k == 0:
+                return self.values[pb.index([legs[m] for m in perm])]
+            acc = out(k - 1, perm)
+            for i in range(k):
+                swapped = list(perm)
+                swapped[i], swapped[k] = perm[k], perm[i]
+                acc -= out(k - 1, swapped)
+            return acc
+
+        return BlockKernel(self.space.undirected(),
+                           out(3, list(range(4))) / 24.0)
 
     def is_inversion_symmetric(self, tol: float = 1e-12) -> bool:
         """kernels.is_inversion_symmetric: the reversal of the four legs is

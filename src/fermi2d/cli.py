@@ -123,6 +123,8 @@ def run_jump_sweep(args) -> int:
         sc = sections.get("scenario", {})
         disp = make_model(model_name)
         lam = float(sc.get("lambda", "0.2"))
+        if not math.isfinite(lam):
+            raise ValueError(f"lambda must be finite, got {lam}")
         gname = sc.get("gprofile", "constant")
         npoints = int(sc.get("npoints", "16"))
         if npoints < 1:
@@ -157,7 +159,8 @@ def run_jump_sweep(args) -> int:
 def _demo_scheme_and_family(params, disp, gridn: int, seed: int, scales_list):
     """Small momentum grid with one live shell-overlap radius per processed
     scale (so every scale's bubble lines are nonzero), shared angles to
-    keep the admissible sector count small, and a random rung family."""
+    keep the admissible sector count small, and a random rung family: the
+    ph rungs of antisymmetrized directed draws."""
     from . import ladders as ld
     from . import selfenergy as se
     from .blocks import BlockKernel
@@ -184,7 +187,7 @@ def _demo_scheme_and_family(params, disp, gridn: int, seed: int, scales_list):
     fam = ld.LadderFamily(F={}, p={})
     for i in scales_list:
         sp = scheme.space(i)
-        fam.F[i] = (1e-5 * BlockKernel.random(sp, rng)).antisymmetrize()
+        fam.F[i] = (1e-5 * BlockKernel.random(sp, rng)).antisymmetric_ph()
     pfam = se.linear_p_family(params, imin=params.j0,
                               imax=scales_list[-1] + 1, amp0=5e-3)
     fam.p = pfam.p

@@ -23,9 +23,11 @@ the series of 24 w^ph over the undirected bubble, and the ph rung of a
 ladder L is (L + L^f) / 24.  So iterated_ladder, ladder_closed_form and
 delta_ladder_telescope share one undirected recursion (_ph_ladders): a
 telescope over s scales makes 3 s - 1 ladder sums, 4 (s - 1)
-resectorizations and no directed kernel operation.  compound_ladder keeps
-the directed route (value_ph, antisymmetrize, the directed ph chain) as the
-independent computation that the closed form is checked against.
+resectorizations and no directed kernel operation.  The rung family holds
+the ph rungs themselves (LadderFamily), so a whole ladder-demo run makes
+none either.  compound_ladder keeps the directed route (value_ph,
+antisymmetrize, the directed ph chain) as the independent computation that
+the closed form is checked against.
 """
 from __future__ import annotations
 
@@ -331,8 +333,14 @@ def build_scheme(params, disp, grid: MomentumGrid, scales_needed,
 
 @dataclass
 class LadderFamily:
-    """Rung family F^(i) (directed kernels on the support at their native
-    scales) and counterterm momentum functions p^(i)."""
+    """Rung family and counterterm momentum functions p^(i).
+
+    F holds the ph rungs (F^(i))^ph, undirected kernels on the support at
+    their native scales: the particle-hole ladders read an antisymmetric
+    rung only there, so ladder-demo draws each directed rung and keeps
+    BlockKernel.antisymmetric_ph of it, and its whole run makes no directed
+    kernel operation.  A directed antisymmetric rung F^(i) is accepted too
+    and read through reduce_ph (_rung_sums)."""
 
     F: Dict[int, BlockKernel]
     p: Dict[int, Callable]
@@ -355,16 +363,19 @@ class LadderFamily:
 
 def _rung_sums(scheme: LadderScheme, jtop: int,
                family_F: Dict[int, BlockKernel]) -> Dict[int, BlockKernel]:
-    """W_j = sum_{i <= j} (F^(i))^ph, each rung ph-reduced and refined to
-    scale j, for j0 <= j < jtop, by the running sum
+    """W_j = sum_{i <= j} (F^(i))^ph, each ph rung refined to scale j, for
+    j0 <= j < jtop, by the running sum
     W_j = R(j-1 -> j) W_(j-1) + (F^(j))^ph: the refinement maps compose and
-    commute with reduce_ph, so each step resectorizes only W_(j-1)."""
+    commute with reduce_ph, so each step resectorizes only W_(j-1).  A
+    directed rung in family_F enters through reduce_ph, an undirected one
+    as it is."""
     j0 = scheme.scales.params.j0
     W, w = {}, BlockKernel.zeros(scheme.space(j0, directed=False))
     for j in range(j0, jtop):
         w = scheme.resectorize(w, max(j0, j - 1), j)
         if j in family_F:
-            w = w + family_F[j].reduce_ph()
+            f = family_F[j]
+            w = w + (f.reduce_ph() if f.space.directed else f)
         W[j] = w
     return W
 

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from fermi2d import cli
 from fermi2d import ladders as ld
 from fermi2d import selfenergy as se
+from fermi2d.blocks import BlockKernel, PairBlocks
 from fermi2d.config import ScaleParams
 from fermi2d.kernels import EXT
 from fermi2d.scales import make_model
@@ -111,7 +113,7 @@ def test_jump_sweep_bad_config(tmp_path):
     "npoints = 4\nlambda = 0.2\ntol = nan\n",
     "npoints = 4\nlambda = 0.2\ntol = 0\n",
     "npoints = 4\nlambda = 0.2\ntol = inf\n",
-    # a non-finite S fails every bound check of SelfEnergyModel.validate
+    # a non-finite lambda, rejected in the scenario parse
     "npoints = 4\nlambda = nan\ngprofile = constant\n",
     "npoints = 4\nlambda = inf\ngprofile = constant\n",
 ], ids=["lambda-0.9", "lambda-1.0", "npoints-0", "tol-nan", "tol-0",
@@ -125,6 +127,26 @@ def test_jump_sweep_rejects_bad_scenario(tmp_path, capsys, scenario):
     diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert diag["scenario"] == "jump-sweep"
     assert diag["error"] == "config"
+
+
+@pytest.mark.parametrize("lam", ["inf", "nan"])
+def test_jump_sweep_non_finite_lambda_is_one_config_line(tmp_path, capsys,
+                                                         lam):
+    # rejected with tol in the scenario parse, before the self-energy is
+    # built: no numpy warning, and stderr is the diagnostic alone
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[scenario]\nnpoints = 4\nlambda = {lam}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["jump-sweep", "--config", str(cfg),
+                       "--out", str(tmp_path / "x.csv")])
+    assert rc == cli.EXIT_CONFIG
+    assert caught == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert (diag["scenario"], diag["error"]) == ("jump-sweep", "config")
+    assert "lambda" in diag["detail"]
 
 
 @pytest.mark.parametrize("text, named", [
@@ -235,7 +257,12 @@ def test_demo_family_allocates_no_dense_kernel():
     # the ladder-demo rungs are drawn on the support: building the scheme
     # and the family of --scales 3 peaks below one dense kernel of its
     # largest space (at --scales 2 the cached gather tables of the spaces
-    # alone come close to that bound, n being only 32)
+    # alone come close to that bound, n being only 32).  The family keeps
+    # only the ph rungs, built without a directed antisymmetric kernel or
+    # swap table, so the build peaks below 110 bytes per directed support
+    # entry (~92; the draw alone takes 48 at its height); a directed
+    # antisymmetrize of each draw, with its copies and six int32 swap
+    # tables, takes it to ~134
     params, disp = ScaleParams(), make_model("quadratic")
     tracemalloc.start()
     try:
@@ -245,8 +272,33 @@ def test_demo_family_allocates_no_dense_kernel():
     finally:
         tracemalloc.stop()
     assert sorted(fam.F) == [2, 3, 4]
+    assert all(f.space is scheme.space(j, directed=False)
+               for j, f in fam.F.items())
     n = scheme.space(4).n
     assert peak < n ** 4 * 16
+    assert peak < 110 * scheme.space(4).pair_blocks.size
+
+
+def test_ladder_demo_makes_no_directed_kernel_operation(tmp_path,
+                                                        monkeypatch):
+    # a whole ladder-demo run, family build included, calls no
+    # antisymmetrize and builds no swap table of a directed support
+    built = []
+    init = PairBlocks.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(PairBlocks, "__init__", recording)
+    monkeypatch.setattr(BlockKernel, "antisymmetrize",
+                        lambda self: pytest.fail("antisymmetrize called"))
+    rc = cli.main(["ladder-demo", "--grid", "2", "--scales", "3",
+                   "--out", str(tmp_path / "ladder.csv")])
+    assert rc == 0
+    directed = [pb for pb in built if pb.directed]
+    assert len(directed) == 1
+    assert directed[0]._swaps == {}
 
 
 def test_norm_budget_cli(tmp_path, family_files):

@@ -27,9 +27,15 @@ ITEM = "ROADMAP item {}"
 # qualified name (module.function or module.Class.method) -> reason
 KEPT = {
     # blocks: the dense form and the operations criterion 4 checks
+    "blocks.BlockKernel.antisymmetrize": CRIT.format(4) + ", through "
+                                         "compound_ladder; reference for "
+                                         "antisymmetric_ph",
     "blocks.BlockKernel.dense": "reference: the dense kernel every blocked "
                                 "operation is tested against",
     "blocks.BlockKernel.from_dense": CRIT.format(4),
+    "blocks.BlockKernel.reduce_ph": CRIT.format(4) + ", through the directed "
+                                    "rungs of ladder_closed_form; reference "
+                                    "for antisymmetric_ph",
     "blocks.BlockKernel.value_ph": CRIT.format(4) + ", through the directed "
                                    "route of compound_ladder",
     # kernels: the dense algebra
