@@ -4,10 +4,12 @@ The ladder path keeps its kernels here instead of in dense n^4 arrays:
 PairBlocks groups the support into dense blocks, and BlockKernel holds a
 kernel as its support vector, with the dense operations of the ladder path
 as gathers: each one leg swap of the support (PairBlocks.swap) or a product
-of them (the inversion check reverses the legs by two swaps), or, between a
-directed space and its undirected partner, the reduce_ph gather, or the
-antisymmetrized ph entries (antisymmetric_ph), gathered at the permuted
-legs of those entries alone (PairBlocks.index).
+of them (the inversion check reverses the legs by two swaps, and
+ph_antisymmetric projects an undirected kernel onto the ph entries of
+antisymmetric kernels by the two swaps that keep their bars), or, between
+a directed space and its undirected partner, the reduce_ph gather.
+BlockKernel.random draws a kernel on the support from the standard
+library's random.Random, so its values do not depend on numpy.
 
 The support depends only on a space's leg signature: its grid, its
 direction and the (field, k, spin, bar) of every leg.  Sectors do not enter
@@ -17,9 +19,10 @@ cached gathers; the grid keeps one instance per signature.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -47,9 +50,8 @@ class PairBlocks:
     every entry.  Four n^2-entry int32 pair tables place every ordered leg
     pair: the block holding it as a row pair, the block holding it as a
     column pair (-1 if none), its position in both, and, as a row pair, the
-    support index at which its row starts.  The support index of given legs
-    (index), and so the leg swaps, and the reduce_ph gather are lookups in
-    them.
+    support index at which its row starts.  The leg swaps and the reduce_ph
+    gather are lookups in them.
     """
 
     def __init__(self, grid: MomentumGrid, directed: bool, legs: np.ndarray):
@@ -129,33 +131,25 @@ class PairBlocks:
     def span(self, t: int) -> slice:
         return slice(self.offsets[t], self.offsets[t + 1])
 
-    def legs_of(self, entries) -> Tuple[np.ndarray, ...]:
-        """The four leg indices (int32) of the support entries at entries."""
-        return tuple(leg.astype(np.int32) for leg in
-                     np.unravel_index(self.flat[entries], (self.n,) * 4))
-
-    def index(self, legs: Sequence[np.ndarray]) -> np.ndarray:
-        """Support index (int32) of the entries with the given four legs;
-        ValueError when one lies off the support.  The legs make a row pair
-        and a column pair, which the pair tables place in a block: the
-        entry lies on the support when both lie in the same block, and its
-        index is the start of the row plus the position of the column."""
-        n = self.n
-        r, c = legs[0] * n + legs[1], legs[2] * n + legs[3]
-        t = self._row_block[r]
-        if not np.all((t >= 0) & (t == self._col_block[c])):
-            raise ValueError("legs not on the support: the support is not "
-                             "closed under their permutation")
-        return self._row_start[r] + self._pos[c]
-
     def swap(self, i: int, k: int) -> np.ndarray:
-        """Gather index (int32) of values.swapaxes(i, k) on the support:
-        the index of every entry's legs with legs i and k exchanged,
-        cached per (i, k)."""
+        """Gather index (int32) of values.swapaxes(i, k) on the support,
+        cached per (i, k); ValueError when the support is not closed under
+        the swap.  Every entry's legs, with legs i and k exchanged, make a
+        row pair and a column pair, which the pair tables place in a block:
+        the swapped entry lies on the support when both lie in the same
+        block, and its index is the start of the row plus the position of
+        the column."""
         if (i, k) not in self._swaps:
-            legs = list(self.legs_of(slice(None)))
+            n = self.n
+            legs = [leg.astype(np.int32)
+                    for leg in np.unravel_index(self.flat, (n,) * 4)]
             legs[i], legs[k] = legs[k], legs[i]
-            self._swaps[i, k] = self.index(legs)
+            r, c = legs[0] * n + legs[1], legs[2] * n + legs[3]
+            t = self._row_block[r]
+            if not np.all((t >= 0) & (t == self._col_block[c])):
+                raise ValueError("legs not on the support: the support is "
+                                 "not closed under their permutation")
+            self._swaps[i, k] = self._row_start[r] + self._pos[c]
         return self._swaps[i, k]
 
     @cached_property
@@ -222,13 +216,21 @@ class BlockKernel:
 
     @classmethod
     def random(cls, space: KernelSpace, rng) -> "BlockKernel":
-        """A random kernel on the support: one standard normal draw per
-        support entry for the real parts, then one for the imaginary parts
-        (not the stream of kernels.random_kernel, which draws all n^4
-        entries)."""
+        """A random kernel on the support from a random.Random: one
+        rng.randbytes(16 * size) call, whose first 8 * size bytes give the
+        real parts and the rest the imaginary parts.  Each value is the top
+        53 bits of a little-endian uint64, mapped exactly onto [-1, 1) and
+        scaled by sqrt(3): uniform on [-sqrt(3), sqrt(3)), mean 0 and
+        variance 1, the same on every platform and numpy version."""
         size = space.pair_blocks.size
-        re = rng.standard_normal(size)
-        return cls(space, re + 1j * rng.standard_normal(size))
+        x = (np.frombuffer(rng.randbytes(16 * size), dtype="<u8")
+             >> np.uint64(11)).astype(float)
+        x *= 2.0 ** -52
+        x -= 1.0
+        x *= math.sqrt(3.0)
+        values = np.empty(size, dtype=complex)
+        values.real, values.imag = x[:size], x[size:]
+        return cls(space, values)
 
     def dense(self) -> Kernel4:
         out = zero_kernel(self.space)
@@ -267,29 +269,17 @@ class BlockKernel:
             out = acc
         return BlockKernel(self.space, out / 24.0)
 
-    def antisymmetric_ph(self) -> "BlockKernel":
-        """antisymmetrize().reduce_ph(), bit for bit, without the directed
-        kernel: the same coset product, evaluated only at the entries that
-        reduce_ph reads.  Each of its 24 leaves is a gather of values at
-        those entries' legs, permuted (PairBlocks.index), so no directed
-        swap table is built."""
+    def ph_antisymmetric(self) -> "BlockKernel":
+        """Onto the ph entries of antisymmetric kernels, on an undirected
+        space: the signed average over the leg swaps (0, 3) and (1, 2), the
+        stabilizer of the ph bar pattern (0, 1, 1, 0).  It is idempotent,
+        it fixes reduce_ph of every antisymmetric directed kernel, and its
+        output r is the ph rung of one:
+        r = (1.5 * r.value_ph(directed).antisymmetrize()).reduce_ph()."""
         pb = self.space.pair_blocks
-        legs = pb.legs_of(pb.ph_gather)
-
-        def out(k, perm):
-            # stage k of antisymmetrize at the ph entries' legs, permuted:
-            # leg m of the entry read is leg perm[m] of the ph entry
-            if k == 0:
-                return self.values[pb.index([legs[m] for m in perm])]
-            acc = out(k - 1, perm)
-            for i in range(k):
-                swapped = list(perm)
-                swapped[i], swapped[k] = perm[k], perm[i]
-                acc -= out(k - 1, swapped)
-            return acc
-
-        return BlockKernel(self.space.undirected(),
-                           out(3, list(range(4))) / 24.0)
+        v = self.values - self.values[pb.swap(0, 3)]
+        v -= v[pb.swap(1, 2)]
+        return BlockKernel(self.space, v / 4.0)
 
     def is_inversion_symmetric(self, tol: float = 1e-12) -> bool:
         """kernels.is_inversion_symmetric: the reversal of the four legs is

@@ -96,6 +96,15 @@ def _write_out(kind: str, path: str, text: str) -> bool:
     return True
 
 
+def _seed(text: str) -> int:
+    """The --seed option as an int >= 0; ValueError otherwise (a negative
+    seed would not be rejected by random.Random, which takes -1 as 1)."""
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+    return seed
+
+
 # ---------------------------------------------------------------------------
 # g profiles for the jump sweep
 
@@ -159,15 +168,20 @@ def run_jump_sweep(args) -> int:
 def _demo_scheme_and_family(params, disp, gridn: int, seed: int, scales_list):
     """Small momentum grid with one live shell-overlap radius per processed
     scale (so every scale's bubble lines are nonzero), shared angles to
-    keep the admissible sector count small, and a random rung family: the
-    ph rungs of antisymmetrized directed draws."""
+    keep the admissible sector count small, and a random rung family: per
+    scale, one draw on the undirected support from the stdlib
+    random.Random(seed) (BlockKernel.random), scaled by 1e-5 / sqrt(6) and
+    projected onto the ph entries of antisymmetric kernels
+    (ph_antisymmetric).  Per ph entry that has the mean and covariance of
+    the ph entries of 1e-5 times an antisymmetrized directed draw, and it
+    builds no directed support and loads no numpy.random."""
     from . import ladders as ld
     from . import selfenergy as se
     from .blocks import BlockKernel
     from .kernels import make_grid
     from .sectors import build_fermi_curve
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     curve = build_fermi_curve(disp)
     pts = []
     for g in range(gridn):
@@ -186,8 +200,9 @@ def _demo_scheme_and_family(params, disp, gridn: int, seed: int, scales_list):
                              sector_lengths=lengths)
     fam = ld.LadderFamily(F={}, p={})
     for i in scales_list:
-        sp = scheme.space(i)
-        fam.F[i] = (1e-5 * BlockKernel.random(sp, rng)).antisymmetric_ph()
+        und = scheme.space(i, directed=False)
+        fam.F[i] = (1e-5 / math.sqrt(6.0)
+                    * BlockKernel.random(und, rng)).ph_antisymmetric()
     pfam = se.linear_p_family(params, imin=params.j0,
                               imax=scales_list[-1] + 1, amp0=5e-3)
     fam.p = pfam.p
@@ -224,7 +239,7 @@ def run_ladder_demo(args) -> int:
         jtop = params.j0 + nscales
         scales_list = list(range(params.j0, jtop))
         scheme, fam = _demo_scheme_and_family(params, disp, gridn,
-                                              int(args.seed), scales_list)
+                                              _seed(args.seed), scales_list)
     except ValueError as exc:
         _diag("ladder-demo", "config", str(exc))
         return EXIT_CONFIG
@@ -316,10 +331,7 @@ def run_resum(args) -> int:
         nsamples = int(args.nsamples)
         if nsamples < 1:
             raise ValueError(f"--nsamples must be >= 1, got {nsamples}")
-        seed = int(args.seed)
-        # random.Random would take -1 as the seed 1
-        if seed < 0:
-            raise ValueError(f"--seed must be >= 0, got {seed}")
+        seed = _seed(args.seed)
     except ValueError as exc:
         _diag("resum", "config", str(exc))
         return EXIT_CONFIG

@@ -25,9 +25,9 @@ delta_ladder_telescope share one undirected recursion (_ph_ladders): a
 telescope over s scales makes 3 s - 1 ladder sums, 4 (s - 1)
 resectorizations and no directed kernel operation.  The rung family holds
 the ph rungs themselves (LadderFamily), so a whole ladder-demo run makes
-none either.  compound_ladder keeps the directed route (value_ph,
-antisymmetrize, the directed ph chain) as the independent computation that
-the closed form is checked against.
+none either and builds no directed support.  compound_ladder keeps the
+directed route (value_ph, antisymmetrize, the directed ph chain) as the
+independent computation that the closed form is checked against.
 """
 from __future__ import annotations
 
@@ -337,10 +337,11 @@ class LadderFamily:
 
     F holds the ph rungs (F^(i))^ph, undirected kernels on the support at
     their native scales: the particle-hole ladders read an antisymmetric
-    rung only there, so ladder-demo draws each directed rung and keeps
-    BlockKernel.antisymmetric_ph of it, and its whole run makes no directed
-    kernel operation.  A directed antisymmetric rung F^(i) is accepted too
-    and read through reduce_ph (_rung_sums)."""
+    rung only there, so ladder-demo draws each rung on the undirected
+    support and projects it onto the ph entries of antisymmetric kernels
+    (BlockKernel.ph_antisymmetric), and its whole run builds no directed
+    support.  A directed antisymmetric rung F^(i) is accepted too and read
+    through reduce_ph (_rung_sums)."""
 
     F: Dict[int, BlockKernel]
     p: Dict[int, Callable]

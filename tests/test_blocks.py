@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 import re
 import tracemalloc
 
@@ -163,20 +165,39 @@ def test_block_operations_match_dense(small_spaces, data, seed):
 
 @settings(max_examples=12, deadline=None)
 @given(data=st.data(), gridn=st.integers(1, 2), nscales=st.integers(2, 3),
-       antisym=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_antisymmetric_ph_is_antisymmetrize_then_reduce_ph(
-        demo_schemes, data, gridn, nscales, antisym, seed):
-    # the coset product evaluated at the ph entries alone equals the whole
-    # directed product, reduced, bit for bit, on any directed kernel of a
-    # demo scheme, antisymmetric or not
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_ph_antisymmetric_is_a_projection_onto_ph_rungs(demo_schemes, data,
+                                                       gridn, nscales, seed):
+    # on any undirected kernel of a demo scheme the projection is
+    # idempotent, bit for bit, and its output r is the ph rung of an
+    # antisymmetric directed kernel: reduce_ph of 1.5 times the
+    # antisymmetrized value_ph of r gives r back
     scheme = demo_schemes(gridn, nscales)
     j = data.draw(st.sampled_from(sorted(scheme.dir_spaces)))
-    f = BlockKernel.random(scheme.space(j), np.random.default_rng(seed))
-    if antisym:
-        f = f.antisymmetrize()
-    got, want = f.antisymmetric_ph(), f.antisymmetrize().reduce_ph()
-    assert got.space is want.space is scheme.space(j, directed=False)
-    assert np.array_equal(got.values, want.values)
+    und = scheme.space(j, directed=False)
+    r = BlockKernel.random(und, random.Random(seed)).ph_antisymmetric()
+    assert r.space is und
+    assert np.array_equal(r.ph_antisymmetric().values, r.values)
+    back = (1.5 * r.value_ph(scheme.space(j)).antisymmetrize()).reduce_ph()
+    assert back.space is und
+    assert np.abs(back.values - r.values).max() <= 1e-15 * r.max_abs()
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), gridn=st.integers(1, 2), nscales=st.integers(2, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_ph_antisymmetric_fixes_ph_entries_of_antisymmetric_kernels(
+        demo_schemes, data, gridn, nscales, seed):
+    # the ph entries of an antisymmetrized directed kernel already change
+    # sign under the leg swaps (0, 3) and (1, 2), so the projection keeps
+    # them
+    scheme = demo_schemes(gridn, nscales)
+    j = data.draw(st.sampled_from(sorted(scheme.dir_spaces)))
+    f = BlockKernel.random(scheme.space(j), random.Random(seed))
+    ph = f.antisymmetrize().reduce_ph()
+    got = ph.ph_antisymmetric()
+    assert got.space is ph.space
+    assert np.abs(got.values - ph.values).max() <= 1e-15 * ph.max_abs()
 
 
 def test_antisymmetrize_rejects_an_undirected_space():
@@ -195,7 +216,7 @@ def test_block_operations_keep_no_build_tables(params, disp):
     # leg-index table of their build stays cached
     scheme = cli._demo_scheme_and_family(params, disp, 1, 0, [2, 3])[0]
     sp = scheme.space(2)
-    f = BlockKernel.random(sp, np.random.default_rng(0)).antisymmetrize()
+    f = BlockKernel.random(sp, random.Random(0)).antisymmetrize()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -239,7 +260,7 @@ def test_swaps_match_swapaxes(small_spaces, data, directed, seed):
     sp = data.draw(small_spaces(directed))
     pb = sp.pair_blocks
     mask = conservation_mask(sp) & number_conserving_mask(sp)
-    f = BlockKernel.random(sp, np.random.default_rng(seed))
+    f = BlockKernel.random(sp, random.Random(seed))
     dense = f.dense().values
     for i, k in itertools.combinations(range(4), 2):
         if np.array_equal(mask.swapaxes(i, k), mask):
@@ -271,19 +292,26 @@ def test_unresolvable_momentum_sums_rejected():
 @given(data=st.data(), directed=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_random_draws_on_the_support(small_spaces, data, directed, seed):
-    # one standard_normal(size) draw for the real parts, then one for the
-    # imaginary parts, with the rng left where those two draws leave it;
-    # the values lie on the support, and on directed spaces the blocked
-    # antisymmetrize equals the dense one
+    # one randbytes(16 * size) call, with the rng left where that call
+    # leaves it: the top 53 bits of each little-endian uint64, the real
+    # parts first, mapped onto [-sqrt(3), sqrt(3)); the same seed gives the
+    # same values, they lie on the support, and on directed spaces the
+    # blocked antisymmetrize equals the dense one
     sp = data.draw(small_spaces(directed))
     size = sp.pair_blocks.size
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
     got = BlockKernel.random(sp, rng)
-    again = BlockKernel.random(sp, np.random.default_rng(seed))
+    again = BlockKernel.random(sp, random.Random(seed))
     assert np.array_equal(got.values, again.values)
-    re = ref_rng.standard_normal(size)
-    assert np.array_equal(got.values, re + 1j * ref_rng.standard_normal(size))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    raw = ref_rng.randbytes(16 * size)
+    assert rng.getstate() == ref_rng.getstate()
+    x = [(int.from_bytes(raw[8 * m:8 * m + 8], "little") >> 11) / 2 ** 52 - 1
+         for m in range(2 * size)]
+    want = [complex(math.sqrt(3) * a, math.sqrt(3) * b)
+            for a, b in zip(x[:size], x[size:])]
+    assert got.values.tolist() == want
+    for part in (got.values.real, got.values.imag):
+        assert np.all((-math.sqrt(3) <= part) & (part < math.sqrt(3)))
     dense = got.dense()
     assert np.array_equal(BlockKernel.from_dense(dense).values, got.values)
     if directed:

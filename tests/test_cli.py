@@ -202,12 +202,25 @@ def test_ladder_demo_rejects_bad_grid(tmp_path, capsys, grid):
     assert "--grid" in diag["detail"]
 
 
-def test_ladder_demo_divergence_exits_3(tmp_path, capsys):
-    # at --scales 4, seed 2, the ladder series of scale 5 has spectral
-    # radius >= 1: its LadderDivergenceError becomes a tolerance failure
-    # naming the bubble
+@pytest.mark.parametrize("seed", ["-1", "abc"])
+def test_ladder_demo_rejects_bad_seed(tmp_path, capsys, seed):
+    # random.Random would take -1 as the seed 1: a negative seed is a
+    # config error, as a seed that is no integer is
     out = tmp_path / "ladder.csv"
-    rc = cli.main(["ladder-demo", "--scales", "4", "--seed", "2",
+    rc = cli.main(["ladder-demo", "--seed", seed, "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["scenario"] == "ladder-demo"
+    assert diag["error"] == "config"
+    assert not out.exists()
+
+
+def test_ladder_demo_divergence_exits_3(tmp_path, capsys):
+    # at --scales 4, seed 7, the ladder series of scale 5 has spectral
+    # radius 1.64 >= 1: its LadderDivergenceError becomes a tolerance
+    # failure naming the bubble
+    out = tmp_path / "ladder.csv"
+    rc = cli.main(["ladder-demo", "--scales", "4", "--seed", "7",
                    "--out", str(out)])
     assert rc == cli.EXIT_TOLERANCE
     diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -254,15 +267,11 @@ def test_ladder_demo_rows_match_dense_block(params, disp, scales, grid, seed):
 
 
 def test_demo_family_allocates_no_dense_kernel():
-    # the ladder-demo rungs are drawn on the support: building the scheme
-    # and the family of --scales 3 peaks below one dense kernel of its
-    # largest space (at --scales 2 the cached gather tables of the spaces
-    # alone come close to that bound, n being only 32).  The family keeps
-    # only the ph rungs, built without a directed antisymmetric kernel or
-    # swap table, so the build peaks below 110 bytes per directed support
-    # entry (~92; the draw alone takes 48 at its height); a directed
-    # antisymmetrize of each draw, with its copies and six int32 swap
-    # tables, takes it to ~134
+    # the ladder-demo rungs are drawn on the undirected support and
+    # projected there: building the scheme and the family of --scales 3
+    # peaks below one dense kernel of its largest space, and below 40
+    # bytes per directed support entry (~17; a draw on the directed
+    # support, reduced to its antisymmetrized ph entries, took ~87)
     params, disp = ScaleParams(), make_model("quadratic")
     tracemalloc.start()
     try:
@@ -276,13 +285,13 @@ def test_demo_family_allocates_no_dense_kernel():
                for j, f in fam.F.items())
     n = scheme.space(4).n
     assert peak < n ** 4 * 16
-    assert peak < 110 * scheme.space(4).pair_blocks.size
+    assert peak < 40 * scheme.space(4).pair_blocks.size
 
 
 def test_ladder_demo_makes_no_directed_kernel_operation(tmp_path,
                                                         monkeypatch):
     # a whole ladder-demo run, family build included, calls no
-    # antisymmetrize and builds no swap table of a directed support
+    # antisymmetrize and builds no directed support
     built = []
     init = PairBlocks.__init__
 
@@ -296,9 +305,7 @@ def test_ladder_demo_makes_no_directed_kernel_operation(tmp_path,
     rc = cli.main(["ladder-demo", "--grid", "2", "--scales", "3",
                    "--out", str(tmp_path / "ladder.csv")])
     assert rc == 0
-    directed = [pb for pb in built if pb.directed]
-    assert len(directed) == 1
-    assert directed[0]._swaps == {}
+    assert built and not any(pb.directed for pb in built)
 
 
 def test_norm_budget_cli(tmp_path, family_files):
@@ -602,31 +609,28 @@ def _run_fresh(code: str, blas_threads) -> str:
 
 # the fermi2d modules each subcommand loads besides the package, cli and
 # config: only the layers on its own path (hoelder-check takes its pair
-# bases from scales.rd_points); and whether it loads numpy.random (with
-# secrets, which numpy.random imports): only ladder-demo does, as its rungs
-# are numpy's seeded draws.  The hypothesis checks of jump-sweep and
-# norm-budget and the Hoelder pairs sample R_d points, and resum draws its
-# sample momenta from the stdlib random.Random
+# bases from scales.rd_points).  No subcommand loads numpy.random (nor
+# secrets, which numpy.random imports): the hypothesis checks of
+# jump-sweep and norm-budget and the Hoelder pairs sample R_d points, and
+# resum and ladder-demo draw from the stdlib random.Random
 FAMILY_LAYERS = {"scales", "selfenergy"}
 SUBCOMMAND_LAYERS = [
     (["jump-sweep", "--config", "{sweep}", "--out", "{out}"],
-     {"scales", "occupation"}, False),
+     {"scales", "occupation"}),
     # --scales 2 reaches the resectorization
     (["ladder-demo", "--scales", "2", "--out", "{out}"],
-     {"blocks", "kernels", "ladders", "scales", "sectors", "selfenergy"},
-     True),
-    (["norm-budget", "--family", "{good}", "--jmax", "4"], FAMILY_LAYERS,
-     False),
+     {"blocks", "kernels", "ladders", "scales", "sectors", "selfenergy"}),
+    (["norm-budget", "--family", "{good}", "--jmax", "4"], FAMILY_LAYERS),
     (["resum", "--family", "{bad}", "--jmax", "4", "--nsamples", "2",
-      "--check-budget"], FAMILY_LAYERS, False),
+      "--check-budget"], FAMILY_LAYERS),
     (["hoelder-check", "--alpha", "1", "--beta", "1", "--c0", "1", "--c1",
-      "1", "--m", "2", "--out", "{out}"], {"hoelder", "scales"}, False),
+      "1", "--m", "2", "--out", "{out}"], {"hoelder", "scales"}),
 ]
 
 
-@pytest.mark.parametrize("argv, layers, rng", SUBCOMMAND_LAYERS,
-                         ids=[argv[0] for argv, _, _ in SUBCOMMAND_LAYERS])
-def test_subcommand_loads_no_scipy(tmp_path, family_files, argv, layers, rng):
+@pytest.mark.parametrize("argv, layers", SUBCOMMAND_LAYERS,
+                         ids=[argv[0] for argv, _ in SUBCOMMAND_LAYERS])
+def test_subcommand_loads_no_scipy(tmp_path, family_files, argv, layers):
     # a fresh interpreter: sys.modules shows every module the subcommand
     # imported, a scipy import anywhere on its path included, and
     # /proc/self/task its threads: one, BLAS included
@@ -647,7 +651,7 @@ def test_subcommand_loads_no_scipy(tmp_path, family_files, argv, layers, rng):
         assert threads == 1
     assert [m for m in mods if m.split(".")[0] == "scipy"] == []
     assert "numpy.ma" not in mods
-    assert ("numpy.random" in mods, "secrets" in mods) == (rng, rng)
+    assert "numpy.random" not in mods and "secrets" not in mods
     assert {m for m in mods if m.split(".")[0] == "fermi2d"} \
         == {"fermi2d", "fermi2d.cli", "fermi2d.config"} \
         | {"fermi2d." + m for m in layers}

@@ -36,37 +36,36 @@ RC = {0: "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
 # --scale 3 copy
 GOLDEN = {
     "ladder-demo --scales 2 --seed 0 --out {out}": (
-        "5ba05e02745392de0742fd14b6290a8e3b362f188ffbfbd38fe444eae587c911",
+        "d4244bcbefe934edbd5bbe6719967dcb6dad41e1b6ed88b0cb8eaf6f43c63c9d",
         EMPTY, EMPTY, RC[0]),
     "ladder-demo --scales 2 --seed 1 --out {out}": (
-        "b9e411ab233f460ccc552d8b2a9dead7cad6622d7370cf8eaeb3d3c124a5aacf",
+        "60fe1e2ba9011904725275f56792bdf5a66ae5f735ef0aa912337aae0c8fdcd2",
         EMPTY, EMPTY, RC[0]),
     "ladder-demo --scales 2 --seed 2 --out {out}": (
-        "b90451eac4c88e2be0eba116974c6937e198fa4a372cd8eb5bb40a7d4ff1038c",
+        "0b1929769b012d4cda6b279f117174aefbbc099f6ecfdfb2761d119ee3b7cd9e",
         EMPTY, EMPTY, RC[0]),
     "ladder-demo --scales 2 --seed 3 --out {out}": (
-        "03385136423ab0803b9a1140673c78e5ac21b17c58a73a21f64ae904ef5567c9",
+        "debab6b3e3ea8a2edde9d1f745610152abba4d32788967286ea71cdd86c9a528",
         EMPTY, EMPTY, RC[0]),
     "ladder-demo --scales 2 --seed 4 --out {out}": (
-        "693f529371184c5f4f5fd9616a1c1cec9cfb05db82cfdb2d6ffe68e992351886",
+        "469346b9e3f13b47e740ed728f053a3e3533e78a036cb24cfd9b9546d16455a5",
         EMPTY, EMPTY, RC[0]),
     "ladder-demo --grid 2 --seed 0 --out {out}": (
-        "f082588d5f1a17b284f1a2ccdde96a637c72e8313bc9ee4690802f6f0e75c9fb",
+        "17e0bbceeb32a2be32c67cf2c1eb7ac4099104951e911f257463fe8b7531bcdc",
         EMPTY, EMPTY, RC[0]),
     "ladder-demo --scales 4 --seed 0 --out {out}": (
-        None,
-        EMPTY,
-        "f244e37517b6b8c00b66d17634ff7f18101715dbee0868972183a23766340ba3",
-        RC[3]),
+        "386a2fc62fd11080e6069b98cb471d71c6aaa7aac882b7ba8ddf5743edc9e826",
+        EMPTY, EMPTY, RC[0]),
     "ladder-demo --scales 4 --seed 3 --out {out}": (
-        None,
-        EMPTY,
-        "e4ec5abc8f368baa98744e7d7b506f9da645c535e4d1a51b6670fd4160118aad",
-        RC[3]),
+        "6cfa12f2ac245e7b6d4c977e0dc3f11aedf025f99b6d3788e36dc8915cabe539",
+        EMPTY, EMPTY, RC[0]),
     "ladder-demo --scales 4 --seed 2 --out {out}": (
+        "87221e849fefdc053fdbd7fbcb05d6c94ca28c93b3808ef7609548493fd533ab",
+        EMPTY, EMPTY, RC[0]),
+    "ladder-demo --scales 4 --seed 7 --out {out}": (
         None,
         EMPTY,
-        "31ac05f42ed7a3cf3357edc57eef44df372cb5a5fb5b4eb1001945328d5edbad",
+        "bb1a1bf3e3792ee1365cf1db6c4088ce79f2348eabdc3d27fa724b894dcb8b35",
         RC[3]),
     "jump-sweep --config {sweep_low} --out {out}": (
         "ec6b104aae2592a60f5072cc3c3e9d818eb8705b1023f4c92ef4bce4cbe60f5a",
@@ -86,7 +85,7 @@ GOLDEN = {
         "fe9694651dd6f8d1a6462c9343b1f287b6f669d5ccbe429f9b81faeaeacdbb46",
         EMPTY, EMPTY, RC[0]),
     "ladder-demo --scales 2 --seed 0 --format json --out {out}": (
-        "33169a80b10d8fa470d600ad458ed73c1d51bb48fd6afabbc2143eda0c917cbc",
+        "74a7de6cd4f33064c0bd39f93151015f1ed6f5d4ff42c4e86a4a11c8749a5f37",
         EMPTY, EMPTY, RC[0]),
     "resum --family {violating} --jmax 5 --check-budget --out {out}": (
         "5dfc50dd03a52337a7c82319e8db7bf1f2bb33466a85ff8325d85e45610510a9",

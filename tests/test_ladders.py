@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import re
 import tracemalloc
 
@@ -195,8 +196,8 @@ def test_directed_ph_sum_is_the_undirected_series(small_spaces, data, lmax,
     # series sum_l (-1)^l L_l(24 w^ph) over the undirected bubble of the
     # same lines; w is small enough for both series to converge
     sp = data.draw(small_spaces(True))
+    w = (1e-5 * BlockKernel.random(sp, random.Random(seed))).antisymmetrize()
     rng = np.random.default_rng(seed)
-    w = (1e-5 * BlockKernel.random(sp, rng)).antisymmetrize()
     n = len(sp.grid)
     av, bv = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
               for _ in range(2))
@@ -213,7 +214,7 @@ def test_directed_and_undirected_certificates_agree(demo_scheme):
     # ratio 12, and the series of 24 w^ph have one spectral radius; a rung
     # of unit size makes both diverge, and both messages give the radius
     w = BlockKernel.random(demo_scheme.space(3),
-                           np.random.default_rng(15)).antisymmetrize()
+                           random.Random(15)).antisymmetrize()
     radii = []
     for rung, directed in ((w, True), (24.0 * w.reduce_ph(), False)):
         bub = demo_scheme.scale_bubble(3, None, directed)
@@ -569,7 +570,7 @@ def test_refinement_composes_and_commutes_with_ph_rung(demo_scheme):
         R = sch._resect_matrix(3, 4, directed) @ sch._resect_matrix(2, 3,
                                                                    directed)
         assert np.abs(sch._resect_matrix(2, 4, directed) - R).max() <= 1e-15
-    rng = np.random.default_rng(14)
+    rng = random.Random(14)
     d = BlockKernel.random(sch.space(2, directed=False), rng)
     rung_then_refine = sch.resectorize(
         d.value_ph(sch.space(2)).antisymmetrize(), 2, 4)

@@ -29,15 +29,19 @@ KEPT = {
     # blocks: the dense form and the operations criterion 4 checks
     "blocks.BlockKernel.antisymmetrize": CRIT.format(4) + ", through "
                                          "compound_ladder; reference for "
-                                         "antisymmetric_ph",
+                                         "ph_antisymmetric",
     "blocks.BlockKernel.dense": "reference: the dense kernel every blocked "
                                 "operation is tested against",
     "blocks.BlockKernel.from_dense": CRIT.format(4),
     "blocks.BlockKernel.reduce_ph": CRIT.format(4) + ", through the directed "
                                     "rungs of ladder_closed_form; reference "
-                                    "for antisymmetric_ph",
+                                    "for ph_antisymmetric",
     "blocks.BlockKernel.value_ph": CRIT.format(4) + ", through the directed "
                                    "route of compound_ladder",
+    "blocks.PairBlocks.ph": CRIT.format(4) + ", through the directed ph "
+                            "chain of compound_ladder",
+    "blocks.PairBlocks.ph_gather": CRIT.format(4) + ", through reduce_ph and "
+                                   "value_ph",
     # kernels: the dense algebra
     "kernels.Kernel4.max_abs": CRIT.format(3),
     "kernels.KernelSpace.iota": CRIT.format(3),

@@ -287,7 +287,8 @@ def test_product_member_matches_dense_mesh(budget_params, amp, negative, i,
 def test_budget_of_product_members_allocates_no_grid(budget_params,
                                                      budget_scales, qfam):
     # factor ladders and the support points only: one 112^3 float grid
-    # alone is 11 MB (the first call, untraced, loads numpy.random)
+    # alone is 11 MB (the first call runs untraced, so that one-time setup
+    # stays out of the peak; it loads no module)
     se.check_q_budget(qfam, budget_params, scales=budget_scales)
     tracemalloc.start()
     try:
