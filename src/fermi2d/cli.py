@@ -174,7 +174,7 @@ def _demo_scheme_and_family(params, disp, gridn: int, seed: int, scales_list):
     projected onto the ph entries of antisymmetric kernels
     (ph_antisymmetric).  Per ph entry that has the mean and covariance of
     the ph entries of 1e-5 times an antisymmetrized directed draw, and it
-    builds no directed support and loads no numpy.random."""
+    builds no directed support and draws nothing from numpy's generators."""
     from . import ladders as ld
     from . import selfenergy as se
     from .blocks import BlockKernel
@@ -244,7 +244,7 @@ def run_ladder_demo(args) -> int:
         _diag("ladder-demo", "config", str(exc))
         return EXIT_CONFIG
     try:
-        report = ld.delta_ladder_telescope(scheme, jtop, fam, lmax=4, ltol=0.0)
+        report = ld.delta_ladder_telescope(scheme, jtop, fam, lmax=4)
     except ld.LadderDivergenceError as exc:
         _diag("ladder-demo", "divergence", str(exc))
         return EXIT_TOLERANCE
@@ -340,7 +340,8 @@ def run_resum(args) -> int:
         return EXIT_CONFIG
     params, fam = loaded
     # (k0, kx, ky) per row, drawn in that order; the stdlib generator, as
-    # numpy.random would add its import to the command for a few draws
+    # numpy's random module would add its import to the command for a few
+    # draws
     rng = random.Random(seed)
     k = np.array([(rng.uniform(-2, 2), rng.uniform(-1.4, 1.4),
                    rng.uniform(-1.4, 1.4)) for _ in range(nsamples)]).T
@@ -388,7 +389,7 @@ def run_hoelder_check(args) -> int:
             return EXIT_CONFIG
     else:
         sys.stdout.write(text)
-    if not report.hypotheses_ok or report.max_ratio > 1.0:
+    if not (report.hypotheses_ok and report.max_ratio <= 1.0):
         _diag("hoelder-check", "certificate",
               f"max ratio {report.max_ratio:.6f}")
         return EXIT_VIOLATION

@@ -69,16 +69,18 @@ def verify_family(b: ScaleBounds, family: Sequence[Tuple[Callable, Callable]],
                   pair_points: int = 200, mmax: int = 18,
                   t_range: Tuple[float, float] = (0.0, 1.0)) -> FamilyReport:
     """Check the hypotheses on samples, then the certified modulus on
-    dyadic pairs; family entries are (f_j, f_j') callables."""
+    dyadic pairs; family entries are (f_j, f_j') callables.  A NaN sample
+    fails both checks: hyp_worst and max_ratio then read NaN."""
     expo, const = hoelder_certificate(b)
     ts = np.linspace(t_range[0], t_range[1], 2049)
     hyp_worst = 0.0
     for j, (f, fp) in enumerate(family):
         bound0 = b.C0 * b.M ** (-b.alpha * j)
         bound1 = b.C1 * b.M ** (b.beta * j)
-        hyp_worst = max(hyp_worst,
-                        float(np.abs(f(ts)).max()) / bound0,
-                        float(np.abs(fp(ts)).max()) / bound1)
+        for r in (float(np.abs(f(ts)).max()) / bound0,
+                  float(np.abs(fp(ts)).max()) / bound1):
+            if not (r <= hyp_worst or math.isnan(hyp_worst)):
+                hyp_worst = r
     hypotheses_ok = hyp_worst <= 1.0 + 1e-9
 
     def total(t):
@@ -94,8 +96,8 @@ def verify_family(b: ScaleBounds, family: Sequence[Tuple[Callable, Callable]],
     diffs = np.abs(np.asarray(total(bases + col)) - np.asarray(total(bases)))
     for sep, base, diff in zip(seps, bases, diffs):
         ratios = diff / (const * sep ** expo)
-        k = int(np.argmax(ratios))
-        if ratios[k] > max_ratio:
+        k = int(np.argmax(ratios))  # the first NaN, if there is one
+        if not (ratios[k] <= max_ratio or math.isnan(max_ratio)):
             max_ratio = float(ratios[k])
             worst = (float(base[k]), float(base[k] + sep))
     return FamilyReport(hypotheses_ok=hypotheses_ok, hyp_worst=hyp_worst,
@@ -111,11 +113,17 @@ def _pair_bases(n: int, lo, hi):
 
 def saturating_family(b: ScaleBounds, jmax: int = 25):
     """f_j(t) = C0 M^(-alpha j) sin((C1/C0) M^((alpha+beta) j) t): the
-    hypotheses hold with equality, making the certificate sharp in rate."""
+    hypotheses hold with equality, making the certificate sharp in rate.
+    OverflowError when a member's amplitude, frequency or derivative
+    amplitude C1 M^(beta j) is not finite."""
     out = []
     for j in range(jmax + 1):
         ampj = b.C0 * b.M ** (-b.alpha * j)
         freqj = (b.C1 / b.C0) * b.M ** ((b.alpha + b.beta) * j)
+        if not all(map(math.isfinite, (ampj, freqj, ampj * freqj))):
+            raise OverflowError(f"member {j}: amplitude {ampj:g}, frequency "
+                                f"{freqj:g}, derivative amplitude "
+                                f"{ampj * freqj:g}")
         out.append(_sine_member(ampj, freqj))
     return out
 

@@ -20,10 +20,11 @@ runs; the dense compose is the reference the blocked step is tested on.
 The particle-hole ladders read a directed rung w only through its ph
 entries, bars (0, 1, 1, 0): for antisymmetric w the directed ph sum equals
 the series of 24 w^ph over the undirected bubble, and the ph rung of a
-ladder L is (L + L^f) / 24.  So iterated_ladder, ladder_closed_form and
-delta_ladder_telescope share one undirected recursion (_ph_ladders): a
-telescope over s scales makes 3 s - 1 ladder sums, 4 (s - 1)
-resectorizations and no directed kernel operation.  The rung family holds
+ladder L is (L + L^f) / 24.  So iterated_ladder and ladder_closed_form
+run one undirected recursion (_ph_ladders), and delta_ladder_telescope
+writes out the same recursion for its two ladders in one loop: a telescope
+over s scales makes 3 s - 1 ladder sums, 4 (s - 1) resectorizations and no
+directed kernel operation.  The rung family holds
 the ph rungs themselves (LadderFamily), so a whole ladder-demo run makes
 none either and builds no directed support.  compound_ladder keeps the
 directed route (value_ph, antisymmetrize, the directed ph chain) as the
@@ -142,20 +143,18 @@ def compose_blocks(chain: List[np.ndarray],
     return [C[:, cols] @ M for C, (cols, M) in zip(chain, joins)]
 
 
-def _ladder_series(rung: BlockKernel, bub: BubbleProp, lmax: int, ltol: float,
-                   ph: bool = False) -> Tuple[BlockKernel, BlockKernel]:
-    """The ladder sum of rung through bub and the last ladder L_ell, over the
-    chain L_0 = rung, L_ell = L_(ell-1) . C . rung for ell = 1..lmax, one
-    compose_blocks call per step.
+def _ladder_series(rung: BlockKernel, bub: BubbleProp, lmax: int,
+                   ph: bool = False) -> BlockKernel:
+    """The ladder sum of rung through bub over the chain L_0 = rung,
+    L_ell = L_(ell-1) . C . rung for ell = 1..lmax, one compose_blocks call
+    per step.
 
     The sum is sum_l (-1)^l L_l or, with ph (rung and bub directed), the
     directed ph sum 2 sum_l (-1)^l 12^(l+1) L_l^ph over the undirected
     partner of the rung's space; the chain then carries only the row pairs
     that reduce_ph reads, since row (a, b) of L_ell depends only on row
-    (a, b) of L_(ell-1), and L_ell is returned ph-reduced.  For an
-    antisymmetric rung w, the ph sum of w is the plain sum of 24 w^ph over
-    the undirected bubble of the same lines.  Stops after the first term
-    whose max |.| is at most ltol times the largest so far (ltol > 0).
+    (a, b) of L_(ell-1).  For an antisymmetric rung w, the ph sum of w is
+    the plain sum of 24 w^ph over the undirected bubble of the same lines.
     Raises LadderDivergenceError before the chain runs when the series
     diverges: when its term ratio (1, or 12 with ph) times the spectral
     radius of the step, max_t rho(M_t[:, cols_t]) (bubble_joins), is at
@@ -180,16 +179,11 @@ def _ladder_series(rung: BlockKernel, bub: BubbleProp, lmax: int, ltol: float,
         return np.concatenate([C[:, cols].ravel()
                                for C, (_, _, cols) in zip(chain, sel)])
 
-    acc, largest = 0.0, 0.0
+    acc = 0.0
     for ell in range(1, lmax + 1):
         chain = compose_blocks(chain, joins)
-        t = coef * (-ratio) ** ell * flat(chain)
-        acc = acc + t
-        tnorm = float(np.abs(t).max(initial=0.0))
-        largest = max(largest, tnorm)
-        if ltol > 0.0 and tnorm <= ltol * max(largest, 1e-300):
-            break
-    return BlockKernel(out, acc), BlockKernel(out, flat(chain))
+        acc = acc + coef * (-ratio) ** ell * flat(chain)
+    return BlockKernel(out, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +335,7 @@ class LadderFamily:
     support and projects it onto the ph entries of antisymmetric kernels
     (BlockKernel.ph_antisymmetric), and its whole run builds no directed
     support.  A directed antisymmetric rung F^(i) is accepted too and read
-    through reduce_ph (_rung_sums)."""
+    through reduce_ph (_ph_rung)."""
 
     F: Dict[int, BlockKernel]
     p: Dict[int, Callable]
@@ -362,64 +356,45 @@ class LadderFamily:
         return self.u_below(math.inf)
 
 
-def _rung_sums(scheme: LadderScheme, jtop: int,
-               family_F: Dict[int, BlockKernel]) -> Dict[int, BlockKernel]:
-    """W_j = sum_{i <= j} (F^(i))^ph, each ph rung refined to scale j, for
-    j0 <= j < jtop, by the running sum
-    W_j = R(j-1 -> j) W_(j-1) + (F^(j))^ph: the refinement maps compose and
-    commute with reduce_ph, so each step resectorizes only W_(j-1).  A
-    directed rung in family_F enters through reduce_ph, an undirected one
-    as it is."""
-    j0 = scheme.scales.params.j0
-    W, w = {}, BlockKernel.zeros(scheme.space(j0, directed=False))
-    for j in range(j0, jtop):
-        w = scheme.resectorize(w, max(j0, j - 1), j)
-        if j in family_F:
-            f = family_F[j]
-            w = w + (f.reduce_ph() if f.space.directed else f)
-        W[j] = w
-    return W
+def _ph_rung(f: BlockKernel) -> BlockKernel:
+    """(F^(i))^ph of a family rung: reduce_ph of a directed one, an
+    undirected one as it is."""
+    return f.reduce_ph() if f.space.directed else f
 
 
-def _ph_ladders(scheme: LadderScheme, jtop: int, W: Dict[int, BlockKernel],
-                bubble_at: Callable[[int], BubbleProp], lmax: int, ltol: float,
-                record: Optional[Callable] = None,
-                first: Optional[BlockKernel] = None,
-                D: Optional[Dict[int, BlockKernel]] = None) -> BlockKernel:
+def _ph_ladders(scheme: LadderScheme, jtop: int,
+                family_F: Dict[int, BlockKernel],
+                bubble_at: Callable[[int], BubbleProp],
+                lmax: int) -> BlockKernel:
     """Particle-hole ladder recursion over the scales j0 <= j < jtop, on
-    undirected kernels: the ladder L so far is resectorized to scale j, and
-    scale j sums the series of rung_j = 24 W_j + P + P^f through
-    bubble_at(j), with P = L (plus D_j, if D is given): (P + P^f) / 24 is
-    the ph rung of P.  At j0, L is zero; first, if given, is the j0 ladder
-    sum, computed by the caller.  record, if given, is called as
-    record(j, rung_j, step_j) per scale."""
+    undirected kernels.  Scale j refines the rung sum W and the ladder L so
+    far from scale j - 1, adds (F^(j))^ph to W, and adds to L the series of
+    24 W + L + L^f through bubble_at(j): (L + L^f) / 24 is the ph rung of
+    L.  The refinement maps compose and commute with reduce_ph, so W is
+    W_j = sum_{i <= j} (F^(i))^ph with each ph rung refined to scale j."""
     j0 = scheme.scales.params.j0
-    L = BlockKernel.zeros(scheme.space(j0, directed=False))
+    W = L = BlockKernel.zeros(scheme.space(j0, directed=False))
     for j in range(j0, jtop):
-        L = scheme.resectorize(L, max(j0, j - 1), j)
-        P = L + D[j] if D and j > j0 else L
-        rung = 24.0 * W[j] + P + P.flip()
-        step = first if j == j0 and first is not None \
-            else _ladder_series(rung, bubble_at(j), lmax, ltol)[0]
-        if record is not None:
-            record(j, rung, step)
-        L = L + step
+        W, L = (scheme.resectorize(K, max(j0, j - 1), j) for K in (W, L))
+        if j in family_F:
+            W = W + _ph_rung(family_F[j])
+        L = L + _ladder_series(24.0 * W + L + L.flip(), bubble_at(j), lmax)
     return L
 
 
 def iterated_ladder(scheme: LadderScheme, jtop: int, family: LadderFamily,
-                    lmax: int = 12, ltol: float = 1e-10) -> BlockKernel:
+                    lmax: int) -> BlockKernel:
     """Iterated particle-hole ladder up to scale jtop (covariances built
     from the running counterterm sum u_j)."""
     return _ph_ladders(
-        scheme, jtop, _rung_sums(scheme, jtop, family.F),
+        scheme, jtop, family.F,
         lambda j: scheme.scale_bubble(j, family.u_below(j), directed=False),
-        lmax, ltol)
+        lmax)
 
 
 def compound_ladder(scheme: LadderScheme, jtop: int, v: Optional[Callable],
-                    family_F: Dict[int, BlockKernel], lmax: int = 12,
-                    ltol: float = 1e-10) -> BlockKernel:
+                    family_F: Dict[int, BlockKernel],
+                    lmax: int) -> BlockKernel:
     """Compound particle-hole ladder, one fixed v in both covariances, on
     directed rungs: scale j sums the directed ph ladders of
     w_j = W_j + antisymmetrize(value_ph(L)) / 8, with W_j the directed rung
@@ -432,20 +407,19 @@ def compound_ladder(scheme: LadderScheme, jtop: int, v: Optional[Callable],
         if j in family_F:
             W = W + family_F[j]
         w = W + L.value_ph(scheme.space(j)).antisymmetrize() / 8.0
-        L = L + _ladder_series(w, scheme.scale_bubble(j, v), lmax, ltol,
-                               ph=True)[0]
+        L = L + _ladder_series(w, scheme.scale_bubble(j, v), lmax, ph=True)
     return L
 
 
 def ladder_closed_form(scheme: LadderScheme, jtop: int, v: Optional[Callable],
-                       family_F: Dict[int, BlockKernel], lmax: int = 12,
-                       ltol: float = 1e-10) -> BlockKernel:
+                       family_F: Dict[int, BlockKernel],
+                       lmax: int) -> BlockKernel:
     """Compound ladder through the flipped-kernel closed form:
     chains of (24 F + L + L^f) joined by ph-reduced bubbles; agrees with
     compound_ladder identically."""
-    return _ph_ladders(
-        scheme, jtop, _rung_sums(scheme, jtop, family_F),
-        lambda j: scheme.scale_bubble(j, v, directed=False), lmax, ltol)
+    return _ph_ladders(scheme, jtop, family_F,
+                       lambda j: scheme.scale_bubble(j, v, directed=False),
+                       lmax)
 
 
 @dataclass
@@ -457,48 +431,44 @@ class TelescopeReport:
 
 
 def delta_ladder_telescope(scheme: LadderScheme, jtop: int,
-                           family: LadderFamily, lmax: int = 12,
-                           ltol: float = 1e-10) -> TelescopeReport:
-    """Evaluate the scale-swap telescoping identity.
+                           family: LadderFamily, lmax: int) -> TelescopeReport:
+    """Evaluate the scale-swap telescoping identity: the iterated ladder
+    (running u_j) minus the compound ladder (the full counterterm sum v)
+    equals the sum of the per-scale covariance-swap corrections delta_j,
+    refined to the final scale.
 
-    The iterated ladder (running u_j) and the compound ladder with the full
-    counterterm sum v are computed independently, from the same rung sums
-    W_j; their difference must equal the sum of the per-scale
-    covariance-swap corrections delta_j, refined to the final scale.  The
-    corrections enter the compound rungs through the running sum
-    D_j = R(j-1 -> j) (D_(j-1) + delta_(j-1)), D_j0 = 0: the compound rung
-    at scale j carries the ph rung of D_j, taken together with that of its
-    own ladder, and the sum of all corrections is
-    D_(jtop-1) + delta_(jtop-1).
+    One loop over the scales carries four undirected kernels, each refined
+    from scale j - 1 at the start of scale j: the rung sum W (as in
+    _ph_ladders), the iterated ladder it, the compound ladder comp and the
+    correction sum D.  Scale j sums rung_j = 24 W + it + it^f through the
+    u_j bubble (step_u, the iterated step) and through the v bubble
+    (step_v); delta_j = step_u - step_v.  Above j0 the compound step is
+    the v-bubble sum of 24 W + P + P^f, P = comp + D, so the compound rung
+    carries the ph rung of the corrections so far with that of its own
+    ladder; at j0 both ladders are zero and the compound step is step_v.
+    Over s scales that is 3 s - 1 ladder sums, 4 (s - 1) resectorizations
+    and two bubbles per scale.
     """
     v = family.v_total()
     j0 = scheme.scales.params.j0
-    v_bubbles = {j: scheme.scale_bubble(j, v, directed=False)
-                 for j in range(j0, jtop)}
-    W = _rung_sums(scheme, jtop, family.F)
-    D, norms = {}, {}
-    first = total = None
-
-    def swap(j, rung, step):
-        # delta_j = step(u_j) - step(v), both ladder sums over rung_j; the
-        # compound ladder has the same rung and bubble at j0, so step(v) at
-        # j0 is also its first ladder sum
-        nonlocal first, total
-        step_v = _ladder_series(rung, v_bubbles[j], lmax, ltol)[0]
-        d = step - step_v
+    W = it = comp = D = BlockKernel.zeros(scheme.space(j0, directed=False))
+    norms = {}
+    for j in range(j0, jtop):
+        W, it, comp, D = (scheme.resectorize(K, max(j0, j - 1), j)
+                          for K in (W, it, comp, D))
+        if j in family.F:
+            W = W + _ph_rung(family.F[j])
+        u_bub = scheme.scale_bubble(j, family.u_below(j), directed=False)
+        v_bub = scheme.scale_bubble(j, v, directed=False)
+        rung = 24.0 * W + it + it.flip()
+        step_u = _ladder_series(rung, u_bub, lmax)
+        step_v = _ladder_series(rung, v_bub, lmax)
+        d = step_u - step_v
         norms[j] = d.max_abs()
-        if j == j0:
-            first, total = step_v, d
-        else:
-            D[j] = scheme.resectorize(total, j - 1, j)
-            total = D[j] + d
-
-    it = _ph_ladders(
-        scheme, jtop, W,
-        lambda j: scheme.scale_bubble(j, family.u_below(j), directed=False),
-        lmax, ltol, swap)
-    comp = _ph_ladders(scheme, jtop, W, v_bubbles.__getitem__, lmax, ltol,
-                       first=first, D=D)
-    residual = float(np.abs(it.values - comp.values - total.values).max())
+        if j > j0:
+            P = comp + D
+            step_v = _ladder_series(24.0 * W + P + P.flip(), v_bub, lmax)
+        it, comp, D = it + step_u, comp + step_v, D + d
+    residual = float(np.abs(it.values - comp.values - D.values).max())
     return TelescopeReport(residual=residual, per_scale_delta_norms=norms,
                            iterated=it, compound=comp)

@@ -488,27 +488,22 @@ def p_tail_decay(family: ScaleFamily, params, js: List[int],
 
 
 def check_resum_bounds(family: ScaleFamily, params, scales: ScaleModel,
-                       nsamples: int = 400, seed: int = 7) -> Dict[str, float]:
-    """Sampled sup of |P| / (la^(1-2u) min(|k0|,1)) and of
-    |Q| / (la^(1-3u) min(|i k0 - e|^(3/2), 1)); values <= 1 conform."""
+                       nsamples: int = 400) -> Dict[str, float]:
+    """Sup of |P| / (la^(1-2u) min(|k0|,1)) and of
+    |Q| / (la^(1-3u) min(|i k0 - e|^(3/2), 1)) over the first nsamples
+    R_d points of [-2, 2)^3 (scales.rd_points); values <= 1 conform."""
     la, up = params.lambda0, params.upsilon
-    rng = np.random.default_rng(seed)
-    worst_p = 0.0
-    worst_q = 0.0
-    for _ in range(nsamples):
-        k0 = rng.uniform(-2, 2)
-        kx = rng.uniform(-2, 2)
-        ky = rng.uniform(-2, 2)
-        r = float(scales.radius(k0, kx, ky))
-        Pv = abs(resum_P(family, k0, kx, ky))
-        Qv = abs(resum_Q(family, k0, kx, ky))
-        bp = la ** (1 - 2 * up) * min(abs(k0), 1.0)
-        bq = la ** (1 - 3 * up) * min(r ** 1.5, 1.0)
-        if bp > 0:
-            worst_p = max(worst_p, Pv / bp)
-        if bq > 0:
-            worst_q = max(worst_q, Qv / bq)
-    return {"P_ratio": worst_p, "Q_ratio": worst_q}
+    k0, kx, ky = rd_points(nsamples, (-2, -2, -2), (2, 2, 2)).T
+    bp = la ** (1 - 2 * up) * np.minimum(np.abs(k0), 1.0)
+    bq = la ** (1 - 3 * up) * np.minimum(scales.radius(k0, kx, ky) ** 1.5,
+                                         1.0)
+
+    def worst(resum, bound):
+        v = np.broadcast_to(np.abs(resum(family, k0, kx, ky)), k0.shape)
+        ok = bound > 0
+        return float(np.max(v[ok] / bound[ok], initial=0.0))
+
+    return {"P_ratio": worst(resum_P, bp), "Q_ratio": worst(resum_Q, bq)}
 
 
 # ---------------------------------------------------------------------------

@@ -177,13 +177,13 @@ def test_criterion_4_ladder_equivalences():
     <= 1e-12 on 2 scales, 2-point grid, lmax = 4."""
     scheme, fam = _ladder_fixture()
     v = fam.v_total()
-    comp = ld.compound_ladder(scheme, 4, v, fam.F, lmax=4, ltol=0.0)
-    closed = ld.ladder_closed_form(scheme, 4, v, fam.F, lmax=4, ltol=0.0)
+    comp = ld.compound_ladder(scheme, 4, v, fam.F, lmax=4)
+    closed = ld.ladder_closed_form(scheme, 4, v, fam.F, lmax=4)
     scale = comp.max_abs()
     assert scale > 0.0
     r_closed = np.abs(comp.values - closed.values).max() / scale
     assert r_closed <= 1e-12
-    rep = ld.delta_ladder_telescope(scheme, 4, fam, lmax=4, ltol=0.0)
+    rep = ld.delta_ladder_telescope(scheme, 4, fam, lmax=4)
     r_tel = rep.residual / max(rep.iterated.max_abs(), 1e-300)
     assert r_tel <= 1e-12
     assert max(rep.per_scale_delta_norms.values()) > 0.0

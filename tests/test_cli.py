@@ -254,8 +254,7 @@ def test_ladder_demo_rows_match_dense_block(params, disp, scales, grid, seed):
     scales_list = list(range(params.j0, params.j0 + scales))
     scheme, fam = cli._demo_scheme_and_family(params, disp, grid, seed,
                                               scales_list)
-    rep = ld.delta_ladder_telescope(scheme, scales_list[-1] + 1, fam, lmax=4,
-                                    ltol=0.0)
+    rep = ld.delta_ladder_telescope(scheme, scales_list[-1] + 1, fam, lmax=4)
     legs, vals = cli._external_entries(rep.iterated)
     dense = rep.iterated.dense().values
     ext = rep.iterated.space.field_indices(EXT)
@@ -540,7 +539,17 @@ def test_hoelder_check_rejects_bad_bounds(capsys, name, value):
     # the certificate constant overflows: every ratio against it reads 0
     ["--alpha", "1", "--beta", "1", "--c0", "1e308", "--c1", "1e308",
      "--m", "2"],
-], ids=["alpha-1e-300", "m-1e300", "alpha-1000", "constant-inf"])
+    # the member frequency (C1/C0) M^((alpha+beta) j) rounds to inf
+    # without raising, at j = 0 and at j = 1
+    ["--alpha", "1", "--beta", "1", "--c0", "1e-300", "--c1", "1e300",
+     "--m", "2"],
+    ["--alpha", "0.5", "--beta", "0.5", "--c0", "1", "--c1", "1e308",
+     "--m", "4"],
+    # the derivative amplitude C1 M^(beta j) rounds to inf at j = 11
+    ["--alpha", "0.01", "--beta", "1", "--c0", "1e305", "--c1", "1e305",
+     "--m", "2"],
+], ids=["alpha-1e-300", "m-1e300", "alpha-1000", "constant-inf",
+        "frequency-inf-0", "frequency-inf-1", "derivative-inf"])
 def test_hoelder_check_rejects_extreme_bounds(capsys, argv):
     rc = cli.main(["hoelder-check"] + argv)
     assert rc == cli.EXIT_CONFIG

@@ -58,6 +58,15 @@ def test_zero_family():
     assert rep.max_ratio == 0.0
 
 
+def test_nan_member_fails_the_checks():
+    # Python's max() and a > test skip NaN; verify_family must not
+    b = hl.ScaleBounds(1, 1, 1, 1, 2)
+    nan = (lambda t: np.full_like(np.asarray(t, dtype=float), np.nan),) * 2
+    rep = hl.verify_family(b, hl.saturating_family(b, jmax=3) + [nan])
+    assert not rep.hypotheses_ok
+    assert math.isnan(rep.hyp_worst) and math.isnan(rep.max_ratio)
+
+
 def test_empirical_exponent_sine_family():
     for abm in ((1.0, 1.0, 2.0), (0.6, 0.4, 2.0), (1.0, 2.0, 3.0)):
         b = hl.ScaleBounds(abm[0], abm[1], 1.0, 1.0, abm[2])

@@ -203,8 +203,8 @@ def test_directed_ph_sum_is_the_undirected_series(small_spaces, data, lmax,
               for _ in range(2))
     dbub, ubub = (ld.BubbleProp(s, ld.line_matrix(s, av), ld.line_matrix(s, bv))
                   for s in (sp, sp.undirected()))
-    want, _ = ld._ladder_series(w, dbub, lmax, 0.0, ph=True)
-    got, _ = ld._ladder_series(24.0 * w.reduce_ph(), ubub, lmax, 0.0)
+    want = ld._ladder_series(w, dbub, lmax, ph=True)
+    got = ld._ladder_series(24.0 * w.reduce_ph(), ubub, lmax)
     assert got.space is want.space
     assert np.abs(got.values - want.values).max() <= 1e-13 * want.max_abs()
 
@@ -219,7 +219,7 @@ def test_directed_and_undirected_certificates_agree(demo_scheme):
     for rung, directed in ((w, True), (24.0 * w.reduce_ph(), False)):
         bub = demo_scheme.scale_bubble(3, None, directed)
         with pytest.raises(ld.LadderDivergenceError) as exc:
-            ld._ladder_series(rung, bub, 4, 0.0, ph=directed)
+            ld._ladder_series(rung, bub, 4, ph=directed)
         assert bub.label in str(exc.value)
         radii.append(float(re.search(r"radius (\S+) >= 1",
                                      str(exc.value)).group(1)))
@@ -273,8 +273,9 @@ def test_resect_column_factors_are_row_factors(scheme, demo_scheme, directed):
 def test_ladder_zero_rung(scheme):
     sp = scheme.space(2)
     bub = ld.bubble(sp, lambda *k: 1.0, lambda *k: 1.0)
-    total, last = ld._ladder_series(BlockKernel.zeros(sp), bub, 3, 0.0)
-    assert total.max_abs() == 0.0 and last.max_abs() == 0.0
+    for lmax in (1, 2, 3):
+        assert ld._ladder_series(BlockKernel.zeros(sp), bub,
+                                 lmax).max_abs() == 0.0
 
 
 def test_ladder_inversion_symmetry_undirected(scheme):
@@ -286,8 +287,9 @@ def test_ladder_inversion_symmetry_undirected(scheme):
         scheme.space(2), rng, amp=1e-2, antisym=True)))
     assert rung.is_inversion_symmetric()
     bub = ld.bubble(und, lambda *k: 0.2 + 0.1j, lambda *k: 0.5 - 0.4j)
-    # L_2: three rungs, two bubbles
-    _, lad = ld._ladder_series(rung, bub, 2, 0.0)
+    # L_2: three rungs, two bubbles, the only term of the lmax = 2 sum
+    # that the lmax = 1 sum lacks
+    lad = ld._ladder_series(rung, bub, 2) - ld._ladder_series(rung, bub, 1)
     assert lad.is_inversion_symmetric()
     assert is_inversion_symmetric(lad.dense())
 
@@ -326,16 +328,16 @@ def test_iterated_trivial_cases(scheme, family, params):
 
 def test_compound_equals_iterated_without_counterterms(scheme, family):
     fam0 = ld.LadderFamily(F=family.F, p={})
-    it = ld.iterated_ladder(scheme, 4, fam0, lmax=3, ltol=0.0)
-    comp = ld.compound_ladder(scheme, 4, None, family.F, lmax=3, ltol=0.0)
+    it = ld.iterated_ladder(scheme, 4, fam0, lmax=3)
+    comp = ld.compound_ladder(scheme, 4, None, family.F, lmax=3)
     assert np.abs(it.values - comp.values).max() <= 1e-18
     assert it.max_abs() > 0.0
 
 
 def test_compound_matches_closed_form(scheme, family):
     v = family.v_total()
-    comp = ld.compound_ladder(scheme, 4, v, family.F, lmax=4, ltol=0.0)
-    closed = ld.ladder_closed_form(scheme, 4, v, family.F, lmax=4, ltol=0.0)
+    comp = ld.compound_ladder(scheme, 4, v, family.F, lmax=4)
+    closed = ld.ladder_closed_form(scheme, 4, v, family.F, lmax=4)
     scale = max(comp.max_abs(), 1e-300)
     assert comp.max_abs() > 0.0
     assert np.abs(comp.values - closed.values).max() <= 1e-12 * scale
@@ -350,7 +352,7 @@ def test_closed_form_zero_family(scheme):
 
 
 def test_telescope(scheme, family):
-    rep = ld.delta_ladder_telescope(scheme, 4, family, lmax=4, ltol=0.0)
+    rep = ld.delta_ladder_telescope(scheme, 4, family, lmax=4)
     scale = max(rep.iterated.max_abs(), 1e-300)
     assert rep.iterated.max_abs() > 0.0
     assert rep.residual <= 1e-12 * scale
@@ -362,9 +364,33 @@ def test_telescope(scheme, family):
 
 def test_telescope_zero_counterterms(scheme, family):
     fam0 = ld.LadderFamily(F=family.F, p={})
-    rep = ld.delta_ladder_telescope(scheme, 4, fam0, lmax=3, ltol=0.0)
+    rep = ld.delta_ladder_telescope(scheme, 4, fam0, lmax=3)
     assert rep.residual <= 1e-18
     assert max(rep.per_scale_delta_norms.values()) == 0.0
+
+
+@pytest.mark.parametrize("demo", [False, True])
+def test_telescope_halves_are_the_entry_point_recursions(scheme, family,
+                                                         params, disp, demo):
+    # the telescope writes out both recursions in its own loop: its
+    # iterated ladder is iterated_ladder bit for bit, and with no
+    # counterterms (every delta_j exactly 0) its compound ladder is the
+    # closed form, equal under == (the sign of a zero entry may differ);
+    # on this file's scheme and on that of ladder-demo --grid 2 --scales 3
+    if demo:
+        from fermi2d import cli
+
+        scheme, family = cli._demo_scheme_and_family(params, disp, 2, 0,
+                                                     [2, 3, 4])
+    jtop = max(family.F) + 1
+    rep = ld.delta_ladder_telescope(scheme, jtop, family, lmax=4)
+    assert np.array_equal(rep.iterated.values,
+                          ld.iterated_ladder(scheme, jtop, family, 4).values)
+    rep = ld.delta_ladder_telescope(
+        scheme, jtop, ld.LadderFamily(F=family.F, p={}), lmax=4)
+    closed = ld.ladder_closed_form(scheme, jtop, None, family.F, 4)
+    assert closed.max_abs() > 0.0
+    assert np.array_equal(rep.compound.values, closed.values)
 
 
 def test_delta_norms_decay_for_decaying_family(scheme, params):
@@ -380,7 +406,7 @@ def test_delta_norms_decay_for_decaying_family(scheme, params):
         return lambda k0, kx, ky: 1j * a * k0 / (1.0 + k0 ** 2)
 
     fam.p = {2: make_p(5e-3), 3: make_p(5e-6)}
-    rep = ld.delta_ladder_telescope(scheme, 4, fam, lmax=3, ltol=0.0)
+    rep = ld.delta_ladder_telescope(scheme, 4, fam, lmax=3)
     assert rep.per_scale_delta_norms[3] < rep.per_scale_delta_norms[2]
     assert rep.per_scale_delta_norms[2] > 0.0
 
@@ -392,8 +418,7 @@ def test_ladder_sum_allocates_no_dense_kernel(scheme, family):
     n = w.space.n
 
     def ladder_sum():
-        return ld._ladder_series(w, scheme.scale_bubble(3, None), 4, 0.0,
-                                 ph=True)
+        return ld._ladder_series(w, scheme.scale_bubble(3, None), 4, ph=True)
 
     ladder_sum()  # builds the cached block tables
     tracemalloc.start()
@@ -413,7 +438,7 @@ def test_telescope_allocates_no_dense_kernel(scheme, family, monkeypatch):
                         lambda self: pytest.fail("dense kernel built"))
 
     def telescope():
-        rep = ld.delta_ladder_telescope(scheme, 4, family, lmax=4, ltol=0.0)
+        rep = ld.delta_ladder_telescope(scheme, 4, family, lmax=4)
         return (rep.iterated.is_inversion_symmetric(tol=1e-11)
                 and rep.compound.is_inversion_symmetric(tol=1e-11))
 
@@ -437,13 +462,13 @@ def diverging_F(scheme):
 
 def test_divergence_guard(scheme, diverging_F):
     with pytest.raises(ld.LadderDivergenceError):
-        ld.compound_ladder(scheme, 4, None, diverging_F, lmax=8, ltol=0.0)
+        ld.compound_ladder(scheme, 4, None, diverging_F, lmax=8)
 
 
 def test_closed_form_divergence_guard(scheme, diverging_F):
     # the closed form runs the same series loop, guard included
     with pytest.raises(ld.LadderDivergenceError):
-        ld.ladder_closed_form(scheme, 4, None, diverging_F, lmax=8, ltol=0.0)
+        ld.ladder_closed_form(scheme, 4, None, diverging_F, lmax=8)
 
 
 @pytest.mark.parametrize("entry", ["iterated", "closed_form", "telescope"])
@@ -511,7 +536,7 @@ def test_telescope_builds_each_chain_once(scheme, family, monkeypatch):
         return compose_blocks(*args)
 
     monkeypatch.setattr(ld, "compose_blocks", counting)
-    ld.delta_ladder_telescope(scheme, 4, family, lmax=4, ltol=0.0)
+    ld.delta_ladder_telescope(scheme, 4, family, lmax=4)
     assert len(calls) == (2 * 3 - 1) * 4
 
 
@@ -550,8 +575,7 @@ def test_telescope_computes_each_ladder_sum_once(params, disp, monkeypatch,
     monkeypatch.setattr(ld, "_ladder_series",
                         counting("sums", ld._ladder_series))
     monkeypatch.setattr(ld.LadderScheme, "resectorize", counting_resect)
-    ld.delta_ladder_telescope(scheme, scales_list[-1] + 1, fam, lmax=4,
-                              ltol=0.0)
+    ld.delta_ladder_telescope(scheme, scales_list[-1] + 1, fam, lmax=4)
     s = nscales
     assert calls == {"antisym": 0, "value_ph": 0, "sums": 3 * s - 1,
                      "directed": 0, "undirected": 4 * (s - 1)}
@@ -598,5 +622,5 @@ def test_telescope_builds_each_bubble_once(scheme, family, monkeypatch):
         return scale_bubble(self, j, *args, **kwargs)
 
     monkeypatch.setattr(ld.LadderScheme, "scale_bubble", counting)
-    ld.delta_ladder_telescope(scheme, 4, family, lmax=4, ltol=0.0)
+    ld.delta_ladder_telescope(scheme, 4, family, lmax=4)
     assert sorted(calls) == [2, 2, 3, 3]
