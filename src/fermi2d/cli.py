@@ -1,12 +1,13 @@
 """Scenario runner: config parsing, batch drivers, CSV/JSON emission.
 
-Exit codes: 0 success, 1 config/validation error, a command line that
-does not parse or an output file that cannot be written, 2 budget or
-identity violation, 3 numerical-tolerance failure (a diverging ladder
-included).  Every failure also prints a machine-readable JSON diagnostic
-to stderr.  Output formatting is fixed (17 significant digits, stable
-column order) and every scenario runs in one thread, so identical configs
-produce byte-identical files.  Importing this module sets
+Exit codes: 0 success; a driver that fails raises _Failure(tag, detail),
+and EXIT_CODES maps its tag to 1 (config, output, geometry), 2 (budget,
+certificate, identity) or 3 (divergence, tolerance).  main prints the
+failure's JSON diagnostic as the last stderr line and returns that code; a
+command line that does not parse is a config failure too.  An exception
+no driver converts stays a traceback: it is a bug.  Output formatting is
+fixed (17 significant digits, stable column order) and every scenario
+runs in one thread, so identical configs produce byte-identical files.  Importing this module sets
 OPENBLAS_NUM_THREADS to 1 unless the environment already sets it, before
 numpy loads, so BLAS runs in that thread too; other BLAS builds are not
 pinned.
@@ -37,6 +38,17 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VIOLATION = 2
 EXIT_TOLERANCE = 3
+
+# the one place a failure's exit code is chosen: failure tag -> exit code
+EXIT_CODES = {"config": EXIT_CONFIG, "output": EXIT_CONFIG,
+              "geometry": EXIT_CONFIG, "budget": EXIT_VIOLATION,
+              "certificate": EXIT_VIOLATION, "identity": EXIT_VIOLATION,
+              "divergence": EXIT_TOLERANCE, "tolerance": EXIT_TOLERANCE}
+
+
+class _Failure(Exception):
+    """A failed run, raised as _Failure(tag, detail): tag a key of
+    EXIT_CODES, detail the text of its diagnostic."""
 
 
 # ---------------------------------------------------------------------------
@@ -79,21 +91,19 @@ BUDGET_COLUMNS = ("i", "l", "d0", "d1", "d2", "measured", "allowed",
 RESUM_COLUMNS = ("k0", "kx", "ky", "re_p", "im_p", "re_q", "im_q")
 
 
-def _diag(kind: str, err: str, detail: str):
-    print(json.dumps({"scenario": kind, "error": err, "detail": detail},
+def _diag(scenario: str, tag: str, detail: str):
+    print(json.dumps({"scenario": scenario, "error": tag, "detail": detail},
                      sort_keys=True), file=sys.stderr)
 
 
-def _write_out(kind: str, path: str, text: str) -> bool:
-    """Write text to path; False after an output diagnostic when the file
-    cannot be written (a missing directory, say)."""
+def _write_out(path: str, text: str):
+    """Write text to path; an output failure when the file cannot be
+    written (a missing directory, say)."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        _diag(kind, "output", str(exc))
-        return False
-    return True
+        raise _Failure("output", str(exc)) from None
 
 
 def _seed(text: str) -> int:
@@ -123,7 +133,7 @@ def g_profile(name: str):
 # scenarios
 
 
-def run_jump_sweep(args) -> int:
+def run_jump_sweep(args):
     from . import occupation as oc
     from .scales import make_model
 
@@ -143,26 +153,20 @@ def run_jump_sweep(args) -> int:
             raise ValueError(f"tol must be finite and positive, got {tol}")
         model = oc.linear_self_energy(lam, g_profile(gname))
     except (ValueError, KeyError, OSError) as exc:
-        _diag("jump-sweep", "config", str(exc))
-        return EXIT_CONFIG
+        raise _Failure("config", str(exc)) from None
     try:
         rows = oc.fermi_sweep(disp, model, npoints=npoints)
     except oc.ModelHypothesisError as exc:
-        _diag("jump-sweep", "config", str(exc))
-        return EXIT_CONFIG
+        raise _Failure("config", str(exc)) from None
     table = [{"theta": r.theta, "n_in": r.n_in, "n_out": r.n_out,
               "jump_measured": r.jump_measured,
               "jump_predicted": r.jump_predicted,
               "abs_err": r.abs_err, "flag": r.flag} for r in rows]
-    if not _write_out("jump-sweep", args.out,
-                      emit(table, SWEEP_COLUMNS, args.format)):
-        return EXIT_CONFIG
+    _write_out(args.out, emit(table, SWEEP_COLUMNS, args.format))
     bad = [r for r in rows if r.flag or not (r.abs_err <= tol)]
     if bad:
-        _diag("jump-sweep", "tolerance",
-              f"{len(bad)} of {len(rows)} points beyond {tol}")
-        return EXIT_TOLERANCE
-    return EXIT_OK
+        raise _Failure("tolerance",
+                       f"{len(bad)} of {len(rows)} points beyond {tol}")
 
 
 def _demo_scheme_and_family(params, disp, gridn: int, seed: int, scales_list):
@@ -223,7 +227,7 @@ def _external_entries(kern):
     return legs[keep], kern.values[keep]
 
 
-def run_ladder_demo(args) -> int:
+def run_ladder_demo(args):
     from . import ladders as ld
     from .scales import make_model
 
@@ -241,16 +245,13 @@ def run_ladder_demo(args) -> int:
         scheme, fam = _demo_scheme_and_family(params, disp, gridn,
                                               _seed(args.seed), scales_list)
     except ValueError as exc:
-        _diag("ladder-demo", "config", str(exc))
-        return EXIT_CONFIG
+        raise _Failure("config", str(exc)) from None
     try:
         report = ld.delta_ladder_telescope(scheme, jtop, fam, lmax=4)
     except ld.LadderDivergenceError as exc:
-        _diag("ladder-demo", "divergence", str(exc))
-        return EXIT_TOLERANCE
+        raise _Failure("divergence", str(exc)) from None
     except ValueError as exc:  # a sector refinement the scheme cannot carry
-        _diag("ladder-demo", "geometry", str(exc))
-        return EXIT_CONFIG
+        raise _Failure("geometry", str(exc)) from None
     sp = report.iterated.space
     g = sp.grid
     rows = []
@@ -263,17 +264,13 @@ def run_ladder_demo(args) -> int:
                      "tabs": float(math.hypot(tx, ty)),
                      "re": float(v.real), "im": float(v.imag),
                      "telescope_residual": float(report.residual)})
-    if not _write_out("ladder-demo", args.out,
-                      emit(rows, LADDER_COLUMNS, args.format)):
-        return EXIT_CONFIG
+    _write_out(args.out, emit(rows, LADDER_COLUMNS, args.format))
     sym_ok = report.iterated.is_inversion_symmetric(tol=1e-11) \
         and report.compound.is_inversion_symmetric(tol=1e-11)
     if report.residual > 1e-12 or not sym_ok:
-        _diag("ladder-demo", "identity",
-              f"telescope residual {report.residual:.3e}, "
-              f"inversion symmetric: {sym_ok}")
-        return EXIT_VIOLATION
-    return EXIT_OK
+        raise _Failure("identity",
+                       f"telescope residual {report.residual:.3e}, "
+                       f"inversion symmetric: {sym_ok}")
 
 
 def _budget_table(report) -> List[dict]:
@@ -282,11 +279,10 @@ def _budget_table(report) -> List[dict]:
              "ratio": r.ratio, "pass": int(r.passed)} for r in report.rows]
 
 
-def _load_family(args, kind: str):
-    """(params, family) from --jmax and the --family file, or None after a
-    config diagnostic.  The file sets lambda0 and upsilon; a file line the
-    reader rejects (a scale index above --jmax among them) is a config
-    error."""
+def _load_family(args):
+    """(params, family) from --jmax and the --family file.  The file sets
+    lambda0 and upsilon; a file line the reader rejects (a scale index
+    above --jmax among them) is a config failure."""
     from . import selfenergy as se
 
     try:
@@ -294,8 +290,7 @@ def _load_family(args, kind: str):
         with open(args.family, "r", encoding="utf-8") as fh:
             return params, se.family_from_text(fh.read(), params)
     except (ValueError, OSError) as exc:
-        _diag(kind, "config", str(exc))
-        return None
+        raise _Failure("config", str(exc)) from None
 
 
 def _budget_report(params, fam):
@@ -306,25 +301,19 @@ def _budget_report(params, fam):
                              scales=ScaleModel(params, make_model("quadratic")))
 
 
-def run_norm_budget(args) -> int:
-    loaded = _load_family(args, "norm-budget")
-    if loaded is None:
-        return EXIT_CONFIG
-    report = _budget_report(*loaded)
-    if args.out and not _write_out(
-            "norm-budget", args.out,
-            emit(_budget_table(report), BUDGET_COLUMNS, args.format)):
-        return EXIT_CONFIG
+def run_norm_budget(args):
+    report = _budget_report(*_load_family(args))
+    if args.out:
+        _write_out(args.out,
+                   emit(_budget_table(report), BUDGET_COLUMNS, args.format))
     if not report.all_pass:
         nbad = sum(1 for r in report.rows if not r.passed)
-        _diag("norm-budget", "budget",
-              f"{nbad} rows violate the derivative budget; reality residual "
-              f"{report.reality_residual:.3e}")
-        return EXIT_VIOLATION
-    return EXIT_OK
+        raise _Failure("budget",
+                       f"{nbad} rows violate the derivative budget; reality "
+                       f"residual {report.reality_residual:.3e}")
 
 
-def run_resum(args) -> int:
+def run_resum(args):
     from . import selfenergy as se
 
     try:
@@ -333,33 +322,27 @@ def run_resum(args) -> int:
             raise ValueError(f"--nsamples must be >= 1, got {nsamples}")
         seed = _seed(args.seed)
     except ValueError as exc:
-        _diag("resum", "config", str(exc))
-        return EXIT_CONFIG
-    loaded = _load_family(args, "resum")
-    if loaded is None:
-        return EXIT_CONFIG
-    params, fam = loaded
-    # (k0, kx, ky) per row, drawn in that order; the stdlib generator, as
-    # numpy's random module would add its import to the command for a few
-    # draws
-    rng = random.Random(seed)
-    k = np.array([(rng.uniform(-2, 2), rng.uniform(-1.4, 1.4),
-                   rng.uniform(-1.4, 1.4)) for _ in range(nsamples)]).T
-    P = np.broadcast_to(se.resum_P(fam, *k), k[0].shape)
-    Q = np.broadcast_to(se.resum_Q(fam, *k), k[0].shape)
-    rows = [{"k0": k0, "kx": kx, "ky": ky, "re_p": p.real, "im_p": p.imag,
-             "re_q": q.real, "im_q": q.imag}
-            for k0, kx, ky, p, q in zip(*k.tolist(), P.tolist(), Q.tolist())]
-    if args.out and not _write_out("resum", args.out,
-                                   emit(rows, RESUM_COLUMNS, args.format)):
-        return EXIT_CONFIG
+        raise _Failure("config", str(exc)) from None
+    params, fam = _load_family(args)
+    if args.out:  # the rows are drawn and summed only to be written
+        # (k0, kx, ky) per row, drawn in that order; the stdlib generator,
+        # as numpy's random module would add its import to the command for
+        # a few draws
+        rng = random.Random(seed)
+        k = np.array([(rng.uniform(-2, 2), rng.uniform(-1.4, 1.4),
+                       rng.uniform(-1.4, 1.4)) for _ in range(nsamples)]).T
+        P = np.broadcast_to(se.resum_P(fam, *k), k[0].shape)
+        Q = np.broadcast_to(se.resum_Q(fam, *k), k[0].shape)
+        rows = [{"k0": k0, "kx": kx, "ky": ky, "re_p": p.real,
+                 "im_p": p.imag, "re_q": q.real, "im_q": q.imag}
+                for k0, kx, ky, p, q in zip(*k.tolist(), P.tolist(),
+                                            Q.tolist())]
+        _write_out(args.out, emit(rows, RESUM_COLUMNS, args.format))
     if args.check_budget and not _budget_report(params, fam).all_pass:
-        _diag("resum", "budget", "family violates the derivative budget")
-        return EXIT_VIOLATION
-    return EXIT_OK
+        raise _Failure("budget", "family violates the derivative budget")
 
 
-def run_hoelder_check(args) -> int:
+def run_hoelder_check(args):
     from . import hoelder as hl
 
     try:
@@ -369,13 +352,11 @@ def run_hoelder_check(args) -> int:
         family = hl.saturating_family(b)
         report = hl.verify_family(b, family)
     except ValueError as exc:
-        _diag("hoelder-check", "config", str(exc))
-        return EXIT_CONFIG
+        raise _Failure("config", str(exc)) from None
     except (ZeroDivisionError, OverflowError) as exc:
         # M^alpha rounding to 1, or M^((alpha+beta) j) or C' overflowing
-        _diag("hoelder-check", "config",
-              f"bounds beyond floating-point range: {exc}")
-        return EXIT_CONFIG
+        raise _Failure("config",
+                       f"bounds beyond floating-point range: {exc}") from None
     expo, band = hl.empirical_exponent(
         lambda t: sum(f(t) for f, _ in family))
     out = {"exponent": report.exponent, "constant": report.constant,
@@ -385,19 +366,14 @@ def run_hoelder_check(args) -> int:
            "hypothesesOk": report.hypotheses_ok}
     text = json.dumps(out, sort_keys=True) + "\n"
     if args.out:
-        if not _write_out("hoelder-check", args.out, text):
-            return EXIT_CONFIG
+        _write_out(args.out, text)
     else:
         sys.stdout.write(text)
     if not (report.hypotheses_ok and report.max_ratio <= 1.0):
-        _diag("hoelder-check", "certificate",
-              f"max ratio {report.max_ratio:.6f}")
-        return EXIT_VIOLATION
+        raise _Failure("certificate", f"max ratio {report.max_ratio:.6f}")
     if abs(expo - report.exponent) > 0.05:
-        _diag("hoelder-check", "tolerance",
-              f"fitted exponent {expo:.4f} vs {report.exponent:.4f}")
-        return EXIT_TOLERANCE
-    return EXIT_OK
+        raise _Failure("tolerance", f"fitted exponent {expo:.4f} vs "
+                                    f"{report.exponent:.4f}")
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +390,14 @@ def _family_options(sp):
 
 class _Parser(argparse.ArgumentParser):
     """A parse error (unknown command, missing or invalid option) is a
-    config error: usage, then a JSON diagnostic naming the subcommand as
-    the last stderr line, then exit 1.  Subparsers inherit the class."""
+    config failure: usage, then a JSON diagnostic naming the subcommand as
+    the last stderr line, then SystemExit with its code.  Subparsers
+    inherit the class."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         _diag(self.prog.split()[-1], "config", message)
-        sys.exit(EXIT_CONFIG)
+        sys.exit(EXIT_CODES["config"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -465,8 +442,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand; its exit code.  The one exit path of a failed
+    run: the driver's _Failure becomes the JSON diagnostic and the code
+    EXIT_CODES gives its tag."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+    except _Failure as exc:
+        tag, detail = exc.args
+        _diag(args.command, tag, detail)
+        return EXIT_CODES[tag]
+    return EXIT_OK
 
 
 if __name__ == "__main__":

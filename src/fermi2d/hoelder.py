@@ -88,13 +88,8 @@ def verify_family(b: ScaleBounds, family: Sequence[Tuple[Callable, Callable]],
 
     max_ratio = 0.0
     worst = (0.0, 0.0)
-    lo, hi = t_range
-    # every dyadic level at once, one row per level
-    seps = [2.0 ** (-m) * (hi - lo) for m in range(2, mmax + 1)]
-    col = np.array(seps)[:, None]
-    bases = _pair_bases(pair_points, lo, hi - col)
-    diffs = np.abs(np.asarray(total(bases + col)) - np.asarray(total(bases)))
-    for sep, base, diff in zip(seps, bases, diffs):
+    for sep, base, diff in zip(*_dyadic_pairs(total, range(2, mmax + 1),
+                                              pair_points, t_range)):
         ratios = diff / (const * sep ** expo)
         k = int(np.argmax(ratios))  # the first NaN, if there is one
         if not (ratios[k] <= max_ratio or math.isnan(max_ratio)):
@@ -103,6 +98,20 @@ def verify_family(b: ScaleBounds, family: Sequence[Tuple[Callable, Callable]],
     return FamilyReport(hypotheses_ok=hypotheses_ok, hyp_worst=hyp_worst,
                         max_ratio=max_ratio, worst_pair=worst,
                         exponent=expo, constant=const)
+
+
+def _dyadic_pairs(f: Callable, levels, pair_points: int,
+                  t_range: Tuple[float, float]):
+    """(seps, bases, diffs) over the dyadic separations sep = 2^-m (hi - lo),
+    m in levels, one row per level: bases the pair_points R_d bases in
+    [lo, hi - sep) and diffs |f(base + sep) - f(base)|, every level in one
+    pair of calls of f."""
+    lo, hi = t_range
+    seps = [2.0 ** (-m) * (hi - lo) for m in levels]
+    col = np.array(seps)[:, None]
+    bases = _pair_bases(pair_points, lo, hi - col)
+    return seps, bases, np.abs(np.asarray(f(bases + col))
+                               - np.asarray(f(bases)))
 
 
 def _pair_bases(n: int, lo, hi):
@@ -148,12 +157,10 @@ def empirical_exponent(f: Callable, m_range: Tuple[int, int] = (4, 18),
     m_lo, m_hi = m_range
     if m_hi - m_lo + 1 < 10:
         raise EstimationError("need at least 10 dyadic separation levels")
-    lo, hi = t_range
     xs, ys = [], []
-    for m in range(m_lo, m_hi + 1):
-        sep = 2.0 ** (-m) * (hi - lo)
-        base = _pair_bases(pair_points, lo, hi - sep)
-        diff = np.abs(np.asarray(f(base + sep)) - np.asarray(f(base)))
+    seps, _, diffs = _dyadic_pairs(f, range(m_lo, m_hi + 1), pair_points,
+                                   t_range)
+    for sep, diff in zip(seps, diffs):
         mx = float(diff.max())
         if mx <= 0.0:
             continue

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -10,14 +11,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fermi2d import cli
 from fermi2d import ladders as ld
 from fermi2d import selfenergy as se
 from fermi2d.blocks import BlockKernel, PairBlocks
-from fermi2d.config import ScaleParams
+from fermi2d.config import SCENARIO_KEYS, ScaleParams
 from fermi2d.kernels import EXT
 from fermi2d.scales import make_model
 
@@ -708,3 +709,163 @@ def test_g_profiles():
         assert 0.0 < val <= 1.0
     with pytest.raises(ValueError):
         cli.g_profile("nope")
+
+
+# ---------------------------------------------------------------------------
+# the exit path: drawn command lines, the README table, the one exit table
+
+
+# (valid, bad) values per option of each subcommand, small sizes only
+# (--scales <= 2, --grid 1, npoints <= 4, --nsamples <= 5); None leaves
+# the option out, "" gives the option with no value (a flag alone).  The bad values are zero,
+# negative, out-of-range, nan, inf and non-numeric numbers and, for a
+# path, a missing file ({missing}), a directory ({dir}) or a file in a
+# missing directory ({lost}); {name} is filled in from argv_paths
+BAD = ["-1", "nan", "inf", "-inf", "abc", "", "1.5", "1e400"]
+OUT = ([None, "{out}"], ["{dir}", "{lost}"])
+FORMAT = ([None, "csv", "json"], ["xml", ""])
+FAMILY = {"--family": (["{good}", "{bad}"], ["{missing}", "{dir}", None]),
+          "--jmax": ([None, "4", "8"], BAD + ["0", "3"]),
+          "--out": OUT, "--format": FORMAT}
+BOUND = (["0.5", "1", "1.5", "2"], BAD + ["0", "1e-300", "1e300", None])
+ARGV_OPTIONS = {
+    "jump-sweep": {"--config": (["{cfg}"], ["{missing}", "{dir}", None]),
+                   "--out": (["{out}"], ["{dir}", "{lost}", None]),
+                   "--format": FORMAT},
+    "ladder-demo": {"--scales": ([None, "1", "2"], BAD + ["0", "7", "99"]),
+                    "--grid": ([None, "1"], BAD + ["0"]),
+                    "--seed": ([None, "0", "3", "12345678901234567890"],
+                               BAD),
+                    "--out": (["{out}"], ["{dir}", "{lost}", None]),
+                    "--format": FORMAT},
+    "resum": {**FAMILY, "--nsamples": (["1", "5"], BAD + ["0"]),
+              "--seed": ([None, "0", "3"], BAD),
+              "--check-budget": ([None, ""], [])},
+    "norm-budget": FAMILY,
+    "hoelder-check": {"--alpha": BOUND, "--beta": BOUND, "--c0": BOUND,
+                      "--c1": BOUND,
+                      "--m": (["1.5", "2", "4"],
+                              BAD + ["0", "1", "1.0000001", "1e300", None]),
+                      "--out": OUT},
+}
+# the jump-sweep config, one "key = value" line per key drawn
+SWEEP_KEYS = {
+    "M": ([None, "2.0", "3"], ["1", "0.5", "nan", "inf", "abc", "1e300"]),
+    "Jmax": ([None, "8", "5"], ["1", "nan", "abc"]),
+    "aleph": ([None, "0.6", "0.55"], ["0.7", "nan", ""]),
+    "model": ([None, "quadratic", "quadratic:0.8", "quadratic:1.3"],
+              ["quadratic:0", "quadratic:-1", "quadratic:nan",
+               "quadratic:inf", "quadratic:1e-300", "quadratic:1e300",
+               "quadratic:abc", "bogus", ""]),
+    "npoints": (["1", "2", "4"], BAD + ["0"]),
+    "lambda": ([None, "0", "0.2", "-0.3", "0.4"], BAD + ["0.9", "1.0",
+                                                      "1e300"]),
+    "gprofile": ([None, "constant", "cosine", "twolobe"], ["nope", ""]),
+    "tol": ([None, "1e-3", "1e-6", "1"], BAD + ["0"]),
+}
+
+
+@st.composite
+def drawn_command(draw, command):
+    """(argv, config text) of command: at most two options or config keys
+    take a bad value (or are left out), the others a valid one."""
+    options = dict(ARGV_OPTIONS[command])
+    if command == "jump-sweep":
+        options.update(SWEEP_KEYS)
+    spoilt = draw(st.sets(st.sampled_from(
+        sorted(k for k, (_, bad) in options.items() if bad)), max_size=2))
+    value = {k: draw(st.sampled_from(bad if k in spoilt else valid))
+             for k, (valid, bad) in options.items()}
+    argv = [command]
+    for option in ARGV_OPTIONS[command]:
+        if value[option] is not None:
+            argv += [option, value[option]] if value[option] else [option]
+    lines = {False: [], True: ["[scenario]"]}  # top level, then [scenario]
+    for key in SWEEP_KEYS:
+        if value.get(key) is not None:
+            lines[key in SCENARIO_KEYS].append(f"{key} = {value[key]}")
+    return argv, "\n".join(lines[False] + lines[True]) + "\n"
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory, family_files):
+    root = tmp_path_factory.mktemp("argv")
+    (root / "dir").mkdir()
+    return {"cfg": root / "drawn.cfg", "out": root / "out",
+            "dir": root / "dir", "missing": root / "missing.txt",
+            "lost": root / "missing" / "out.csv",
+            "good": family_files / "good.txt",
+            "bad": family_files / "bad.txt"}
+
+
+@pytest.mark.parametrize("command", sorted(ARGV_OPTIONS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_every_drawn_command_line_exits_by_the_table(argv_paths, command,
+                                                     data):
+    # exit 0, or a nonzero code whose last stderr line is the JSON
+    # diagnostic of that subcommand, its error a tag of EXIT_CODES that
+    # gives the code: never a traceback
+    argv, text = data.draw(drawn_command(command))
+    argv_paths["cfg"].write_text(text)
+    argv = [a.format(**argv_paths) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # a command line that does not parse
+            rc = exc.code
+    event(f"{argv[0]} exits {rc}")
+    assert rc in (0, 1, 2, 3)
+    if rc != 0:
+        diag = json.loads(err.getvalue().splitlines()[-1])
+        assert diag["scenario"] == argv[0]
+        assert cli.EXIT_CODES[diag["error"]] == rc
+
+
+def test_readme_exit_table_is_exit_codes():
+    # every tag of EXIT_CODES is a row of the README's exit-code table
+    # with its code, and the table has no other row
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        rows = re.findall(r"(?m)^\| `(\w+)` \| (\d) \|", fh.read())
+    assert {tag: int(code) for tag, code in rows} == cli.EXIT_CODES
+    assert len(rows) == len(cli.EXIT_CODES)
+
+
+def test_exit_codes_are_chosen_in_one_table():
+    # no function but main returns a nonzero EXIT_ constant; the first
+    # argument of every _Failure(...) is a string literal naming a key of
+    # EXIT_CODES, and every key is raised somewhere
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "main":
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Return) and node.value is not None:
+                names = {n.id for n in ast.walk(node.value)
+                         if isinstance(n, ast.Name)}
+                assert not {n for n in names if n.startswith("EXIT_")} \
+                    - {"EXIT_OK"}, f"{fn.name} returns an exit code"
+    tags = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") \
+                == "_Failure":
+            first = node.args[0]
+            assert isinstance(first, ast.Constant) \
+                and isinstance(first.value, str), ast.dump(node)
+            tags.add(first.value)
+    assert tags == set(cli.EXIT_CODES)
+
+
+def test_resum_without_out_draws_nothing(family_files, monkeypatch):
+    # the rows are drawn and summed only to be written: without --out the
+    # run validates the family and checks the budget, and sums no P or Q
+    monkeypatch.setattr(se, "resum_P", lambda *a: pytest.fail("resum_P"))
+    monkeypatch.setattr(se, "resum_Q", lambda *a: pytest.fail("resum_Q"))
+    assert cli.main(["resum", "--family", str(family_files / "good.txt"),
+                     "--jmax", "4"]) == cli.EXIT_OK
+    assert cli.main(["resum", "--family", str(family_files / "bad.txt"),
+                     "--jmax", "4", "--check-budget"]) == cli.EXIT_VIOLATION
