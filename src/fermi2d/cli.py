@@ -438,6 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     _family_options(sp)
     sp.set_defaults(func=run_norm_budget)
 
+    for sp in sub.choices.values():
+        sp.set_defaults(parser=sp)
     return ap
 
 
@@ -445,7 +447,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one subcommand; its exit code.  The one exit path of a failed
     run: the driver's _Failure becomes the JSON diagnostic and the code
     EXIT_CODES gives its tag."""
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # reported by the subcommand's parser, which names it
+        args.parser.error("unrecognized arguments: " + " ".join(unknown))
     try:
         args.func(args)
     except _Failure as exc:

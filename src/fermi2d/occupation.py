@@ -15,17 +15,16 @@ for many points at once, as one vector on shared intervals, with the
 in-tree adaptive Gauss-Kronrod 21 rule (_gk21_adaptive).  Across the
 Fermi curve the limit jumps by 1 / (1 - (1/i) dS/dk0(0, kbar)).
 
-scipy.integrate is imported only by _quad, the scalar quadrature of
-i1_quad and i3_cutoff_quad (the quadrature sides of the I1 and I3 closed
-forms) and of i2_quad and i4_quad (the one-point references for
-occupation_limits).  No subcommand calls them, so a sweep loads no scipy.
+The same rule integrates the one-point pieces i1_quad and i3_cutoff_quad
+(the quadrature sides of the I1 and I3 closed forms) and i2_quad and
+i4_quad (the one-point references for occupation_limits), each as one
+complex integrand evaluated once per node.  The module needs numpy only.
 """
 from __future__ import annotations
 
 import heapq
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -132,30 +131,6 @@ def default_eta(disp, model, kx, ky):
     return np.maximum(0.5 * np.minimum(1.0, 10.0 * np.abs(E)), 1e-5)
 
 
-def _quad(f, a, b, tol, **quad_kwargs) -> float:
-    """integrate.quad of a real f at epsabs = tol, checked: raises
-    QuadratureError when scipy warns or the error estimate exceeds 50 times
-    the requested accuracy, max(tol, epsrel |value|) when epsrel is given."""
-    from scipy import integrate
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            val, err = integrate.quad(f, a, b, epsabs=tol, **quad_kwargs)
-        except integrate.IntegrationWarning as exc:
-            raise QuadratureError(str(exc)) from exc
-    goal = max(tol, quad_kwargs.get("epsrel", 0.0) * abs(val))
-    if err > 50 * goal + 1e-12:
-        raise QuadratureError(f"estimated error {err:.2e}")
-    return val
-
-
-def _quad_complex(f, a, b, tol, **quad_kwargs) -> complex:
-    re = _quad(lambda x: f(x).real, a, b, tol, **quad_kwargs)
-    im = _quad(lambda x: f(x).imag, a, b, tol, **quad_kwargs)
-    return re + 1j * im
-
-
 # GK21 of QUADPACK (Piessens et al., 1983): the positive Kronrod nodes, the
 # Kronrod weights of those nodes and of 0, and the 10-point Gauss weights of
 # the odd-numbered nodes; the rule is symmetric about 0.
@@ -190,11 +165,9 @@ _GK21_V = _KRONROD_V + (_KRONROD_V0,) + _KRONROD_V[::-1]
 _GK21_W = _GAUSS_W + _GAUSS_W[::-1]     # at nodes 1, 3, ..., 19
 
 # the adaptive driver: subintervals kept at most, intervals bisected per
-# round at most, bytes of cached interval integrals at most, and the
-# message of each status
+# round at most, and the message of each status
 _GK21_LIMIT = 10000
 _GK21_BATCH = 128
-_GK21_CACHE_BYTES = 100e6
 _GK21_STATUS = ("Target precision reached.",
                 "Target precision not reached.",
                 "Target precision could not be reached due to rounding error.",
@@ -235,7 +208,8 @@ def _gk21_adaptive(f, a, b, tol):
     [a, b] at epsabs = epsrel = tol in the max norm, with the algorithm and
     results of scipy.integrate.quad_vec(norm="max"): each round bisects the
     intervals of largest error (up to _GK21_BATCH, until their errors cover
-    the excess over tol/8), reusing each parent's cached integral.
+    the excess over tol/8).  Each interval's heap entry carries its
+    integral, so a bisected parent is never evaluated again.
 
     Returns (integral, error estimate, status), status an index into
     _GK21_STATUS: 0 once the error is below tol/8 on at least 2 intervals,
@@ -244,32 +218,24 @@ def _gk21_adaptive(f, a, b, tol):
     """
     ig, error, rounding = _gk21(f, a, b)
     total = ig
-    heap = [(-error, a, b)]
-    cache = {(a, b): ig}                  # oldest entries are evicted first
-    cache_len = _GK21_CACHE_BYTES // sys.getsizeof(ig)
+    heap = [(-error, a, b, ig)]
     status = 1
     while heap and len(heap) < _GK21_LIMIT:
         goal = max(tol, tol * _max_norm(total))
         batch, batch_err = [], 0.0
         while heap and len(batch) < _GK21_BATCH and not (
                 batch and batch_err > error - goal / 8):
-            neg_err, lo, hi = heapq.heappop(heap)
-            batch.append((-neg_err, lo, hi, cache.pop((lo, hi), None)))
-            batch_err += -neg_err
-        for old_err, lo, hi, old in batch:
+            batch.append(heapq.heappop(heap))
+            batch_err -= batch[-1][0]
+        for neg_err, lo, hi, old in batch:
             mid = 0.5 * (lo + hi)
             s1, e1, r1 = _gk21(f, lo, mid)
             s2, e2, r2 = _gk21(f, mid, hi)
-            if old is None:
-                old = _gk21(f, lo, hi)[0]
             total = total + (s1 + s2 - old)
-            error += e1 + e2 - old_err
+            error += e1 + e2 + neg_err
             rounding += r1 + r2
-            for x1, x2, s, e in ((lo, mid, s1, e1), (mid, hi, s2, e2)):
-                cache[(x1, x2)] = s
-                if len(cache) > cache_len:
-                    del cache[next(iter(cache))]
-                heapq.heappush(heap, (-e, x1, x2))
+            heapq.heappush(heap, (-e1, lo, mid, s1))
+            heapq.heappush(heap, (-e2, mid, hi, s2))
         if len(heap) >= 2:
             if error < max(tol, tol * _max_norm(total)) / 8:
                 status = 0
@@ -284,7 +250,7 @@ def _gk21_adaptive(f, a, b, tol):
 
 
 def _quad_vec(f, a, b, tol) -> np.ndarray:
-    """_gk21_adaptive of a vector-valued f, checked like _quad: raises
+    """_gk21_adaptive of a scalar- or vector-valued f, checked: raises
     QuadratureError when it does not converge or its error estimate exceeds
     50 max(tol, tol |value|), |value| the max norm."""
     val, err, status = _gk21_adaptive(f, a, b, tol)
@@ -306,7 +272,7 @@ def i1_quad(disp, model, kx, ky, eta: float, tau: float = 0.0,
     def f(k0):
         return np.exp(1j * k0 * tau) / (1j * A * k0 - E) / (2 * math.pi)
 
-    return _quad_complex(f, -eta, eta, tol, epsrel=tol, limit=300)
+    return complex(_quad_vec(f, -eta, eta, tol))
 
 
 def i1_closed_limit(disp, model, kx, ky, eta):
@@ -317,8 +283,9 @@ def i1_closed_limit(disp, model, kx, ky, eta):
 
 
 def i2_quad(disp, model, kx, ky, eta: float, tol: float = 1e-10) -> complex:
-    """The |k0| < eta remainder at tau = 0, by scalar quadrature: the
-    reference for the I2 part of occupation_limits."""
+    """The |k0| < eta remainder at tau = 0, by one-point quadrature (the
+    first bisection splits at k0 = 0): the reference for the I2 part of
+    occupation_limits."""
     A, E = _aer(disp, model, kx, ky)
     S0 = complex(model.S(0.0, kx, ky))
     dS0 = complex(model.dS_dk0(0.0, kx, ky))
@@ -328,8 +295,7 @@ def i2_quad(disp, model, kx, ky, eta: float, tol: float = 1e-10) -> complex:
         lin = 1j * A * k0 - E
         return R / (lin * (lin - R)) / (2 * math.pi)
 
-    return _quad_complex(f, -eta, eta, tol, epsrel=tol, limit=300,
-                         points=[0.0])
+    return complex(_quad_vec(f, -eta, eta, tol))
 
 
 def i3_closed(disp, kx, ky, tau: float) -> float:
@@ -346,12 +312,9 @@ def i3_cutoff_quad(disp, kx, ky, tau: float, cutoff: float,
     e = float(disp.e(kx, ky))
 
     def f(k0):
-        return 1.0 / (1j * k0 - e) / (2 * math.pi)
+        return np.exp(1j * tau * k0) / (1j * k0 - e) / (2 * math.pi)
 
-    kw = dict(wvar=tau, epsrel=tol, limit=3000)
-    c = _quad_complex(f, -cutoff, cutoff, tol, weight="cos", **kw)
-    s = _quad_complex(f, -cutoff, cutoff, tol, weight="sin", **kw)
-    return (c.real - s.imag) + 1j * (c.imag + s.real)
+    return complex(_quad_vec(f, -cutoff, cutoff, tol))
 
 
 def i3_cutoff_extrapolated(disp, kx, ky, tau: float, base_cutoff: float = 60.0,
@@ -376,16 +339,20 @@ def i3p_closed_limit(disp, kx, ky, eta):
 
 def i4_quad(disp, model, kx, ky, eta: float, tol: float = 1e-10) -> complex:
     """Interacting-minus-free tail over |k0| >= eta at tau = 0, folded
-    symmetrically: the reference for the I4 part of occupation_limits."""
+    symmetrically and mapped onto t in (0, 1] by k0 = eta/t: the
+    reference for the I4 part of occupation_limits."""
     e = float(disp.e(kx, ky))
 
     def g(k0):
         S = complex(model.S(k0, kx, ky))
         free = 1j * k0 - e
-        return S / (free * (free - S)) / (2 * math.pi)
+        return S / (free * (free - S))
 
-    return _quad_complex(lambda k0: g(k0) + g(-k0), eta, np.inf, tol,
-                         epsrel=tol, limit=300)
+    def f(t):
+        k0 = eta / t
+        return k0 / t * (g(k0) + g(-k0)) / (2 * math.pi)
+
+    return complex(_quad_vec(f, 0.0, 1.0, tol))
 
 
 # ---------------------------------------------------------------------------

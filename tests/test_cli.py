@@ -564,9 +564,10 @@ def test_hoelder_check_rejects_extreme_bounds(capsys, argv):
     ([], "fermi2d"),
     (["jump-sweep", "--config", "{sweep}"], "jump-sweep"),
     (["norm-budget", "--family", "{good}", "--format", "xml"], "norm-budget"),
-    (["ladder-demo", "--out", "x.csv", "--bogus", "1"], "fermi2d"),
+    (["ladder-demo", "--out", "x.csv", "--bogus", "1"], "ladder-demo"),
     (["hoelder-check", "--alpha", "1"], "hoelder-check"),
-    (["norm-budget", "--family", "{good}", "--lambda0", "0.5"], "fermi2d"),
+    (["norm-budget", "--family", "{good}", "--lambda0", "0.5"],
+     "norm-budget"),
 ], ids=["unknown-command", "no-command", "missing-out", "format-xml",
         "unknown-option", "missing-bounds", "lambda0-option"])
 def test_parse_errors_are_config_errors(tmp_path, capsys, family_files, argv,
@@ -669,6 +670,26 @@ def test_subcommand_loads_no_scipy(tmp_path, family_files, argv, layers):
                   else cli.EXIT_OK)
 
 
+def test_no_module_imports_scipy():
+    # scipy is a test oracle only: no import of it in any module of the
+    # package, at module level or inside a function
+    src = os.path.dirname(os.path.abspath(cli.__file__))
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            assert [m for m in mods if m.split(".")[0] == "scipy"] == [], \
+                f"{name}:{node.lineno}"
+
+
 def test_explicit_blas_thread_count_wins():
     code = ("import os\n"
             "import fermi2d.cli\n"
@@ -763,23 +784,29 @@ SWEEP_KEYS = {
     "gprofile": ([None, "constant", "cosine", "twolobe"], ["nope", ""]),
     "tol": ([None, "1e-3", "1e-6", "1"], BAD + ["0"]),
 }
+# options no subcommand takes
+UNKNOWN = [["--bogus"], ["--bogus", "1"], ["--lambda0", "0.5"], ["-x"]]
 
 
 @st.composite
 def drawn_command(draw, command):
     """(argv, config text) of command: at most two options or config keys
-    take a bad value (or are left out), the others a valid one."""
+    take a bad value (or are left out) or an UNKNOWN option ends argv,
+    the others a valid one."""
     options = dict(ARGV_OPTIONS[command])
     if command == "jump-sweep":
         options.update(SWEEP_KEYS)
     spoilt = draw(st.sets(st.sampled_from(
-        sorted(k for k, (_, bad) in options.items() if bad)), max_size=2))
+        sorted(k for k, (_, bad) in options.items() if bad) + ["unknown"]),
+        max_size=2))
     value = {k: draw(st.sampled_from(bad if k in spoilt else valid))
              for k, (valid, bad) in options.items()}
     argv = [command]
     for option in ARGV_OPTIONS[command]:
         if value[option] is not None:
             argv += [option, value[option]] if value[option] else [option]
+    if "unknown" in spoilt:
+        argv += draw(st.sampled_from(UNKNOWN))
     lines = {False: [], True: ["[scenario]"]}  # top level, then [scenario]
     for key in SWEEP_KEYS:
         if value.get(key) is not None:

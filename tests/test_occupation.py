@@ -1,6 +1,5 @@
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -199,16 +198,16 @@ def test_occupation_limit_on_curve_raises(disp, model):
         oc.occupation_limit(disp, model, 1.0, 1.0)
 
 
-def _quad_huge_error(f, a, b, **kwargs):
-    return 0.0, 1.0
+def _vec_not_converged(f, a, b, tol):
+    return np.zeros_like(f(0.5)), 0.0, 1
 
 
-def _quad_warns(f, a, b, **kwargs):
-    warnings.warn("roundoff error is detected", integrate.IntegrationWarning)
-    return 0.0, 0.0
+def _vec_huge_error(f, a, b, tol):
+    return np.zeros_like(f(0.5)), 1.0, 0
 
 
-@pytest.mark.parametrize("fake", [_quad_huge_error, _quad_warns],
+# "warning": the rule stops short of its tolerance (status 1)
+@pytest.mark.parametrize("fake", [_vec_huge_error, _vec_not_converged],
                          ids=["error-estimate", "warning"])
 @pytest.mark.parametrize("evaluate", [
     lambda disp, model: oc.i1_quad(disp, model, 1.45, 0.0, 0.2, 0.02),
@@ -217,10 +216,83 @@ def _quad_warns(f, a, b, **kwargs):
     lambda disp, model: oc.i4_quad(disp, model, 1.45, 0.0, 0.2),
 ], ids=["i1_quad", "i2_quad", "i3_cutoff_quad", "i4_quad"])
 def test_quadrature_failure_raises(disp, model, monkeypatch, fake, evaluate):
-    # _quad imports scipy.integrate when called, so it meets the patched quad
-    monkeypatch.setattr(integrate, "quad", fake)
+    monkeypatch.setattr(oc, "_gk21_adaptive", fake)
     with pytest.raises(oc.QuadratureError):
         evaluate(disp, model)
+
+
+def _scipy_quad(f, a, b, tol, **kwargs):
+    """The complex integral of f by scipy.integrate.quad (QUADPACK), real
+    and imaginary parts apart, at epsabs = epsrel = tol."""
+    parts = [integrate.quad(lambda x: part(f(x)), a, b, epsabs=tol,
+                            epsrel=tol, limit=3000, **kwargs)[0]
+             for part in (np.real, np.imag)]
+    return complex(*parts)
+
+
+def _oracle_i1(disp, model, kx, ky, eta, tau, tol):
+    A, E = oc._aer(disp, model, kx, ky)
+    return _scipy_quad(lambda k0: np.exp(1j * k0 * tau) / (1j * A * k0 - E),
+                       -eta, eta, tol) / (2 * math.pi)
+
+
+def _oracle_i2(disp, model, kx, ky, eta, tol):
+    A, E = oc._aer(disp, model, kx, ky)
+    S0, dS0 = model.S(0.0, kx, ky), model.dS_dk0(0.0, kx, ky)
+
+    def f(k0):
+        R = model.S(k0, kx, ky) - S0 - dS0 * k0
+        lin = 1j * A * k0 - E
+        return R / (lin * (lin - R))
+
+    return _scipy_quad(f, -eta, eta, tol, points=[0.0]) / (2 * math.pi)
+
+
+def _oracle_i3(disp, kx, ky, tau, cutoff, tol):
+    # QAWO: the cos and sin weights of 1 / (i k0 - e), recombined
+    e = float(disp.e(kx, ky))
+    c, s = (_scipy_quad(lambda k0: 1 / (1j * k0 - e), -cutoff, cutoff, tol,
+                        weight=w, wvar=tau) for w in ("cos", "sin"))
+    return (c + 1j * s) / (2 * math.pi)
+
+
+def _oracle_i4(disp, model, kx, ky, eta, tol):
+    # QAGI on [eta, inf), the k0 and -k0 halves folded
+    e = float(disp.e(kx, ky))
+
+    def g(k0):
+        S = model.S(k0, kx, ky)
+        return S / ((1j * k0 - e) * (1j * k0 - e - S))
+
+    return _scipy_quad(lambda k0: g(k0) + g(-k0), eta, np.inf, tol) \
+        / (2 * math.pi)
+
+
+# (theta, radial offset): near the curve (0.002) and away from it
+_ORACLE_POINTS = [(0.3, -0.002), (1.9, 0.002), (2.5, -0.05), (4.0, 0.05),
+                  (5.2, -0.3), (0.9, 0.3)]
+
+
+@pytest.mark.parametrize("piece, oracle, args", [
+    (oc.i1_quad, _oracle_i1, lambda m, x, y, eta: (m, x, y, eta, 0.0)),
+    (oc.i1_quad, _oracle_i1, lambda m, x, y, eta: (m, x, y, eta, 0.7)),
+    (oc.i2_quad, _oracle_i2, lambda m, x, y, eta: (m, x, y, eta)),
+    (oc.i3_cutoff_quad, _oracle_i3, lambda m, x, y, eta: (x, y, 0.5, 60.0)),
+    (oc.i4_quad, _oracle_i4, lambda m, x, y, eta: (m, x, y, eta)),
+], ids=["i1_quad", "i1_quad-tau", "i2_quad", "i3_cutoff_quad", "i4_quad"])
+def test_pieces_match_scipy_quad(disp, piece, oracle, args):
+    # an oracle independent of the in-tree rule: QUADPACK's QAGS, QAWO and
+    # QAGI through scipy.integrate.quad, within 50 tol
+    model = oc.linear_self_energy(
+        0.2, lambda kx, ky: 0.6 + 0.3 * np.cos(np.arctan2(ky, kx)))
+    tol = 1e-10
+    for th, off in _ORACLE_POINTS:
+        rad = math.sqrt(2) * (1 + off)
+        kx, ky = rad * math.cos(th), rad * math.sin(th)
+        eta = float(oc.default_eta(disp, model, kx, ky))
+        call = args(model, kx, ky, eta)
+        got, want = piece(disp, *call, tol), oracle(disp, *call, tol)
+        assert abs(got - want) <= 50 * tol * max(1.0, abs(want)), (th, off)
 
 
 def _counting(monkeypatch, owner, name):
@@ -248,14 +320,6 @@ def test_fermi_sweep_is_one_vector_quadrature(disp, model, monkeypatch):
         n_out, _ = oc.occupation_limit(disp, model, (rad + d) * nx, (rad + d) * ny)
         assert abs(r.n_in - n_in) <= 1e-12
         assert abs(r.n_out - n_out) <= 1e-12
-
-
-def _vec_not_converged(f, a, b, tol):
-    return np.zeros_like(f(0.5)), 0.0, 1
-
-
-def _vec_huge_error(f, a, b, tol):
-    return np.zeros_like(f(0.5)), 1.0, 0
 
 
 @pytest.mark.parametrize("fake", [_vec_not_converged, _vec_huge_error],
