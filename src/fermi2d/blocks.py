@@ -15,18 +15,58 @@ The support depends only on a space's leg signature: its grid, its
 direction and the (field, k, spin, bar) of every leg.  Sectors do not enter
 it, so the spaces of every scale of a ladder scheme whose legs agree up to
 their sectors share one PairBlocks (KernelSpace.pair_blocks), with its
-cached gathers; the grid keeps one instance per signature.
+cached gathers; the grid keeps one instance per signature.  Its build
+sorts: the momentum classes of the pair sums come from sorts along each
+axis (_classes), the blocks from one stable argsort of the row keys and
+one of the column keys (_groups), with no all-pairs table.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import List, Tuple
 
 import numpy as np
 
 from .kernels import Kernel4, KernelSpace, MomentumGrid, zero_kernel
+
+
+def _classes(P: np.ndarray) -> np.ndarray:
+    """Class of every row of P (one momentum per row): the first row within
+    1e-9 of it on every axis, as in conservation_mask; ValueError when that
+    closeness does not split the rows into classes.  Groups split at each
+    gap of at least 1e-9 along one axis, then the next, until no axis splits
+    one; rows within 1e-9 on every axis stay together, and the all-pairs
+    check runs within each (small) group."""
+    group = np.zeros(len(P), dtype=np.intp)
+    ax = clean = 0  # clean: axes passed in a row with no split
+    while clean < 3:
+        order = np.lexsort((P[:, ax], group))
+        cut = np.r_[True, (np.diff(group[order]) != 0)
+                    | (np.diff(P[order, ax]) >= 1e-9)]
+        clean = clean + 1 if cut.sum() == group.max() + 1 else 1
+        group[order] = np.cumsum(cut) - 1
+        ax = (ax + 1) % 3
+    order = np.argsort(group, kind="stable")
+    cls = np.arange(len(P))
+    for g in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
+        close = (np.abs(P[g, None] - P[None, g]) < 1e-9).all(axis=2)
+        first = close.argmax(axis=1)
+        if not np.array_equal(close, first[:, None] == first):
+            raise ValueError("grid momentum sums within the conservation "
+                             "tolerance of each other do not form classes")
+        cls[g] = g[first]
+    return cls
+
+
+def _groups(key: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """The distinct values of key, ascending, and the ascending positions of
+    each: one stable argsort, split where the key changes."""
+    order = np.argsort(key, kind="stable")
+    values, starts = np.unique(key[order], return_index=True)
+    return values, np.split(order, starts[1:])
 
 
 class PairBlocks:
@@ -40,9 +80,8 @@ class PairBlocks:
     momentum and complementary bar count, with the signs of
     conservation_mask ((-1)^bar on directed spaces, (+, -, -, +) on
     undirected ones).  A row pair has the key (class of s_a k_a + s_b k_b,
-    bar count), a column pair the key (class of -(s_c k_c + s_d k_d),
-    2 - bar count) (bar counts are 0 on undirected spaces), and the support
-    is the set of (row, column) of equal keys: one dense block per key.
+    bar count), a column pair (class of -(s_c k_c + s_d k_d), 2 - bar count)
+    (bar counts 0 on undirected spaces); one dense block per shared key.
     The column pairs of block t are the row pairs of block col_rows[t]
     (block t itself on undirected spaces), and cols[t] is that array.  A
     support vector holds the blocks one after another, each row-major over
@@ -57,43 +96,29 @@ class PairBlocks:
     def __init__(self, grid: MomentumGrid, directed: bool, legs: np.ndarray):
         self.grid, self.directed, self.legs = grid, directed, legs
         n = self.n = len(legs)
-        # class of every signed sum s k_i + t k_j of two grid momenta: the
-        # first such sum within conservation_mask's tolerance on every axis
+        # class of every signed sum s k_i + t k_j of two grid momenta
         K = np.stack([grid.k0, grid.kx, grid.ky], axis=1)
         SK = np.stack([K, -K], axis=1)
         P = (SK[:, :, None, None, :] + SK[None, None, :, :, :]).reshape(-1, 3)
-        close = np.ones((len(P), len(P)), dtype=bool)
-        for ax in range(3):
-            close &= np.abs(P[:, None, ax] - P[None, :, ax]) < 1e-9
-        cls = close.argmax(axis=1)
-        if not np.array_equal(close, cls[:, None] == cls[None, :]):
-            raise ValueError("grid momentum sums within the conservation "
-                             "tolerance of each other do not form classes")
-        cls = cls.reshape(len(K), 2, len(K), 2)
+        cls = _classes(P).reshape(len(K), 2, len(K), 2)
         k, bar = legs[:, 1], legs[:, 3]
-        if directed:
-            s, nbar = [bar] * 4, 2
-        else:
-            zero, one = np.zeros_like(bar), np.ones_like(bar)
-            s, nbar = [zero, one, one, zero], 0
-        row_key = 3 * cls[k[:, None], s[0][:, None], k, s[1]] \
-            + bar[:, None] + bar
-        col_key = 3 * cls[k[:, None], 1 - s[2][:, None], k, 1 - s[3]] \
+        # leg signs, broadcast over the (first leg, second leg) pair axes
+        s, nbar = ([bar[:, None], bar] * 2, 2) if directed \
+            else ([0, 1, 1, 0], 0)
+        row_key = 3 * cls[k[:, None], s[0], k, s[1]] + bar[:, None] + bar
+        col_key = 3 * cls[k[:, None], 1 - s[2], k, 1 - s[3]] \
             + nbar - bar[:, None] - bar
-        row_key, col_key = row_key.ravel(), col_key.ravel()
-        # sorted common keys; np.intersect1d would import numpy.ma
-        self.keys = np.array(sorted(set(row_key.tolist())
-                                    & set(col_key.tolist())), dtype=int)
-        self.rows = [np.flatnonzero(row_key == key) for key in self.keys]
-        self._row_block = np.full(n * n, -1, dtype=np.int32)
-        for t, r in enumerate(self.rows):
-            self._row_block[r] = t
+        row_keys, rows = _groups(row_key.ravel())
+        col_keys, cols = _groups(col_key.ravel())
+        # the keys both sides share (np.intersect1d would import numpy.ma)
+        shared = np.isin(row_keys, col_keys)
+        self.keys, self.rows = row_keys[shared], list(compress(rows, shared))
+        cols = list(compress(cols, np.isin(col_keys, row_keys)))
         # a column key is the row key of the negated pair momentum and the
-        # complementary bar count, so the column pairs of a block are the
-        # row pairs of one block
-        cols = [np.flatnonzero(col_key == key) for key in self.keys]
-        self.col_rows = np.array([self._row_block[c[0]] for c in cols],
-                                 dtype=int)
+        # complementary bar count: the column pairs of a block are the row
+        # pairs of one block
+        self.col_rows = np.searchsorted(self.keys,
+                                        row_key.ravel()[[c[0] for c in cols]])
         if not all(np.array_equal(c, self.rows[u])
                    for c, u in zip(cols, self.col_rows)):
             raise RuntimeError("pair-block columns are not the rows of a block")
@@ -105,11 +130,12 @@ class PairBlocks:
                                     for r, c in zip(self.rows, self.cols)])
         # one position table serves rows and cols: a pair has one position
         # in rows[t] and in cols[t'], the same array
+        self._row_block = np.full(n * n, -1, dtype=np.int32)
         self._col_block = np.full(n * n, -1, dtype=np.int32)
         self._pos = np.zeros(n * n, dtype=np.int32)
         self._row_start = np.zeros(n * n, dtype=np.int32)
         for t, (r, c) in enumerate(zip(self.rows, self.cols)):
-            self._col_block[c] = t
+            self._row_block[r] = self._col_block[c] = t
             self._pos[r] = np.arange(len(r))
             self._row_start[r] = self.offsets[t] + self._pos[r] * len(c)
         self._swaps: dict = {}
@@ -168,15 +194,11 @@ class PairBlocks:
         if not np.array_equal(self.legs[i0, :3], self.legs[i1, :3]):
             raise ValueError("the bar-0 and bar-1 legs differ")
         ub = PairBlocks.shared(self.grid, False, self.legs[i0])
-        where = {key: t for t, key in enumerate(self.keys)}
-        out = []
-        for key, r, c in zip(ub.keys, ub.rows, ub.cols):
-            t = where[key + 1]   # same momentum class, bar count 1
-            a, b = np.divmod(r, ub.n)
-            cc, d = np.divmod(c, ub.n)
-            out.append((t, self._pos[i0[a] * self.n + i1[b]],
-                        self._pos[i1[cc] * self.n + i0[d]]))
-        return out
+        # the block here of each undirected key: its class at bar count 1
+        at = np.searchsorted(self.keys, ub.keys + 1).tolist()
+        return [(t, self._pos[i0[r // ub.n] * self.n + i1[r % ub.n]],
+                 self._pos[i1[c // ub.n] * self.n + i0[c % ub.n]])
+                for t, r, c in zip(at, ub.rows, ub.cols)]
 
     @cached_property
     def ph_gather(self) -> np.ndarray:

@@ -7,7 +7,9 @@ The ladder path stores them on their conservation support instead
 Legs carry a field tag (0 = external phi leg in momentum space, 1 =
 internal sectorized psi leg, -1 = auxiliary primed phi leg), a grid
 momentum, a spin, a creation/annihilation (bar) index on directed spaces,
-and a sector on internal legs.  All-external values represent the reduced
+and a sector on internal legs: one sorted integer row per leg in
+KernelSpace.leg_table, where KernelSpace.find looks legs up by a packed
+integer code and a binary search.  All-external values represent the reduced
 momentum-conserving function (the overall delta function is stripped), so
 tuples are admissible only when the bar-signed momenta sum to zero.
 """
@@ -64,58 +66,48 @@ def make_grid(points: Sequence[Tuple[float, float, float]]) -> MomentumGrid:
 # leg spaces
 
 
-@dataclass(frozen=True)
-class Leg:
-    field: int
-    k: int
-    spin: int
-    bar: int     # always 0 on undirected spaces
-    sector: int  # -1 on external legs
-
-
 class KernelSpace:
     """Enumeration of admissible legs for one working scale.
 
     sec_ok[(s, k)] marks grid momenta lying in the extended support of
-    sector s; internal legs exist only for admissible pairs.
+    sector s; internal legs exist only for admissible pairs.  leg_table has
+    one sorted (field, k, spin, bar, sector) row per leg (bar 0 on undirected
+    spaces, sector -1 on external legs), with columns leg_field .. leg_sector.
     """
 
     def __init__(self, grid: MomentumGrid, nspin: int = 2,
                  nsec: int = 1, sec_ok: Optional[np.ndarray] = None,
                  fields: Tuple[int, ...] = (EXT, INT), directed: bool = True):
-        self.grid = grid
-        self.nspin = nspin
-        self.nsec = nsec
-        self.fields = tuple(sorted(fields))
-        self.directed = directed
+        self.grid, self.nspin, self.nsec = grid, nspin, nsec
+        self.fields, self.directed = tuple(sorted(fields)), directed
         if sec_ok is None:
             sec_ok = np.ones((nsec, len(grid)), dtype=bool)
         self.sec_ok = np.asarray(sec_ok, dtype=bool)
         bars = (0, 1) if directed else (0,)
-        legs: List[Leg] = []
-        for field in self.fields:
-            if field == INT:
-                for k in range(len(grid)):
-                    for spin in range(nspin):
-                        for bar in bars:
-                            for s in range(nsec):
-                                if self.sec_ok[s, k]:
-                                    legs.append(Leg(field, k, spin, bar, s))
-            else:
-                for k in range(len(grid)):
-                    for spin in range(nspin):
-                        for bar in bars:
-                            legs.append(Leg(field, k, spin, bar, -1))
-        legs.sort(key=lambda g: (g.field, g.k, g.spin, g.bar, g.sector))
-        self.legs = tuple(legs)
-        self.index = {g: i for i, g in enumerate(legs)}
-        self.n = len(legs)
-        self.leg_field = np.array([g.field for g in legs])
-        self.leg_k = np.array([g.k for g in legs])
-        self.leg_spin = np.array([g.spin for g in legs])
-        self.leg_bar = np.array([g.bar for g in legs])
-        self.leg_sector = np.array([g.sector for g in legs])
+        # sorted as built: fields ascending, then (k, spin, bar, sector)
+        self.leg_table = np.array([
+            (f, k, spin, bar, s) for f in self.fields
+            for k, spin, bar, s in itertools.product(
+                range(len(grid)), range(nspin), bars,
+                range(nsec) if f == INT else (-1,))
+            if s < 0 or self.sec_ok[s, k]], dtype=np.int64).reshape(-1, 5)
+        self.n = len(self.leg_table)
+        (self.leg_field, self.leg_k, self.leg_spin, self.leg_bar,
+         self.leg_sector) = self.leg_table.T
         self._undirected = None
+
+    def find(self, field, k, spin, bar, sector) -> np.ndarray:
+        """Index of each leg (field, k, spin, bar, sector), the arguments
+        broadcast together, or -1 for a leg the space lacks: a binary search
+        of packed row codes, which grow with the row order."""
+        legs = np.stack(np.broadcast_arrays(field, k, spin, bar, sector), -1)
+        lo = np.array([EXTP, 0, 0, 0, -1])
+        dims = (3, len(self.grid), self.nspin, 2, self.nsec + 1)
+        table, want = (np.ravel_multi_index(tuple(np.moveaxis(x - lo, -1, 0)),
+                                            dims, mode="clip")
+                       for x in (self.leg_table, legs))
+        i = np.minimum(np.searchsorted(table, want), self.n - 1)
+        return np.where((self.leg_table[i] == legs).all(axis=-1), i, -1)
 
     @cached_property
     def pair_blocks(self) -> "PairBlocks":
@@ -125,9 +117,8 @@ class KernelSpace:
         every space of that signature and built on first use."""
         from .blocks import PairBlocks
 
-        legs = np.stack([self.leg_field, self.leg_k, self.leg_spin,
-                         self.leg_bar], axis=1)
-        return PairBlocks.shared(self.grid, self.directed, legs)
+        return PairBlocks.shared(self.grid, self.directed,
+                                 self.leg_table[:, :4])
 
     # -- partner spaces -------------------------------------------------
 
@@ -151,10 +142,8 @@ class KernelSpace:
 
     def iota(self, bar: int, und: "KernelSpace") -> np.ndarray:
         """Directed leg index for each undirected leg, at the given bar."""
-        out = np.empty(und.n, dtype=int)
-        for i, g in enumerate(und.legs):
-            out[i] = self.index[Leg(g.field, g.k, g.spin, bar, g.sector)]
-        return out
+        f, k, spin, _, sector = und.leg_table.T
+        return self.find(f, k, spin, bar, sector)
 
 
 @dataclass
@@ -183,19 +172,15 @@ def conservation_mask(space: KernelSpace) -> np.ndarray:
     the particle-hole pattern signs (+, -, -, +).
     """
     if space.directed:
-        sgn = np.where(space.leg_bar == 0, 1.0, -1.0)
-        per_axis = [sgn] * 4
+        signs = [np.where(space.leg_bar == 0, 1.0, -1.0)] * 4
     else:
-        per_axis = [np.full(space.n, float(s)) for s in (1, -1, -1, 1)]
-    comps = []
+        signs = [np.full(space.n, float(s)) for s in (1, -1, -1, 1)]
+    mask = True
     for vals in (space.grid.k0, space.grid.kx, space.grid.ky):
-        v = vals[space.leg_k]
-        total = (per_axis[0] * v)[:, None, None, None] \
-            + (per_axis[1] * v)[None, :, None, None] \
-            + (per_axis[2] * v)[None, None, :, None] \
-            + (per_axis[3] * v)[None, None, None, :]
-        comps.append(np.abs(total) < 1e-9)
-    return comps[0] & comps[1] & comps[2]
+        a, b, c, d = (s * vals[space.leg_k] for s in signs)
+        total = np.add.outer(np.add.outer(np.add.outer(a, b), c), d)
+        mask = mask & (np.abs(total) < 1e-9)
+    return mask
 
 
 def number_conserving_mask(space: KernelSpace) -> np.ndarray:
@@ -203,9 +188,7 @@ def number_conserving_mask(space: KernelSpace) -> np.ndarray:
     if not space.directed:
         return np.ones((space.n,) * 4, dtype=bool)
     b = space.leg_bar
-    total = b[:, None, None, None] + b[None, :, None, None] \
-        + b[None, None, :, None] + b[None, None, None, :]
-    return total == 2
+    return np.add.outer(np.add.outer(b, b), np.add.outer(b, b)) == 2
 
 
 def random_kernel(space: KernelSpace, rng, amp: float = 1.0,
@@ -353,12 +336,12 @@ def _conversion_matrix(src: KernelSpace, dst: KernelSpace,
     """dst x src matrix: identity on shared legs plus B(k)-weighted
     conversion of internal src legs onto to_field external dst legs."""
     T = np.zeros((dst.n, src.n), dtype=complex)
-    for i, g in enumerate(src.legs):
-        if g.field in dst.fields:
-            T[dst.index[g], i] += 1.0
-        if g.field == INT:
-            tgt = Leg(to_field, g.k, g.spin, g.bar, -1)
-            T[dst.index[tgt], i] += B(*src.grid.values(g.k))
+    f, k, spin, bar, _ = src.leg_table.T
+    shared = np.flatnonzero(np.isin(f, dst.fields))
+    T[dst.find(*src.leg_table[shared].T), shared] = 1.0
+    conv = np.flatnonzero(f == INT)
+    T[dst.find(to_field, k[conv], spin[conv], bar[conv], -1), conv] = \
+        [B(*src.grid.values(kk)) for kk in k[conv]]
     return T
 
 
@@ -396,9 +379,9 @@ def pi_collapse(kern: Kernel4, dst: Optional[KernelSpace] = None) -> Kernel4:
         dst = KernelSpace(sp.grid, sp.nspin, sp.nsec, sp.sec_ok, fields,
                           sp.directed)
     P = np.zeros((dst.n, sp.n), dtype=float)
-    for i, g in enumerate(sp.legs):
-        tgt = Leg(EXT, g.k, g.spin, g.bar, -1) if g.field == EXTP else g
-        P[dst.index[tgt], i] = 1.0
+    f, k, spin, bar, sector = sp.leg_table.T
+    P[dst.find(np.where(f == EXTP, EXT, f), k, spin, bar, sector),
+      np.arange(sp.n)] = 1.0
     return Kernel4(dst, _apply_per_axis(kern.values, [P] * 4))
 
 
@@ -448,16 +431,14 @@ def _component_values_by_sector(space, arr, ivec):
         return np.abs(arr), len(ext_axes), 0
     nbar = 2 if space.directed else 1
     nval = len(space.grid) * space.nspin * nbar
-    legs = [space.legs[i] for i in space.field_indices(INT)]
-    idx = np.array([g.sector * nval + (g.k * space.nspin + g.spin) * nbar + g.bar
-                    for g in legs])
+    _, k, spin, bar, sector = space.leg_table[space.field_indices(INT)].T
+    idx = sector * nval + (k * space.nspin + spin) * nbar + bar
     # scatter the (possibly ragged) admissible legs into a dense block
-    dense = np.zeros([arr.shape[i] for i in range(len(ext_axes))]
-                     + [space.nsec * nval] * len(int_axes), dtype=float)
+    lead = list(arr.shape[:len(ext_axes)])
+    dense = np.zeros(lead + [space.nsec * nval] * len(int_axes), dtype=float)
     dense[(Ellipsis,) + np.ix_(*([idx] * len(int_axes)))] = np.abs(arr)
-    new_shape = [arr.shape[i] for i in range(len(ext_axes))] \
-        + [space.nsec, nval] * len(int_axes)
-    return dense.reshape(new_shape), len(ext_axes), len(int_axes)
+    return dense.reshape(lead + [space.nsec, nval] * len(int_axes)), \
+        len(ext_axes), len(int_axes)
 
 
 def sector_norm_p(kern: Kernel4, p: int) -> float:

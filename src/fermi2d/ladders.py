@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .blocks import BlockKernel
-from .kernels import EXT, INT, KernelSpace, Leg, MomentumGrid
+from .kernels import EXT, INT, KernelSpace, MomentumGrid
 from .scales import ScaleInterval, ScaleModel
 from .sectors import Sectorization, build_fermi_curve, build_sectorization, \
     hat_weights
@@ -210,28 +210,27 @@ class LadderScheme:
         """Leg refinement matrix (scale-j legs x scale-i legs): identity on
         external legs, hat weights over the scale-j sectors on internal
         ones."""
-        src = self.space(i, directed)
-        dst = self.space(j, directed)
+        src, dst = self.space(i, directed), self.space(j, directed)
         secz = self.sectorizations[j]
         hats = hat_weights(secz)
-        curve = secz.curve
+        f, k, spin, bar, _ = src.leg_table.T
         R = np.zeros((dst.n, src.n), dtype=float)
-        for col, g in enumerate(src.legs):
-            if g.field != INT:
-                R[dst.index[g], col] = 1.0
-                continue
-            s_arc = float(curve.arc_position(self.grid.kx[g.k], self.grid.ky[g.k]))
+        ext = np.flatnonzero(f != INT)
+        R[dst.find(*src.leg_table[ext].T), ext] = 1.0
+        for col in np.flatnonzero(f == INT):
+            s_arc = float(secz.curve.arc_position(self.grid.kx[k[col]],
+                                                  self.grid.ky[k[col]]))
             placed = 0.0
             for loc, full in enumerate(self.sec_ids[j]):
                 w = float(hats[full](s_arc))
                 if w <= 0.0:
                     continue
-                tgt = Leg(INT, g.k, g.spin, g.bar, loc)
-                if tgt not in dst.index:
+                row = dst.find(INT, k[col], spin[col], bar[col], loc)
+                if row < 0:
                     raise ValueError(
                         f"refinement target sector {full} at scale {j} lost "
-                        f"grid point {g.k}")
-                R[dst.index[tgt], col] += w
+                        f"grid point {k[col]}")
+                R[row, col] += w
                 placed += w
             if abs(placed - 1.0) > 1e-12:
                 raise ValueError(
@@ -301,21 +300,16 @@ def build_scheme(params, disp, grid: MomentumGrid, scales_needed,
     for j in scales_needed:
         secz = build_sectorization(params, curve, j,
                                    length_override=sector_lengths.get(j))
-        ids = []
-        ok_rows = []
-        for s in secz:
-            row = np.array([s.ext_contains(disp, grid.kx[i], grid.ky[i])
-                            for i in range(len(grid))], dtype=bool)
-            if row.any():
-                ids.append(s.index)
-                ok_rows.append(row)
-        if not ids:
+        ok = np.array([[s.ext_contains(disp, grid.kx[i], grid.ky[i])
+                        for i in range(len(grid))] for s in secz],
+                      dtype=bool).reshape(len(secz), len(grid))
+        touch = ok.any(axis=1)
+        if not touch.any():
             raise ValueError(f"no scale-{j} sector touches the grid")
-        sec_ok = np.array(ok_rows, dtype=bool)
         sectorizations[j] = secz
-        sec_ids[j] = ids
-        dir_spaces[j] = KernelSpace(grid, nspin=nspin, nsec=len(ids),
-                                    sec_ok=sec_ok, fields=(EXT, INT),
+        sec_ids[j] = [s.index for s, t in zip(secz, touch) if t]
+        dir_spaces[j] = KernelSpace(grid, nspin=nspin, nsec=len(sec_ids[j]),
+                                    sec_ok=ok[touch], fields=(EXT, INT),
                                     directed=True)
     return LadderScheme(scales=model, grid=grid, sectorizations=sectorizations,
                         sec_ids=sec_ids, dir_spaces=dir_spaces)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermi2d import cli
+from fermi2d import blocks, cli
 from fermi2d.blocks import BlockKernel, PairBlocks
 from fermi2d.kernels import (Kernel4, KernelSpace, antisymmetrize,
                              conservation_mask, flip, is_inversion_symmetric,
@@ -278,6 +278,115 @@ def test_off_support_kernel_rejected():
     off = np.where(conservation_mask(sp), 0.0, np.abs(f.values))
     with pytest.raises(ValueError, match=re.escape(f"{off.max():.3e}")):
         BlockKernel.from_dense(f)
+
+
+def _all_pairs_classes(P):
+    # reference labelling: the class of a sum is the first sum within the
+    # tolerance of it on every axis, from the all-pairs closeness matrix
+    close = np.ones((len(P), len(P)), dtype=bool)
+    for ax in range(3):
+        close &= np.abs(P[:, None, ax] - P[None, :, ax]) < 1e-9
+    cls = close.argmax(axis=1)
+    if not np.array_equal(close, cls[:, None] == cls[None, :]):
+        raise ValueError("grid momentum sums within the conservation "
+                         "tolerance of each other do not form classes")
+    return cls
+
+
+def _scan_groups(key):
+    # reference grouping: one flatnonzero scan over every pair per key
+    values = np.array(sorted(set(key.tolist())), dtype=int)
+    return values, [np.flatnonzero(key == v) for v in values]
+
+
+def _pair_sums(grid):
+    # the signed sums s k_i + t k_j in PairBlocks' (i, s, j, t) order
+    K = np.stack([grid.k0, grid.kx, grid.ky], axis=1)
+    SK = np.stack([K, -K], axis=1)
+    return (SK[:, :, None, None, :] + SK[None, None, :, :, :]).reshape(-1, 3)
+
+
+def _assert_sorted_build_matches_reference(space):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blocks, "_classes", _all_pairs_classes)
+        mp.setattr(blocks, "_groups", _scan_groups)
+        ref = _fresh(space)
+    got = _fresh(space)
+    for name in ("keys", "rows", "cols", "col_rows", "offsets", "flat",
+                 "_row_block", "_col_block", "_pos", "_row_start"):
+        a, b = getattr(got, name), getattr(ref, name)
+        if isinstance(b, list):
+            assert len(a) == len(b), name
+            assert all(np.array_equal(x, y) and x.dtype == y.dtype
+                       for x, y in zip(a, b)), name
+        else:
+            assert np.array_equal(a, b) and a.dtype == b.dtype, name
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), directed=st.booleans())
+def test_sorted_build_matches_all_pairs_reference(small_spaces, data,
+                                                  directed):
+    # classes found by sorting and blocks grouped by one argsort give the
+    # tables of the all-pairs closeness matrix and the per-key scans
+    _assert_sorted_build_matches_reference(data.draw(small_spaces(directed)))
+
+
+# A + B and C + D (and their relatives) lie 0.5e-9 apart on the k0 axis;
+# k1 - k2 lies exactly 1e-9 from k1 - k1 = 0
+HALF = [(0.25, 0.5, 0.125), (0.5, 0.25, 0.375), (0.5 + 0.5e-9, 0.5, 0.25),
+        (0.25, 0.25, 0.25)]
+EXACT = [(1e-9, 0.4, 0.7), (0.0, 0.4, 0.7)]
+
+
+@pytest.mark.parametrize("points, near, far", [
+    (HALF, [((0, 0, 1, 0), (2, 0, 3, 0))], []),
+    (EXACT, [], [((0, 0, 1, 1), (0, 0, 0, 1))])], ids=["half", "exact"])
+@pytest.mark.parametrize("directed", [True, False])
+def test_sorted_build_on_edge_grids(points, near, far, directed):
+    # sums 0.5e-9 apart share a class; sums exactly 1e-9 apart do not, as
+    # the tolerance is strict; both builds agree on every table
+    grid = make_grid(points)
+    P, cls = _pair_sums(grid), blocks._classes(_pair_sums(grid))
+    assert np.array_equal(cls, _all_pairs_classes(P))
+
+    def at(i, s, j, t):
+        return ((2 * i + s) * len(grid) + j) * 2 + t
+
+    for a, b in near:
+        assert 0 < abs(P[at(*a), 0] - P[at(*b), 0]) < 1e-9
+        assert cls[at(*a)] == cls[at(*b)]
+    for a, b in far:
+        assert np.array_equal(P[at(*a)] - P[at(*b)], [1e-9, 0.0, 0.0])
+        assert cls[at(*a)] != cls[at(*b)]
+    _assert_sorted_build_matches_reference(
+        KernelSpace(grid, nspin=1, nsec=2, sec_ok=[[1] * len(grid),
+                                                   [1, 0] * (len(grid) // 2)],
+                    directed=directed))
+
+
+def test_sums_exactly_the_tolerance_apart_are_not_close():
+    # k1 - k2 and k2 - k1 lie 0.5e-9 from 0 and exactly 1e-9 from each
+    # other, in one sorted group: the strict tolerance keeps them apart, so
+    # neither build finds classes
+    P = _pair_sums(make_grid([(0.5e-9, 0.4, 0.7), (0.0, 0.4, 0.7)]))
+    for classes in (blocks._classes, _all_pairs_classes):
+        with pytest.raises(ValueError, match="do not form classes"):
+            classes(P)
+
+
+def test_pair_blocks_build_has_no_all_pairs_temporary(demo_schemes, params):
+    # the undirected build of the --scales 3 --grid 4 demo scheme (24 grid
+    # points, 2304 pair sums) stays far below one (4 G^2)^2 closeness
+    # matrix of the sums (5.3M entries)
+    sp = demo_schemes(4, 3).space(params.j0, directed=False)
+    tracemalloc.start()
+    try:
+        _fresh(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_unresolvable_momentum_sums_rejected():

@@ -50,6 +50,9 @@ GOLDEN = {
     "ladder-demo --scales 2 --seed 4 --out {out}": (
         "469346b9e3f13b47e740ed728f053a3e3533e78a036cb24cfd9b9546d16455a5",
         EMPTY, EMPTY, RC[0]),
+    "ladder-demo --scales 3 --grid 3 --seed 0 --out {out}": (
+        "dcc9a1873167eef93ab24948348ade73577078891ff06cdf3c31a17dbd4efe81",
+        EMPTY, EMPTY, RC[0]),
     "ladder-demo --grid 2 --seed 0 --out {out}": (
         "17e0bbceeb32a2be32c67cf2c1eb7ac4099104951e911f257463fe8b7531bcdc",
         EMPTY, EMPTY, RC[0]),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermi2d.kernels import (EXT, EXTP, INT, Kernel4, KernelSpace, Leg,
+from fermi2d.kernels import (EXT, EXTP, INT, Kernel4, KernelSpace,
                              _conversion_matrix, antisymmetrize,
                              component_mask, conservation_mask,
                              extract_component, flip, is_inversion_symmetric,
@@ -222,7 +222,7 @@ def test_sct_scales_external_legs():
     out = sct_prime(f, B)
     d = np.ones(sp.n, dtype=complex)
     for i in sp.field_indices(EXTP):
-        d[i] = B(*sp.grid.values(sp.legs[i].k))
+        d[i] = B(*sp.grid.values(sp.leg_table[i, 1]))
     manual = f.values * d[:, None, None, None] * d[None, :, None, None] \
         * d[None, None, :, None] * d[None, None, None, :]
     assert np.abs(out.values - manual).max() == 0.0
@@ -315,6 +315,34 @@ def _tensordot_per_axis(values, mats):
 
 
 @pytest.mark.parametrize("kw", BLOCK_SPACES, ids=["criterion-3", "ragged"])
+@pytest.mark.parametrize("primed", [False, True])
+@pytest.mark.parametrize("directed", [True, False])
+def test_find_reads_the_leg_table(kw, primed, directed):
+    # the table is sorted with unique rows, find gives every row its own
+    # index, and a leg the space does not have gives -1
+    sp = KernelSpace(GRID, directed=directed, **kw)
+    sp = sp.primed() if primed else sp
+    table = sp.leg_table
+    assert table.shape == (sp.n, 5)
+    assert [tuple(r) for r in table.tolist()] \
+        == sorted(set(map(tuple, table.tolist())))
+    assert np.array_equal(sp.find(*table.T), np.arange(sp.n))
+    assert sp.find(*table[3]) == 3
+    missing = [(EXT, 0, 0, 0, 0), (INT, 0, 0, 0, -1),
+               (EXT, len(GRID), 0, 0, -1), (EXT, 0, sp.nspin, 0, -1),
+               (INT, 0, 0, 0, sp.nsec), (EXT, 0, 0, 2, -1), (2, 0, 0, 0, -1)]
+    if not primed:
+        missing.append((EXTP, 0, 0, 0, -1))
+    if not directed:
+        missing.append((EXT, 0, 0, 1, -1))
+    if not sp.sec_ok.all():
+        s, k = np.argwhere(~sp.sec_ok)[0]
+        missing.append((INT, k, 0, 0, s))
+    assert np.array_equal(sp.find(*np.array(missing).T),
+                          np.full(len(missing), -1))
+
+
+@pytest.mark.parametrize("kw", BLOCK_SPACES, ids=["criterion-3", "ragged"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_leg_maps_match_tensordot(kw, seed):
     # shear, shear_prime and pi_collapse, _apply_per_axis through the
@@ -327,9 +355,11 @@ def test_leg_maps_match_tensordot(kw, seed):
     spp = sp.primed()
     fp = shear_prime(f, B)
     P = np.zeros((sp.n, spp.n))
-    for i, g in enumerate(spp.legs):
-        tgt = Leg(EXT, g.k, g.spin, g.bar, -1) if g.field == EXTP else g
-        P[sp.index[tgt], i] = 1.0
+    index = {tuple(leg): i for i, leg in enumerate(sp.leg_table.tolist())}
+    for i, (field, k, spin, bar, sector) in enumerate(spp.leg_table.tolist()):
+        tgt = (EXT, k, spin, bar, -1) if field == EXTP else \
+            (field, k, spin, bar, sector)
+        P[index[tgt], i] = 1.0
     for got, src, T in (
             (shear(f, B), f, _conversion_matrix(sp, sp, B, EXT)),
             (fp, f, _conversion_matrix(sp, spp, B, EXTP)),

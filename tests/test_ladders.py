@@ -105,11 +105,12 @@ def compose_oracle(sp, left, right, av, bv):
     joins internal legs of equal momentum and spin, of opposite bars on
     directed spaces."""
     def joined(g, h):
-        return g.k == h.k and g.spin == h.spin \
-            and (not sp.directed or g.bar != h.bar)
+        # g, h: (field, k, spin, bar, sector) rows of the leg table
+        return g[1] == h[1] and g[2] == h[2] \
+            and (not sp.directed or g[3] != h[3])
 
     ii = list(sp.field_indices(INT))
-    legs = sp.legs
+    legs = sp.leg_table.tolist()
     oracle = np.zeros(left.shape, dtype=complex)
     for w, x in itertools.product(ii, repeat=2):
         gw, gx = legs[w], legs[x]
@@ -117,7 +118,7 @@ def compose_oracle(sp, left, right, av, bv):
             gp, gq = legs[p], legs[q]
             line = 0.0
             if joined(gw, gp) and joined(gx, gq):
-                line = av[gw.k] * bv[gx.k] + bv[gw.k] * av[gx.k]
+                line = av[gw[1]] * bv[gx[1]] + bv[gw[1]] * av[gx[1]]
             if line != 0.0:
                 oracle += line * np.multiply.outer(
                     left[:, :, w, x], right[p, q, :, :])
@@ -510,9 +511,9 @@ def test_resectorize_preserves_totals(scheme):
         nbar = 2
         nval = len(sp.grid) * sp.nspin * nbar
         T = np.zeros((nval + nval, sp.n))  # ext block + summed int block
-        for i, g in enumerate(sp.legs):
-            base = (g.k * sp.nspin + g.spin) * nbar + g.bar
-            if g.field == INT:
+        for i, (field, k, spin, bar, _) in enumerate(sp.leg_table.tolist()):
+            base = (k * sp.nspin + spin) * nbar + bar
+            if field == INT:
                 T[nval + base, i] = 1.0
             else:
                 T[base, i] = 1.0
