@@ -2,12 +2,14 @@
 
 The ladder path keeps its kernels here instead of in dense n^4 arrays:
 PairBlocks groups the support into dense blocks, and BlockKernel holds a
-kernel as its support vector, with the dense operations of the ladder path
-as gathers: each one leg swap of the support (PairBlocks.swap) or a product
-of them (the inversion check reverses the legs by two swaps, and
+kernel as its support vector.  This module holds storage, leg swaps and
+the undirected operations that the ladder sums run: each one leg swap of
+the support (PairBlocks.swap) or a product of them (flip swaps the middle
+legs, the inversion check reverses the legs by two swaps, and
 ph_antisymmetric projects an undirected kernel onto the ph entries of
-antisymmetric kernels by the two swaps that keep their bars), or, between
-a directed space and its undirected partner, the reduce_ph gather.
+antisymmetric kernels by the two swaps that keep their bars).  The
+directed operations (antisymmetrize, reduce_ph, value_ph) live only in
+fermi2d.kernels, on dense kernels, reached through dense and from_dense.
 BlockKernel.random draws a kernel on the support from the standard
 library's random.Random, so its values do not depend on numpy.
 
@@ -15,7 +17,7 @@ The support depends only on a space's leg signature: its grid, its
 direction and the (field, k, spin, bar) of every leg.  Sectors do not enter
 it, so the spaces of every scale of a ladder scheme whose legs agree up to
 their sectors share one PairBlocks (KernelSpace.pair_blocks), with its
-cached gathers; the grid keeps one instance per signature.  Its build
+cached swaps; the grid keeps one instance per signature.  Its build
 sorts: the momentum classes of the pair sums come from sorts along each
 axis (_classes), the blocks from one stable argsort of the row keys and
 one of the column keys (_groups), with no all-pairs table.
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from typing import List, Tuple
 
@@ -89,12 +90,12 @@ class PairBlocks:
     every entry.  Four n^2-entry int32 pair tables place every ordered leg
     pair: the block holding it as a row pair, the block holding it as a
     column pair (-1 if none), its position in both, and, as a row pair, the
-    support index at which its row starts.  The leg swaps and the reduce_ph
-    gather are lookups in them.
+    support index at which its row starts.  The leg swaps are lookups in
+    them.
     """
 
     def __init__(self, grid: MomentumGrid, directed: bool, legs: np.ndarray):
-        self.grid, self.directed, self.legs = grid, directed, legs
+        self.directed = directed
         n = self.n = len(legs)
         # class of every signed sum s k_i + t k_j of two grid momenta
         K = np.stack([grid.k0, grid.kx, grid.ky], axis=1)
@@ -178,35 +179,6 @@ class PairBlocks:
             self._swaps[i, k] = self._row_start[r] + self._pos[c]
         return self._swaps[i, k]
 
-    @cached_property
-    def ph(self) -> List[Tuple[int, np.ndarray, np.ndarray]]:
-        """Per pair block of the undirected partner (directed signatures):
-        the block t holding it here, and its row and column positions in
-        block t, the row pairs of bars (0, 1) and the column pairs of bars
-        (1, 0) that reduce_ph reads.
-
-        The undirected partner has the bar-0 legs, in order.  Legs sort by
-        (field, k, spin, bar, sector) and every internal sector has both
-        bars, so the m-th undirected leg is the m-th bar-0 leg and the m-th
-        bar-1 leg here (KernelSpace.iota)."""
-        bar = self.legs[:, 3]
-        i0, i1 = np.flatnonzero(bar == 0), np.flatnonzero(bar == 1)
-        if not np.array_equal(self.legs[i0, :3], self.legs[i1, :3]):
-            raise ValueError("the bar-0 and bar-1 legs differ")
-        ub = PairBlocks.shared(self.grid, False, self.legs[i0])
-        # the block here of each undirected key: its class at bar count 1
-        at = np.searchsorted(self.keys, ub.keys + 1).tolist()
-        return [(t, self._pos[i0[r // ub.n] * self.n + i1[r % ub.n]],
-                 self._pos[i1[c // ub.n] * self.n + i0[c % ub.n]])
-                for t, r, c in zip(at, ub.rows, ub.cols)]
-
-    @cached_property
-    def ph_gather(self) -> np.ndarray:
-        """Gather index (int32) of reduce_ph on the support."""
-        return np.concatenate([
-            (self.offsets[t] + r[:, None] * len(self.cols[t]) + c).ravel()
-            for t, r, c in self.ph]).astype(np.int32)
-
 
 @dataclass
 class BlockKernel:
@@ -277,27 +249,13 @@ class BlockKernel:
     def __rmul__(self, c) -> "BlockKernel":
         return BlockKernel(self.space, c * self.values)
 
-    def __truediv__(self, c) -> "BlockKernel":
-        return BlockKernel(self.space, self.values / c)
-
-    def antisymmetrize(self) -> "BlockKernel":
-        """The coset product of antisymmetrize, each axis swap a gather."""
-        pb = self.space.pair_blocks
-        out = self.values
-        for k in range(1, 4):
-            acc = out.copy()
-            for i in range(k):
-                acc -= out[pb.swap(i, k)]
-            out = acc
-        return BlockKernel(self.space, out / 24.0)
-
     def ph_antisymmetric(self) -> "BlockKernel":
         """Onto the ph entries of antisymmetric kernels, on an undirected
         space: the signed average over the leg swaps (0, 3) and (1, 2), the
         stabilizer of the ph bar pattern (0, 1, 1, 0).  It is idempotent,
-        it fixes reduce_ph of every antisymmetric directed kernel, and its
-        output r is the ph rung of one:
-        r = (1.5 * r.value_ph(directed).antisymmetrize()).reduce_ph()."""
+        it fixes the ph entries (kernels.reduce_ph) of every antisymmetric
+        directed kernel, and its output r is the ph rung of one:
+        r = reduce_ph(1.5 * antisymmetrize(value_ph(r))), in kernels."""
         pb = self.space.pair_blocks
         v = self.values - self.values[pb.swap(0, 3)]
         v -= v[pb.swap(1, 2)]
@@ -315,19 +273,3 @@ class BlockKernel:
         """Minus the middle-leg swap."""
         swap = self.space.pair_blocks.swap(1, 2)
         return BlockKernel(self.space, -self.values[swap])
-
-    def reduce_ph(self) -> "BlockKernel":
-        """Onto the undirected partner space."""
-        return BlockKernel(self.space.undirected(),
-                           self.values[self.space.pair_blocks.ph_gather])
-
-    def value_ph(self, directed: KernelSpace) -> "BlockKernel":
-        """From the undirected partner of directed onto directed: the values
-        at bars (0, 1, 1, 0), times (1 - tau_01)(1 - tau_23), which are the
-        four signed terms of kernels.value_ph, one per bar pattern."""
-        pb = directed.pair_blocks
-        out = np.zeros(pb.size, dtype=complex)
-        out[pb.ph_gather] = self.values
-        out -= out[pb.swap(0, 1)]
-        out -= out[pb.swap(2, 3)]
-        return BlockKernel(directed, out)

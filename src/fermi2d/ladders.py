@@ -20,27 +20,28 @@ runs; the dense compose is the reference the blocked step is tested on.
 The particle-hole ladders read a directed rung w only through its ph
 entries, bars (0, 1, 1, 0): for antisymmetric w the directed ph sum equals
 the series of 24 w^ph over the undirected bubble, and the ph rung of a
-ladder L is (L + L^f) / 24.  So iterated_ladder and ladder_closed_form
-run one undirected recursion (_ph_ladders), and delta_ladder_telescope
-writes out the same recursion for its two ladders in one loop: a telescope
-over s scales makes 3 s - 1 ladder sums, 4 (s - 1) resectorizations and no
-directed kernel operation.  The rung family holds
-the ph rungs themselves (LadderFamily), so a whole ladder-demo run makes
-none either and builds no directed support.  compound_ladder keeps the
-directed route (value_ph, antisymmetrize, the directed ph chain) as the
-independent computation that the closed form is checked against.
+ladder L is (L + L^f) / 24.  So the blocked engine is undirected only:
+iterated_ladder and ladder_closed_form run one recursion (_ph_ladders),
+and delta_ladder_telescope writes it out for its two ladders in one loop:
+over s scales, 3 s - 1 ladder sums, 4 (s - 1) resectorizations and no
+directed kernel operation.  The rung family holds the ph rungs themselves
+(LadderFamily), so a ladder-demo run builds no directed support.
+compound_ladder, the independent computation the closed form is checked
+against, runs the directed route (value_ph, antisymmetrize, the directed
+ph chain of compose) on the dense kernels of fermi2d.kernels.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .blocks import BlockKernel
-from .kernels import EXT, INT, KernelSpace, MomentumGrid
+from .kernels import EXT, INT, Kernel4, KernelSpace, MomentumGrid, \
+    antisymmetrize, reduce_ph, value_ph
 from .scales import ScaleInterval, ScaleModel
 from .sectors import Sectorization, build_fermi_curve, build_sectorization, \
     hat_weights
@@ -78,9 +79,9 @@ def line_matrix(space: KernelSpace, vals_per_k: np.ndarray) -> np.ndarray:
 
 
 def propagator_line_values(space: KernelSpace, prop: Callable) -> np.ndarray:
+    """prop at every grid momentum, from one call on the grid arrays."""
     g = space.grid
-    return np.array([prop(g.k0[i], g.kx[i], g.ky[i]) for i in range(len(g))],
-                    dtype=complex)
+    return np.broadcast_to(prop(g.k0, g.kx, g.ky), len(g)).astype(complex)
 
 
 def bubble(space: KernelSpace, A: Callable, B: Callable,
@@ -107,10 +108,10 @@ def compose(left: np.ndarray, bub: BubbleProp, rung: np.ndarray) -> np.ndarray:
     return (L @ B[np.ix_(rows, cols)] @ R).reshape(left.shape)
 
 
-def bubble_joins(rung: BlockKernel, bub: BubbleProp, blocks: Sequence[int]
+def bubble_joins(rung: BlockKernel, bub: BubbleProp
                  ) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Per pair block t of the rung's space in blocks: the chain columns the
-    bubble joins and M_t = B_t rung_t[joined rows].
+    """Per pair block t of the rung's space: the chain columns the bubble
+    joins and M_t = B_t rung_t[joined rows].
 
     B_t is block t of the pair-matrix bubble la (x) lb + lb (x) la, which
     maps the column pairs of block t onto its row pairs; as in compose, only
@@ -123,7 +124,7 @@ def bubble_joins(rung: BlockKernel, bub: BubbleProp, blocks: Sequence[int]
     la, lb = bub.line_a, bub.line_b
     rung_blocks = rung.blocks()
     joins = []
-    for t in blocks:
+    for t in range(len(pb)):
         w, x = (pos[a] for a in np.divmod(pb.cols[t], sp.n))
         p, q = (pos[a] for a in np.divmod(pb.rows[t], sp.n))
         ci = np.flatnonzero((w >= 0) & (x >= 0))
@@ -143,47 +144,47 @@ def compose_blocks(chain: List[np.ndarray],
     return [C[:, cols] @ M for C, (cols, M) in zip(chain, joins)]
 
 
-def _ladder_series(rung: BlockKernel, bub: BubbleProp, lmax: int,
-                   ph: bool = False) -> BlockKernel:
-    """The ladder sum of rung through bub over the chain L_0 = rung,
-    L_ell = L_(ell-1) . C . rung for ell = 1..lmax, one compose_blocks call
-    per step.
-
-    The sum is sum_l (-1)^l L_l or, with ph (rung and bub directed), the
-    directed ph sum 2 sum_l (-1)^l 12^(l+1) L_l^ph over the undirected
-    partner of the rung's space; the chain then carries only the row pairs
-    that reduce_ph reads, since row (a, b) of L_ell depends only on row
-    (a, b) of L_(ell-1).  For an antisymmetric rung w, the ph sum of w is
-    the plain sum of 24 w^ph over the undirected bubble of the same lines.
-    Raises LadderDivergenceError before the chain runs when the series
-    diverges: when its term ratio (1, or 12 with ph) times the spectral
-    radius of the step, max_t rho(M_t[:, cols_t]) (bubble_joins), is at
-    least 1.
-    """
-    if lmax < 1:
-        raise ValueError("ladders need at least one bubble")
-    pb = rung.space.pair_blocks
-    sel = pb.ph if ph else [(t, slice(None), slice(None)) for t in range(len(pb))]
-    coef, ratio, out = (24.0, 12.0, rung.space.undirected()) if ph \
-        else (1.0, 1.0, rung.space)
-    blocks = rung.blocks()
-    chain = [blocks[t][rows] for t, rows, _ in sel]
-    joins = bubble_joins(rung, bub, [t for t, _, _ in sel])
-    rho = ratio * max((np.abs(np.linalg.eigvals(M[:, cols])).max(initial=0.0)
-                       for cols, M in joins), default=0.0)
+def _certified_joins(rung: BlockKernel, bub: BubbleProp
+                     ) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """bubble_joins of rung through bub, or LadderDivergenceError when the
+    series diverges: when its step's spectral radius, max_t
+    rho(M_t[:, cols_t]), is at least 1."""
+    joins = bubble_joins(rung, bub)
+    rho = max((np.abs(np.linalg.eigvals(M[:, cols])).max(initial=0.0)
+               for cols, M in joins), default=0.0)
     if rho >= 1.0:
         raise LadderDivergenceError(f"ladder terms not decaying: spectral "
                                     f"radius {rho:.4g} >= 1 ({bub.label})")
+    return joins
 
-    def flat(chain):
-        return np.concatenate([C[:, cols].ravel()
-                               for C, (_, _, cols) in zip(chain, sel)])
 
+def _ladder_series(rung: BlockKernel, bub: BubbleProp,
+                   lmax: int) -> BlockKernel:
+    """The ladder sum sum_l (-1)^l L_l of rung through bub over the chain
+    L_0 = rung, L_ell = L_(ell-1) . C . rung for ell = 1..lmax, one
+    compose_blocks call per step once _certified_joins has passed."""
+    if lmax < 1:
+        raise ValueError("ladders need at least one bubble")
+    joins = _certified_joins(rung, bub)
+    chain = rung.blocks()
     acc = 0.0
     for ell in range(1, lmax + 1):
         chain = compose_blocks(chain, joins)
-        acc = acc + coef * (-ratio) ** ell * flat(chain)
-    return BlockKernel(out, acc)
+        acc = acc + (-1.0) ** ell * np.concatenate([C.ravel() for C in chain])
+    return BlockKernel(rung.space, acc)
+
+
+def _directed_ph_series(w: Kernel4, bub: BubbleProp, lmax: int) -> Kernel4:
+    """The directed ph sum 2 sum_l (-1)^l 12^(l+1) L_l^ph of a dense rung w
+    through a directed bubble, over the chain L_0 = w,
+    L_ell = compose(L_(ell-1), bub, w), on the undirected partner space."""
+    und = w.space.undirected()
+    chain, acc = w.values, 0.0
+    for ell in range(1, lmax + 1):
+        chain = compose(chain, bub, w.values)
+        acc = acc + 2.0 * (-1.0) ** ell * 12.0 ** (ell + 1) \
+            * reduce_ph(Kernel4(w.space, chain), und).values
+    return Kernel4(und, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +330,8 @@ class LadderFamily:
     support and projects it onto the ph entries of antisymmetric kernels
     (BlockKernel.ph_antisymmetric), and its whole run builds no directed
     support.  A directed antisymmetric rung F^(i) is accepted too and read
-    through reduce_ph (_ph_rung)."""
+    through the dense kernels.reduce_ph (_ph_rung), and compound_ladder
+    takes only those."""
 
     F: Dict[int, BlockKernel]
     p: Dict[int, Callable]
@@ -351,9 +353,10 @@ class LadderFamily:
 
 
 def _ph_rung(f: BlockKernel) -> BlockKernel:
-    """(F^(i))^ph of a family rung: reduce_ph of a directed one, an
-    undirected one as it is."""
-    return f.reduce_ph() if f.space.directed else f
+    """(F^(i))^ph of a family rung: an undirected one as it is, a directed
+    one through the dense kernels.reduce_ph."""
+    return BlockKernel.from_dense(reduce_ph(f.dense())) if f.space.directed \
+        else f
 
 
 def _ph_ladders(scheme: LadderScheme, jtop: int,
@@ -369,7 +372,8 @@ def _ph_ladders(scheme: LadderScheme, jtop: int,
     j0 = scheme.scales.params.j0
     W = L = BlockKernel.zeros(scheme.space(j0, directed=False))
     for j in range(j0, jtop):
-        W, L = (scheme.resectorize(K, max(j0, j - 1), j) for K in (W, L))
+        W = scheme.resectorize(W, max(j0, j - 1), j)
+        L = scheme.resectorize(L, max(j0, j - 1), j)
         if j in family_F:
             W = W + _ph_rung(family_F[j])
         L = L + _ladder_series(24.0 * W + L + L.flip(), bubble_at(j), lmax)
@@ -390,18 +394,24 @@ def compound_ladder(scheme: LadderScheme, jtop: int, v: Optional[Callable],
                     family_F: Dict[int, BlockKernel],
                     lmax: int) -> BlockKernel:
     """Compound particle-hole ladder, one fixed v in both covariances, on
-    directed rungs: scale j sums the directed ph ladders of
+    dense directed rungs: scale j sums the directed ph ladders of
     w_j = W_j + antisymmetrize(value_ph(L)) / 8, with W_j the directed rung
-    sum and L the ladder so far, both refined to scale j."""
+    sum and L the ladder so far, both refined to scale j, once the
+    certificate of 24 w_j^ph (the same radius) has passed."""
     j0 = scheme.scales.params.j0
     W = BlockKernel.zeros(scheme.space(j0))
     L = BlockKernel.zeros(scheme.space(j0, directed=False))
     for j in range(j0, jtop):
-        W, L = (scheme.resectorize(K, max(j0, j - 1), j) for K in (W, L))
+        W = scheme.resectorize(W, max(j0, j - 1), j)
+        L = scheme.resectorize(L, max(j0, j - 1), j)
         if j in family_F:
             W = W + family_F[j]
-        w = W + L.value_ph(scheme.space(j)).antisymmetrize() / 8.0
-        L = L + _ladder_series(w, scheme.scale_bubble(j, v), lmax, ph=True)
+        w = Kernel4(W.space, W.dense().values + antisymmetrize(
+            value_ph(L.dense(), W.space)).values / 8.0)
+        _certified_joins(24.0 * BlockKernel.from_dense(reduce_ph(w)),
+                         scheme.scale_bubble(j, v, directed=False))
+        L = L + BlockKernel.from_dense(
+            _directed_ph_series(w, scheme.scale_bubble(j, v), lmax))
     return L
 
 
@@ -448,8 +458,11 @@ def delta_ladder_telescope(scheme: LadderScheme, jtop: int,
     W = it = comp = D = BlockKernel.zeros(scheme.space(j0, directed=False))
     norms = {}
     for j in range(j0, jtop):
-        W, it, comp, D = (scheme.resectorize(K, max(j0, j - 1), j)
-                          for K in (W, it, comp, D))
+        i = max(j0, j - 1)  # one at a time: each old vector dies as it lands
+        W = scheme.resectorize(W, i, j)
+        it = scheme.resectorize(it, i, j)
+        comp = scheme.resectorize(comp, i, j)
+        D = scheme.resectorize(D, i, j)
         if j in family.F:
             W = W + _ph_rung(family.F[j])
         u_bub = scheme.scale_bubble(j, family.u_below(j), directed=False)

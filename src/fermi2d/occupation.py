@@ -82,19 +82,19 @@ class SelfEnergyModel:
                 msg.format(float(k0[n]), float(kx[n]), float(ky[n])))
 
 
-def linear_self_energy(lam: float, g: Callable, k_sat: float = 1.0) -> SelfEnergyModel:
-    """S = i lam q(k0) g(k), q(k0) = k0/sqrt(1+(k0/k_sat)^2).
+def linear_self_energy(lam: float, g: Callable) -> SelfEnergyModel:
+    """S = i lam q(k0) g(k), q(k0) = k0/sqrt(1+k0^2).
 
     Linear in k0 near zero (so the jump is 1/(1 - lam g(kbar))) and
-    saturating beyond |k0| ~ k_sat so that |S| <= lam sup|g| k_sat
-    globally, meeting the boundedness hypotheses.
+    saturating beyond |k0| ~ 1 so that |S| <= lam sup|g| globally, meeting
+    the boundedness hypotheses.
     """
 
     def q(k0):
-        return k0 / np.sqrt(1.0 + (k0 / k_sat) ** 2)
+        return k0 / np.sqrt(1.0 + k0 ** 2)
 
     def dq(k0):
-        return (1.0 + (k0 / k_sat) ** 2) ** -1.5
+        return (1.0 + k0 ** 2) ** -1.5
 
     def S(k0, kx, ky):
         return 1j * lam * q(np.asarray(k0)) * g(kx, ky)
@@ -379,23 +379,22 @@ def occupation_limits(disp, model, kx, ky, eta=None, quad_tol: float = 1e-9):
     A, E = _aer(disp, model, kx, ky)
     eta = default_eta(disp, model, kx, ky) if eta is None \
         else np.asarray(eta, dtype=float)
+    eta = np.broadcast_to(eta, np.broadcast_shapes(eta.shape, e.shape))
     S0 = model.S(0.0, kx, ky)
     dS0 = model.dS_dk0(0.0, kx, ky)
 
-    def i2(k0):
-        R = model.S(k0, kx, ky) - S0 - dS0 * k0
-        lin = 1j * A * k0 - E
-        return R / (lin * (lin - R))
-
-    def i4(k0):
-        S = model.S(k0, kx, ky)
-        free = 1j * k0 - e
-        return S / (free * (free - S))
-
     def integrand(t):
+        # one S call per node, on the stacked k0 = +-eta t, +-eta / t
         near, far = eta * t, eta / t
-        return (eta * (i2(near) + i2(-near))
-                + far / t * (i4(far) + i4(-far))) / (2 * math.pi)
+        k0 = np.stack([near, -near, far, -far])
+        S = np.broadcast_to(model.S(k0, kx, ky), k0.shape)
+        R = S[:2] - S0 - dS0 * k0[:2]
+        lin = 1j * A * k0[:2] - E
+        i2 = R / (lin * (lin - R))
+        free = 1j * k0[2:] - e
+        i4 = S[2:] / (free * (free - S[2:]))
+        return (eta * (i2[0] + i2[1])
+                + far / t * (i4[0] + i4[1])) / (2 * math.pi)
 
     total = _quad_vec(integrand, 0.0, 1.0, quad_tol)
     total += i1_closed_limit(disp, model, kx, ky, eta)

@@ -32,13 +32,16 @@ class FermiCurve:
         return self._s_of_theta(th)
 
 
-def build_fermi_curve(disp, ntheta: int = 4096) -> FermiCurve:
+_NTHETA = 4096  # intervals of the arc-length table of a general curve
+
+
+def build_fermi_curve(disp) -> FermiCurve:
     """Tabulate arc length along theta -> (r(theta) cos, r(theta) sin).
 
     Exact closed forms are used for circles (constant radius); general
-    radial curves fall back to a dense trapezoid table.
+    radial curves fall back to a trapezoid table of _NTHETA intervals.
     """
-    thetas = np.linspace(0.0, 2 * np.pi, ntheta + 1)
+    thetas = np.linspace(0.0, 2 * np.pi, _NTHETA + 1)
     r = np.asarray(disp.fermi_radius(thetas), dtype=float)
     if np.allclose(r, r[0], rtol=1e-13, atol=1e-13):
         R = float(r[0])

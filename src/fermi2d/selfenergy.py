@@ -100,20 +100,16 @@ def _gx(t, w):
     return env * np.cos(w * t)
 
 
-def saturating_q_family(params, imin: Optional[int] = None,
-                        lmax_scale: Optional[int] = None,
-                        scale: float = 1.0,
+def saturating_q_family(params, scale: float = 1.0,
                         saturation: float = 0.9) -> ScaleFamily:
     """Build a q-family that saturates the derivative budget.
 
-    Profiles factorize as f0(M^i k0) gx(kx) gx(ky) with unit-amplitude
-    waves under wide plateau envelopes, so the true derivative sups
-    factorize into 1d factors.  The amplitude of each member is calibrated
+    One member per j0 <= i <= l <= jmax of params.  Profiles factorize as
+    f0(M^i k0) gx(kx) gx(ky) with unit-amplitude waves under wide plateau
+    envelopes, so the true derivative sups factorize into 1d factors.  The amplitude of each member is calibrated
     so its worst measured-to-allowed ratio equals `saturation`; `scale`
     multiplies every amplitude afterwards (3x produces a violating family).
     """
-    imin = params.j0 if imin is None else imin
-    lmax_scale = params.jmax if lmax_scale is None else lmax_scale
     M, la, up = params.M, params.lambda0, params.upsilon
 
     def sups_1d(f, lo, hi, npts):
@@ -124,13 +120,13 @@ def saturating_q_family(params, imin: Optional[int] = None,
     u_sup = sups_1d(_f0, 1.0, _K0_CENTER + _K0_EDGE, 60000)
     fam = ScaleFamily(lambda0=la, upsilon=up)
     v_sup_cache: Dict[int, List[float]] = {}
-    for l in range(imin, lmax_scale + 1):
+    for l in range(params.j0, params.jmax + 1):
         w = M ** l
         npts = int(max(8000, 40 * _KX_EDGE * 2 * w))
         raw = sups_1d(lambda t: _gx(t, w), -_KX_EDGE, _KX_EDGE, npts)
         v_sup_cache[l] = [raw[d] / w ** d for d in range(3)]
-    for i in range(imin, lmax_scale + 1):
-        for l in range(i, lmax_scale + 1):
+    for i in range(params.j0, params.jmax + 1):
+        for l in range(i, params.jmax + 1):
             v = v_sup_cache[l]
             cmax = max(u_sup[d0] * v[d1] * v[d2]
                        for d0 in range(3) for d1 in range(3 - d0)
@@ -487,13 +483,17 @@ def p_tail_decay(family: ScaleFamily, params, js: List[int],
 # resummation bound report (stated bounds, checked not enforced)
 
 
-def check_resum_bounds(family: ScaleFamily, params, scales: ScaleModel,
-                       nsamples: int = 400) -> Dict[str, float]:
+_RESUM_SAMPLES = 400  # R_d points of check_resum_bounds
+
+
+def check_resum_bounds(family: ScaleFamily, params,
+                       scales: ScaleModel) -> Dict[str, float]:
     """Sup of |P| / (la^(1-2u) min(|k0|,1)) and of
-    |Q| / (la^(1-3u) min(|i k0 - e|^(3/2), 1)) over the first nsamples
-    R_d points of [-2, 2)^3 (scales.rd_points); values <= 1 conform."""
+    |Q| / (la^(1-3u) min(|i k0 - e|^(3/2), 1)) over the first
+    _RESUM_SAMPLES R_d points of [-2, 2)^3 (scales.rd_points); values <= 1
+    conform."""
     la, up = params.lambda0, params.upsilon
-    k0, kx, ky = rd_points(nsamples, (-2, -2, -2), (2, 2, 2)).T
+    k0, kx, ky = rd_points(_RESUM_SAMPLES, (-2, -2, -2), (2, 2, 2)).T
     bp = la ** (1 - 2 * up) * np.minimum(np.abs(k0), 1.0)
     bq = la ** (1 - 3 * up) * np.minimum(scales.radius(k0, kx, ky) ** 1.5,
                                          1.0)
@@ -519,8 +519,11 @@ def green2(scales: ScaleModel, k0, kx, ky, P: Callable, Q: Callable) -> complex:
     return U / (A - P(k0, kx, ky)) + Q(k0, kx, ky) / A ** 2
 
 
-def proper_sigma(scales: ScaleModel, k0, kx, ky, P: Callable, Q: Callable,
-                 cond_floor: float = 1e-8) -> complex:
+_COND_FLOOR = 1e-8  # smallest |denominator| of the self-energy formulas
+
+
+def proper_sigma(scales: ScaleModel, k0, kx, ky, P: Callable,
+                 Q: Callable) -> complex:
     """Sigma = (P + Q - Q P/E) / (1 + Q/E - (P/E)(Q/E)), E = i k0 - e."""
     E = complex(scales.amputation(k0, kx, ky))
     if E == 0:
@@ -528,14 +531,13 @@ def proper_sigma(scales: ScaleModel, k0, kx, ky, P: Callable, Q: Callable,
     Pv = complex(P(k0, kx, ky))
     Qv = complex(Q(k0, kx, ky))
     den = 1.0 + Qv / E - (Pv / E) * (Qv / E)
-    if abs(den) < cond_floor:
+    if abs(den) < _COND_FLOOR:
         raise ConditioningError(f"self-energy denominator {abs(den):.3e}")
     return (Pv + Qv - Qv * Pv / E) / den
 
 
 def sigma_k0_derivative(scales: ScaleModel, k0, kx, ky, P: Callable,
-                        Q: Callable, dP: Callable, dQ: Callable,
-                        cond_floor: float = 1e-8) -> complex:
+                        Q: Callable, dP: Callable, dQ: Callable) -> complex:
     """dSigma/dk0 through the cancellation-stable tilde variables.
 
     Uses Q~(m) = (i k0)^m Q / E^(m+1), Q0~(m) = (i k0/E)^m dQ/dk0,
@@ -553,7 +555,7 @@ def sigma_k0_derivative(scales: ScaleModel, k0, kx, ky, P: Callable,
     Qt0 = [(ik0 / E) ** m * dQv for m in range(3)]
     Pt = Pv / ik0
     D = 1.0 + Qt[0] - Pt * Qt[1]
-    if abs(D) < cond_floor:
+    if abs(D) < _COND_FLOOR:
         raise ConditioningError(f"tilde denominator {abs(D):.3e}")
     term1 = (dPv + 2j * Qt[0] + Qt0[0] - 1j * Pt * Qt[1]
              - dPv * Qt[0] - Pt * Qt0[1]) / D

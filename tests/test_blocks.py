@@ -53,22 +53,6 @@ def _fresh(space):
     return PairBlocks(space.grid, space.directed, legs)
 
 
-def _ph_by_iota(space, pb):
-    # the reduce_ph positions read through the space's own leg lookup
-    # (KernelSpace.iota) and a fresh undirected partner
-    und = space.undirected()
-    ub = _fresh(und)
-    i0, i1 = space.iota(0, und), space.iota(1, und)
-    where = {key: t for t, key in enumerate(pb.keys)}
-    out = []
-    for key, r, c in zip(ub.keys, ub.rows, ub.cols):
-        a, b = np.divmod(r, und.n)
-        cc, d = np.divmod(c, und.n)
-        out.append((where[key + 1], pb._pos[i0[a] * pb.n + i1[b]],
-                    pb._pos[i1[cc] * pb.n + i0[d]]))
-    return out
-
-
 @pytest.mark.parametrize("gridn, nscales", [(1, 2), (1, 3), (1, 4), (2, 2),
                                             (2, 3), (2, 4)])
 def test_scheme_spaces_share_pair_blocks(demo_schemes, gridn, nscales):
@@ -87,9 +71,8 @@ def test_scheme_spaces_share_pair_blocks(demo_schemes, gridn, nscales):
 
 @pytest.mark.parametrize("gridn, nscales", [(1, 2), (1, 3), (2, 2), (2, 3)])
 def test_shared_pair_blocks_match_a_fresh_build(demo_schemes, gridn, nscales):
-    # for every space sharing the instance, each table, swap, ph and
-    # ph_gather equals that of a PairBlocks built for the space alone, and
-    # ph equals the one read through KernelSpace.iota
+    # for every space sharing the instance, each table and swap equals that
+    # of a PairBlocks built for the space alone
     scheme = demo_schemes(gridn, nscales)
     for j in sorted(scheme.dir_spaces):
         for sp in (scheme.space(j), scheme.space(j, False)):
@@ -104,13 +87,6 @@ def test_shared_pair_blocks_match_a_fresh_build(demo_schemes, gridn, nscales):
                         pb.swap(i, k)
                     continue
                 assert np.array_equal(pb.swap(i, k), want)
-            if sp.directed:
-                for got, want in ((pb.ph, ref.ph), (pb.ph, _ph_by_iota(sp, pb))):
-                    assert len(got) == len(want)
-                    for (t, r, c), (u, rr, cc) in zip(got, want):
-                        assert t == u and np.array_equal(r, rr) \
-                            and np.array_equal(c, cc)
-                assert np.array_equal(pb.ph_gather, ref.ph_gather)
 
 
 def test_other_signatures_get_their_own_pair_blocks():
@@ -137,20 +113,16 @@ def test_other_signatures_get_their_own_pair_blocks():
 @settings(max_examples=15, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
 def test_block_operations_match_dense(small_spaces, data, seed):
-    # on support kernels each gather equals its dense operation bit for
-    # bit, and every dense result lies on the support (from_dense raises
-    # on an entry off it); the inversion check agrees with the dense one on
+    # on support kernels the flip gather equals the dense flip bit for bit,
+    # and its dense result lies on the support (from_dense raises on an
+    # entry off it); the inversion check agrees with the dense one on
     # directed and undirected kernels, inversion symmetric or not
     sp = data.draw(small_spaces())
     und = sp.undirected()
     rng = np.random.default_rng(seed)
     f, L = random_kernel(sp, rng), random_kernel(und, rng)
-    bf, bL = BlockKernel.from_dense(f), BlockKernel.from_dense(L)
-    for block, dense in ((bf.antisymmetrize(), antisymmetrize(f)),
-                         (bf.reduce_ph(), reduce_ph(f, und)),
-                         (bL.value_ph(sp), value_ph(L, sp)),
-                         (bL.flip(), flip(L)),
-                         (bf.flip(), flip(f))):
+    for kern in (f, L):
+        block, dense = BlockKernel.from_dense(kern).flip(), flip(kern)
         assert block.space is dense.space
         assert np.array_equal(block.dense().values, dense.values)
         BlockKernel.from_dense(dense)
@@ -163,71 +135,56 @@ def test_block_operations_match_dense(small_spaces, data, seed):
         assert BlockKernel.from_dense(sym).is_inversion_symmetric()
 
 
-@settings(max_examples=12, deadline=None)
-@given(data=st.data(), gridn=st.integers(1, 2), nscales=st.integers(2, 3),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_ph_antisymmetric_is_a_projection_onto_ph_rungs(demo_schemes, data,
-                                                       gridn, nscales, seed):
-    # on any undirected kernel of a demo scheme the projection is
-    # idempotent, bit for bit, and its output r is the ph rung of an
-    # antisymmetric directed kernel: reduce_ph of 1.5 times the
-    # antisymmetrized value_ph of r gives r back
-    scheme = demo_schemes(gridn, nscales)
-    j = data.draw(st.sampled_from(sorted(scheme.dir_spaces)))
-    und = scheme.space(j, directed=False)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_ph_antisymmetric_is_a_projection_onto_ph_rungs(small_spaces, data,
+                                                       seed):
+    # on any undirected kernel the projection is idempotent, bit for bit,
+    # and its output r is the ph rung of an antisymmetric directed kernel:
+    # reduce_ph of 1.5 times the antisymmetrized value_ph of r gives r back
+    sp = data.draw(small_spaces(True))
+    und = sp.undirected()
     r = BlockKernel.random(und, random.Random(seed)).ph_antisymmetric()
     assert r.space is und
     assert np.array_equal(r.ph_antisymmetric().values, r.values)
-    back = (1.5 * r.value_ph(scheme.space(j)).antisymmetrize()).reduce_ph()
-    assert back.space is und
+    back = 1.5 * BlockKernel.from_dense(
+        reduce_ph(antisymmetrize(value_ph(r.dense(), sp)), und))
     assert np.abs(back.values - r.values).max() <= 1e-15 * r.max_abs()
 
 
-@settings(max_examples=12, deadline=None)
-@given(data=st.data(), gridn=st.integers(1, 2), nscales=st.integers(2, 3),
-       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
 def test_ph_antisymmetric_fixes_ph_entries_of_antisymmetric_kernels(
-        demo_schemes, data, gridn, nscales, seed):
+        small_spaces, data, seed):
     # the ph entries of an antisymmetrized directed kernel already change
     # sign under the leg swaps (0, 3) and (1, 2), so the projection keeps
     # them
-    scheme = demo_schemes(gridn, nscales)
-    j = data.draw(st.sampled_from(sorted(scheme.dir_spaces)))
-    f = BlockKernel.random(scheme.space(j), random.Random(seed))
-    ph = f.antisymmetrize().reduce_ph()
+    sp = data.draw(small_spaces(True))
+    f = random_kernel(sp, np.random.default_rng(seed), antisym=True)
+    ph = BlockKernel.from_dense(reduce_ph(f))
     got = ph.ph_antisymmetric()
-    assert got.space is ph.space
+    assert got.space is ph.space is sp.undirected()
     assert np.abs(got.values - ph.values).max() <= 1e-15 * ph.max_abs()
 
 
-def test_antisymmetrize_rejects_an_undirected_space():
-    # the undirected support (bars (+, -, -, +)) is not closed under the
-    # leg swaps of antisymmetrize
-    und = KernelSpace(make_grid([(0.25, 1.2, 0.55)]), nspin=1, nsec=1,
-                      directed=False)
-    bf = BlockKernel.from_dense(random_kernel(und, np.random.default_rng(3)))
-    with pytest.raises(ValueError, match="not closed"):
-        bf.antisymmetrize()
-
-
 def test_block_operations_keep_no_build_tables(params, disp):
-    # once the antisymmetrize swaps exist, warming flip, reduce_ph,
-    # value_ph and the undirected flip keeps only their small gathers: no
-    # leg-index table of their build stays cached
+    # once the swaps (0, 3) and (1, 2) exist, warming ph_antisymmetric, flip
+    # and the inversion check keeps nothing: no leg-index table of their
+    # build stays cached
     scheme = cli._demo_scheme_and_family(params, disp, 1, 0, [2, 3])[0]
-    sp = scheme.space(2)
-    f = BlockKernel.random(sp, random.Random(0)).antisymmetrize()
+    und = scheme.space(2, directed=False)
+    f = BlockKernel.random(und, random.Random(0))
+    f.ph_antisymmetric()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        L = f.flip().reduce_ph()
-        L.value_ph(sp)
-        L.flip()
-        del L
+        r = f.ph_antisymmetric().flip()
+        r.is_inversion_symmetric()
+        del r
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert retained < 8 * sp.pair_blocks.size
+    assert retained < 8 * und.pair_blocks.size
 
 
 @pytest.mark.parametrize("directed, swaps", [
@@ -404,8 +361,8 @@ def test_random_draws_on_the_support(small_spaces, data, directed, seed):
     # one randbytes(16 * size) call, with the rng left where that call
     # leaves it: the top 53 bits of each little-endian uint64, the real
     # parts first, mapped onto [-sqrt(3), sqrt(3)); the same seed gives the
-    # same values, they lie on the support, and on directed spaces the
-    # blocked antisymmetrize equals the dense one
+    # same values, they lie on the support, and on directed spaces so does
+    # their dense antisymmetrization
     sp = data.draw(small_spaces(directed))
     size = sp.pair_blocks.size
     rng, ref_rng = random.Random(seed), random.Random(seed)
@@ -424,5 +381,4 @@ def test_random_draws_on_the_support(small_spaces, data, directed, seed):
     dense = got.dense()
     assert np.array_equal(BlockKernel.from_dense(dense).values, got.values)
     if directed:
-        assert np.array_equal(got.antisymmetrize().dense().values,
-                              antisymmetrize(dense).values)
+        BlockKernel.from_dense(antisymmetrize(dense))

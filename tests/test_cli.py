@@ -14,7 +14,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from fermi2d import cli
+from fermi2d import cli, kernels
 from fermi2d import ladders as ld
 from fermi2d import selfenergy as se
 from fermi2d.blocks import BlockKernel, PairBlocks
@@ -290,8 +290,9 @@ def test_demo_family_allocates_no_dense_kernel():
 
 def test_ladder_demo_makes_no_directed_kernel_operation(tmp_path,
                                                         monkeypatch):
-    # a whole ladder-demo run, family build included, calls no
-    # antisymmetrize and builds no directed support
+    # a whole ladder-demo run, family build included, calls no directed
+    # kernel operation, builds no dense kernel and builds no directed
+    # support
     built = []
     init = PairBlocks.__init__
 
@@ -300,8 +301,12 @@ def test_ladder_demo_makes_no_directed_kernel_operation(tmp_path,
         built.append(self)
 
     monkeypatch.setattr(PairBlocks, "__init__", recording)
-    monkeypatch.setattr(BlockKernel, "antisymmetrize",
-                        lambda self: pytest.fail("antisymmetrize called"))
+    for name in ("antisymmetrize", "reduce_ph", "value_ph"):
+        for module in (kernels, ld):
+            monkeypatch.setattr(module, name,
+                                lambda *a, name=name: pytest.fail(name))
+    monkeypatch.setattr(BlockKernel, "dense",
+                        lambda self: pytest.fail("dense kernel built"))
     rc = cli.main(["ladder-demo", "--grid", "2", "--scales", "3",
                    "--out", str(tmp_path / "ladder.csv")])
     assert rc == 0

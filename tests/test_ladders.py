@@ -3,6 +3,7 @@ import math
 import random
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from hypothesis import strategies as st
 from fermi2d import ladders as ld
 from fermi2d import selfenergy as se
 from fermi2d.blocks import BlockKernel
-from fermi2d.kernels import (INT, Kernel4, _apply_per_axis,
+from fermi2d.kernels import (INT, Kernel4, _apply_per_axis, antisymmetrize,
                              is_inversion_symmetric, make_grid, random_kernel,
-                             reduce_ph, zero_kernel)
-from fermi2d.scales import HypothesisViolationError
+                             reduce_ph, value_ph, zero_kernel)
+from fermi2d.scales import HypothesisViolationError, ScaleInterval
 from fermi2d.sectors import build_fermi_curve
 
 
@@ -100,6 +101,25 @@ def test_bubble_equal_lines_doubles(scheme):
     assert np.abs(got - manual).max() <= 1e-18
 
 
+def test_line_values_match_the_per_point_loop(scheme, family):
+    # one covariance call on the grid arrays gives, bit for bit, the values
+    # of one call per grid point; a constant propagator broadcasts
+    g, cov = scheme.grid, scheme.scales.covariance
+    nonzero = 0
+    for j in (2, 3):
+        for interval in (ScaleInterval.at(j), ScaleInterval.ge(j + 1)):
+            prop = partial(cov, interval, family.u_below(j))
+            loop = np.array([prop(*g.values(i)) for i in range(len(g))],
+                            dtype=complex)
+            nonzero += np.count_nonzero(loop)
+            assert np.array_equal(
+                ld.propagator_line_values(scheme.space(j), prop), loop)
+    assert nonzero > 0
+    assert np.array_equal(
+        ld.propagator_line_values(scheme.space(2), lambda *k: 0.5 - 0.3j),
+        np.full(len(g), 0.5 - 0.3j))
+
+
 def compose_oracle(sp, left, right, av, bv):
     """left . C(A,B) . right by brute force over explicit leg loops; a line
     joins internal legs of equal momentum and spin, of opposite bars on
@@ -178,8 +198,7 @@ def test_block_step_matches_compose_on_random_spaces(small_spaces, data,
               * rng.integers(0, 2, n) for _ in range(2))
     bub = ld.BubbleProp(space=sp, line_a=ld.line_matrix(sp, av),
                         line_b=ld.line_matrix(sp, bv))
-    joins = ld.bubble_joins(BlockKernel.from_dense(rung), bub,
-                            range(len(sp.pair_blocks)))
+    joins = ld.bubble_joins(BlockKernel.from_dense(rung), bub)
     step = ld.compose_blocks(BlockKernel.from_dense(left).blocks(), joins)
     got = BlockKernel(sp, np.concatenate([b.ravel() for b in step])).dense()
     want = ld.compose(left.values, bub, rung.values)
@@ -193,38 +212,52 @@ def test_block_step_matches_compose_on_random_spaces(small_spaces, data,
 def test_directed_ph_sum_is_the_undirected_series(small_spaces, data, lmax,
                                                   seed):
     # the identity the undirected recursion rests on: for an antisymmetric
-    # rung w, the directed ph sum 2 sum_l (-1)^l 12^(l+1) L_l(w)^ph is the
-    # series sum_l (-1)^l L_l(24 w^ph) over the undirected bubble of the
-    # same lines; w is small enough for both series to converge
+    # rung w, the directed ph sum 2 sum_l (-1)^l 12^(l+1) L_l(w)^ph of the
+    # dense compose chain is the series sum_l (-1)^l L_l(24 w^ph) over the
+    # undirected bubble of the same lines; w is small enough for both
+    # series to converge
     sp = data.draw(small_spaces(True))
-    w = (1e-5 * BlockKernel.random(sp, random.Random(seed))).antisymmetrize()
     rng = np.random.default_rng(seed)
+    w = random_kernel(sp, rng, amp=1e-5, antisym=True)
     n = len(sp.grid)
     av, bv = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
               for _ in range(2))
     dbub, ubub = (ld.BubbleProp(s, ld.line_matrix(s, av), ld.line_matrix(s, bv))
                   for s in (sp, sp.undirected()))
-    want = ld._ladder_series(w, dbub, lmax, ph=True)
-    got = ld._ladder_series(24.0 * w.reduce_ph(), ubub, lmax)
+    want = ld._directed_ph_series(w, dbub, lmax)
+    got = ld._ladder_series(24.0 * BlockKernel.from_dense(reduce_ph(w)), ubub,
+                            lmax)
     assert got.space is want.space
-    assert np.abs(got.values - want.values).max() <= 1e-13 * want.max_abs()
+    assert np.abs(got.dense().values - want.values).max() \
+        <= 1e-13 * want.max_abs()
 
 
-def test_directed_and_undirected_certificates_agree(demo_scheme):
-    # the directed ph series of an antisymmetric rung w, with its term
-    # ratio 12, and the series of 24 w^ph have one spectral radius; a rung
-    # of unit size makes both diverge, and both messages give the radius
-    w = BlockKernel.random(demo_scheme.space(3),
-                           random.Random(15)).antisymmetrize()
-    radii = []
-    for rung, directed in ((w, True), (24.0 * w.reduce_ph(), False)):
-        bub = demo_scheme.scale_bubble(3, None, directed)
-        with pytest.raises(ld.LadderDivergenceError) as exc:
-            ld._ladder_series(rung, bub, 4, ph=directed)
-        assert bub.label in str(exc.value)
-        radii.append(float(re.search(r"radius (\S+) >= 1",
-                                     str(exc.value)).group(1)))
-    assert radii[0] == pytest.approx(radii[1], rel=1e-3)
+def test_directed_and_undirected_certificates_agree(scheme):
+    # the directed ph chain of an antisymmetric rung w steps the bar-count-1
+    # pairs of its dense pair matrix, X -> X B w, with term ratio 12: its
+    # radius is that of the series of 24 w^ph, which the certificate
+    # computes per pair block; a rung of unit size makes it diverge, and the
+    # message gives the radius
+    sp = scheme.space(3)
+    w = antisymmetrize(BlockKernel.random(sp, random.Random(15)).dense())
+    dbub = scheme.scale_bubble(3, None)
+    # the dense step on the internal pairs with one bar of each kind: B
+    # maps them onto themselves and w keeps the bar count of a pair
+    n, ii = sp.n, sp.field_indices(INT)
+    pairs = (ii[:, None] * n + ii).ravel()
+    bars = sp.leg_bar[ii]
+    ph = np.flatnonzero((bars[:, None] + bars).ravel() == 1)
+    B = np.kron(dbub.line_a, dbub.line_b) + np.kron(dbub.line_b, dbub.line_a)
+    W = w.values.reshape(n * n, n * n)
+    step = B[np.ix_(ph, ph)] @ W[np.ix_(pairs[ph], pairs[ph])]
+    directed = 12.0 * np.abs(np.linalg.eigvals(step)).max()
+    ubub = scheme.scale_bubble(3, None, directed=False)
+    with pytest.raises(ld.LadderDivergenceError) as exc:
+        ld._ladder_series(24.0 * BlockKernel.from_dense(reduce_ph(w)), ubub, 4)
+    assert ubub.label in str(exc.value)
+    radius = float(re.search(r"radius (\S+) >= 1", str(exc.value)).group(1))
+    assert directed > 1.0
+    assert radius == pytest.approx(directed, rel=1e-3)
 
 
 @settings(max_examples=6, deadline=None)
@@ -417,9 +450,11 @@ def test_ladder_sum_allocates_no_dense_kernel(scheme, family):
     # n^2 x n^2 pair matrix is built along the chain
     w = family.F[3]
     n = w.space.n
+    rung = 24.0 * ld._ph_rung(w)
 
     def ladder_sum():
-        return ld._ladder_series(w, scheme.scale_bubble(3, None), 4, ph=True)
+        return ld._ladder_series(
+            rung, scheme.scale_bubble(3, None, directed=False), 4)
 
     ladder_sum()  # builds the cached block tables
     tracemalloc.start()
@@ -432,14 +467,18 @@ def test_ladder_sum_allocates_no_dense_kernel(scheme, family):
 
 
 def test_telescope_allocates_no_dense_kernel(scheme, family, monkeypatch):
-    # the telescope and both inversion checks never leave the support, and
-    # peak below one dense kernel of the directed space
+    # on a family of ph rungs, as ladder-demo's, the telescope and both
+    # inversion checks never leave the support, and peak below one dense
+    # kernel of the directed space (a directed rung is read through the
+    # dense reduce_ph)
     n = scheme.space(3).n
+    ph_family = ld.LadderFamily(
+        F={i: ld._ph_rung(f) for i, f in family.F.items()}, p=family.p)
     monkeypatch.setattr(BlockKernel, "dense",
                         lambda self: pytest.fail("dense kernel built"))
 
     def telescope():
-        rep = ld.delta_ladder_telescope(scheme, 4, family, lmax=4)
+        rep = ld.delta_ladder_telescope(scheme, 4, ph_family, lmax=4)
         return (rep.iterated.is_inversion_symmetric(tol=1e-11)
                 and rep.compound.is_inversion_symmetric(tol=1e-11))
 
@@ -569,10 +608,9 @@ def test_telescope_computes_each_ladder_sum_once(params, disp, monkeypatch,
             calls["directed" if kern.space.directed else "undirected"] += 1
         return resectorize(self, kern, i, j)
 
-    monkeypatch.setattr(BlockKernel, "antisymmetrize",
-                        counting("antisym", BlockKernel.antisymmetrize))
-    monkeypatch.setattr(BlockKernel, "value_ph",
-                        counting("value_ph", BlockKernel.value_ph))
+    monkeypatch.setattr(ld, "antisymmetrize",
+                        counting("antisym", ld.antisymmetrize))
+    monkeypatch.setattr(ld, "value_ph", counting("value_ph", ld.value_ph))
     monkeypatch.setattr(ld, "_ladder_series",
                         counting("sums", ld._ladder_series))
     monkeypatch.setattr(ld.LadderScheme, "resectorize", counting_resect)
@@ -584,28 +622,67 @@ def test_telescope_computes_each_ladder_sum_once(params, disp, monkeypatch,
         == {(j, j + 1, False) for j in scales_list[:-1]}
 
 
-def test_refinement_composes_and_commutes_with_ph_rung(demo_scheme):
+def test_telescope_refines_one_kernel_at_a_time(params, disp, monkeypatch):
+    # each scale step refines W, it, comp and D one after another, so each
+    # scale-(j - 1) vector is freed as its refinement lands: as each
+    # refinement returns, the step holds at most one support vector beyond
+    # those it started with, where refining all four before freeing any
+    # holds four
+    from fermi2d import cli
+
+    scheme, fam = cli._demo_scheme_and_family(params, disp, 1, 0, [2, 3, 4])
+    ld.delta_ladder_telescope(scheme, 5, fam, lmax=4)  # builds the caches
+    size = 16 * scheme.space(2, directed=False).pair_blocks.size
+    resectorize = ld.LadderScheme.resectorize
+    start, held = {}, {}
+
+    def traced(self, kern, i, j):
+        if i != j:
+            start.setdefault(j, tracemalloc.get_traced_memory()[0])
+        out = resectorize(self, kern, i, j)
+        if i != j:
+            held[j] = max(held.get(j, 0),
+                          tracemalloc.get_traced_memory()[0] - start[j])
+        return out
+
+    monkeypatch.setattr(ld.LadderScheme, "resectorize", traced)
+    tracemalloc.start()
+    try:
+        ld.delta_ladder_telescope(scheme, 5, fam, lmax=4)
+    finally:
+        tracemalloc.stop()
+    assert sorted(held) == [3, 4]
+    assert all(0 < h < 1.5 * size for h in held.values())
+
+
+def test_refinement_composes_and_commutes_with_ph_rung(scheme, demo_scheme):
     # the identities the running sums rest on: the refinement maps
     # compose, R(2 -> 4) = R(3 -> 4) R(2 -> 3), because the scale-3 hats
     # are a partition of unity; and R commutes with the antisymmetrized ph
     # value and with reduce_ph, since it acts alike on every leg and keeps
-    # the bars
+    # the bars (on the dense kernels of the smaller scheme)
     sch = demo_scheme
     for directed in (True, False):
         R = sch._resect_matrix(3, 4, directed) @ sch._resect_matrix(2, 3,
                                                                    directed)
         assert np.abs(sch._resect_matrix(2, 4, directed) - R).max() <= 1e-15
+
+    def ph_value(kern, j):
+        return BlockKernel.from_dense(
+            antisymmetrize(value_ph(kern.dense(), scheme.space(j))))
+
+    def ph_entries(kern):
+        return BlockKernel.from_dense(reduce_ph(kern.dense()))
+
     rng = random.Random(14)
-    d = BlockKernel.random(sch.space(2, directed=False), rng)
-    rung_then_refine = sch.resectorize(
-        d.value_ph(sch.space(2)).antisymmetrize(), 2, 4)
-    refine_then_rung = sch.resectorize(d, 2, 4).value_ph(
-        sch.space(4)).antisymmetrize()
+    d = BlockKernel.random(scheme.space(2, directed=False), rng)
+    rung_then_refine = scheme.resectorize(ph_value(d, 2), 2, 3)
+    refine_then_rung = ph_value(scheme.resectorize(d, 2, 3), 3)
     assert np.abs(rung_then_refine.values - refine_then_rung.values).max() \
         <= 1e-15 * refine_then_rung.max_abs()
-    w = BlockKernel.random(sch.space(2), rng)
-    reduce_then_refine = sch.resectorize(w.reduce_ph(), 2, 4)
-    refine_then_reduce = sch.resectorize(w, 2, 4).reduce_ph()
+    w = BlockKernel.random(scheme.space(2), rng)
+    reduce_then_refine = scheme.resectorize(ph_entries(w), 2, 3)
+    refine_then_reduce = ph_entries(scheme.resectorize(w, 2, 3))
     assert reduce_then_refine.space is refine_then_reduce.space
     assert np.abs(reduce_then_refine.values
                   - refine_then_reduce.values).max() \

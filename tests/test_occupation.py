@@ -322,6 +322,38 @@ def test_fermi_sweep_is_one_vector_quadrature(disp, model, monkeypatch):
         assert abs(r.n_out - n_out) <= 1e-12
 
 
+def test_occupation_limits_call_s_once_per_node(disp, monkeypatch):
+    # the I2 + I4 integrand evaluates the self-energy once per quadrature
+    # node, on the stacked k0 = +-eta t, +-eta / t of every point
+    model = oc.linear_self_energy(0.2, lambda kx, ky: 1.0)
+    counts = {"nodes": 0, "S": 0}
+    S, inside = model.S, []
+
+    def counted_S(*args):
+        counts["S"] += bool(inside)
+        return S(*args)
+
+    real = oc._gk21_adaptive
+
+    def counted_quad(f, a, b, tol):
+        def node(t):
+            counts["nodes"] += 1
+            inside.append(t)
+            try:
+                return f(t)
+            finally:
+                inside.pop()
+        return real(node, a, b, tol)
+
+    monkeypatch.setattr(model, "S", counted_S)
+    monkeypatch.setattr(oc, "_gk21_adaptive", counted_quad)
+    th = np.linspace(0.0, 2 * math.pi, 8, endpoint=False)
+    r = disp.fermi_radius(th) + 2e-3
+    oc.occupation_limits(disp, model, r * np.cos(th), r * np.sin(th))
+    assert counts["nodes"] > 0
+    assert counts["S"] == counts["nodes"]
+
+
 @pytest.mark.parametrize("fake", [_vec_not_converged, _vec_huge_error],
                          ids=["status", "error-estimate"])
 def test_fermi_sweep_redoes_each_angle_when_the_batch_fails(

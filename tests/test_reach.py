@@ -6,14 +6,17 @@ the code object of every function entered.  A public function or method
 (no part of its name starts with "_") that no run enters must appear in
 KEPT with the reason it stays: the acceptance criterion that calls it,
 the fast path it is the tested reference for, the perfbench name that
-needs it, or the ROADMAP item that will give it a driver.  A KEPT entry
-that names no function, or one that the runs enter, fails too, so the
-list stays the exact set of kept references per module.
+needs it (one of the SPANS pairs of perfbench/tracer.py), or the ROADMAP
+item that will give it a driver.  A KEPT entry that names no function, or
+one that the runs enter, fails too, so the list stays the exact set of
+kept references per module.
 """
+import ast
 import importlib
 import inspect
 import pkgutil
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,32 +25,23 @@ from test_golden import GOLDEN, inputs, run  # noqa: F401  (inputs: fixture)
 
 CRIT = "acceptance criterion {}"
 SPANS = "a perfbench/tracer.py SPANS name"
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 ITEM = "ROADMAP item {}"
 
 # qualified name (module.function or module.Class.method) -> reason
 KEPT = {
-    # blocks: the dense form and the operations criterion 4 checks
-    "blocks.BlockKernel.antisymmetrize": CRIT.format(4) + ", through "
-                                         "compound_ladder; reference for "
-                                         "ph_antisymmetric",
-    "blocks.BlockKernel.dense": "reference: the dense kernel every blocked "
+    # blocks: the dense form, through which criterion 4 reaches the dense
+    # directed operations
+    "blocks.BlockKernel.dense": CRIT.format(4) + ", through compound_ladder; "
+                                "reference: the dense kernel every blocked "
                                 "operation is tested against",
     "blocks.BlockKernel.from_dense": CRIT.format(4),
-    "blocks.BlockKernel.reduce_ph": CRIT.format(4) + ", through the directed "
-                                    "rungs of ladder_closed_form; reference "
-                                    "for ph_antisymmetric",
-    "blocks.BlockKernel.value_ph": CRIT.format(4) + ", through the directed "
-                                   "route of compound_ladder",
-    "blocks.PairBlocks.ph": CRIT.format(4) + ", through the directed ph "
-                            "chain of compound_ladder",
-    "blocks.PairBlocks.ph_gather": CRIT.format(4) + ", through reduce_ph and "
-                                   "value_ph",
     # kernels: the dense algebra
     "kernels.Kernel4.max_abs": CRIT.format(3),
     "kernels.KernelSpace.iota": CRIT.format(3),
     "kernels.KernelSpace.primed": CRIT.format(3),
     "kernels.MomentumGrid.values": CRIT.format(3),
-    "kernels.antisymmetrize": CRIT.format(3),
+    "kernels.antisymmetrize": CRIT.format(3) + " and 4",
     "kernels.component_mask": CRIT.format(3),
     "kernels.conservation_mask": CRIT.format(3),
     "kernels.extract_component": CRIT.format(3),
@@ -57,18 +51,19 @@ KEPT = {
     "kernels.number_conserving_mask": CRIT.format(3),
     "kernels.pi_collapse": CRIT.format(5),
     "kernels.random_kernel": CRIT.format(3),
-    "kernels.reduce_ph": CRIT.format(3),
+    "kernels.reduce_ph": CRIT.format(3) + " and 4",
     "kernels.reduce_pp": CRIT.format(3),
     "kernels.s_kappa": CRIT.format(3),
     "kernels.sct_prime": CRIT.format(5),
     "kernels.sector_norm_p": SPANS,
     "kernels.shear": CRIT.format(5),
     "kernels.shear_prime": CRIT.format(3),
-    "kernels.value_ph": CRIT.format(3),
+    "kernels.value_ph": CRIT.format(3) + " and 4",
     "kernels.value_pp": CRIT.format(3),
     "kernels.zero_kernel": "reference: BlockKernel.dense builds on it",
     # ladders
-    "ladders.compose": "reference for compose_blocks",
+    "ladders.compose": CRIT.format(4) + ", through the directed ph chain of "
+                       "compound_ladder; reference for compose_blocks",
     "ladders.compound_ladder": CRIT.format(4),
     "ladders.iterated_ladder": SPANS,
     "ladders.ladder_closed_form": CRIT.format(4),
@@ -169,3 +164,23 @@ def test_kept_names_exist(reach):
 def test_kept_names_are_not_reached(reach):
     _, entered = reach
     assert sorted(set(KEPT) & entered) == []
+
+
+def tracer_spans():
+    """The span names (module.qualname, as KEPT writes them) of the SPANS
+    pairs of perfbench/tracer.py, read with ast, not imported."""
+    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "SPANS"
+                for t in node.targets):
+            return {f"{module.rsplit('.', 1)[-1]}.{qual}"
+                    for module, qual in ast.literal_eval(node.value)}
+    raise AssertionError(f"{TRACER} assigns no SPANS")
+
+
+def test_spans_reasons_name_a_traced_span():
+    # a KEPT entry kept for a perfbench span must name a pair that the
+    # tracer's SPANS lists
+    claimed = {name for name, why in KEPT.items() if SPANS in why}
+    assert claimed
+    assert sorted(claimed - tracer_spans()) == []
