@@ -33,6 +33,8 @@ import numpy as np
 
 from .kernels import Kernel4, KernelSpace, MomentumGrid, zero_kernel
 
+_CHUNK = 1 << 16  # support entries per chunk of BlockKernel's chunked loops
+
 
 def _classes(P: np.ndarray) -> np.ndarray:
     """Class of every row of P (one momentum per row): the first row within
@@ -91,7 +93,9 @@ class PairBlocks:
     pair: the block holding it as a row pair, the block holding it as a
     column pair (-1 if none), its position in both, and, as a row pair, the
     support index at which its row starts.  The leg swaps are lookups in
-    them.
+    them.  shapes holds one (block ids, row pairs, column pairs) triple per
+    block shape, the pairs stacked one block per row, so that the ladder
+    sums step all blocks of a shape in one product.
     """
 
     def __init__(self, grid: MomentumGrid, directed: bool, legs: np.ndarray):
@@ -135,10 +139,15 @@ class PairBlocks:
         self._col_block = np.full(n * n, -1, dtype=np.int32)
         self._pos = np.zeros(n * n, dtype=np.int32)
         self._row_start = np.zeros(n * n, dtype=np.int32)
+        by_shape: dict = {}
         for t, (r, c) in enumerate(zip(self.rows, self.cols)):
             self._row_block[r] = self._col_block[c] = t
             self._pos[r] = np.arange(len(r))
             self._row_start[r] = self.offsets[t] + self._pos[r] * len(c)
+            by_shape.setdefault((len(r), len(c)), []).append(t)
+        self.shapes = [(np.array(ids), np.stack([self.rows[t] for t in ids]),
+                        np.stack([self.cols[t] for t in ids]))
+                       for ids in by_shape.values()]
         self._swaps: dict = {}
 
     @classmethod
@@ -210,32 +219,27 @@ class BlockKernel:
 
     @classmethod
     def random(cls, space: KernelSpace, rng) -> "BlockKernel":
-        """A random kernel on the support from a random.Random: one
-        rng.randbytes(16 * size) call, whose first 8 * size bytes give the
-        real parts and the rest the imaginary parts.  Each value is the top
-        53 bits of a little-endian uint64, mapped exactly onto [-1, 1) and
-        scaled by sqrt(3): uniform on [-sqrt(3), sqrt(3)), mean 0 and
+        """A random kernel on the support from a random.Random: the bytes of
+        one rng.randbytes(16 * size) call, drawn in chunks of whole 32-bit
+        words, real parts first, and written in place.  Each value is the
+        top 53 bits of a little-endian uint64, mapped exactly onto [-1, 1)
+        and scaled by sqrt(3): uniform on [-sqrt(3), sqrt(3)), mean 0 and
         variance 1, the same on every platform and numpy version."""
-        size = space.pair_blocks.size
-        x = (np.frombuffer(rng.randbytes(16 * size), dtype="<u8")
-             >> np.uint64(11)).astype(float)
-        x *= 2.0 ** -52
-        x -= 1.0
-        x *= math.sqrt(3.0)
-        values = np.empty(size, dtype=complex)
-        values.real, values.imag = x[:size], x[size:]
+        values = np.empty(space.pair_blocks.size, dtype=complex)
+        for x in (values.real, values.imag):
+            for i in range(0, len(x), _CHUNK):
+                part = x[i:i + _CHUNK]
+                u = np.frombuffer(rng.randbytes(8 * len(part)), dtype="<u8")
+                np.right_shift(u, np.uint64(11), out=part, casting="unsafe")
+            x *= 2.0 ** -52
+            x -= 1.0
+            x *= math.sqrt(3.0)
         return cls(space, values)
 
     def dense(self) -> Kernel4:
         out = zero_kernel(self.space)
         out.values.reshape(-1)[self.space.pair_blocks.flat] = self.values
         return out
-
-    def blocks(self) -> List[np.ndarray]:
-        """The pair blocks, as views of values."""
-        pb = self.space.pair_blocks
-        return [self.values[pb.span(t)].reshape(len(r), len(c))
-                for t, (r, c) in enumerate(zip(pb.rows, pb.cols))]
 
     def max_abs(self) -> float:
         return float(np.abs(self.values).max(initial=0.0))
@@ -255,11 +259,16 @@ class BlockKernel:
         stabilizer of the ph bar pattern (0, 1, 1, 0).  It is idempotent,
         it fixes the ph entries (kernels.reduce_ph) of every antisymmetric
         directed kernel, and its output r is the ph rung of one:
-        r = reduce_ph(1.5 * antisymmetrize(value_ph(r))), in kernels."""
+        r = reduce_ph(1.5 * antisymmetrize(value_ph(r))), in kernels.
+        It is r = (v - v[s2]) / 4, v = a - a[s1], in chunks: v at j and at
+        s2[j] comes from a, so no full-size v or gather is held."""
         pb = self.space.pair_blocks
-        v = self.values - self.values[pb.swap(0, 3)]
-        v -= v[pb.swap(1, 2)]
-        return BlockKernel(self.space, v / 4.0)
+        a, s1, s2 = self.values, pb.swap(0, 3), pb.swap(1, 2)
+        r = np.empty_like(a)
+        for i in range(0, len(a), _CHUNK):
+            j, k = slice(i, i + _CHUNK), s2[i:i + _CHUNK]
+            r[j] = ((a[j] - a[s1[j]]) - (a[k] - a[s1[k]])) / 4.0
+        return BlockKernel(self.space, r)
 
     def is_inversion_symmetric(self, tol: float = 1e-12) -> bool:
         """kernels.is_inversion_symmetric: the reversal of the four legs is

@@ -7,10 +7,9 @@ failure's JSON diagnostic as the last stderr line and returns that code; a
 command line that does not parse is a config failure too.  An exception
 no driver converts stays a traceback: it is a bug.  Output formatting is
 fixed (17 significant digits, stable column order) and every scenario
-runs in one thread, so identical configs produce byte-identical files.  Importing this module sets
-OPENBLAS_NUM_THREADS to 1 unless the environment already sets it, before
-numpy loads, so BLAS runs in that thread too; other BLAS builds are not
-pinned.
+runs in one thread, so identical configs produce byte-identical files.
+Importing this module sets OPENBLAS_NUM_THREADS to 1, if unset, before
+numpy loads, so BLAS runs in that thread too; other BLAS is not pinned.
 
 Each scenario imports the layers it uses inside its own functions: every
 command runs in a fresh interpreter, so a command compiles only the
@@ -205,8 +204,9 @@ def _demo_scheme_and_family(params, disp, gridn: int, seed: int, scales_list):
     fam = ld.LadderFamily(F={}, p={})
     for i in scales_list:
         und = scheme.space(i, directed=False)
-        fam.F[i] = (1e-5 / math.sqrt(6.0)
-                    * BlockKernel.random(und, rng)).ph_antisymmetric()
+        rung = BlockKernel.random(und, rng)
+        rung.values *= 1e-5 / math.sqrt(6.0)  # in place: no second copy
+        fam.F[i] = rung.ph_antisymmetric()
     pfam = se.linear_p_family(params, imin=params.j0,
                               imax=scales_list[-1] + 1, amp0=5e-3)
     fam.p = pfam.p

@@ -12,10 +12,10 @@ B = la (x) lb + lb (x) la the Kronecker form of the two bubble lines; a
 ladder with ell bubbles is the chain L_ell = L_(ell-1) B rung, and every
 ladder sum below is one power series in that chain.  The ladder sums take
 and return kernels on the conservation support (blocks.BlockKernel), where
-the bubble maps each pair block onto itself, so a chain step is one small
-product per pair block (compose_blocks), a square matrix T_t on block t,
-and every series checks the spectral radii of the T_t before its chain
-runs; the dense compose is the reference the blocked step is tested on.
+the bubble maps each pair block onto itself, so a chain step is one
+stacked product per block shape (_chain_steps), and every series checks
+the spectral radius of that step before its chain runs; the dense compose
+is the reference the stacked step is tested on.
 
 The particle-hole ladders read a directed rung w only through its ph
 entries, bars (0, 1, 1, 0): for antisymmetric w the directed ph sum equals
@@ -108,70 +108,60 @@ def compose(left: np.ndarray, bub: BubbleProp, rung: np.ndarray) -> np.ndarray:
     return (L @ B[np.ix_(rows, cols)] @ R).reshape(left.shape)
 
 
-def bubble_joins(rung: BlockKernel, bub: BubbleProp
-                 ) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Per pair block t of the rung's space: the chain columns the bubble
-    joins and M_t = B_t rung_t[joined rows].
-
-    B_t is block t of the pair-matrix bubble la (x) lb + lb (x) la, which
-    maps the column pairs of block t onto its row pairs; as in compose, only
-    the internal pairs where it has a nonzero entry are kept.
-    """
+def _chain_steps(rung: BlockKernel, bub: BubbleProp
+                 ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The ladder step of rung through bub per block shape, once its
+    spectral radius is below 1 (else LadderDivergenceError).  B stacks the
+    bubble over the blocks of a shape (PairBlocks.shapes), from line
+    matrices padded with a zero row and column that external legs index;
+    U, V are the chain columns and rung rows some block joins, and blocks
+    joining none (their chain vanishes) are dropped.  Per shape: (support
+    gather, U, J = B[:, U, V] @ rung[:, V]); a step is chain[:, :, U] @ J,
+    whose radius is that of J[:, :, U] (U adds only zero eigenvalues)."""
     sp, pb = rung.space, rung.space.pair_blocks
-    pos = np.full(sp.n, -1)  # index among the internal legs
     ii = sp.field_indices(INT)
+    pos = np.full(sp.n, len(ii))  # index among the internal legs, or the pad
     pos[ii] = np.arange(len(ii))
-    la, lb = bub.line_a, bub.line_b
-    rung_blocks = rung.blocks()
-    joins = []
-    for t in range(len(pb)):
-        w, x = (pos[a] for a in np.divmod(pb.cols[t], sp.n))
-        p, q = (pos[a] for a in np.divmod(pb.rows[t], sp.n))
-        ci = np.flatnonzero((w >= 0) & (x >= 0))
-        ri = np.flatnonzero((p >= 0) & (q >= 0))
-        wp, xq = np.ix_(w[ci], p[ri]), np.ix_(x[ci], q[ri])
-        B = la[wp] * lb[xq] + lb[wp] * la[xq]
-        cols, rows = B.any(axis=1), B.any(axis=0)
-        joins.append((ci[cols],
-                      B[np.ix_(cols, rows)] @ rung_blocks[t][ri[rows]]))
-    return joins
-
-
-def compose_blocks(chain: List[np.ndarray],
-                   joins: List[Tuple[np.ndarray, np.ndarray]]) -> List[np.ndarray]:
-    """One ladder step on each pair block: chain_t[:, cols_t] @ M_t (see
-    bubble_joins); the blocked form of compose(chain, bub, rung)."""
-    return [C[:, cols] @ M for C, (cols, M) in zip(chain, joins)]
-
-
-def _certified_joins(rung: BlockKernel, bub: BubbleProp
-                     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """bubble_joins of rung through bub, or LadderDivergenceError when the
-    series diverges: when its step's spectral radius, max_t
-    rho(M_t[:, cols_t]), is at least 1."""
-    joins = bubble_joins(rung, bub)
-    rho = max((np.abs(np.linalg.eigvals(M[:, cols])).max(initial=0.0)
-               for cols, M in joins), default=0.0)
+    la, lb = (np.pad(m, (0, 1)) for m in (bub.line_a, bub.line_b))
+    steps, rho = [], 0.0
+    for ids, rows, cols in pb.shapes:
+        w, x = (pos[a][:, :, None] for a in np.divmod(cols, sp.n))
+        p, q = (pos[a][:, None, :] for a in np.divmod(rows, sp.n))
+        B = la[w, p] * lb[x, q] + lb[w, p] * la[x, q]
+        keep, U, V = (B.any(axis=ax) for ax in ((1, 2), (0, 2), (0, 1)))
+        if keep.any():
+            gather = pb.offsets[ids[keep], None, None] \
+                + np.arange(B[0].size).reshape(rows.shape[1], -1)
+            J = B[np.ix_(keep, U, V)] @ rung.values[gather[:, V]]
+            rho = max(rho, np.abs(np.linalg.eigvals(J[:, :, U])).max())
+            steps.append((gather, U, J))
     if rho >= 1.0:
         raise LadderDivergenceError(f"ladder terms not decaying: spectral "
                                     f"radius {rho:.4g} >= 1 ({bub.label})")
-    return joins
+    return steps
+
+
+def _chain_step(chain: np.ndarray, U: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """One ladder step on the stacked blocks of one shape (_chain_steps)."""
+    return chain[:, :, U] @ J
 
 
 def _ladder_series(rung: BlockKernel, bub: BubbleProp,
                    lmax: int) -> BlockKernel:
     """The ladder sum sum_l (-1)^l L_l of rung through bub over the chain
     L_0 = rung, L_ell = L_(ell-1) . C . rung for ell = 1..lmax, one
-    compose_blocks call per step once _certified_joins has passed."""
+    _chain_step per block shape and step once _chain_steps has passed."""
     if lmax < 1:
         raise ValueError("ladders need at least one bubble")
-    joins = _certified_joins(rung, bub)
-    chain = rung.blocks()
-    acc = 0.0
-    for ell in range(1, lmax + 1):
-        chain = compose_blocks(chain, joins)
-        acc = acc + (-1.0) ** ell * np.concatenate([C.ravel() for C in chain])
-    return BlockKernel(rung.space, acc)
+    steps = _chain_steps(rung, bub)  # before out: their peaks do not add
+    out = BlockKernel.zeros(rung.space)
+    for gather, U, J in steps:
+        chain, acc = rung.values[gather], 0.0
+        for ell in range(1, lmax + 1):
+            chain = _chain_step(chain, U, J)
+            acc = acc + (-1.0) ** ell * chain
+        out.values[gather] = acc
+    return out
 
 
 def _directed_ph_series(w: Kernel4, bub: BubbleProp, lmax: int) -> Kernel4:
@@ -273,10 +263,10 @@ class LadderScheme:
             raise ValueError("resectorization must go to a finer scale")
         directed = kern.space.directed
         out = BlockKernel.zeros(self.space(j, directed))
-        src = kern.blocks()
-        span = out.space.pair_blocks.span
+        src, dst = kern.space.pair_blocks, out.space.pair_blocks
         for t, u, rows, cols in self._resect_blocks(i, j, directed):
-            out.values[span(t)] = (rows @ src[u] @ cols.T).ravel()
+            block = kern.values[src.span(u)].reshape(rows.shape[1], -1)
+            out.values[dst.span(t)] = (rows @ block @ cols.T).ravel()
         return out
 
     def scale_bubble(self, j: int, u: Optional[Callable],
@@ -408,8 +398,8 @@ def compound_ladder(scheme: LadderScheme, jtop: int, v: Optional[Callable],
             W = W + family_F[j]
         w = Kernel4(W.space, W.dense().values + antisymmetrize(
             value_ph(L.dense(), W.space)).values / 8.0)
-        _certified_joins(24.0 * BlockKernel.from_dense(reduce_ph(w)),
-                         scheme.scale_bubble(j, v, directed=False))
+        _chain_steps(24.0 * BlockKernel.from_dense(reduce_ph(w)),
+                     scheme.scale_bubble(j, v, directed=False))
         L = L + BlockKernel.from_dense(
             _directed_ph_series(w, scheme.scale_bubble(j, v), lmax))
     return L

@@ -81,8 +81,8 @@ class DispersionModel:
 def quadratic_model(anisotropy: float = 1.0) -> DispersionModel:
     """e(k) = (kx^2 + a ky^2)/2 - 1, UV cutoff supported in |e| <= 1.
 
-    a = 1 gives the circular Fermi curve of radius sqrt(2); a != 1 is a
-    config-selectable anisotropic variant (unused by the shipped tests).
+    a = 1 gives the circular Fermi curve of radius sqrt(2); a != 1, which a
+    config selects as model = quadratic:a, gives an ellipse.
     """
     a = float(anisotropy)
     if not 0 < a < math.inf:

@@ -167,6 +167,27 @@ def test_ph_antisymmetric_fixes_ph_entries_of_antisymmetric_kernels(
     assert np.abs(got.values - ph.values).max() <= 1e-15 * ph.max_abs()
 
 
+def test_chunked_draw_and_projection_match_whole_vector_forms(demo_schemes):
+    # BlockKernel.random and ph_antisymmetric run in chunks of entries, so
+    # that they hold no full-size temporary; on a support of several chunks
+    # they equal, bit for bit, the whole-vector forms: one randbytes call
+    # shifted and cast in full, and v = a - a[s1], (v - v[s2]) / 4
+    und = demo_schemes(3, 3).space(2, directed=False)
+    pb, size = und.pair_blocks, und.pair_blocks.size
+    assert size > 3 * blocks._CHUNK
+    x = (np.frombuffer(random.Random(4).randbytes(16 * size), dtype="<u8")
+         >> np.uint64(11)).astype(float)
+    x *= 2.0 ** -52
+    x -= 1.0
+    x *= math.sqrt(3.0)
+    f = BlockKernel.random(und, random.Random(4))
+    assert f.values.real.tobytes() == x[:size].tobytes()
+    assert f.values.imag.tobytes() == x[size:].tobytes()
+    v = f.values - f.values[pb.swap(0, 3)]
+    v -= v[pb.swap(1, 2)]
+    assert f.ph_antisymmetric().values.tobytes() == (v / 4.0).tobytes()
+
+
 def test_block_operations_keep_no_build_tables(params, disp):
     # once the swaps (0, 3) and (1, 2) exist, warming ph_antisymmetric, flip
     # and the inversion check keeps nothing: no leg-index table of their

@@ -188,8 +188,10 @@ def test_compose_matches_bruteforce_on_random_spaces(small_spaces, data,
        seed=st.integers(0, 2 ** 32 - 1))
 def test_block_step_matches_compose_on_random_spaces(small_spaces, data,
                                                      directed, seed):
-    # one block step equals the dense compose on support kernels, whose
-    # result lies on the support
+    # one stacked chain step per block shape equals the dense compose on
+    # support kernels, whose result lies on the support; the steps are
+    # built on the rung times 2^-20, which the certificate passes, and
+    # scaled back, both exactly
     sp = data.draw(small_spaces(directed))
     rng = np.random.default_rng(seed)
     left, rung = random_kernel(sp, rng), random_kernel(sp, rng)
@@ -198,9 +200,12 @@ def test_block_step_matches_compose_on_random_spaces(small_spaces, data,
               * rng.integers(0, 2, n) for _ in range(2))
     bub = ld.BubbleProp(space=sp, line_a=ld.line_matrix(sp, av),
                         line_b=ld.line_matrix(sp, bv))
-    joins = ld.bubble_joins(BlockKernel.from_dense(rung), bub)
-    step = ld.compose_blocks(BlockKernel.from_dense(left).blocks(), joins)
-    got = BlockKernel(sp, np.concatenate([b.ravel() for b in step])).dense()
+    chain = BlockKernel.from_dense(left).values
+    small = 2.0 ** -20 * BlockKernel.from_dense(rung)
+    got = BlockKernel.zeros(sp)
+    for gather, U, J in ld._chain_steps(small, bub):
+        got.values[gather] = 2.0 ** 20 * ld._chain_step(chain[gather], U, J)
+    got = got.dense()
     want = ld.compose(left.values, bub, rung.values)
     assert np.abs(got.values - want).max() \
         <= 1e-13 * max(1.0, np.abs(want).max())
@@ -566,18 +571,52 @@ def test_resectorize_preserves_totals(scheme):
 
 def test_telescope_builds_each_chain_once(scheme, family, monkeypatch):
     # per scale: the iterated chain, the v-swap chain on the same w_j
-    # and the compound chain, lmax block steps each; at j0 the compound
-    # ladder reuses the v-swap chain, so 5 chains over the 2 scales
+    # and the compound chain, lmax steps each, one chain product per block
+    # shape and step; at j0 the compound ladder reuses the v-swap chain, so
+    # 5 chains over the 2 scales
     calls = []
-    compose_blocks = ld.compose_blocks
+    chain_step = ld._chain_step
 
-    def counting(*args):
+    def counting(chain, U, J):
         calls.append(1)
-        return compose_blocks(*args)
+        return chain_step(chain, U, J)
 
-    monkeypatch.setattr(ld, "compose_blocks", counting)
+    monkeypatch.setattr(ld, "_chain_step", counting)
     ld.delta_ladder_telescope(scheme, 4, family, lmax=4)
-    assert len(calls) == (2 * 3 - 1) * 4
+    nshapes = len(scheme.space(2, directed=False).pair_blocks.shapes)
+    assert len(calls) == (2 * 3 - 1) * 4 * nshapes
+
+
+def test_ladder_sum_calls_do_not_grow_with_the_blocks(params, disp,
+                                                      monkeypatch):
+    # one ladder sum makes one eigvals call and lmax chain products per
+    # block shape, however many blocks share the shape: the ladder-demo
+    # --scales 3 scheme has 19 pair blocks at --grid 1 and 163 at --grid 3,
+    # in 3 shapes each
+    from fermi2d import cli
+
+    calls = {"eigvals": 0, "steps": 0}
+
+    def counting(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        counting("eigvals", np.linalg.eigvals))
+    monkeypatch.setattr(ld, "_chain_step", counting("steps", ld._chain_step))
+    counts = []
+    for gridn, nblocks in ((1, 19), (3, 163)):
+        scheme, fam = cli._demo_scheme_and_family(params, disp, gridn, 0,
+                                                  [2, 3, 4])
+        assert len(scheme.space(2, directed=False).pair_blocks) == nblocks
+        calls.update(eigvals=0, steps=0)
+        ld._ladder_series(24.0 * fam.F[2],
+                          scheme.scale_bubble(2, None, directed=False), 4)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["steps"] == 4 * counts[0]["eigvals"] > 0
 
 
 @pytest.mark.parametrize("nscales", [2, 3])

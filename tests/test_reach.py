@@ -63,7 +63,7 @@ KEPT = {
     "kernels.zero_kernel": "reference: BlockKernel.dense builds on it",
     # ladders
     "ladders.compose": CRIT.format(4) + ", through the directed ph chain of "
-                       "compound_ladder; reference for compose_blocks",
+                       "compound_ladder; reference for _chain_steps",
     "ladders.compound_ladder": CRIT.format(4),
     "ladders.iterated_ladder": SPANS,
     "ladders.ladder_closed_form": CRIT.format(4),
