@@ -167,6 +167,15 @@ class PairBlocks:
     def span(self, t: int) -> slice:
         return slice(self.offsets[t], self.offsets[t + 1])
 
+    def leg_chunks(self):
+        """(j, legs) per _CHUNK support entries: j the slice of the entries,
+        legs their four int32 leg indices, decoded from flat one chunk at a
+        time, so that no int64 leg array over the support is held."""
+        for i in range(0, self.size, _CHUNK):
+            j = slice(i, i + _CHUNK)
+            yield j, [leg.astype(np.int32) for leg
+                      in np.unravel_index(self.flat[j], (self.n,) * 4)]
+
     def swap(self, i: int, k: int) -> np.ndarray:
         """Gather index (int32) of values.swapaxes(i, k) on the support,
         cached per (i, k); ValueError when the support is not closed under
@@ -176,16 +185,16 @@ class PairBlocks:
         block, and its index is the start of the row plus the position of
         the column."""
         if (i, k) not in self._swaps:
-            n = self.n
-            legs = [leg.astype(np.int32)
-                    for leg in np.unravel_index(self.flat, (n,) * 4)]
-            legs[i], legs[k] = legs[k], legs[i]
-            r, c = legs[0] * n + legs[1], legs[2] * n + legs[3]
-            t = self._row_block[r]
-            if not np.all((t >= 0) & (t == self._col_block[c])):
-                raise ValueError("legs not on the support: the support is "
-                                 "not closed under their permutation")
-            self._swaps[i, k] = self._row_start[r] + self._pos[c]
+            n, out = self.n, np.empty(self.size, dtype=np.int32)
+            for j, legs in self.leg_chunks():
+                legs[i], legs[k] = legs[k], legs[i]
+                r, c = legs[0] * n + legs[1], legs[2] * n + legs[3]
+                t = self._row_block[r]
+                if not np.all((t >= 0) & (t == self._col_block[c])):
+                    raise ValueError("legs not on the support: the support "
+                                     "is not closed under their permutation")
+                out[j] = self._row_start[r] + self._pos[c]
+            self._swaps[i, k] = out
         return self._swaps[i, k]
 
 

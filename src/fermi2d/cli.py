@@ -219,12 +219,14 @@ def _external_entries(kern):
     dense flat index (the order of np.argwhere on the dense block)."""
     from .kernels import EXT
 
-    flat = kern.space.pair_blocks.flat
-    legs = np.stack(np.unravel_index(flat, (kern.space.n,) * 4), axis=1)
-    keep = np.flatnonzero((kern.space.leg_field[legs] == EXT).all(axis=1)
-                          & (kern.values != 0))
-    keep = keep[np.argsort(flat[keep])]
-    return legs[keep], kern.values[keep]
+    pb, ext = kern.space.pair_blocks, kern.space.leg_field == EXT
+    on = kern.values != 0
+    for j, legs in pb.leg_chunks():
+        on[j] &= np.logical_and.reduce([ext[leg] for leg in legs])
+    keep = np.flatnonzero(on)
+    keep = keep[np.argsort(pb.flat[keep])]
+    legs = np.unravel_index(pb.flat[keep], (pb.n,) * 4)
+    return np.stack(legs, axis=1), kern.values[keep]
 
 
 def run_ladder_demo(args):

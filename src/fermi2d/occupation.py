@@ -42,7 +42,8 @@ class QuadratureError(ArithmeticError):
 
 
 class SingularPointError(ZeroDivisionError):
-    """A point sits on the Fermi curve, where N(k) jumps."""
+    """A point sits on the Fermi curve, where N(k) jumps, or a jump
+    measurement's radial offsets are not all inside the Fermi radius."""
 
 
 @dataclass
@@ -438,6 +439,11 @@ def _jump_rows(disp, model, thetas, deltas, quad_tol) -> List[SweepRow]:
     thetas = np.asarray(thetas, dtype=float)
     ds = np.asarray(deltas, dtype=float)
     rad = disp.fermi_radius(thetas)
+    # rad > delta keeps rad - delta on the ray and e at rad + delta below 3
+    # on the quadratic models; a thinner ellipse overflows (i k0 - e)^2
+    if not np.all(rad > ds.max()):
+        raise SingularPointError(f"Fermi radius {rad.min():.3e} is not above "
+                                 f"the largest radial offset {ds.max():.3e}")
     nx, ny = np.cos(thetas), np.sin(thetas)
     r = rad[:, None] + np.concatenate([-ds, ds])    # e < 0 side first
     vals, _ = occupation_limits(disp, model, r * nx[:, None], r * ny[:, None],

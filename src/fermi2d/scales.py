@@ -115,11 +115,11 @@ def make_model(name: str) -> DispersionModel:
 class ScaleInterval:
     """A set of scales: single shell, finite range, or half-line.
 
-    lo=None means "from the first scale j0"; hi=None means "all scales
-    deeper than lo-1" (including everything below the deepest shell).
+    hi=None means "all scales deeper than lo-1" (including everything below
+    the deepest shell).
     """
 
-    lo: Optional[int]
+    lo: int
     hi: Optional[int]
 
     @staticmethod
@@ -127,18 +127,10 @@ class ScaleInterval:
         return ScaleInterval(j, j)
 
     @staticmethod
-    def le(j: int) -> "ScaleInterval":
-        return ScaleInterval(None, j)
-
-    @staticmethod
     def ge(j: int) -> "ScaleInterval":
         return ScaleInterval(j, None)
 
     def __str__(self):
-        if self.lo is None and self.hi is None:
-            return "(all)"
-        if self.lo is None:
-            return f"(<= {self.hi})"
         if self.hi is None:
             return f"(>= {self.lo})"
         if self.lo == self.hi:
@@ -182,10 +174,6 @@ class ScaleModel:
         """nu^(j)(k).  The first scale absorbs the ultraviolet remainder."""
         return self.nu_interval(ScaleInterval.at(j), k0, kx, ky)
 
-    def nu_le(self, j: int, k0, kx, ky):
-        """nu^(<=j) = sum_{m=j0..j} nu^(m)."""
-        return self.nu_interval(ScaleInterval.le(j), k0, kx, ky)
-
     def nu_ge(self, j: int, k0, kx, ky):
         """nu^(>=j) = sum_{m>=j} nu^(m), including the deep tail."""
         return self.nu_interval(ScaleInterval.ge(j), k0, kx, ky)
@@ -199,11 +187,10 @@ class ScaleModel:
         phi_hi that of scales > hi (0 for the half-line).  A half-line
         may start one scale below the deepest shell, at Jmax + 1."""
         lo, hi = interval.lo, interval.hi
-        if lo is not None:
-            self._check_scale(lo, hi_slack=int(hi is None))
+        self._check_scale(lo, hi_slack=int(hi is None))
         if hi is not None:
             self._check_scale(hi)
-            if lo is not None and lo > hi:
+            if lo > hi:
                 raise ScaleRangeError(f"empty interval [{lo}, {hi}]")
         U = self.disp.U(kx, ky)
         if lo == self.params.j0:

@@ -468,121 +468,78 @@ def q_tail_decay(family: ScaleFamily, params, scales: ScaleModel,
                     expected=-p.aleph * math.log(p.M))
 
 
-def p_tail_decay(family: ScaleFamily, params, js: List[int],
-                 k0: float = 0.7, kx: float = 0.4, ky: float = 0.1) -> DecayFit:
-    sups = []
-    for j in js:
-        tail = sum(abs(family.p[i](k0, kx, ky)) for i in family.p if i >= j)
-        sups.append(tail)
-    slope = float(np.polyfit(np.asarray(js, dtype=float), np.log(sups), 1)[0])
-    return DecayFit(js=list(js), sups=sups, slope=slope,
-                    expected=-params.aleph * math.log(params.M))
-
-
 # ---------------------------------------------------------------------------
-# resummation bound report (stated bounds, checked not enforced)
-
-
-_RESUM_SAMPLES = 400  # R_d points of check_resum_bounds
-
-
-def check_resum_bounds(family: ScaleFamily, params,
-                       scales: ScaleModel) -> Dict[str, float]:
-    """Sup of |P| / (la^(1-2u) min(|k0|,1)) and of
-    |Q| / (la^(1-3u) min(|i k0 - e|^(3/2), 1)) over the first
-    _RESUM_SAMPLES R_d points of [-2, 2)^3 (scales.rd_points); values <= 1
-    conform."""
-    la, up = params.lambda0, params.upsilon
-    k0, kx, ky = rd_points(_RESUM_SAMPLES, (-2, -2, -2), (2, 2, 2)).T
-    bp = la ** (1 - 2 * up) * np.minimum(np.abs(k0), 1.0)
-    bq = la ** (1 - 3 * up) * np.minimum(scales.radius(k0, kx, ky) ** 1.5,
-                                         1.0)
-
-    def worst(resum, bound):
-        v = np.broadcast_to(np.abs(resum(family, k0, kx, ky)), k0.shape)
-        ok = bound > 0
-        return float(np.max(v[ok] / bound[ok], initial=0.0))
-
-    return {"P_ratio": worst(resum_P, bp), "Q_ratio": worst(resum_Q, bq)}
-
-
-# ---------------------------------------------------------------------------
-# two-point assembly and the proper self-energy
-
-
-def green2(scales: ScaleModel, k0, kx, ky, P: Callable, Q: Callable) -> complex:
-    """G2(k) = U(k)/(i k0 - e - P(k)) + Q(k)/(i k0 - e)^2."""
-    A = complex(scales.amputation(k0, kx, ky))
-    if A == 0:
-        raise SingularityError("i k0 - e(k) vanishes")
-    U = float(scales.disp.U(kx, ky))
-    return U / (A - P(k0, kx, ky)) + Q(k0, kx, ky) / A ** 2
+# the proper self-energy
 
 
 _COND_FLOOR = 1e-8  # smallest |denominator| of the self-energy formulas
 
 
-def proper_sigma(scales: ScaleModel, k0, kx, ky, P: Callable,
-                 Q: Callable) -> complex:
-    """Sigma = (P + Q - Q P/E) / (1 + Q/E - (P/E)(Q/E)), E = i k0 - e."""
-    E = complex(scales.amputation(k0, kx, ky))
-    if E == 0:
-        raise SingularityError("i k0 - e(k) vanishes")
-    Pv = complex(P(k0, kx, ky))
-    Qv = complex(Q(k0, kx, ky))
+def _require(ok, exc, what, k, size=None):
+    """Raise exc(what) naming the first point of k = (k0, kx, ky) where the
+    array ok is false (with size there, when given)."""
+    if not np.all(ok):
+        i = np.flatnonzero(~np.asarray(ok))[0]
+        at = ", ".join(repr(float(np.broadcast_to(c, np.shape(ok)).flat[i]))
+                       for c in k)
+        what += "" if size is None else f" {np.asarray(size).flat[i]:.3e}"
+        raise exc(f"{what} at (k0, kx, ky) = ({at})")
+
+
+def _evaluate(scales: ScaleModel, k, fns, what: str, k0_nonzero=False):
+    """E = i k0 - e at the points k = (k0, kx, ky) and each function of fns
+    there, broadcast to E's shape; SingularityError(what) at the first
+    point where E = 0 (or, with k0_nonzero, k0 = 0)."""
+    E = np.asarray(scales.amputation(*k))
+    ok = (E != 0) & (np.asarray(k[0]) != 0) if k0_nonzero else E != 0
+    _require(ok, SingularityError, what, k)
+    return E, [np.broadcast_to(f(*k), E.shape) for f in fns]
+
+
+def _complex_if_0d(x):
+    return complex(x) if np.ndim(x) == 0 else x
+
+
+def proper_sigma(scales: ScaleModel, k0, kx, ky, P: Callable, Q: Callable):
+    """Sigma = (P + Q - Q P/E) / (1 + Q/E - (P/E)(Q/E)), E = i k0 - e, at
+    the points (k0, kx, ky), which broadcast together: an array, or a
+    complex for scalar input.  The errors name the first failing point."""
+    k = (k0, kx, ky)
+    E, (Pv, Qv) = _evaluate(scales, k, (P, Q), "i k0 - e(k) vanishes")
     den = 1.0 + Qv / E - (Pv / E) * (Qv / E)
-    if abs(den) < _COND_FLOOR:
-        raise ConditioningError(f"self-energy denominator {abs(den):.3e}")
-    return (Pv + Qv - Qv * Pv / E) / den
+    size = np.abs(den)
+    _require(size >= _COND_FLOOR, ConditioningError,
+             "self-energy denominator", k, size)
+    return _complex_if_0d((Pv + Qv - Qv * Pv / E) / den)
 
 
 def sigma_k0_derivative(scales: ScaleModel, k0, kx, ky, P: Callable,
-                        Q: Callable, dP: Callable, dQ: Callable) -> complex:
-    """dSigma/dk0 through the cancellation-stable tilde variables.
+                        Q: Callable, dP: Callable, dQ: Callable):
+    """dSigma/dk0 through the cancellation-stable tilde variables, at the
+    points (k0, kx, ky) as in proper_sigma.
 
     Uses Q~(m) = (i k0)^m Q / E^(m+1), Q0~(m) = (i k0/E)^m dQ/dk0,
     P~ = P/(i k0), all bounded near the Fermi curve for compliant families.
     """
-    E = complex(scales.amputation(k0, kx, ky))
-    ik0 = 1j * k0
-    if E == 0 or ik0 == 0:
-        raise SingularityError("tilde variables need k0 != 0 and i k0 != e")
-    Pv = complex(P(k0, kx, ky))
-    Qv = complex(Q(k0, kx, ky))
-    dPv = complex(dP(k0, kx, ky))
-    dQv = complex(dQ(k0, kx, ky))
+    k = (k0, kx, ky)
+    E, (Pv, Qv, dPv, dQv) = _evaluate(
+        scales, k, (P, Q, dP, dQ),
+        "tilde variables need k0 != 0 and i k0 != e", k0_nonzero=True)
+    ik0 = 1j * np.asarray(k0, dtype=float)
     Qt = [ik0 ** m * Qv / E ** (m + 1) for m in range(3)]
     Qt0 = [(ik0 / E) ** m * dQv for m in range(3)]
     Pt = Pv / ik0
     D = 1.0 + Qt[0] - Pt * Qt[1]
-    if abs(D) < _COND_FLOOR:
-        raise ConditioningError(f"tilde denominator {abs(D):.3e}")
+    size = np.abs(D)
+    _require(size >= _COND_FLOOR, ConditioningError, "tilde denominator", k,
+             size)
     term1 = (dPv + 2j * Qt[0] + Qt0[0] - 1j * Pt * Qt[1]
              - dPv * Qt[0] - Pt * Qt0[1]) / D
     term2 = Pt * (1j * Qt[1] + Qt0[1] - dPv * Qt[1] - Pt * Qt0[2]) / D ** 2
     term3 = ((Qt[0] - Pt * Qt[1])
              * (1j * Qt[0] + Qt0[0] - dPv * Qt[0] - Pt * Qt0[1])
              + 2j * Qt[0] + 2j * Pt ** 2 * Qt[2] - 4j * Pt * Qt[1]) / D ** 2
-    return term1 - term2 - term3
-
-
-def amputation_A1(scales: ScaleModel, i: int, k0, kx, ky, P: Callable) -> complex:
-    """A1 = nu^(<=i) (i k0 - e - P) / (i k0 - e)."""
-    A = complex(scales.amputation(k0, kx, ky))
-    if A == 0:
-        raise SingularityError("i k0 - e(k) vanishes")
-    nu = float(scales.nu_le(i, k0, kx, ky))
-    return nu * (A - P(k0, kx, ky)) / A
-
-
-def amputation_A2(scales: ScaleModel, k0, kx, ky, P: Callable, Q: Callable) -> complex:
-    """A2 = (i k0 - e - Sigma) / (i k0 - e - P)."""
-    A = complex(scales.amputation(k0, kx, ky))
-    S = proper_sigma(scales, k0, kx, ky, P, Q)
-    den = A - P(k0, kx, ky)
-    if den == 0:
-        raise SingularityError("i k0 - e - P vanishes")
-    return (A - S) / den
+    return _complex_if_0d(term1 - term2 - term3)
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,26 @@ def test_swaps_keep_no_sort_table(directed, swaps):
     assert retained < (len(swaps) * 4 + 4) * pb.size
 
 
+def test_support_legs_are_decoded_in_chunks(params, disp):
+    # a swap and the all-external read of ladder-demo decode the legs of
+    # the support chunk by chunk: on the scale-2 support of --scales 3
+    # --grid 8 (1.7M entries) each peaks at <= 12 bytes per entry, where
+    # four int64 leg arrays over the support took 48 and 68
+    scheme, fam = cli._demo_scheme_and_family(params, disp, 8, 0, [2, 3, 4])
+    pb = _fresh(scheme.space(2, directed=False))
+    peaks = []
+    for run in (lambda: pb.swap(0, 3),
+                lambda: cli._external_entries(fam.F[2])):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert pb.size > 20 * blocks._CHUNK
+    assert max(peaks) <= 12 * pb.size
+
+
 @settings(max_examples=15, deadline=None)
 @given(data=st.data(), directed=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))

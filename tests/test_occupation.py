@@ -9,7 +9,7 @@ from scipy import integrate
 
 from fermi2d import cli
 from fermi2d import occupation as oc
-from fermi2d.scales import rd_points
+from fermi2d.scales import quadratic_model, rd_points
 
 
 @pytest.fixture(scope="module")
@@ -415,6 +415,18 @@ def test_fermi_sweep_flags_only_points_on_the_curve(disp, model):
                                       for hit in on_curve]
     with pytest.raises(oc.SingularPointError):
         oc.occupation_limits(disp, model, [1.45, 1.0], [0.0, 1.0])
+
+
+def test_fermi_sweep_flags_radii_below_the_offsets(model):
+    # at anisotropy 1e300 the Fermi radius is 1e-134 at theta = pi: its
+    # offset points would leave the ray and e(rad + delta) ~ 1e263 would
+    # overflow; that row is flagged, the theta = 0 row measured as usual
+    thin = quadratic_model(1e300)
+    rows = oc.fermi_sweep(thin, model, npoints=2)
+    assert [r.flag for r in rows] == ["", "SingularPointError"]
+    assert rows[0].abs_err <= 1e-6
+    with pytest.raises(oc.SingularPointError, match="radial offset"):
+        oc.jump_at(thin, model, math.pi)
 
 
 @settings(max_examples=10, deadline=None)

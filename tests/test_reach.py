@@ -5,11 +5,10 @@ write their inputs, run in process under sys.setprofile, which records
 the code object of every function entered.  A public function or method
 (no part of its name starts with "_") that no run enters must appear in
 KEPT with the reason it stays: the acceptance criterion that calls it,
-the fast path it is the tested reference for, the perfbench name that
-needs it (one of the SPANS pairs of perfbench/tracer.py), or the ROADMAP
-item that will give it a driver.  A KEPT entry that names no function, or
-one that the runs enter, fails too, so the list stays the exact set of
-kept references per module.
+the fast path it is the tested reference for, or the perfbench name that
+needs it (one of the SPANS pairs of perfbench/tracer.py).  A KEPT entry
+that names no function, or one that the runs enter, fails too, so the
+list stays the exact set of kept references per module.
 """
 import ast
 import importlib
@@ -26,7 +25,6 @@ from test_golden import GOLDEN, inputs, run  # noqa: F401  (inputs: fixture)
 CRIT = "acceptance criterion {}"
 SPANS = "a perfbench/tracer.py SPANS name"
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-ITEM = "ROADMAP item {}"
 
 # qualified name (module.function or module.Class.method) -> reason
 KEPT = {
@@ -79,22 +77,15 @@ KEPT = {
     "occupation.jump_at": SPANS,
     "occupation.occupation_limit": SPANS,
     # scales
-    "scales.ScaleInterval.le": ITEM.format(3) + ", through nu_le",
     "scales.ScaleModel.nu": CRIT.format(9),
     "scales.ScaleModel.nu_ge": CRIT.format(9),
     "scales.ScaleModel.nu_gt": CRIT.format(9),
-    "scales.ScaleModel.nu_le": ITEM.format(3),
     # selfenergy
     "selfenergy.BudgetReport.max_ratio_per_pair": CRIT.format(7),
     "selfenergy.BudgetReport.worst_ratio": CRIT.format(7),
-    "selfenergy.amputation_A1": ITEM.format(3),
-    "selfenergy.amputation_A2": ITEM.format(3),
-    "selfenergy.check_resum_bounds": ITEM.format(3),
-    "selfenergy.green2": ITEM.format(3),
     "selfenergy.grid_sup_derivatives": "the check_q_budget path for a member "
                                        "that is not a ProductQ, which the "
                                        "support and reality tests use",
-    "selfenergy.p_tail_decay": ITEM.format(3),
     "selfenergy.proper_sigma": CRIT.format(6),
     "selfenergy.q_tail_decay": CRIT.format(7),
     "selfenergy.sigma_k0_derivative": CRIT.format(6),

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -378,23 +379,8 @@ def test_q_tail_decay_slope():
     assert abs(fit.slope - fit.expected) <= 0.1 * abs(fit.expected)
 
 
-def test_p_tail_decay_slope():
-    params = ScaleParams(lambda0=1e-3, upsilon=0.2, jmax=8)
-    fam = se.linear_p_family(params, imin=2, imax=16)
-    fit = se.p_tail_decay(fam, params, js=list(range(3, 9)))
-    assert abs(fit.slope - fit.expected) <= 0.1 * abs(fit.expected)
-
-
-def test_resum_bound_report(budget_params, budget_scales, qfam):
-    pfam = se.linear_p_family(budget_params)
-    fam = se.ScaleFamily(p=pfam.p, q=qfam.q, lambda0=1e-3, upsilon=0.2)
-    report = se.check_resum_bounds(fam, budget_params, budget_scales)
-    assert report["P_ratio"] <= 1.0
-    assert report["Q_ratio"] <= 1.0
-
-
 # ---------------------------------------------------------------------------
-# two-point assembly and proper self-energy
+# proper self-energy
 
 
 def _smooth_pq():
@@ -411,36 +397,14 @@ def _smooth_pq():
         return 0.01 * z ** 2 / (1.0 + np.abs(z) ** 2) \
             * np.exp(-0.1 * (kx ** 2 + ky ** 2))
 
-    def dQ(k0, kx, ky, h=1e-6):
-        return (Q(k0 + h, kx, ky) - Q(k0 - h, kx, ky)) / (2 * h)
+    def dQ(k0, kx, ky):
+        e = 0.5 * (kx ** 2 + ky ** 2) - 1.0
+        z = 1j * k0 - e
+        w = 1.0 + np.abs(z) ** 2
+        return 0.01 * (2j * z / w - 2 * k0 * z ** 2 / w ** 2) \
+            * np.exp(-0.1 * (kx ** 2 + ky ** 2))
 
     return P, dP, Q, dQ
-
-
-def test_green2_trivial(scales, fermi_point):
-    _, kx, ky = fermi_point
-    Z = lambda k0, kx_, ky_: 0.0
-    k0 = 0.4
-    A = complex(scales.amputation(k0, kx, ky))
-    U = float(scales.disp.U(kx, ky))
-    assert abs(se.green2(scales, k0, kx, ky, Z, Z) - U / A) <= 1e-14
-    # Q = 0: a simple shifted pole
-    P, _, _, _ = _smooth_pq()
-    want = U / (A - P(k0, kx, ky))
-    assert abs(se.green2(scales, k0, kx, ky, P, Z) - want) <= 1e-14
-    # (1, 1) lies exactly on the curve in floating point
-    with pytest.raises(se.SingularityError):
-        se.green2(scales, 0.0, 1.0, 1.0, Z, Z)
-
-
-def test_green2_continuity_off_shell(scales):
-    # continuity along a path that avoids i k0 = e(k)
-    P, _, Q, _ = _smooth_pq()
-    ts = np.linspace(0.0, 1.0, 60)
-    vals = [se.green2(scales, 0.4 + 0.2 * t, 1.0 + 0.3 * t, 0.1, P, Q)
-            for t in ts]
-    diffs = np.abs(np.diff(vals))
-    assert diffs.max() <= 0.1
 
 
 def test_proper_sigma_trivials(scales, fermi_point):
@@ -454,52 +418,73 @@ def test_proper_sigma_trivials(scales, fermi_point):
     assert abs(se.proper_sigma(scales, *k, Z, Q) - qv / (1 + qv / A)) <= 1e-15
 
 
-def test_sigma_identity_and_derivative(scales):
+def _off_curve(k):
+    # the rejection rule of criterion 6
+    k0, kx, ky = k
+    return abs(1j * k0 - quadratic_model().e(kx, ky)) >= 0.15 \
+        and abs(k0) >= 0.05
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.8, 1.8),
+                          st.floats(-1.8, 1.8)).filter(_off_curve),
+                min_size=1, max_size=40))
+def test_sigma_array_call_is_the_per_point_call(scales, points):
+    # the analytic dQ: a finite-difference one would turn last-digit
+    # differences between the array and scalar loops into ~1e-10
     P, dP, Q, dQ = _smooth_pq()
-    rng = np.random.default_rng(42)
-    worst_g2 = worst_ds = 0.0
-    n = 0
-    while n < 60:
-        k0 = rng.uniform(-1.5, 1.5)
-        kx, ky = rng.uniform(-1.8, 1.8, 2)
-        A = complex(scales.amputation(k0, kx, ky))
-        if abs(A) < 0.15 or abs(k0) < 0.05:
-            continue
-        n += 1
-        S = se.proper_sigma(scales, k0, kx, ky, P, Q)
-        lhs = 1.0 / (A - S)
-        rhs = 1.0 / (A - P(k0, kx, ky)) + Q(k0, kx, ky) / A ** 2
-        worst_g2 = max(worst_g2, abs(lhs - rhs) / abs(rhs))
-        ds = se.sigma_k0_derivative(scales, k0, kx, ky, P, Q, dP, dQ)
-        h = 1e-5 * max(abs(k0), abs(A))
-        fd = (se.proper_sigma(scales, k0 + h, kx, ky, P, Q)
-              - se.proper_sigma(scales, k0 - h, kx, ky, P, Q)) / (2 * h)
-        worst_ds = max(worst_ds, abs(ds - fd) / max(abs(fd), 1e-12))
-    assert worst_g2 <= 1e-12
-    assert worst_ds <= 1e-6
+    k = np.array(points).T
+    S = se.proper_sigma(scales, *k, P, Q)
+    dS = se.sigma_k0_derivative(scales, *k, P, Q, dP, dQ)
+    assert S.shape == dS.shape == (len(points),)
+    for i, point in enumerate(points):
+        s = se.proper_sigma(scales, *point, P, Q)
+        ds = se.sigma_k0_derivative(scales, *point, P, Q, dP, dQ)
+        assert type(s) is type(ds) is complex
+        # against |P| + |Q|, not |Sigma|, which cancels
+        assert abs(S[i] - s) <= 1e-15 * (abs(P(*point)) + abs(Q(*point)))
+        assert abs(dS[i] - ds) <= 1e-14 * abs(ds)
 
 
-def test_amputations(scales, fermi_point):
-    _, kx, ky = fermi_point
-    P, _, Q, _ = _smooth_pq()
-    Z = lambda k0, kx_, ky_: 0.0
-    k = (0.3, kx, ky)
-    # P = Q = 0: A1 is the cumulative scale function, A2 is one
-    assert abs(se.amputation_A1(scales, 4, *k, Z)
-               - float(scales.nu_le(4, *k))) <= 1e-15
-    assert abs(se.amputation_A2(scales, *k, Z, Z) - 1.0) <= 1e-15
-    # Q = 0 means Sigma = P and A2 = 1
-    assert abs(se.amputation_A2(scales, *k, P, Z) - 1.0) <= 1e-14
-    # |A2| <= 2 sampled over the cutoff support
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(200):
-        k0 = rng.uniform(-1.5, 1.5)
-        kx_, ky_ = rng.uniform(-1.8, 1.8, 2)
-        if abs(complex(scales.amputation(k0, kx_, ky_))) < 0.1:
-            continue
-        worst = max(worst, abs(se.amputation_A2(scales, k0, kx_, ky_, P, Q)))
-    assert worst <= 2.0
+_NEGATIVE_K0 = [(-0.2, 1.2, 0.3), (-0.5, 0.9, 0.1)]
+
+
+@pytest.mark.parametrize("name, spoilt, bad, exc", [
+    # (1, 1) and (-1, 1) lie exactly on the curve in floating point
+    ("proper_sigma", {}, [(0.0, 1.0, 1.0), (0.0, -1.0, 1.0)],
+     se.SingularityError),
+    ("sigma_k0_derivative", {}, [(0.0, 1.2, 0.3), (0.0, 0.9, 0.1)],
+     se.SingularityError),
+    ("proper_sigma", {"P": "nan"}, _NEGATIVE_K0, se.ConditioningError),
+    ("sigma_k0_derivative", {"Q": "nan"}, _NEGATIVE_K0,
+     se.ConditioningError),
+    ("proper_sigma", {"P": "zero", "Q": "tiny"}, _NEGATIVE_K0,
+     se.ConditioningError),
+    ("sigma_k0_derivative", {"P": "zero", "Q": "tiny"}, _NEGATIVE_K0,
+     se.ConditioningError),
+], ids=["on-curve", "k0-zero", "nan-P", "nan-Q", "tiny", "tiny-tilde"])
+def test_sigma_errors_name_the_first_bad_point(scales, name, spoilt, bad,
+                                               exc):
+    # a point after a good one fails, alone and in an array call, whose
+    # message names it and not the bad point after it
+    P, dP, Q, dQ = _smooth_pq()
+    fns = {"P": P, "Q": Q, "dP": dP, "dQ": dQ}
+    spoilers = {"nan": lambda *k: np.nan, "zero": lambda *k: 0.0,
+                # with P = 0 the denominators are 1 + Q/E = 1e-10
+                "tiny": lambda *k: -(1 - 1e-10) * scales.amputation(*k)}
+    for key, kind in spoilt.items():
+        fns[key] = lambda k0, kx, ky, f=fns[key], g=spoilers[kind]: \
+            np.where(np.asarray(k0) < 0, g(k0, kx, ky), f(k0, kx, ky))
+    keys = ("P", "Q") if name == "proper_sigma" else ("P", "Q", "dP", "dQ")
+    args = [fns[key] for key in keys]
+    call = getattr(se, name)
+    good = (0.4, 1.2, 0.3)
+    call(scales, *good, *args)
+    with pytest.raises(exc):
+        call(scales, *bad[0], *args)
+    at = "at (k0, kx, ky) = ({!r}, {!r}, {!r})".format(*bad[0])
+    with pytest.raises(exc, match=re.escape(at)):
+        call(scales, *np.array([good, *bad]).T, *args)
 
 
 @pytest.mark.parametrize("member", [
