@@ -189,7 +189,7 @@ class LadderScheme:
     scales: ScaleModel
     grid: MomentumGrid
     sectorizations: Dict[int, Sectorization]
-    sec_ids: Dict[int, List[int]]
+    sec_ids: Dict[int, np.ndarray]  # the scale-j sectors kept, ascending
     dir_spaces: Dict[int, KernelSpace]
     _resect_cache: Dict[Tuple[int, int, bool], list] = field(default_factory=dict)
 
@@ -202,30 +202,28 @@ class LadderScheme:
         external legs, hat weights over the scale-j sectors on internal
         ones."""
         src, dst = self.space(i, directed), self.space(j, directed)
-        secz = self.sectorizations[j]
-        hats = hat_weights(secz)
-        f, k, spin, bar, _ = src.leg_table.T
+        secz, ids = self.sectorizations[j], self.sec_ids[j]
         R = np.zeros((dst.n, src.n), dtype=float)
-        ext = np.flatnonzero(f != INT)
+        ext = np.flatnonzero(src.leg_field != INT)
         R[dst.find(*src.leg_table[ext].T), ext] = 1.0
-        for col in np.flatnonzero(f == INT):
-            s_arc = float(secz.curve.arc_position(self.grid.kx[k[col]],
-                                                  self.grid.ky[k[col]]))
-            placed = 0.0
-            for loc, full in enumerate(self.sec_ids[j]):
-                w = float(hats[full](s_arc))
-                if w <= 0.0:
-                    continue
-                row = dst.find(INT, k[col], spin[col], bar[col], loc)
-                if row < 0:
-                    raise ValueError(
-                        f"refinement target sector {full} at scale {j} lost "
-                        f"grid point {k[col]}")
-                R[row, col] += w
-                placed += w
-            if abs(placed - 1.0) > 1e-12:
-                raise ValueError(
-                    f"refinement weights sum to {placed}, expected 1")
+        cols = np.flatnonzero(src.leg_field == INT)
+        kc = src.leg_k[cols]
+        W = hat_weights(secz)(secz.curve.arc_position(
+            self.grid.kx[kc], self.grid.ky[kc]))[ids]  # (sectors, legs)
+        at, loc = np.nonzero(W.T > 0.0)  # in leg order, then sector order
+        rows = dst.find(*src.leg_table[cols[at], :4].T, loc)
+        placed, lost = W.sum(axis=0), rows < 0
+        bad = np.abs(placed - 1.0) > 1e-12
+        bad[at[lost]] = True
+        if bad.any():
+            c = np.argmax(bad)  # the first failing leg, in leg order
+            if lost.any() and at[lost][0] == c:
+                raise ValueError(f"refinement target sector "
+                                 f"{ids[loc[lost][0]]} at scale {j} lost "
+                                 f"grid point {kc[c]}")
+            raise ValueError(f"refinement weights sum to {placed[c]}, "
+                             "expected 1")
+        R[rows, cols[at]] = W[loc, at]
         return R
 
     def _resect_blocks(self, i: int, j: int, directed: bool) -> list:
@@ -291,14 +289,12 @@ def build_scheme(params, disp, grid: MomentumGrid, scales_needed,
     for j in scales_needed:
         secz = build_sectorization(params, curve, j,
                                    length_override=sector_lengths.get(j))
-        ok = np.array([[s.ext_contains(disp, grid.kx[i], grid.ky[i])
-                        for i in range(len(grid))] for s in secz],
-                      dtype=bool).reshape(len(secz), len(grid))
+        ok = secz.contains(disp, grid.kx, grid.ky)
         touch = ok.any(axis=1)
         if not touch.any():
             raise ValueError(f"no scale-{j} sector touches the grid")
         sectorizations[j] = secz
-        sec_ids[j] = [s.index for s, t in zip(secz, touch) if t]
+        sec_ids[j] = np.flatnonzero(touch)
         dir_spaces[j] = KernelSpace(grid, nspin=nspin, nsec=len(sec_ids[j]),
                                     sec_ok=ok[touch], fields=(EXT, INT),
                                     directed=True)

@@ -43,7 +43,8 @@ class QuadratureError(ArithmeticError):
 
 class SingularPointError(ZeroDivisionError):
     """A point sits on the Fermi curve, where N(k) jumps, or a jump
-    measurement's radial offsets are not all inside the Fermi radius."""
+    measurement's radial offsets are not all inside the Fermi radius or do
+    not land on their own side of the curve."""
 
 
 @dataclass
@@ -445,9 +446,17 @@ def _jump_rows(disp, model, thetas, deltas, quad_tol) -> List[SweepRow]:
         raise SingularPointError(f"Fermi radius {rad.min():.3e} is not above "
                                  f"the largest radial offset {ds.max():.3e}")
     nx, ny = np.cos(thetas), np.sin(thetas)
-    r = rad[:, None] + np.concatenate([-ds, ds])    # e < 0 side first
-    vals, _ = occupation_limits(disp, model, r * nx[:, None], r * ny[:, None],
-                                quad_tol=quad_tol)
+    offsets = np.concatenate([-ds, ds])              # e < 0 side first
+    r = rad[:, None] + offsets
+    kx, ky = r * nx[:, None], r * ny[:, None]
+    # a nonzero offset must land on its own side of the curve: at a radius
+    # so large that rad +- delta rounds to rad, both sides read one point
+    wrong = (offsets != 0) & (np.sign(disp.e(kx, ky)) != np.sign(offsets))
+    if wrong.any():
+        t, o = np.argwhere(wrong)[0]
+        raise SingularPointError(f"radial offset {offsets[o]:.3e} does not "
+                                 f"cross the curve at radius {rad[t]:.3e}")
+    vals, _ = occupation_limits(disp, model, kx, ky, quad_tol=quad_tol)
     predicted = np.broadcast_to(jump_predicted(model, rad * nx, rad * ny),
                                 thetas.shape)
     m = len(ds)

@@ -1,20 +1,22 @@
 """Sectorizations of the Fermi curve.
 
 A sectorization of scale j tiles the Fermi curve F = {e(k) = 0} with arcs
-of length l_j = M^(-aleph j) (the last arc may be shorter).  The extended
-support of a sector is its arc fattened by one arc length on each side and
-transversally by max(shell radius, l_j / 2); kernels with sectorized legs
-vanish unless the leg momentum lies in the extended support.
+[s_lo, s_hi) of length l_j = M^(-aleph j) (the last arc may be shorter).
+The extended support of a sector is its arc fattened by one arc length on
+each side and transversally by max(shell radius, l_j / 2); kernels with
+sectorized legs vanish unless the leg momentum lies in the extended
+support, which Sectorization.contains tests as one (sectors, points) matrix.
 
 Refinement from scale j to j+1 distributes a sector's content over the
-finer arcs with piecewise-linear hat weights that form a partition of
-unity along the curve, so refined pieces always re-sum to the original.
+finer arcs with piecewise-linear hat weights, one (sectors, points) matrix
+(hat_weights), that form a partition of unity along the curve, so refined
+pieces always re-sum to the original.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List
+from typing import Callable
 
 import numpy as np
 
@@ -64,49 +66,30 @@ def build_fermi_curve(disp) -> FermiCurve:
 
 
 @dataclass(frozen=True)
-class Sector:
-    """One arc [s_lo, s_hi) of the scale-j sectorization."""
+class Sectorization:
+    """The scale-j tiling: arc i is [s_lo[i], s_hi[i]), fattened by
+    arc_margin on each side and by trans_width across the curve."""
 
     j: int
-    index: int
-    s_lo: float
-    s_hi: float
-    length: float
+    curve: FermiCurve
+    s_lo: np.ndarray
+    s_hi: np.ndarray
     arc_margin: float
     trans_width: float
-    curve: FermiCurve
-
-    def center(self) -> float:
-        return 0.5 * (self.s_lo + self.s_hi)
-
-    def arc_contains(self, s) -> bool:
-        """Membership of an arc position in the fattened arc, cyclically."""
-        margin = self.arc_margin
-        L = self.curve.length
-        rel = np.mod(np.asarray(s, dtype=float) - (self.s_lo - margin), L)
-        return bool(np.all(rel < (self.s_hi - self.s_lo) + 2 * margin))
-
-    def ext_contains(self, disp, kx, ky) -> bool:
-        """Extended-support predicate for a spatial momentum."""
-        if abs(float(disp.e(kx, ky))) > self.trans_width:
-            return False
-        return self.arc_contains(self.curve.arc_position(kx, ky))
-
-
-@dataclass(frozen=True)
-class Sectorization:
-    j: int
-    curve: FermiCurve
-    sectors: tuple
 
     def __len__(self):
-        return len(self.sectors)
+        return len(self.s_lo)
 
-    def __iter__(self):
-        return iter(self.sectors)
-
-    def __getitem__(self, i):
-        return self.sectors[i]
+    def contains(self, disp, kx, ky) -> np.ndarray:
+        """(sectors, points) extended-support matrix of the momenta (kx, ky):
+        |e| within the transversal width and the arc position in the
+        fattened arc, cyclically."""
+        kx, ky = np.ravel(kx), np.ravel(ky)
+        near = ~(np.abs(disp.e(kx, ky)) > self.trans_width)
+        margin, L = self.arc_margin, self.curve.length
+        rel = np.mod(self.curve.arc_position(kx, ky)
+                     - (self.s_lo - margin)[:, None], L)
+        return near & (rel < ((self.s_hi - self.s_lo) + 2 * margin)[:, None])
 
 
 def build_sectorization(params, curve: FermiCurve, j: int,
@@ -120,41 +103,30 @@ def build_sectorization(params, curve: FermiCurve, j: int,
         raise ValueError(f"scale {j} below the first scale {params.j0}")
     lj = params.sector_length(j) if length_override is None else float(length_override)
     L = curve.length
-    n = int(math.ceil(L / lj))
-    bounds = [i * lj for i in range(n)] + [L]
-    trans = max(params.shell_hi(j), lj / 2.0)
-    secs = tuple(
-        Sector(j=j, index=i, s_lo=bounds[i], s_hi=bounds[i + 1],
-               length=bounds[i + 1] - bounds[i], arc_margin=lj,
-               trans_width=trans, curve=curve)
-        for i in range(n))
-    return Sectorization(j=j, curve=curve, sectors=secs)
+    bounds = np.append(np.arange(math.ceil(L / lj)) * lj, L)
+    return Sectorization(j=j, curve=curve, s_lo=bounds[:-1], s_hi=bounds[1:],
+                         arc_margin=lj,
+                         trans_width=max(params.shell_hi(j), lj / 2.0))
 
 
-def hat_weights(sectorization: Sectorization) -> List[Callable]:
+def hat_weights(sectorization: Sectorization) -> Callable:
     """Piecewise-linear partition of unity along the curve, one hat per
-    sector, centered at the arc midpoints (cyclic, non-uniform safe)."""
+    sector, centered at the arc midpoints (cyclic, non-uniform safe): a
+    function of a 1-d array of arc positions giving the (sectors, points)
+    weight matrix."""
     L = sectorization.curve.length
-    centers = np.array([s.center() for s in sectorization])
-    n = len(centers)
-    if n == 1:
+    c = 0.5 * (sectorization.s_lo + sectorization.s_hi)[:, None]
+    if len(c) == 1:
         # a lone sector is its own neighbor: its hat covers the whole curve
-        return [lambda s: np.ones(np.shape(s))]
+        return lambda s: np.ones((1,) + np.shape(s))
+    wl = np.mod(c - np.roll(c, 1), L)     # distance to the left neighbor
+    wr = np.mod(np.roll(c, -1) - c, L)    # distance to the right neighbor
 
-    def make(i):
-        c = centers[i]
-        left = centers[(i - 1) % n]
-        right = centers[(i + 1) % n]
-        wl = np.mod(c - left, L)     # distance to left neighbor
-        wr = np.mod(right - c, L)    # distance to right neighbor
+    def weights(s):
+        rel = np.mod(np.asarray(s, dtype=float) - c + L / 2, L) - L / 2
+        up = np.clip(1.0 + rel / wl, 0.0, None)
+        down = np.clip(1.0 - rel / wr, 0.0, None)
+        return np.where(rel < 0, np.minimum(up, 1.0), np.minimum(down, 1.0)) \
+            * (np.abs(rel) < np.where(rel < 0, wl, wr))
 
-        def hat(s):
-            rel = np.mod(np.asarray(s, dtype=float) - c + L / 2, L) - L / 2
-            up = np.clip(1.0 + rel / wl, 0.0, None)
-            down = np.clip(1.0 - rel / wr, 0.0, None)
-            return np.where(rel < 0, np.minimum(up, 1.0), np.minimum(down, 1.0)) \
-                * (np.abs(rel) < np.where(rel < 0, wl, wr))
-
-        return hat
-
-    return [make(i) for i in range(n)]
+    return weights

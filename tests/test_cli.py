@@ -235,8 +235,8 @@ def test_ladder_demo_geometry_error_exits_1(tmp_path, capsys, monkeypatch):
     # hats that no longer sum to 1 make the first refinement of the
     # telescope fail: a geometry error, exit 1, not a traceback
     hat_weights = ld.hat_weights
-    monkeypatch.setattr(ld, "hat_weights", lambda secz: [
-        lambda s, h=h: 0.5 * h(s) for h in hat_weights(secz)])
+    monkeypatch.setattr(ld, "hat_weights",
+                        lambda secz: lambda s: 0.5 * hat_weights(secz)(s))
     out = tmp_path / "ladder.csv"
     rc = cli.main(["ladder-demo", "--scales", "2", "--out", str(out)])
     assert rc == cli.EXIT_CONFIG
@@ -244,6 +244,29 @@ def test_ladder_demo_geometry_error_exits_1(tmp_path, capsys, monkeypatch):
     assert diag["scenario"] == "ladder-demo"
     assert diag["error"] == "geometry"
     assert "refinement weights sum to" in diag["detail"]
+    assert not out.exists()
+
+
+def test_ladder_demo_lost_grid_point_exits_1(tmp_path, capsys, monkeypatch):
+    # a finer-scale sector whose support drops grid point 0 while its hat
+    # still weighs that point: the first refinement of the telescope cannot
+    # place the point, a geometry error, exit 1
+    contains = ld.Sectorization.contains
+
+    def drop_point_0(secz, disp, kx, ky):
+        ok = contains(secz, disp, kx, ky)
+        if secz.j > ScaleParams().j0:
+            ok[:, 0] = False
+        return ok
+
+    monkeypatch.setattr(ld.Sectorization, "contains", drop_point_0)
+    out = tmp_path / "ladder.csv"
+    rc = cli.main(["ladder-demo", "--scales", "2", "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["scenario"] == "ladder-demo"
+    assert diag["error"] == "geometry"
+    assert "lost grid point 0" in diag["detail"]
     assert not out.exists()
 
 

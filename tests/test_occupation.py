@@ -429,6 +429,28 @@ def test_fermi_sweep_flags_radii_below_the_offsets(model):
         oc.jump_at(thin, model, math.pi)
 
 
+def test_fermi_sweep_flags_offsets_that_do_not_cross_the_curve(model,
+                                                               tmp_path):
+    # at anisotropy 1e-300 the Fermi radius is 2.3e16 at theta = pi/2 and
+    # 3 pi/2: rad -+ delta rounds to rad, so the inner offsets land outside
+    # too (e = 2.2e-16) and no jump is measured there; those rows are
+    # flagged, the theta = 0 and pi rows measured as usual
+    wide = quadratic_model(1e-300)
+    rows = oc.fermi_sweep(wide, model, npoints=4)
+    assert [r.flag for r in rows] == ["", "SingularPointError"] * 2
+    assert all(rows[t].abs_err <= 1e-6 for t in (0, 2))
+    with pytest.raises(oc.SingularPointError, match="does not cross"):
+        oc.jump_at(wide, model, math.pi / 2)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("model = quadratic:1e-300\n[scenario]\nnpoints = 4\n")
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["jump-sweep", "--config", str(cfg), "--out", str(out)])
+    assert rc == cli.EXIT_TOLERANCE
+    flags = [line.rsplit(",", 1)[1] for line in
+             out.read_text().splitlines()[1:]]
+    assert flags == ["", "SingularPointError"] * 2
+
+
 @settings(max_examples=10, deadline=None)
 @given(lam=st.floats(0.0, 0.5),
        points=st.lists(st.tuples(st.floats(0.0, 2 * math.pi),

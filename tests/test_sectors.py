@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermi2d.scales import quadratic_model
 from fermi2d.sectors import (build_fermi_curve, build_sectorization,
                              hat_weights)
 
@@ -25,7 +26,45 @@ def curve_point(disp, curve, s):
 def containing(secz, disp, kx, ky):
     """Indices of the sectors whose extended support holds (kx, ky): the
     membership test of the ladder scheme's sector refinement."""
-    return {t.index for t in secz if t.ext_contains(disp, kx, ky)}
+    return set(np.flatnonzero(secz.contains(disp, kx, ky)[:, 0]).tolist())
+
+
+def contains_loop(secz, disp, kx, ky):
+    """Reference membership, one sector and one point at a time: |e| not
+    above the transversal width, then the arc position in the arc fattened
+    by the margin on each side, cyclically."""
+    L, margin = secz.curve.length, secz.arc_margin
+    out = np.zeros((len(secz), len(kx)), dtype=bool)
+    for i, (lo, hi) in enumerate(zip(secz.s_lo, secz.s_hi)):
+        for p, (x, y) in enumerate(zip(kx, ky)):
+            if abs(float(disp.e(x, y))) > secz.trans_width:
+                continue
+            s = float(secz.curve.arc_position(x, y))
+            out[i, p] = np.mod(s - (lo - margin), L) < (hi - lo) + 2 * margin
+    return out
+
+
+def hats_loop(secz, ss):
+    """Reference hat weights, one sector and one arc position at a time:
+    a hat rises from the left neighbor's center to its own and falls to the
+    right neighbor's, cyclically; a lone sector's hat is 1."""
+    L, n = secz.curve.length, len(secz)
+    centers = [0.5 * (lo + hi) for lo, hi in zip(secz.s_lo, secz.s_hi)]
+    out = np.zeros((n, len(ss)))
+    for i, c in enumerate(centers):
+        wl = np.mod(c - centers[(i - 1) % n], L)
+        wr = np.mod(centers[(i + 1) % n] - c, L)
+        for p, s in enumerate(ss):
+            if n == 1:
+                out[i, p] = 1.0
+                continue
+            rel = np.mod(s - c + L / 2, L) - L / 2
+            if rel < 0:
+                w = min(max(1.0 + rel / wl, 0.0), 1.0) if -rel < wl else 0.0
+            else:
+                w = min(max(1.0 - rel / wr, 0.0), 1.0) if rel < wr else 0.0
+            out[i, p] = w
+    return out
 
 
 def test_sector_length_formula(params):
@@ -37,16 +76,19 @@ def test_sector_count_circle(params, curve):
     secz = build_sectorization(params, curve, 5)
     assert len(secz) == math.ceil(2 * math.pi * math.sqrt(2) / 0.125)
     assert len(secz) == 72
+    assert secz.arc_margin == 0.125
+    assert secz.trans_width == max(params.shell_hi(5), 0.0625)
 
 
 def test_tiling_exact(params, curve):
     for j in (3, 5, 7):
         secz = build_sectorization(params, curve, j)
-        total = math.fsum(s.length for s in secz)
+        total = math.fsum(secz.s_hi - secz.s_lo)
         assert abs(total - curve.length) <= 1e-12
-        # deterministic ordering by arc start
-        starts = [s.s_lo for s in secz]
-        assert starts == sorted(starts)
+        # deterministic ordering by arc start, arcs abutting
+        assert np.all(np.diff(secz.s_lo) > 0)
+        assert np.array_equal(secz.s_lo[1:], secz.s_hi[:-1])
+        assert secz.s_lo[0] == 0.0 and secz.s_hi[-1] == curve.length
 
 
 def test_nesting_counts(params, curve):
@@ -56,29 +98,25 @@ def test_nesting_counts(params, curve):
     coarse = build_sectorization(params, curve, j)
     fine = build_sectorization(params, curve, j + 1)
     base = math.ceil(params.sector_length(j) / params.sector_length(j + 1))
-    for s in coarse:
-        hits = sum(1 for t in fine
-                   if t.s_lo < s.s_hi and t.s_hi > s.s_lo)
-        assert hits in (base, base + 1)
+    hits = ((fine.s_lo < coarse.s_hi[:, None])
+            & (fine.s_hi > coarse.s_lo[:, None])).sum(axis=1)
+    assert set(hits.tolist()) <= {base, base + 1}
 
 
 def test_sector_of_midpoint(params, disp, curve):
     j = 5
     secz = build_sectorization(params, curve, j)
-    s = secz[10]
-    kx, ky = curve_point(disp, curve, s.center())
-    idxs = containing(secz, disp, kx, ky)
+    kx, ky = curve_point(disp, curve, 0.5 * (secz.s_lo[10] + secz.s_hi[10]))
     # the one-arc-length fattening catches exactly the sector and both
     # neighbors at an interior midpoint
-    assert idxs == {9, 10, 11}
+    assert containing(secz, disp, kx, ky) == {9, 10, 11}
 
 
 def test_sector_of_boundary(params, disp, curve):
     j = 5
     secz = build_sectorization(params, curve, j)
-    kx, ky = curve_point(disp, curve, secz[10].s_hi)
-    idxs = containing(secz, disp, kx, ky)
-    assert {10, 11} <= idxs
+    kx, ky = curve_point(disp, curve, secz.s_hi[10])
+    assert {10, 11} <= containing(secz, disp, kx, ky)
 
 
 def test_sector_of_far_is_empty(params, disp, curve):
@@ -89,10 +127,10 @@ def test_sector_of_far_is_empty(params, disp, curve):
 
 def test_hat_weights_partition(params, curve):
     secz = build_sectorization(params, curve, 4)
-    hats = hat_weights(secz)
     ss = np.linspace(0, curve.length, 257)
-    total = sum(np.asarray(h(ss), dtype=float) for h in hats)
-    assert np.abs(total - 1.0).max() <= 1e-12
+    weights = hat_weights(secz)(ss)
+    assert weights.shape == (len(secz), len(ss))
+    assert np.abs(weights.sum(axis=0) - 1.0).max() <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -105,9 +143,36 @@ def test_hat_weights_partition_any_count(params, curve, count, short, fracs):
     secz = build_sectorization(params, curve, 4,
                                length_override=L / (count - short))
     assert len(secz) == count
-    ss = np.array(fracs) * L
-    total = sum(np.asarray(h(ss), dtype=float) for h in hat_weights(secz))
+    total = hat_weights(secz)(np.array(fracs) * L).sum(axis=0)
     assert np.abs(total - 1.0).max() <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(anisotropy=st.sampled_from([1.0, 0.5, 3.0]),
+       count=st.integers(1, 12), short=st.floats(0.05, 0.95),
+       j=st.integers(2, 6),
+       points=st.lists(st.tuples(st.floats(0.0, 2 * math.pi),
+                                 st.floats(-0.4, 0.4)),
+                       min_size=1, max_size=12))
+def test_array_geometry_matches_the_sector_loop(params, anisotropy, count,
+                                                short, j, points):
+    # the membership matrix and the hat matrix equal, bit for bit, a loop
+    # over sectors and points, on circles and ellipses, for any sector
+    # count (a lone sector, a short last arc, the wrap at s = 0) and points
+    # near and off the curve; each column of hats sums to 1
+    disp = quadratic_model(anisotropy)
+    curve = build_fermi_curve(disp)
+    secz = build_sectorization(params, curve, j,
+                               length_override=curve.length / (count - short))
+    th, dr = np.array(points).T
+    rad = disp.fermi_radius(th) * (1.0 + dr)
+    kx, ky = rad * np.cos(th), rad * np.sin(th)
+    assert np.array_equal(secz.contains(disp, kx, ky),
+                          contains_loop(secz, disp, kx, ky))
+    ss = curve.arc_position(kx, ky)
+    weights = hat_weights(secz)(ss)
+    assert np.array_equal(weights, hats_loop(secz, ss))
+    assert np.abs(weights.sum(axis=0) - 1.0).max() <= 1e-12
 
 
 def test_scale_below_first_rejected(params, curve):
