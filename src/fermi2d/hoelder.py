@@ -6,9 +6,11 @@ and constant C' C0^(beta/(alpha+beta)) C1^(alpha/(alpha+beta)), where
 C' = 2 (M^beta/(M^beta - 1) + M^alpha/(M^alpha - 1)).  The certificate is
 checked on sampled pairs, and an empirical exponent estimator fits the
 log-log modulus of continuity over dyadic separations.  Both sample their
-pairs (t, t + sep) at every dyadic level from one fixed point set, the 1-D
-R_d sequence (scales.rd_points) scaled to [lo, hi - sep): no seed, and the
-same pairs on every run.
+pairs (t, t + sep), sep = 2^-m, at every dyadic level m from one fixed point
+set, the first 200 points of the 1-D R_d sequence (scales.rd_points) scaled
+to [0, 1 - sep): no seed, and the same pairs on every run.  The
+certificate takes levels 2-18, the fit levels 4-18, and saturating_family
+members j <= 25.
 """
 from __future__ import annotations
 
@@ -19,6 +21,12 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from .scales import rd_points
+
+
+_PAIR_POINTS = 200           # R_d pair bases per dyadic level, on [0, 1)
+_CERT_LEVELS = range(2, 19)  # dyadic levels m of verify_family
+_FIT_LEVELS = range(4, 19)   # dyadic levels m of empirical_exponent
+_JMAX = 25                   # last member index of saturating_family
 
 
 class EstimationError(ArithmeticError):
@@ -65,14 +73,13 @@ class FamilyReport:
     constant: float
 
 
-def verify_family(b: ScaleBounds, family: Sequence[Tuple[Callable, Callable]],
-                  pair_points: int = 200, mmax: int = 18,
-                  t_range: Tuple[float, float] = (0.0, 1.0)) -> FamilyReport:
+def verify_family(b: ScaleBounds,
+                  family: Sequence[Tuple[Callable, Callable]]) -> FamilyReport:
     """Check the hypotheses on samples, then the certified modulus on
     dyadic pairs; family entries are (f_j, f_j') callables.  A NaN sample
     fails both checks: hyp_worst and max_ratio then read NaN."""
     expo, const = hoelder_certificate(b)
-    ts = np.linspace(t_range[0], t_range[1], 2049)
+    ts = np.linspace(0.0, 1.0, 2049)
     hyp_worst = 0.0
     for j, (f, fp) in enumerate(family):
         bound0 = b.C0 * b.M ** (-b.alpha * j)
@@ -88,8 +95,7 @@ def verify_family(b: ScaleBounds, family: Sequence[Tuple[Callable, Callable]],
 
     max_ratio = 0.0
     worst = (0.0, 0.0)
-    for sep, base, diff in zip(*_dyadic_pairs(total, range(2, mmax + 1),
-                                              pair_points, t_range)):
+    for sep, base, diff in zip(*_dyadic_pairs(total, _CERT_LEVELS)):
         ratios = diff / (const * sep ** expo)
         k = int(np.argmax(ratios))  # the first NaN, if there is one
         if not (ratios[k] <= max_ratio or math.isnan(max_ratio)):
@@ -100,33 +106,25 @@ def verify_family(b: ScaleBounds, family: Sequence[Tuple[Callable, Callable]],
                         exponent=expo, constant=const)
 
 
-def _dyadic_pairs(f: Callable, levels, pair_points: int,
-                  t_range: Tuple[float, float]):
-    """(seps, bases, diffs) over the dyadic separations sep = 2^-m (hi - lo),
-    m in levels, one row per level: bases the pair_points R_d bases in
-    [lo, hi - sep) and diffs |f(base + sep) - f(base)|, every level in one
-    pair of calls of f."""
-    lo, hi = t_range
-    seps = [2.0 ** (-m) * (hi - lo) for m in levels]
+def _dyadic_pairs(f: Callable, levels):
+    """(seps, bases, diffs) over the dyadic separations sep = 2^-m, m in
+    levels, one row per level: bases the first _PAIR_POINTS points of the
+    1-D R_d set scaled to [0, 1 - sep) and diffs |f(base + sep) - f(base)|,
+    every level in one pair of calls of f."""
+    seps = [2.0 ** (-m) for m in levels]
     col = np.array(seps)[:, None]
-    bases = _pair_bases(pair_points, lo, hi - col)
+    bases = (1.0 - col) * rd_points(_PAIR_POINTS, (0.0,), (1.0,))[:, 0]
     return seps, bases, np.abs(np.asarray(f(bases + col))
                                - np.asarray(f(bases)))
 
 
-def _pair_bases(n: int, lo, hi):
-    """The first n points of the 1-D R_d set scaled to [lo, hi); hi may be
-    a column of upper ends, one row of bases per end."""
-    return lo + (hi - lo) * rd_points(n, (0.0,), (1.0,))[:, 0]
-
-
-def saturating_family(b: ScaleBounds, jmax: int = 25):
+def saturating_family(b: ScaleBounds):
     """f_j(t) = C0 M^(-alpha j) sin((C1/C0) M^((alpha+beta) j) t): the
     hypotheses hold with equality, making the certificate sharp in rate.
     OverflowError when a member's amplitude, frequency or derivative
     amplitude C1 M^(beta j) is not finite."""
     out = []
-    for j in range(jmax + 1):
+    for j in range(_JMAX + 1):
         ampj = b.C0 * b.M ** (-b.alpha * j)
         freqj = (b.C1 / b.C0) * b.M ** ((b.alpha + b.beta) * j)
         if not all(map(math.isfinite, (ampj, freqj, ampj * freqj))):
@@ -147,19 +145,12 @@ def _sine_member(amp, freq):
     return f, fp
 
 
-def empirical_exponent(f: Callable, m_range: Tuple[int, int] = (4, 18),
-                       pair_points: int = 200,
-                       t_range: Tuple[float, float] = (0.0, 1.0)
-                       ) -> Tuple[float, float]:
+def empirical_exponent(f: Callable) -> Tuple[float, float]:
     """Fitted slope of log max|f(t+sep)-f(t)| against log sep over dyadic
     separations, capped at 1 (Lipschitz saturation); returns
     (exponent, one-sigma band of the regression slope)."""
-    m_lo, m_hi = m_range
-    if m_hi - m_lo + 1 < 10:
-        raise EstimationError("need at least 10 dyadic separation levels")
     xs, ys = [], []
-    seps, _, diffs = _dyadic_pairs(f, range(m_lo, m_hi + 1), pair_points,
-                                   t_range)
+    seps, _, diffs = _dyadic_pairs(f, _FIT_LEVELS)
     for sep, diff in zip(seps, diffs):
         mx = float(diff.max())
         if mx <= 0.0:

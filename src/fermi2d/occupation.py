@@ -308,26 +308,27 @@ def i3_closed(disp, kx, ky, tau: float) -> float:
     return math.exp(e * tau) if e < 0 else 0.0
 
 
-def i3_cutoff_quad(disp, kx, ky, tau: float, cutoff: float,
-                   tol: float = 1e-10) -> complex:
-    """The free integral truncated to |k0| <= cutoff (oscillatory)."""
+def i3_cutoff_quad(disp, kx, ky, tau: float, cutoff: float) -> complex:
+    """The free integral truncated to |k0| <= cutoff (oscillatory), at
+    quadrature tolerance 1e-10."""
     e = float(disp.e(kx, ky))
 
     def f(k0):
         return np.exp(1j * tau * k0) / (1j * k0 - e) / (2 * math.pi)
 
-    return complex(_quad_vec(f, -cutoff, cutoff, tol))
+    return complex(_quad_vec(f, -cutoff, cutoff, 1e-10))
 
 
-def i3_cutoff_extrapolated(disp, kx, ky, tau: float, base_cutoff: float = 60.0,
-                           tol: float = 1e-10) -> float:
+def i3_cutoff_extrapolated(disp, kx, ky, tau: float) -> float:
     """Richardson in the inverse cutoff, cutoffs pinned to whole periods so
     the oscillatory error terms carry fixed phases (then the tail is a pure
-    power series in 1/K, eliminated through 1/K^3)."""
+    power series in 1/K, eliminated through 1/K^3).  The first cutoff is
+    the fewest whole periods (at least one) reaching 60; each next one
+    doubles it."""
     period = 2 * math.pi / tau
-    n0 = max(1, int(math.ceil(base_cutoff / period)))
+    n0 = max(1, int(math.ceil(60.0 / period)))
     ks = [n0 * period * 2 ** m for m in range(4)]
-    vals = [complex(i3_cutoff_quad(disp, kx, ky, tau, K, tol)).real for K in ks]
+    vals = [complex(i3_cutoff_quad(disp, kx, ky, tau, K)).real for K in ks]
     a = [2 * vals[m + 1] - vals[m] for m in range(3)]
     b = [(4 * a[m + 1] - a[m]) / 3.0 for m in range(2)]
     return (8 * b[1] - b[0]) / 7.0

@@ -14,8 +14,8 @@ for |delta| <= 2.  The budget checker reports measured/allowed ratios per
 (i, l, delta) from central finite differences on each member's sampling
 windows, plus the reflection-reality residual.  The measured value is
 sup |D^delta q| itself, with no 1/delta! weight.  The derivative sups it
-measures with (sup_derivatives and its grid and product forms) live here
-too.
+measures with (product_sup_derivatives, and sup_derivatives, its dense
+reference) live here too.
 
 The proper self-energy is assembled from P and Q through the rational
 closed form, and its k0-derivative through the tilde-variable formula
@@ -203,22 +203,6 @@ def _make_dp_member(a):
 # momentum-space norms
 
 
-def grid_sup_derivatives(f: Callable, box, shape, max_order: int):
-    """sup |D^delta f| (see sup_derivatives) on the regular grid of shape[a]
-    points spanning box[a] = (lo, hi) on each axis a.
-
-    f is called once, on the open mesh (one 1d axis array per argument,
-    shaped to broadcast), so a product of per-axis factors costs sum(shape)
-    factor evaluations instead of prod(shape).  Its result is broadcast to
-    the full grid: a member that ignores an axis or returns a scalar is
-    still measured on the whole grid.  Returns the sups and the open mesh.
-    """
-    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(box, shape)]
-    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    F = np.broadcast_to(np.asarray(f(*mesh)), tuple(shape))
-    return sup_derivatives(F, [ax[1] - ax[0] for ax in axes], max_order), mesh
-
-
 def sup_derivatives(F: np.ndarray, steps, max_order: int) -> dict:
     """sup |D^delta F| for every multi-index delta with |delta| <= max_order,
     from central differences on a regular grid of spacings steps.
@@ -350,56 +334,48 @@ def _windows(i: int, l: int, M: float):
     return k0_win, sp_win, sp_win
 
 
-def check_q_budget(family: ScaleFamily, params,
-                   npts: Tuple[int, int, int] = (112, 112, 112),
-                   scales: Optional[ScaleModel] = None) -> BudgetReport:
+def check_q_budget(family: ScaleFamily, params, scales: ScaleModel,
+                   npts: Tuple[int, int, int] = (112, 112, 112)
+                   ) -> BudgetReport:
     """Measure sup |D^delta q^(i,l)| by central differences on each
     member's sampling windows and compare with the budget; also report the
-    k0-reflection reality residual and (when a scale model is given) the
-    support conditions near the Fermi curve and off the UV cutoff.
+    k0-reflection reality residual and the support conditions near the
+    Fermi curve and off the UV cutoff.
 
-    A ProductQ member is measured from its per-axis factors
-    (product_sup_derivatives); any other callable on the open mesh of the
-    full grid (grid_sup_derivatives)."""
+    Every member must be a ProductQ, measured from its per-axis factors
+    (product_sup_derivatives); any other member raises ValueError naming
+    its (i, l)."""
     M, la, up = params.M, family.lambda0, family.upsilon
     rows: List[BudgetRow] = []
     reality = 0.0
     support = 0.0
     points = {}  # support sample points per i, shared by the members of i
     for (i, l), qf in sorted(family.q.items()):
-        windows = _windows(i, l, M)
-        if isinstance(qf, ProductQ):
-            axes = [np.linspace(lo, hi, n)
-                    for (lo, hi), n in zip(windows, npts)]
-            sups = product_sup_derivatives(
-                qf.amp, qf.factors(*axes), [ax[1] - ax[0] for ax in axes], 2)
-            mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-        else:
-            sups, mesh = grid_sup_derivatives(
-                lambda *k: _real_if_zero_imag(qf(*k)), windows, npts, 2)
+        if not isinstance(qf, ProductQ):
+            raise ValueError(f"member ({i},{l}) is not a ProductQ; the "
+                             f"budget measures ProductQ members only")
+        axes = [np.linspace(lo, hi, n)
+                for (lo, hi), n in zip(_windows(i, l, M), npts)]
+        sups = product_sup_derivatives(
+            qf.amp, qf.factors(*axes), [ax[1] - ax[0] for ax in axes], 2)
         base = _budget_base(params, la, up, i, l)
         for delta in sorted(sups):
             allowed = base * M ** (delta[0] * i) * M ** ((delta[1] + delta[2]) * l)
             rows.append(BudgetRow(i=i, l=l, delta=delta,
                                   measured=sups[delta], allowed=allowed))
-        # reflection reality on paired samples
-        k0, kx, ky = (m[::13, ::13, ::13] for m in mesh)
+        # reflection reality on paired samples, every 13th grid point
+        k0, kx, ky = np.meshgrid(*(ax[::13] for ax in axes), indexing="ij",
+                                 sparse=True)
         res = np.abs(np.asarray(qf(-k0, kx, ky))
                      - np.conj(np.asarray(qf(k0, kx, ky))))
         reality = max(reality, float(res.max()))
-        if scales is not None:
-            if i not in points:
-                points[i] = _support_points(scales, i)
-            k0 = points[i][0]
-            vals = np.broadcast_to(np.asarray(qf(*points[i])), k0.shape)
-            support = max(support, float(np.abs(vals).max(initial=0.0)))
+        if i not in points:
+            points[i] = _support_points(scales, i)
+        k0 = points[i][0]
+        vals = np.broadcast_to(np.asarray(qf(*points[i])), k0.shape)
+        support = max(support, float(np.abs(vals).max(initial=0.0)))
     return BudgetReport(rows=rows, reality_residual=reality,
                         support_violation=support)
-
-
-def _real_if_zero_imag(q):
-    q = np.asarray(q)
-    return q.real if np.iscomplexobj(q) and not np.abs(q.imag).any() else q
 
 
 def _support_points(scales: ScaleModel, i: int):

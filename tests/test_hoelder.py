@@ -62,21 +62,9 @@ def test_nan_member_fails_the_checks():
     # Python's max() and a > test skip NaN; verify_family must not
     b = hl.ScaleBounds(1, 1, 1, 1, 2)
     nan = (lambda t: np.full_like(np.asarray(t, dtype=float), np.nan),) * 2
-    rep = hl.verify_family(b, hl.saturating_family(b, jmax=3) + [nan])
+    rep = hl.verify_family(b, hl.saturating_family(b) + [nan])
     assert not rep.hypotheses_ok
     assert math.isnan(rep.hyp_worst) and math.isnan(rep.max_ratio)
-
-
-def test_empirical_exponent_sine_family():
-    for abm in ((1.0, 1.0, 2.0), (0.6, 0.4, 2.0), (1.0, 2.0, 3.0)):
-        b = hl.ScaleBounds(abm[0], abm[1], 1.0, 1.0, abm[2])
-        fam = hl.saturating_family(b)
-
-        def f(t, fam=fam):
-            return sum(g(t) for g, _ in fam)
-
-        expo, _ = hl.empirical_exponent(f)
-        assert abs(expo - b.alpha / (b.alpha + b.beta)) <= 0.05
 
 
 def test_empirical_exponent_smooth_capped():
@@ -90,27 +78,25 @@ def test_empirical_exponent_step():
     assert abs(expo) <= 0.05
 
 
-def test_empirical_exponent_needs_levels():
-    with pytest.raises(hl.EstimationError):
-        hl.empirical_exponent(lambda t: np.asarray(t), m_range=(4, 8))
-
-
 def test_pairs_are_fixed_rd_points():
-    # every dyadic level samples the same 1-D R_d set, u_m = frac(1/2 +
-    # m / golden ratio), scaled to [lo, hi - sep); no seed
+    # every dyadic level m = 2..18 of the certificate samples the same 200
+    # points of the 1-D R_d set, u_k = frac(1/2 + k / golden ratio), scaled
+    # to [0, 1 - 2^-m); no seed
     seen = []
 
     def f(t):
         seen.append(np.array(t, dtype=float))
         return 0.0 * seen[-1]
 
-    hl.verify_family(hl.ScaleBounds(1, 1, 1, 1, 2), [(f, f)], pair_points=7,
-                     mmax=3, t_range=(-1.0, 3.0))
-    u = (0.5 + np.arange(1, 8) / ((1 + 5 ** 0.5) / 2)) % 1.0
-    bases = seen[-1]  # total(bases + sep) is taken first, then total(bases)
-    assert bases.shape == (2, 7)
-    for row, sep in zip(bases, (1.0, 0.5)):
-        assert np.allclose(row, -1.0 + (4.0 - sep) * u, rtol=0, atol=1e-14)
+    hl.verify_family(hl.ScaleBounds(1, 1, 1, 1, 2), [(f, f)])
+    u = (0.5 + np.arange(1, 201) / ((1 + 5 ** 0.5) / 2)) % 1.0
+    seps = 2.0 ** -np.arange(2, 19)[:, None]
+    ends, bases = seen[-2:]  # total(bases + sep) is taken first
+    assert bases.shape == (17, 200)
+    # u here divides by the golden ratio, rd_points multiplies by its
+    # inverse: the two differ by up to 1.4e-14 at k = 200
+    assert np.allclose(bases, (1.0 - seps) * u, rtol=0, atol=1e-13)
+    assert np.array_equal(ends, bases + seps)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])

@@ -14,7 +14,7 @@ from fermi2d.kernels import (EXT, EXTP, INT, Kernel4, KernelSpace,
                              random_kernel, reduce_ph, reduce_pp, s_kappa,
                              sct_prime, sector_norm_p, shear, shear_prime,
                              value_ph, value_pp, zero_kernel)
-from fermi2d.selfenergy import grid_sup_derivatives, sup_derivatives
+from fermi2d.selfenergy import sup_derivatives
 
 GRID = make_grid([(0.25, 1.2, 0.55)])
 
@@ -424,37 +424,6 @@ def test_conservation_mask_preserved_by_transforms():
     for out in (antisymmetrize(f), flip(f),
                 shear(f, _table_fn(GRID, np.random.default_rng(26)))):
         assert np.abs(out.values[~mask]).max() <= 1e-15
-
-
-BOX = ((-1.0, 0.5), (-0.7, 1.2), (0.0, 2.0))
-SHAPE = (13, 11, 9)
-
-
-def _dense_sups(f, box, shape, max_order):
-    # oracle: f evaluated on every point of the dense meshgrid
-    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(box, shape)]
-    F = np.asarray(f(*np.meshgrid(*axes, indexing="ij")))
-    return sup_derivatives(F, [ax[1] - ax[0] for ax in axes], max_order)
-
-
-@pytest.mark.parametrize("f", [
-    lambda k0, kx, ky: np.cos(3 * k0) * np.exp(-kx ** 2) * np.sin(2 * ky),
-    lambda k0, kx, ky: np.exp(-(k0 ** 2 + kx * ky)),
-    lambda k0, kx, ky: k0 ** 3,
-    lambda k0, kx, ky: np.exp(1j * kx),
-], ids=["factorized", "coupled", "k0-only", "complex-kx-only"])
-def test_grid_sup_derivatives_matches_dense_mesh(f):
-    sups, mesh = grid_sup_derivatives(f, BOX, SHAPE, 2)
-    assert sups == _dense_sups(f, BOX, SHAPE, 2)
-    assert [m.shape for m in mesh] == [(13, 1, 1), (1, 11, 1), (1, 1, 9)]
-    assert len(sups) == 10
-
-
-def test_grid_sup_derivatives_scalar_member():
-    sups, _ = grid_sup_derivatives(lambda k0, kx, ky: 2.5, BOX, SHAPE, 2)
-    assert len(sups) == 10
-    assert sups.pop((0, 0, 0)) == 2.5
-    assert set(sups.values()) == {0.0}
 
 
 def _gradient_sups(F, steps, max_order):

@@ -83,9 +83,6 @@ KEPT = {
     # selfenergy
     "selfenergy.BudgetReport.max_ratio_per_pair": CRIT.format(7),
     "selfenergy.BudgetReport.worst_ratio": CRIT.format(7),
-    "selfenergy.grid_sup_derivatives": "the check_q_budget path for a member "
-                                       "that is not a ProductQ, which the "
-                                       "support and reality tests use",
     "selfenergy.proper_sigma": CRIT.format(6),
     "selfenergy.q_tail_decay": CRIT.format(7),
     "selfenergy.sigma_k0_derivative": CRIT.format(6),

@@ -75,11 +75,19 @@ def test_reality_propagates(budget_params, qfam, budget_scales):
 
 
 def test_budget_zero_family_all_pass(budget_params, budget_scales):
-    fam = se.ScaleFamily(lambda0=1e-3, upsilon=0.2)
-    fam.q[(2, 2)] = lambda k0, kx, ky: 0.0 * np.asarray(k0)
+    fam = _one_member_family(se.ProductQ(0.0, 4.0, 4.0))
     rep = se.check_q_budget(fam, budget_params, scales=budget_scales)
     assert rep.all_pass
     assert rep.worst_ratio() == 0.0
+
+
+def test_budget_rejects_a_member_that_is_not_a_product(budget_params,
+                                                       budget_scales, qfam):
+    fam = se.ScaleFamily(q={**qfam.q, (3, 4): lambda k0, kx, ky: 0.0 * k0},
+                         lambda0=qfam.lambda0, upsilon=qfam.upsilon)
+    with pytest.raises(ValueError, match=re.escape("member (3,4) is not a "
+                                                   "ProductQ")):
+        se.check_q_budget(fam, budget_params, budget_scales)
 
 
 def test_budget_saturating_family(budget_params, budget_scales, qfam):
@@ -100,45 +108,64 @@ def test_budget_scaled_family_fails(budget_params, budget_scales):
     assert rep.worst_ratio() > 1.0
 
 
-def test_budget_oracle_on_finer_grid(budget_params, qfam):
+def test_budget_oracle_on_finer_grid(budget_params, budget_scales, qfam):
     # independent oracle: re-measure a representative subset of members on
     # a finer grid; ratios must agree and stay below the budget
     subset = se.ScaleFamily(lambda0=qfam.lambda0, upsilon=qfam.upsilon)
     for key in ((2, 2), (2, 4), (4, 5)):
         subset.q[key] = qfam.q[key]
-    coarse = se.check_q_budget(subset, budget_params, npts=(112, 112, 112))
-    fine = se.check_q_budget(subset, budget_params, npts=(168, 168, 168))
+    coarse = se.check_q_budget(subset, budget_params, budget_scales,
+                               npts=(112, 112, 112))
+    fine = se.check_q_budget(subset, budget_params, budget_scales,
+                             npts=(168, 168, 168))
     cmap = {(r.i, r.l, r.delta): r.ratio for r in coarse.rows}
     for r in fine.rows:
         assert abs(cmap[(r.i, r.l, r.delta)] - r.ratio) <= 0.06
         assert r.ratio <= 1.0
 
 
+class _ConstantQ(se.ProductQ):
+    """Measured from the factors of its ProductQ, but amp everywhere."""
+
+    def __call__(self, k0, kx, ky):
+        return self.amp * np.ones(np.broadcast(k0, kx, ky).shape)
+
+
+class _ScalarQ(se.ProductQ):
+    """amp as a bare scalar, whatever the points."""
+
+    def __call__(self, k0, kx, ky):
+        return self.amp
+
+
+class _OscillatingQ(se.ProductQ):
+    """A complex wave in k0 and kx ky, nonzero off every support."""
+
+    def __call__(self, k0, kx, ky):
+        return self.amp * np.cos(3 * k0) * np.exp(1j * kx * ky)
+
+
 def test_budget_detects_support_violation(budget_params, budget_scales):
-    fam = se.ScaleFamily(lambda0=1e-3, upsilon=0.2)
     # constant in space: does not vanish off the ultraviolet cutoff
-    fam.q[(2, 2)] = lambda k0, kx, ky: 1e-6 * np.ones_like(np.asarray(k0, dtype=float))
+    fam = _one_member_family(_ConstantQ(1e-6, 4.0, 4.0))
     rep = se.check_q_budget(fam, budget_params, scales=budget_scales)
-    assert rep.support_violation > 0.0
+    assert rep.support_violation == 1e-6
     assert not rep.all_pass
 
 
 def test_budget_detects_support_violation_off_the_curve(budget_params,
                                                        budget_scales):
-    # nonzero at k0 = 0 just off the Fermi curve, zero on it and off the
-    # ultraviolet cutoff: only near points with 0 < |e| <= edge see it
-    e, U = budget_scales.disp.e, budget_scales.disp.U
-    fam = _one_member_family(lambda k0, kx, ky: 1e-3 * e(kx, ky) * U(kx, ky)
-                             + 0.0 * np.asarray(k0))
-    rep = se.check_q_budget(fam, budget_params, npts=(9, 9, 9),
-                            scales=budget_scales)
+    # the k0 profile of scale 6 on a member of first index 2: nonzero for
+    # |k0| in [1/64, 21/64], inside the k0 range of the near points, and
+    # zero off the ultraviolet cutoff, where |kx| or |ky| exceeds 1.4
+    qf = se.ProductQ(1e-6, 64.0, 4.0)
+    rep = se.check_q_budget(_one_member_family(qf), budget_params,
+                            npts=(9, 9, 9), scales=budget_scales)
     assert rep.support_violation > 1e-12
     assert not rep.all_pass
-    # the member is within rounding of 0 on the curve itself
-    th = np.linspace(0.0, 2 * np.pi, 64)
-    rad = budget_scales.disp.fermi_radius(th)
-    assert np.abs(fam.q[2, 2](0.0, rad * np.cos(th), rad * np.sin(th))).max() \
-        <= 1e-12
+    k0, kx, ky = se._support_points(budget_scales, 2)
+    uv = np.hypot(kx, ky) >= 2.05
+    assert uv.any() and not qf(k0[uv], kx[uv], ky[uv]).any()
 
 
 def _support_points_loop(scales, i):
@@ -167,13 +194,11 @@ def test_support_points_match_scalar_loop(budget_params, budget_scales, qfam,
     # the same violation
     fam = {"saturating": lambda: qfam,
            "scaled": lambda: se.saturating_q_family(budget_params, scale=3.0),
-           "zero": lambda: _one_member_family(
-               lambda k0, kx, ky: 0.0 * np.asarray(k0)),
-           "constant": lambda: _one_member_family(
-               lambda k0, kx, ky: 1e-6 * np.ones_like(np.asarray(k0, dtype=float))),
-           "scalar": lambda: _one_member_family(lambda k0, kx, ky: 1e-7),
+           "zero": lambda: _one_member_family(se.ProductQ(0.0, 4.0, 4.0)),
+           "constant": lambda: _one_member_family(_ConstantQ(1e-6, 4.0, 4.0)),
+           "scalar": lambda: _one_member_family(_ScalarQ(1e-7, 4.0, 4.0)),
            "oscillating": lambda: _one_member_family(
-               lambda k0, kx, ky: 1e-6 * np.cos(3 * k0) * np.exp(1j * kx * ky))}[which]()
+               _OscillatingQ(1e-6, 4.0, 4.0))}[which]()
     rep = se.check_q_budget(fam, budget_params, npts=(9, 9, 9),
                             scales=budget_scales)
     loops = {i: _support_points_loop(budget_scales, i) for i, _ in fam.q}
@@ -186,12 +211,16 @@ def test_support_points_match_scalar_loop(budget_params, budget_scales, qfam,
     assert (rep.support_violation <= 1e-12) == (ref <= 1e-12)
 
 
-def test_budget_reality_residual(budget_params):
-    fam = se.ScaleFamily(lambda0=1e-3, upsilon=0.2)
-    # odd real part in k0 breaks the reflection-reality condition
-    fam.q[(2, 2)] = lambda k0, kx, ky: 1e-9 * np.asarray(k0)
-    rep = se.check_q_budget(fam, budget_params)
-    assert rep.reality_residual > 0.0
+def test_budget_reality_residual(budget_params, budget_scales):
+    # an imaginary amplitude breaks the reflection-reality condition: the
+    # residual is 2 |amp| times the largest profile value on the reality
+    # samples.  It needs the default npts: at (9, 9, 9) the samples, every
+    # 13th grid point, are the window corner alone, where every member
+    # vanishes
+    fam = _one_member_family(se.ProductQ(1e-9j, 4.0, 4.0))
+    rep = se.check_q_budget(fam, budget_params, budget_scales)
+    assert rep.reality_residual > 1e-12
+    assert not rep.all_pass
 
 
 def _one_member_family(qf):
@@ -208,35 +237,13 @@ def dense_budget_oracle(family, params, npts):
         wins = se._windows(i, l, params.M)
         axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(wins, npts)]
         K0, KX, KY = np.meshgrid(*axes, indexing="ij")
-        Q = np.asarray(qf(K0, KX, KY))
-        if np.iscomplexobj(Q) and not np.abs(Q.imag).any():
-            Q = Q.real
-        sups = se.sup_derivatives(Q, [ax[1] - ax[0] for ax in axes], 2)
+        sups = se.sup_derivatives(np.asarray(qf(K0, KX, KY)),
+                                  [ax[1] - ax[0] for ax in axes], 2)
         measured.update({(i, l, d): s for d, s in sups.items()})
         S0, SX, SY = (K[::13, ::13, ::13] for K in (K0, KX, KY))
         res = np.abs(qf(-S0, SX, SY) - np.conj(qf(S0, SX, SY)))
         reality = max(reality, float(res.max()))
     return measured, reality
-
-
-OPEN_GRID_MEMBERS = {
-    "zero": lambda k0, kx, ky: 0.0 * np.asarray(k0),
-    "k0-only": lambda k0, kx, ky: 1e-9 * np.asarray(k0),
-    "constant": lambda k0, kx, ky: 1e-6 * np.ones_like(np.asarray(k0, dtype=float)),
-    "kx-only": lambda k0, kx, ky: 1e-8 * np.cos(3.0 * kx),
-    "complex": lambda k0, kx, ky: 1e-9 * (1j * np.sin(k0) + np.cos(kx) * np.cos(ky)),
-    "complex-real": lambda k0, kx, ky: (1e-9 + 0j) * np.cos(7.0 * k0) * np.cos(kx),
-}
-
-
-@pytest.mark.parametrize("name", sorted(OPEN_GRID_MEMBERS))
-def test_budget_open_grid_matches_dense_mesh(budget_params, name):
-    fam = _one_member_family(OPEN_GRID_MEMBERS[name])
-    npts = (40, 36, 44)
-    rep = se.check_q_budget(fam, budget_params, npts=npts)
-    measured, reality = dense_budget_oracle(fam, budget_params, npts)
-    assert {(r.i, r.l, r.delta): r.measured for r in rep.rows} == measured
-    assert rep.reality_residual == reality
 
 
 # A ProductQ member is measured from its per-axis factors, the dense mesh
@@ -252,14 +259,15 @@ def _assert_matches_oracle(rep, measured):
         assert r.passed == (m <= r.allowed)
 
 
-def test_budget_open_grid_matches_dense_mesh_saturating(budget_params, qfam):
+def test_budget_open_grid_matches_dense_mesh_saturating(budget_params,
+                                                        budget_scales, qfam):
     # worst relative gap here: 2.3e-16
     subset = se.ScaleFamily(lambda0=qfam.lambda0, upsilon=qfam.upsilon)
     for key in ((2, 2), (2, 4), (4, 5)):
         subset.q[key] = qfam.q[key]
         assert isinstance(subset.q[key], se.ProductQ)
     npts = (40, 36, 44)
-    rep = se.check_q_budget(subset, budget_params, npts=npts)
+    rep = se.check_q_budget(subset, budget_params, budget_scales, npts=npts)
     measured, reality = dense_budget_oracle(subset, budget_params, npts)
     _assert_matches_oracle(rep, measured)
     assert rep.reality_residual == reality
@@ -269,8 +277,8 @@ def test_budget_open_grid_matches_dense_mesh_saturating(budget_params, qfam):
 @given(amp=st.floats(1e-12, 1e3), negative=st.booleans(),
        i=st.integers(2, 6), dl=st.integers(0, 2),
        npts=st.tuples(*[st.integers(8, 24)] * 3))
-def test_product_member_matches_dense_mesh(budget_params, amp, negative, i,
-                                           dl, npts):
+def test_product_member_matches_dense_mesh(budget_params, budget_scales, amp,
+                                           negative, i, dl, npts):
     # from 8 points per axis up; on 7 a central difference spans whole
     # periods of the spatial waves of l >= 4 (the windows hold three per
     # side), only the envelope is left of it, and the dense mesh's rounding
@@ -279,7 +287,7 @@ def test_product_member_matches_dense_mesh(budget_params, amp, negative, i,
     amp = -amp if negative else amp
     fam = se.ScaleFamily(lambda0=1e-3, upsilon=0.2)
     fam.q[(i, l)] = se._make_q_member(budget_params.M, i, l, amp)
-    rep = se.check_q_budget(fam, budget_params, npts=npts)
+    rep = se.check_q_budget(fam, budget_params, budget_scales, npts=npts)
     measured, reality = dense_budget_oracle(fam, budget_params, npts)
     _assert_matches_oracle(rep, measured)
     assert rep.reality_residual == reality
@@ -299,24 +307,6 @@ def test_budget_of_product_members_allocates_no_grid(budget_params,
         tracemalloc.stop()
     assert rep.all_pass
     assert peak < 1 << 20
-
-
-def test_budget_scalar_member_measured_on_whole_grid(budget_params):
-    # a member returning a bare scalar is broadcast to the grid like the
-    # same constant returned as an array
-    scalar = se.check_q_budget(_one_member_family(lambda k0, kx, ky: 1e-7),
-                               budget_params, npts=(20, 20, 20))
-
-    def full(k0, kx, ky):
-        return np.full(np.broadcast(k0, kx, ky).shape, 1e-7)
-
-    array = se.check_q_budget(_one_member_family(full), budget_params,
-                              npts=(20, 20, 20))
-    assert [(r.delta, r.measured, r.allowed) for r in scalar.rows] \
-        == [(r.delta, r.measured, r.allowed) for r in array.rows]
-    assert len(scalar.rows) == 10
-    assert {r.delta: r.measured for r in scalar.rows}[(0, 0, 0)] == 1e-7
-    assert scalar.reality_residual == 0.0
 
 
 def _sup_derivs_1d_reference(f, lo, hi, npts):
@@ -369,14 +359,6 @@ def test_partial_sum_bound(scales):
             bound = la ** (1 - 3 * up) * params.sector_length(j) * min(r, 1.0)
             worst = max(worst, tail / bound)
     assert worst <= 1.0
-
-
-def test_q_tail_decay_slope():
-    params = ScaleParams(lambda0=1e-3, upsilon=0.2, jmax=12)
-    sm = ScaleModel(params, quadratic_model())
-    fam = se.saturating_q_family(params)
-    fit = se.q_tail_decay(fam, params, sm, js=list(range(3, 9)))
-    assert abs(fit.slope - fit.expected) <= 0.1 * abs(fit.expected)
 
 
 # ---------------------------------------------------------------------------
